@@ -72,7 +72,8 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
 
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
-    non-finite entries raises ``EigenSolverError`` before the first step.
+    non-finite entries raises ``EigenSolverError`` before the first step;
+    ``max_iter < 1``, ``tol < 0`` and ``stride < 1`` raise ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -83,6 +84,8 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
         raise ValueError(f"expected {E.dim} starting coefficients")
     if stride is None:
         stride = default_stride(max_iter)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     target = E.anchor if target is None else check_sym(target)
 
     with np.errstate(invalid="ignore", over="ignore"):
@@ -93,8 +96,7 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
     # B = Q R with Q orthonormal in the raveled (Frobenius) inner product, so
     # P_E(V) = anchor + mat(Q z) with z = Q^T vec(V - anchor), and the
     # basis coefficients of that point are R^-1 z.
-    n, m = E.n, E.dim
-    Q, R = np.linalg.qr(E.basis.reshape(m, n * n).T)
+    n, Q, R = E.n, E.Q, E.R
     Qt = Q.T
     anchor, anchor_vec = E.anchor, E.anchor.ravel()
 

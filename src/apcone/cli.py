@@ -102,11 +102,17 @@ def _parse_start(text, inst=None, spec=None, plane=None):
     return np.array([value])
 
 
+def _require_finite(start):
+    if not np.isfinite(start).all():
+        raise ValueError("start coefficients must be finite")
+
+
 def cmd_example(args):
     inst = get_example(args.ident, args.variant)
     iters = args.iters if args.iters is not None else inst.default_iters
     start = inst.start if args.start is None else _parse_start(
         args.start, inst=inst)
+    _require_finite(start)
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
              iters)
     trace = run_ap(inst.plane, start, max_iter=iters, tol=args.tol,
@@ -141,6 +147,7 @@ def cmd_run(args):
         start = np.array([float(v) for v in start_field])
     else:
         start = _parse_start(start_field, inst=inst, spec=spec, plane=plane)
+    _require_finite(start)
 
     max_iter = int(config.get("max_iter", 1000))
     tol = float(config.get("tol", 0.0))
@@ -188,20 +195,17 @@ def build_parser():
     p_ex.add_argument("--tol", type=float, default=0.0)
     p_ex.add_argument("--stride", type=int, default=None)
     p_ex.add_argument("--out", default=None, help="trace CSV path")
-    p_ex.add_argument("--seed", type=int, default=0,
-                      help="accepted for interface symmetry; runs are "
-                           "deterministic")
     p_ex.set_defaults(func=cmd_example)
 
     p_run = sub.add_parser("run", help="run a JSON-configured experiment")
     p_run.add_argument("config", help="JSON config path")
     p_run.add_argument("--out", default=None, help="override output path")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed of the suite's random draws")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

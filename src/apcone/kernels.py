@@ -1,13 +1,15 @@
-"""Loop kernels for the affine-subspace arithmetic and the slow-rate
-recursion, with a numba-compiled and a plain-Python variant.
+"""The slow-rate recursion as a loop kernel, with a numba-compiled and a
+plain-Python variant.
 
-Every function below is written in loop-based, nopython-compatible style.
-At import time the module decorates them with ``numba.njit`` unless the
-environment variable ``APCONE_NUMBA`` disables it (``0``/``false``/``no``) or
-numba is not installed; ``APCONE_NUMBA=1`` makes numba mandatory.  Both paths
-execute the identical statements, so results agree bit for bit.  numba is an
-optional extra (``pip install -e .[jit]``); the eigensolver and the AP loop
-are NumPy/LAPACK code in ``symcore`` and ``apengine`` and never compiled.
+The recursion is the only compiled code in the package.  It is written in
+loop-based, nopython-compatible style; at import time the module decorates
+it with ``numba.njit`` unless the environment variable ``APCONE_NUMBA``
+disables it (``0``/``false``/``no``) or numba is not installed;
+``APCONE_NUMBA=1`` makes numba mandatory.  Both paths execute the identical
+statements, so results agree bit for bit.  numba is an optional extra
+(``pip install -e .[jit]``); the eigensolver, the AP loop and the
+affine-subspace arithmetic are NumPy/LAPACK code in ``symcore`` and
+``apengine`` and never compiled.
 """
 
 import os
@@ -33,64 +35,6 @@ def _jit(func):
     if USING_NUMBA:
         return _njit(cache=True, fastmath=False)(func)
     return func
-
-
-@_jit
-def sym_inner(a, b):
-    """Frobenius inner product sum_ij a_ij b_ij."""
-    n = a.shape[0]
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc += a[i, j] * b[i, j]
-    return acc
-
-
-@_jit
-def fro_norm(a):
-    return np.sqrt(sym_inner(a, a))
-
-
-@_jit
-def chol_solve(L, b):
-    """Solve (L L^T) x = b for a lower-triangular Cholesky factor L."""
-    m = L.shape[0]
-    y = np.empty(m)
-    for i in range(m):
-        acc = b[i]
-        for j in range(i):
-            acc -= L[i, j] * y[j]
-        y[i] = acc / L[i, i]
-    x = np.empty(m)
-    for i in range(m - 1, -1, -1):
-        acc = y[i]
-        for j in range(i + 1, m):
-            acc -= L[j, i] * x[j]
-        x[i] = acc / L[i, i]
-    return x
-
-
-@_jit
-def basis_coefficients(L, basis, anchor, X):
-    """Gram-system coefficients s with sum_i s_i B_i ~ X - anchor."""
-    m = basis.shape[0]
-    b = np.empty(m)
-    for i in range(m):
-        b[i] = sym_inner(basis[i], X - anchor)
-    return chol_solve(L, b)
-
-
-@_jit
-def affine_point(anchor, basis, coeffs):
-    """anchor + sum_i coeffs_i basis_i."""
-    n = anchor.shape[0]
-    U = anchor.copy()
-    for i in range(basis.shape[0]):
-        ci = coeffs[i]
-        for r in range(n):
-            for c in range(n):
-                U[r, c] += ci * basis[i, r, c]
-    return U
 
 
 @_jit

@@ -108,6 +108,12 @@ def type2_basis(c):
     return np.array([B1, B2, B3])
 
 
+def type2_b1_products(c):
+    """(||B1||^2, <B2, B1>, <B3, B1>) of ``type2_basis(c)`` in closed form."""
+    c1, c2, c3 = c[0], c[1], c[2]
+    return 4.0 * c1 * c1 + 2.0, -4.0 * c1 * c2, 4.0 * c1 * c3
+
+
 def _type1_basis(spec):
     # Null space of the three constraint functionals over S^3.
     A1, A2, A3 = constraint_matrices(spec.canonical())

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planes import type2_b1_products
+
 DEFAULT_CAP = 12
 
 
@@ -121,16 +123,10 @@ class TruncSeries:
 
 def _curve_series_parts(spec, cap):
     """(w, g13, g23) as TruncSeries from the nested rational curve formulas."""
-    from .planes import type2_basis  # local import to avoid a cycle
-    from .symcore import frob_inner
-
     c1, c2, c3, c4, c5 = spec.c
     if c4 == 0.0:
         raise ValueError("curve expansion requires c4 != 0")
-    B = type2_basis(spec.c)
-    ip21 = frob_inner(B[1], B[0])
-    ip31 = frob_inner(B[2], B[0])
-    nb1 = frob_inner(B[0], B[0])
+    nb1, ip21, ip31 = type2_b1_products(spec.c)
 
     one = TruncSeries.constant(1.0, cap)
     t = TruncSeries.x(cap)

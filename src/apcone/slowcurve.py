@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apengine import ap_step, grad_half_dist2_psi, m_matrix, psi
-from .planes import (U_STAR, build_plane, conjugate, rotation_matrix,
-                     type2_basis)
+from .planes import (build_plane, conjugate, rotation_matrix,
+                     type2_b1_products)
 from .symcore import frob_inner, frob_norm, orthogonalize
 
 _EPS = np.finfo(float).eps
@@ -82,16 +82,11 @@ class CurvePoint:
     G: np.ndarray
 
 
-def curve_point(spec, t):
-    """Assemble G(t) = phi(t, g13, g23) from the rational formulas."""
-    _require_type2_curve(spec)
-    c1, c2, c3, c4, c5 = spec.c
-    B = type2_basis(spec.c)
-    ip21 = frob_inner(B[1], B[0])
-    ip31 = frob_inner(B[2], B[0])
-    nb1 = frob_inner(B[0], B[0])
-
+def _curve_scalars(spec, t):
+    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
     w = w_rational(spec, t)
+    c4, c5 = spec.c[3], spec.c[4]
+    nb1, ip21, ip31 = type2_b1_products(spec.c)
     den = 2.0 * c4 * w + 2.0 * c5 * t
     if abs(den) <= 1e-12:
         raise VanishingDenominatorError("2 c4 w + 2 c5 t vanished")
@@ -102,8 +97,18 @@ def curve_point(spec, t):
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
     h = 2.0 * t ** 6 / (den ** 4 * w)
+    return w, g13, g23, h
 
-    G = U_STAR + t * B[0] + g13 * B[1] + g23 * B[2]
+
+def curve_point(spec, t):
+    """Assemble G(t) = U* + t B1 + g13 B2 + g23 B3 from the rational
+    formulas."""
+    w, g13, g23, h = _curve_scalars(spec, t)
+    c1, c2, c3, c4, c5 = spec.c
+    G = np.array([
+        [1.0 - 2.0 * c1 * t + 2.0 * c2 * g13 - 2.0 * c3 * g23, t, -g13],
+        [t, 2.0 * c4 * g13 - 2.0 * c5 * g23, g23],
+        [-g13, g23, 0.0]])
     if spec.theta != 0.0 or spec.reflect:
         P = rotation_matrix(spec.theta, spec.reflect)
         G = conjugate(P, G)
@@ -114,10 +119,7 @@ def psd_projection_formula(spec, t):
     """Rational model of P_psd(G(t)), accurate to O(t^8)."""
     _require_type2_curve(spec)
     c1, c2, c3, c4, c5 = spec.c
-    B = type2_basis(spec.c)
-    ip21 = frob_inner(B[1], B[0])
-    ip31 = frob_inner(B[2], B[0])
-    nb1 = frob_inner(B[0], B[0])
+    nb1, ip21, ip31 = type2_b1_products(spec.c)
     cp = curve_point(spec.canonical(), t)
     w, g13, h = cp.w, cp.g13, cp.h
 
@@ -142,7 +144,7 @@ def ap_image_formula(spec, t):
     t - t^7 / (4 c4^4 ||B1||^2), accurate to O(t^8)."""
     _require_type2_curve(spec)
     c4 = spec.c[3]
-    nb1 = frob_inner(type2_basis(spec.c)[0], type2_basis(spec.c)[0])
+    nb1 = type2_b1_products(spec.c)[0]
     return curve_point(spec, t - t ** 7 / (4.0 * c4 ** 4 * nb1)).G
 
 
@@ -354,8 +356,8 @@ def perturb_gain(spec):
 
 
 def _p1_of_t(spec, gram_row1, n1sq, t):
-    cp = curve_point(spec, t)
-    return t + (gram_row1[1] * cp.g13 + gram_row1[2] * cp.g23) / n1sq
+    _, g13, g23, _ = _curve_scalars(spec, t)
+    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq
 
 
 def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
@@ -375,7 +377,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     C = Eo.basis
     n1sq = frob_inner(C[0], C[0])
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
-    gram_row1 = np.array([frob_inner(E.basis[0], B) for B in E.basis])
+    gram_row1 = E.gram[0]
 
     if np.hypot(beta * n2, gamma * n3) >= eps:
         raise ValueError("initial transverse offset must satisfy "
@@ -407,8 +409,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
             raise ChartError("could not recover the curve parameter")
         if not 0.0 < tn < t:
             return False
-        cp = curve_point(spec, tn)
-        dev = np.hypot((pobs[1] - cp.g13) * n2, (pobs[2] - cp.g23) * n3)
+        _, g13, g23, _ = _curve_scalars(spec, tn)
+        dev = np.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
         if dev / tn ** 7 >= eps:
             transverse_ok = False
         ratios.append(abs(tn - (t - c_shift * t ** 7)) / t ** 8)

@@ -3,8 +3,11 @@ two projections (PSD cone, affine subspace) everything else composes.
 
 Matrices are plain float64 ndarrays kept exactly symmetric; an affine
 subspace carries its anchor, a (not necessarily orthogonal) basis of the
-direction space, the Cholesky factor of the basis Gram matrix, and an
-orthogonal basis of the Frobenius-orthogonal complement.
+direction space, its Gram matrix, the thin QR factorization ``B = Q R`` of
+the raveled basis (columns of Q orthonormal in the Frobenius inner product),
+and an orthonormal basis of the Frobenius-orthogonal complement.  All three
+are computed once, when the subspace is built; coefficients and projections
+then cost one product with Q^T and one m x m solve with R.
 
 Every eigendecomposition in the package goes through ``eigh_desc`` (LAPACK
 via ``numpy.linalg.eigh``) and every PSD projection through ``psd_part``.
@@ -13,8 +16,6 @@ via ``numpy.linalg.eigh``) and every PSD projection through ``psd_part``.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import kernels
 
 COMPLEMENT_DROP_TOL = 1e-10
 
@@ -51,11 +52,11 @@ def frob_inner(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernels.sym_inner(a, b))
+    return float(np.vdot(a, b))
 
 
 def frob_norm(a):
-    return float(kernels.fro_norm(np.asarray(a, dtype=float)))
+    return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,18 @@ def _freeze(a):
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Affine subspace anchor + span{basis} of S^n with projection data."""
+    """Affine subspace anchor + span{basis} of S^n with projection data.
+
+    ``Q`` (n*n, m) and ``R`` (m, m) are the thin QR factors of the raveled
+    basis, ``basis.reshape(m, n*n).T = Q R``; ``complement`` holds an
+    orthonormal basis of the Frobenius-orthogonal complement in S^n.
+    """
 
     anchor: np.ndarray
     basis: np.ndarray          # (m, n, n)
     gram: np.ndarray           # (m, m)
-    chol: np.ndarray           # lower Cholesky factor of gram
+    Q: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
     complement: np.ndarray = field(repr=False)  # (n(n+1)/2 - m, n, n)
 
     @property
@@ -162,46 +169,45 @@ class AffineSubspace:
         m, n = basis.shape[0], anchor.shape[0]
         if basis.shape[1:] != (n, n):
             raise ValueError("basis dimension does not match anchor")
-        gram = np.array([[frob_inner(basis[i], basis[j]) for j in range(m)]
-                         for i in range(m)])
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise DependentBasisError(
-                "basis Gram matrix is not positive definite") from exc
+        flat = basis.reshape(m, n * n)
+        Q, R = np.linalg.qr(flat.T)
+        diag = np.abs(np.diag(R))
+        if not diag.min() > COMPLEMENT_DROP_TOL * diag.max():
+            raise DependentBasisError("basis matrices are linearly dependent")
 
-        # Orthogonal complement: sweep the standard basis of S^n, remove the
-        # span{basis} part with a Gram solve, then Gram-Schmidt the residuals.
-        comp = []
-        for S in _standard_sym_basis(n):
-            s = kernels.chol_solve(chol, np.array(
-                [frob_inner(basis[i], S) for i in range(m)]))
-            R = S - np.tensordot(s, basis, axes=1)
-            for C in comp:
-                R = R - (frob_inner(C, R) / frob_inner(C, C)) * C
-            if frob_norm(R) > COMPLEMENT_DROP_TOL:
-                comp.append(0.5 * (R + R.T))
+        # Orthogonal complement: remove the span{basis} part from the
+        # standard basis of S^n; the residuals span the complement, and their
+        # left singular vectors with nonzero singular value (exactly 1 in
+        # exact arithmetic) are an orthonormal basis of it.
+        S = np.array(_standard_sym_basis(n)).reshape(-1, n * n).T
+        U, sv, _ = np.linalg.svd(S - Q @ (Q.T @ S), full_matrices=False)
+        comp = U[:, sv > COMPLEMENT_DROP_TOL].T.reshape(-1, n, n)
         expected = n * (n + 1) // 2 - m
         if len(comp) != expected:
             raise DependentBasisError(
                 f"complement construction found {len(comp)} directions, "
                 f"expected {expected}")
-        return cls(_freeze(anchor), _freeze(basis), _freeze(gram),
-                   _freeze(chol), _freeze(np.array(comp)))
+        comp = 0.5 * (comp + comp.transpose(0, 2, 1))
+        return cls(_freeze(anchor), _freeze(basis), _freeze(flat @ flat.T),
+                   _freeze(Q), _freeze(R), _freeze(comp))
 
     def point(self, coeffs):
-        """phi(p) = anchor + sum_i p_i B_i."""
+        """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients")
-        return kernels.affine_point(self.anchor, self.basis, coeffs)
+        n = self.n
+        flat = self.basis.reshape(self.dim, n * n)
+        U = self.anchor + (coeffs @ flat).reshape(n, n)
+        return 0.5 * (U + U.T)
 
     def coefficients(self, X):
-        """Gram-system coefficients of the best approximation to X - anchor."""
+        """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
+        to X - anchor in span{basis}."""
         X = check_sym(X)
         if X.shape[0] != self.n:
             raise ValueError("dimension mismatch")
-        return kernels.basis_coefficients(self.chol, self.basis, self.anchor, X)
+        return np.linalg.solve(self.R, self.Q.T @ (X - self.anchor).ravel())
 
 
 def project_affine(E, X):
@@ -215,11 +221,8 @@ def dist2_affine(E, X):
     X = check_sym(X)
     if X.shape[0] != E.n:
         raise ValueError("dimension mismatch")
-    acc = 0.0
-    D = X - E.anchor
-    for C in E.complement:
-        acc += frob_inner(C, D) ** 2 / frob_inner(C, C)
-    return acc
+    C = E.complement.reshape(len(E.complement), E.n * E.n)
+    return float(np.sum((C @ (X - E.anchor).ravel()) ** 2))
 
 
 def orthogonalize(E):

@@ -192,7 +192,7 @@ def suite_lemma75(seed=0):
         spec = random_type2_spec(rng, mild=False)
         worst = max(worst, perturb_gain(spec).spectral_norm)
     return [CheckResult("||R||_2 < 1 on 100 specs", worst < 1.0,
-                        f"max spectral norm {worst:.6f}")]
+                        f"max spectral norm 1 - {1.0 - worst:.3e}")]
 
 
 def suite_prop76(seed=0):

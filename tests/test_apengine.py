@@ -127,6 +127,12 @@ def test_run_ap_non_finite_start_raises(bad):
         run_ap(E, np.array([0.1, bad, 0.0]), max_iter=10, tol=0.0)
 
 
+def test_run_ap_zero_stride_raises():
+    E, _ = build_plane(SPEC61)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        run_ap(E, np.array([0.1, 0.0, 0.0]), max_iter=10, tol=0.0, stride=0)
+
+
 # --- eigenvalue formula ----------------------------------------------------------
 
 def test_formula_step_psd_interior_is_identity():

@@ -65,6 +65,13 @@ def test_example_bad_start_reports_error(capsys):
     assert "comma triple" in err
 
 
+def test_example_zero_stride_usage_error(capsys):
+    code, _, err = run_cli(capsys, "example", "ex3.2", "--iters", "10",
+                           "--stride", "0")
+    assert code == 2
+    assert "stride must be >= 1" in err
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma67", "--seed", "7")
     assert code == 0
@@ -122,6 +129,17 @@ def test_run_bad_config_is_usage_error(capsys, tmp_path):
     cfg_path.write_text("{not json")
     code, _, err = run_cli(capsys, "run", str(cfg_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_run_non_finite_start_usage_error(capsys, tmp_path, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        '{"plane": {"kind": "type2", "c": [1.0, 0.0, 0.0, 1.0, 0.0]}, '
+        f'"start": [{bad}, 0, 0], "max_iter": 10}}')
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert "start coefficients must be finite" in err
 
 
 def test_run_builtin_with_variant(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
                            plucker_coords, plucker_relation_defect,
                            rotation_matrix, singularity_degree, sym_basis6,
-                           type2_basis)
+                           type2_b1_products, type2_basis)
 from apcone.symcore import AffineSubspace, eig_sym, frob_inner, frob_norm
 
 
@@ -17,6 +17,17 @@ def test_type2_basis_matches_template():
             np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float)]
     for B, W in zip(E.basis, want):
         assert np.array_equal(B, W)
+
+
+def test_type2_b1_products_closed_form():
+    rng = np.random.RandomState(41)
+    for _ in range(20):
+        c = tuple(rng.uniform(-2.0, 2.0, 5))
+        B = type2_basis(c)
+        want = [frob_inner(B[0], B[0]), frob_inner(B[1], B[0]),
+                frob_inner(B[2], B[0])]
+        got = type2_b1_products(c)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 @pytest.mark.parametrize("spec", [

@@ -3,7 +3,7 @@ import pytest
 
 from apcone.apengine import ap_step
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
-                           rotation_matrix)
+                           rotation_matrix, type2_basis)
 from apcone.slowcurve import (ResidualNoiseError,
                               VanishingDenominatorError, ap_image_formula,
                               curve_point, newton_slowest_point, perturb_gain,
@@ -85,6 +85,18 @@ def test_curve_point_lies_in_plane():
         assert frob_inner(A1, G) == pytest.approx(1.0, abs=1e-12)
         assert frob_inner(A2, G) == pytest.approx(0.0, abs=1e-12)
         assert frob_inner(A3, G) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_curve_point_matches_basis_combination():
+    # G(t) is assembled entrywise; the reference is U* + t B1 + g13 B2 + g23 B3
+    rng = np.random.RandomState(12)
+    for _ in range(10):
+        spec = random_type2_spec(rng)
+        B = type2_basis(spec.c)
+        for t in np.linspace(0.01, 0.4, 5) * valid_t_max(spec):
+            cp = curve_point(spec, t)
+            ref = U_STAR + t * B[0] + cp.g13 * B[1] + cp.g23 * B[2]
+            assert np.abs(cp.G - ref).max() <= 1e-15
 
 
 def test_curve_point_conjugation_equivariance():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcone.planes import type2_basis
+from apcone.planes import PlaneSpec, build_plane, type2_basis
 from apcone.symcore import (AffineSubspace, DependentBasisError,
                             EigenSolverError, dist2_affine, eig_sym,
                             frob_inner, frob_norm, orthogonalize,
@@ -178,6 +178,44 @@ def test_project_affine_residual_orthogonal():
             assert abs(frob_inner(X - Y, B)) <= 1e-10 * max(1.0, frob_norm(X))
 
 
+def _random_planes(rng):
+    for _ in range(6):
+        c = tuple(rng.uniform(-1.5, 1.5, 5))
+        yield PlaneSpec("type2", c, theta=float(rng.uniform(0, 2 * np.pi)),
+                        reflect=bool(rng.randint(2)))
+        c = tuple(rng.uniform(-1.0, 1.0, 8))
+        yield PlaneSpec("type1", c, mu=float(rng.uniform(0.2, 2.0)),
+                        theta=float(rng.uniform(0, 2 * np.pi)),
+                        reflect=bool(rng.randint(2)))
+
+
+def test_qr_coefficients_match_gram_system():
+    # reference: the normal equations G s = (<B_i, X - anchor>)_i
+    rng = np.random.RandomState(29)
+    for spec in _random_planes(rng):
+        E, _ = build_plane(spec)
+        for _ in range(5):
+            X = random_sym(3, rng, 2.0)
+            b = np.array([frob_inner(B, X - E.anchor) for B in E.basis])
+            ref = np.linalg.solve(E.gram, b)
+            Y, coeffs = project_affine(E, X)
+            scale = np.abs(ref).max()
+            assert np.abs(E.coefficients(X) - ref).max() <= 1e-12 * scale
+            assert np.abs(coeffs - ref).max() <= 1e-12 * scale
+            Y_ref = E.anchor + np.tensordot(ref, E.basis, axes=1)
+            assert frob_norm(Y - Y_ref) <= 1e-12 * max(1.0, frob_norm(Y_ref))
+
+
+def test_point_is_exactly_symmetric():
+    rng = np.random.RandomState(31)
+    for spec in _random_planes(rng):
+        E, _ = build_plane(spec)
+        for _ in range(5):
+            U = E.point(rng.uniform(-3.0, 3.0, E.dim))
+            assert np.array_equal(U, U.T)
+            project_psd(U)               # rejects an asymmetric input
+
+
 def test_dependent_basis_rejected():
     B = sym_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(DependentBasisError):
@@ -255,3 +293,7 @@ def test_affine_subspace_arrays_are_frozen(plane_ex32):
         plane_ex32.basis[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         plane_ex32.anchor[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        plane_ex32.Q[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        plane_ex32.R[0, 0] = 1.0

@@ -28,6 +28,9 @@ from .verify import SUITES, run_suite
 
 log = logging.getLogger("apcone")
 
+CONFIG_KEYS = frozenset(("plane", "variant", "start", "max_iter", "tol",
+                         "stride", "out"))
+
 
 def _setup_logging():
     level = {"quiet": logging.ERROR, "info": logging.INFO,
@@ -39,10 +42,12 @@ def _setup_logging():
 
 def trace_csv(trace):
     lines = ["k,dist,psd_rank,inv2,inv6"]
-    for k, (d, r) in enumerate(zip(trace.dists, trace.psd_ranks)):
-        inv2 = d ** -2.0 if d > 0 else float("inf")
-        inv6 = d ** -6.0 if d > 0 else float("inf")
-        lines.append(f"{k},{d:.17g},{int(r)},{inv2:.17g},{inv6:.17g}")
+    # dist^-6 overflows to inf once dist < ~1e-52; inf is the value written
+    with np.errstate(over="ignore"):
+        for k, (d, r) in enumerate(zip(trace.dists, trace.psd_ranks)):
+            inv2 = d ** -2.0 if d > 0 else float("inf")
+            inv6 = d ** -6.0 if d > 0 else float("inf")
+            lines.append(f"{k},{d:.17g},{int(r)},{inv2:.17g},{inv6:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -86,11 +91,18 @@ def _parse_start(text, inst=None, spec=None, plane=None):
     """Start forms: a float, a comma triple, or slowest-curve:t0."""
     if text.startswith("slowest-curve:"):
         t0 = float(text.split(":", 1)[1])
+        if not np.isfinite(t0):
+            raise ValueError("slowest-curve t0 must be finite")
         the_spec = spec if spec is not None else (inst.spec if inst else None)
         the_plane = plane if plane is not None else (inst.plane if inst else None)
         if the_spec is None:
             raise ValueError("slowest-curve starts need a type2 plane")
-        return the_plane.coefficients(curve_point(the_spec, t0).G)
+        try:
+            G = curve_point(the_spec, t0).G
+        except ArithmeticError:
+            raise ValueError(f"slowest-curve t0={t0:g} is outside the "
+                             "curve's domain") from None
+        return the_plane.coefficients(G)
     if "," in text:
         return np.array([float(tok) for tok in text.split(",")])
     value = float(text)
@@ -127,6 +139,12 @@ def cmd_example(args):
 def cmd_run(args):
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; known: "
+                         f"{', '.join(sorted(CONFIG_KEYS))}")
     plane_field = config["plane"]
     if isinstance(plane_field, str):
         inst = get_example(plane_field, config.get("variant"))

@@ -6,7 +6,10 @@ loop-based, nopython-compatible style; at import time the module decorates
 it with ``numba.njit`` unless the environment variable ``APCONE_NUMBA``
 disables it (``0``/``false``/``no``) or numba is not installed;
 ``APCONE_NUMBA=1`` makes numba mandatory.  Both paths execute the identical
-statements, so results agree bit for bit.  numba is an optional extra
+statements, so results agree bit for bit.  Each step is a sequential
+dependence on the previous x, so the loop cannot be vectorised; on the
+plain path it is kept to the arithmetic of one step and one store into a
+preallocated array.  numba is an optional extra
 (``pip install -e .[jit]``); the eigensolver, the AP loop and the
 affine-subspace arithmetic are NumPy/LAPACK code in ``symcore`` and
 ``apengine`` and never compiled.
@@ -42,15 +45,23 @@ def recurrence_sequence(C, K, q, x0, n, mode):
     """Iterate x <- x (1 - C x^q +/- K x^(q+1)).
 
     ``mode``: 0 adds the K term, 1 subtracts it, 2 alternates starting with +.
+    The sign is fixed before the loop and flipped per step, so the loop does
+    not branch.  With K == 0 the K term is +0.0 or -0.0, which leaves
+    1 - C x^q unchanged, so it is dropped.
     """
     xs = np.empty(n + 1)
     xs[0] = x0
     x = x0
-    for k in range(n):
+    if K == 0.0:
+        for k in range(1, n + 1):
+            x = x * (1.0 - C * x ** q)
+            xs[k] = x
+        return xs
+    sign = -1.0 if mode == 1 else 1.0
+    flip = -1.0 if mode == 2 else 1.0
+    for k in range(1, n + 1):
         xq = x ** q
-        sign = 1.0
-        if mode == 1 or (mode == 2 and k % 2 == 1):
-            sign = -1.0
         x = x * (1.0 - C * xq + sign * K * xq * x)
-        xs[k + 1] = x
+        xs[k] = x
+        sign *= flip
     return xs

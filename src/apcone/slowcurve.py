@@ -45,29 +45,35 @@ def _require_type2_curve(spec):
         raise ValueError("the slowest curve requires c4 != 0")
 
 
-def _w_denominators(c, t):
+def _w_parts(c, t):
+    """Nested denominators of w(t) and w(t) itself, evaluated exactly as
+    written: ``(d_inner, d_mid, d_q, q, w)``.  ``t`` is a float or an
+    ndarray; nothing is checked here."""
     c1, c2, c3, c4, c5 = c
     d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
-    if abs(d_inner) <= 1e-12:
-        raise VanishingDenominatorError("inner denominator vanished")
     mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t ** 3 / c4
     d_mid = c4 * mid + c5 * t
     q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
     d_q = c4 * q + c5 * t
-    return d_inner, d_mid, d_q, q, mid
+    w = (1.0 - 2.0 * c1 * t
+         + c2 * t * t / d_mid
+         + c3 * t ** 3 / (d_q * q))
+    return d_inner, d_mid, d_q, q, w
 
 
 def w_rational(spec, t):
     """The nested rational function w(t), evaluated exactly as written."""
     _require_type2_curve(spec)
-    c1, c2, c3, c4, c5 = spec.c
-    d_inner, d_mid, d_q, q, _ = _w_denominators(spec.c, t)
+    try:
+        d_inner, d_mid, d_q, q, w = _w_parts(spec.c, float(t))
+    except ZeroDivisionError:
+        raise VanishingDenominatorError("a denominator of w is zero") from None
+    if abs(d_inner) <= 1e-12:
+        raise VanishingDenominatorError("inner denominator vanished")
     for d in (d_mid, d_q, q):
         if abs(d) <= 1e-12:
             raise VanishingDenominatorError("nested denominator vanished")
-    return (1.0 - 2.0 * c1 * t
-            + c2 * t * t / d_mid
-            + c3 * t ** 3 / (d_q * q))
+    return w
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,13 @@ class CurvePoint:
     G: np.ndarray
 
 
-def _curve_scalars(spec, t):
-    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
-    w = w_rational(spec, t)
-    c4, c5 = spec.c[3], spec.c[4]
-    nb1, ip21, ip31 = type2_b1_products(spec.c)
+def _curve_parts(c, t, w):
+    """``(den, g13, g23, h)`` of the curve point at t with den = 2 c4 w +
+    2 c5 t, in the canonical frame.  ``t`` and ``w`` are floats or ndarrays
+    of one shape; nothing is checked here."""
+    c4, c5 = c[3], c[4]
+    nb1, ip21, ip31 = type2_b1_products(c)
     den = 2.0 * c4 * w + 2.0 * c5 * t
-    if abs(den) <= 1e-12:
-        raise VanishingDenominatorError("2 c4 w + 2 c5 t vanished")
     gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t ** 6 / den ** 5
     r0 = (c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1) + 1.0 / (8.0 * c4 ** 3)
     r13 = (c5 / c4) * r0 * t ** 7 + ip21 * t ** 7 / (16.0 * c4 ** 6 * nb1)
@@ -97,18 +102,38 @@ def _curve_scalars(spec, t):
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
     h = 2.0 * t ** 6 / (den ** 4 * w)
+    return den, g13, g23, h
+
+
+def _curve_scalars(spec, t):
+    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
+    t = float(t)
+    w = w_rational(spec, t)
+    try:
+        den, g13, g23, h = _curve_parts(spec.c, t, w)
+    except ZeroDivisionError:
+        raise VanishingDenominatorError("w or 2 c4 w + 2 c5 t is zero") from None
+    if abs(den) <= 1e-12:
+        raise VanishingDenominatorError("2 c4 w + 2 c5 t vanished")
     return w, g13, g23, h
+
+
+def _canonical_matrix(c, t, g13, g23):
+    """G(t) = U* + t B1 + g13 B2 + g23 B3 in the canonical frame, entrywise;
+    for ndarray arguments the matrix axes come first."""
+    c1, c2, c3, c4, c5 = c
+    g11 = 1.0 - 2.0 * c1 * t + 2.0 * c2 * g13 - 2.0 * c3 * g23
+    g22 = 2.0 * c4 * g13 - 2.0 * c5 * g23
+    return np.array([[g11, t, -g13],
+                     [t, g22, g23],
+                     [-g13, g23, np.zeros_like(g11)]])
 
 
 def curve_point(spec, t):
     """Assemble G(t) = U* + t B1 + g13 B2 + g23 B3 from the rational
     formulas."""
     w, g13, g23, h = _curve_scalars(spec, t)
-    c1, c2, c3, c4, c5 = spec.c
-    G = np.array([
-        [1.0 - 2.0 * c1 * t + 2.0 * c2 * g13 - 2.0 * c3 * g23, t, -g13],
-        [t, 2.0 * c4 * g13 - 2.0 * c5 * g23, g23],
-        [-g13, g23, 0.0]])
+    G = _canonical_matrix(spec.c, float(t), g13, g23)
     if spec.theta != 0.0 or spec.reflect:
         P = rotation_matrix(spec.theta, spec.reflect)
         G = conjugate(P, G)
@@ -150,43 +175,46 @@ def ap_image_formula(spec, t):
 
 # --- curve domain ------------------------------------------------------------
 
-def _domain_ok(spec, t):
-    try:
-        d_inner, d_mid, d_q, q, _ = _w_denominators(spec.c, t)
-        w = w_rational(spec, t)
-    except VanishingDenominatorError:
-        return False
-    c4, c5 = spec.c[3], spec.c[4]
-    dens = (d_inner, d_mid, d_q, q, w, 2.0 * c4 * w + 2.0 * c5 * t)
-    if min(abs(d) for d in dens) <= DENOM_FLOOR:
-        return False
-    try:
-        G = curve_point(spec, t).G
-    except VanishingDenominatorError:
-        return False
-    return float(np.linalg.det(G)) > 0.0
+def _domain_ok(c, t):
+    """Whether the curve denominators d_inner, d_mid, d_q, q, w and
+    2 c4 w + 2 c5 t all exceed DENOM_FLOOR in modulus and det G(t) > 0, in
+    the canonical frame of coefficients ``c``.
+
+    ``t`` is a NumPy float or an ndarray (elementwise answer).  A vanishing
+    denominator yields inf or nan, which fails the floor test.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_inner, d_mid, d_q, q, w = _w_parts(c, t)
+        den, g13, g23, _ = _curve_parts(c, t, w)
+        ok = np.abs(d_inner) > DENOM_FLOOR
+        for d in (d_mid, d_q, q, w, den):
+            ok &= np.abs(d) > DENOM_FLOOR
+        # G is symmetric, so .T only moves the matrix axes last
+        det = np.linalg.det(_canonical_matrix(c, t, g13, g23).T)
+    return ok & (det > 0.0)
 
 
 def valid_t_max(spec, t_cap=T_CAP, grid=200):
-    """Largest t <= t_cap, found by scan plus bisection, below which the
-    curve denominators stay above 0.1 and det G(t) stays positive."""
+    """Largest t <= t_cap below which the curve denominators stay above 0.1
+    and det G(t) stays positive.
+
+    The ``grid`` points t_cap/grid, ..., t_cap are tested in one array call
+    of the domain predicate (one stacked determinant); if one fails, 50
+    bisection steps between it and the last passing grid point (0 if none)
+    refine the answer, each testing one point with the same predicate.
+    """
     _require_type2_curve(spec)
-    spec = spec.canonical()
+    c = spec.c
     ts = np.linspace(t_cap / grid, t_cap, grid)
-    last_ok = 0.0
-    first_bad = None
-    for t in ts:
-        if _domain_ok(spec, t):
-            last_ok = t
-        else:
-            first_bad = t
-            break
-    if first_bad is None:
-        return float(last_ok)
-    lo, hi = last_ok, first_bad
+    ok = _domain_ok(c, ts)
+    if ok.all():
+        return float(ts[-1])
+    first_bad = int(np.argmin(ok))
+    lo = ts[first_bad - 1] if first_bad else np.float64(0.0)
+    hi = ts[first_bad]
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _domain_ok(spec, mid):
+        if _domain_ok(c, mid):
             lo = mid
         else:
             hi = mid
@@ -356,18 +384,25 @@ def perturb_gain(spec):
 
 
 def _p1_of_t(spec, gram_row1, n1sq, t):
+    """First curve coefficient p1(t) with the g13, g23 it was built from."""
     _, g13, g23, _ = _curve_scalars(spec, t)
-    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq
+    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq, g13, g23
 
 
 def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     """Empirical invariance of a tube around the slowest curve.
 
     Starting from G(t0) + beta t0^7 C2 + gamma t0^7 C3, iterate the AP map;
-    at each step recover t from the C1 coefficient (scalar Newton on the
-    first-coordinate map), demand the transverse part stays below ``eps`` in
-    the beta/gamma norm, and demand t decreases inside the bracket
-    t - c t^7 -/+ K t^8 with K fitted on the first half of the run.
+    at each step recover t from the C1 coefficient, demand the transverse
+    part stays below ``eps`` in the beta/gamma norm, and demand t decreases
+    inside the bracket t - c t^7 -/+ K t^8 with K fitted on the first half
+    of the run.
+
+    t is recovered by quasi-Newton on the first-coordinate map p1, started
+    at the predicted t - c t^7, with the finite-difference slope of p1 taken
+    once (at the first step) and reused: over a run t moves by O(t^7) per
+    step, so the slope barely changes and one correction usually reaches
+    the tolerance.
     """
     _require_type2_curve(spec)
     spec = spec.canonical()
@@ -388,28 +423,31 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     c_shift = 1.0 / (4.0 * c4 ** 4 * n1sq)
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
     t = t0
+    slope = None
     ratios = []
     transverse_ok = True
     for _ in range(steps):
         U, _rank = ap_step(Eo, U)
         pobs = Eo.coefficients(U)
-        # invert the first-coordinate map for the new curve parameter
-        tn = t
+        tol = 1e-13 * max(1.0, abs(pobs[0]))
+        tn = t - c_shift * t ** 7
         for _ in range(60):
-            r = _p1_of_t(spec, gram_row1, n1sq, tn) - pobs[0]
-            if abs(r) < 1e-13 * max(1.0, abs(pobs[0])):
+            p1, g13, g23 = _p1_of_t(spec, gram_row1, n1sq, tn)
+            r = p1 - pobs[0]
+            if abs(r) < tol:
                 break
-            hstep = 1e-7 * max(abs(tn), 1e-3)
-            dr = (_p1_of_t(spec, gram_row1, n1sq, tn + hstep)
-                  - _p1_of_t(spec, gram_row1, n1sq, tn - hstep)) / (2 * hstep)
-            if dr == 0.0:
-                raise ChartError("flat first-coordinate map")
-            tn -= r / dr
+            if slope is None:
+                hstep = 1e-7 * max(abs(tn), 1e-3)
+                slope = (_p1_of_t(spec, gram_row1, n1sq, tn + hstep)[0]
+                         - _p1_of_t(spec, gram_row1, n1sq, tn - hstep)[0]
+                         ) / (2 * hstep)
+                if slope == 0.0:
+                    raise ChartError("flat first-coordinate map")
+            tn -= r / slope
         else:
             raise ChartError("could not recover the curve parameter")
         if not 0.0 < tn < t:
             return False
-        _, g13, g23, _ = _curve_scalars(spec, tn)
         dev = np.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
         if dev / tn ** 7 >= eps:
             transverse_ok = False

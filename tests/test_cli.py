@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,35 @@ def test_example_zero_stride_usage_error(capsys):
     assert "stride must be >= 1" in err
 
 
+def test_example_slowest_curve_start_outside_domain(capsys):
+    # w's inner denominator 1 - 2t vanishes at t = 0.5 for ex6.1
+    code, _, err = run_cli(capsys, "example", "ex6.1", "--iters", "5",
+                           "--start", "slowest-curve:0.5")
+    assert code == 2
+    assert "t0=0.5" in err and "domain" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_example_slowest_curve_non_finite_t0(capsys, bad):
+    code, _, err = run_cli(capsys, "example", "ex6.1", "--iters", "5",
+                           "--start", f"slowest-curve:{bad}")
+    assert code == 2
+    assert "slowest-curve t0 must be finite" in err
+
+
+def test_example_trace_csv_emits_no_overflow_warning(capsys, tmp_path):
+    # ex3.4 decays geometrically, so dist^-6 overflows after a few hundred
+    # iterations; the CSV carries inf and nothing reaches stderr
+    out_file = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "example", "ex3.4", "--iters", "1000",
+                               "--out", str(out_file))
+    assert code == 0 and err == ""
+    cols = parse_trace_csv(out_file.read_text())
+    assert np.any((cols["dist"] > 0.0) & np.isinf(cols["inv6"]))
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma67", "--seed", "7")
     assert code == 0
@@ -140,6 +170,25 @@ def test_run_non_finite_start_usage_error(capsys, tmp_path, bad):
     code, _, err = run_cli(capsys, "run", str(cfg_path))
     assert code == 2
     assert "start coefficients must be finite" in err
+
+
+def test_run_slowest_curve_start_outside_domain(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": "ex6.1",
+                                    "start": "slowest-curve:0.5",
+                                    "max_iter": 5}))
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert "t0=0.5" in err and "domain" in err
+
+
+def test_run_unknown_config_key_usage_error(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": "ex3.4", "start": [0.1, 0.0],
+                                    "max_iters": 5}))
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert "'max_iters'" in err and out == ""
 
 
 def test_run_builtin_with_variant(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apcone import kernels
 from apcone.planes import PlaneSpec
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
                           recursive_sequence, slow_rate_constant)
@@ -95,6 +96,32 @@ def test_recursion_noise_modes_bracket():
     xs_plus, _ = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, 100, "plus")
     xs_minus, _ = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, 100, "minus")
     assert np.all(xs_minus[1:] <= xs_plus[1:])
+
+
+def _reference_recurrence(C, K, q, x0, n, mode):
+    """The recursion with the sign chosen inside the loop, step by step."""
+    xs = np.empty(n + 1)
+    xs[0] = x0
+    x = x0
+    for k in range(n):
+        xq = x ** q
+        sign = 1.0
+        if mode == 1 or (mode == 2 and k % 2 == 1):
+            sign = -1.0
+        x = x * (1.0 - C * xq + sign * K * xq * x)
+        xs[k + 1] = x
+    return xs
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@pytest.mark.parametrize("C,K,q,x0", [(1.0 / 3.0, 0.0, 2, 0.1),
+                                      (1.0 / 24.0, 0.0, 6, 0.2),
+                                      (1.0 / 3.0, 0.03, 2, 0.1),
+                                      (1.0 / 24.0, 0.002, 6, 0.2)])
+def test_recurrence_kernel_matches_reference_bitwise(C, K, q, x0, mode):
+    got = kernels.recurrence_sequence(C, K, q, x0, 20000, mode)
+    want = _reference_recurrence(C, K, q, x0, 20000, mode)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_recursion_hypothesis_validation():

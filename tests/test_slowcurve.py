@@ -137,6 +137,65 @@ def test_valid_t_max():
     assert small == pytest.approx(0.15, abs=1e-3)
 
 
+def _reference_valid_t_max(spec, t_cap=0.2, grid=200):
+    """Point-by-point scan plus bisection through the scalar entry points."""
+    spec = spec.canonical()
+    c1, c2, c3, c4, c5 = spec.c
+
+    def domain_ok(t):
+        try:
+            w = w_rational(spec, t)
+            G = curve_point(spec, t).G
+        except VanishingDenominatorError:
+            return False
+        d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
+        mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t ** 3 / c4
+        q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
+        dens = (d_inner, c4 * mid + c5 * t, c4 * q + c5 * t, q, w,
+                2.0 * c4 * w + 2.0 * c5 * t)
+        if min(abs(d) for d in dens) <= 0.1:
+            return False
+        return float(np.linalg.det(G)) > 0.0
+
+    last_ok, first_bad = 0.0, None
+    for t in np.linspace(t_cap / grid, t_cap, grid):
+        if not domain_ok(t):
+            first_bad = t
+            break
+        last_ok = t
+    if first_bad is None:
+        return float(last_ok)
+    lo, hi = last_ok, first_bad
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if domain_ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_valid_t_max_matches_scalar_scan():
+    rng = np.random.RandomState(3)
+    specs = [SPEC61, SPEC44,
+             PlaneSpec("type2", (3.0, 0.0, 0.0, 1.0, 0.0)),
+             PlaneSpec("type2", (3.0, 0.4, -0.2, -0.8, 0.3), theta=0.7,
+                       reflect=True)]
+    # each of these is cut only by its named condition: d_inner, d_mid, q,
+    # w and det G
+    specs += [PlaneSpec("type2", c) for c in (
+        (2.6, -2.6, -2.5, -0.4, 2.0), (2.6, -1.0, 2.7, 0.4, 0.2),
+        (2.8, 0.3, -1.7, -1.2, -1.7), (2.2, 0.1, 2.5, -0.5, -2.5),
+        (-1.2, -2.7, -1.4, -0.9, 1.9))]
+    specs += [random_type2_spec(rng, mild=bool(i % 2)) for i in range(200)]
+    cut = 0
+    for spec in specs:
+        expect = _reference_valid_t_max(spec)
+        assert valid_t_max(spec) == expect, spec
+        cut += expect < 0.2
+    assert cut >= 50          # the bisection is exercised, not only the scan
+
+
 # --- rational projection formulas -------------------------------------------------
 
 def test_psd_formula_correction_entries():
@@ -273,6 +332,21 @@ def test_tube_check_with_offset():
     beta = 0.5 / np.sqrt(6.0)  # ||beta C2|| = eps/2
     assert tube_check(SPEC61, t0=0.1, beta=beta, gamma=0.0, steps=1000,
                       eps=1.0)
+
+
+def test_tube_check_takes_one_ap_step_per_step(monkeypatch):
+    import apcone.slowcurve as slowcurve
+
+    calls = []
+
+    def counting_ap_step(E, U):
+        calls.append(1)
+        return ap_step(E, U)
+
+    monkeypatch.setattr(slowcurve, "ap_step", counting_ap_step)
+    assert tube_check(SPEC61, t0=0.1, beta=0.0, gamma=0.0, steps=300,
+                      eps=1.0)
+    assert len(calls) == 300
 
 
 def test_tube_check_zero_start_trivial():

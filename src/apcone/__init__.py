@@ -6,7 +6,6 @@ from .apengine import (APTrace, ap_step, eigenvalue_formula_step,
                        grad_half_dist2_psi, m_matrix, psi, psi_partial,
                        rank_one_step_residual, run_ap)
 from .catalog import BUILTIN_IDS, get_example
-from .kernels import USING_NUMBA
 from .planes import (PlaneSpec, build_plane, plucker_coords,
                      plucker_relation_defect, singularity_degree)
 from .rates import (RateFit, fit_geometric, fit_inverse_power,
@@ -23,6 +22,9 @@ from .symcore import (AffineSubspace, EigDecomp, dist2_affine, eig_sym,
                       project_psd, sym_matrix)
 
 __version__ = "0.1.0"
+
+# Nothing is compiled; the benchmark header (apbench/run.py) reads this name.
+USING_NUMBA = False
 
 __all__ = [
     "APTrace", "AffineSubspace", "BUILTIN_IDS", "CurvePoint", "EigDecomp",

@@ -170,10 +170,8 @@ def cmd_run(args):
     max_iter = int(config.get("max_iter", 1000))
     tol = float(config.get("tol", 0.0))
     stride = config.get("stride")
-    effective_iter = max_iter if max_iter >= 1 else 1
-    effective_tol = tol if max_iter >= 1 else float("inf")
-    trace = run_ap(plane, start, max_iter=effective_iter, tol=effective_tol,
-                   stride=stride, target=target)
+    trace = run_ap(plane, start, max_iter=max_iter, tol=tol, stride=stride,
+                   target=target)
     out = args.out if args.out else config.get("out")
     _emit(trace_csv(trace), out)
     if degree is not None:

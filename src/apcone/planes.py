@@ -12,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .symcore import (AffineSubspace, DependentBasisError, frob_inner,
-                      sym_matrix)
+from .symcore import (AffineSubspace, DependentBasisError,
+                      _standard_sym_basis, sym_matrix)
 
 U_STAR = sym_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 U_STAR.setflags(write=False)
@@ -150,36 +150,19 @@ def singularity_degree(spec):
 
 # --- Pluecker coordinates -------------------------------------------------
 
-def sym_basis6():
-    """Fixed orthonormal basis e1..e6 of S^3 used for Pluecker coordinates."""
-    r = 1.0 / np.sqrt(2.0)
-    return np.array([
-        sym_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
-        sym_matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
-        sym_matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
-        sym_matrix([[0, r, 0], [r, 0, 0], [0, 0, 0]]),
-        sym_matrix([[0, 0, r], [0, 0, 0], [r, 0, 0]]),
-        sym_matrix([[0, 0, 0], [0, 0, r], [0, r, 0]]),
-    ])
-
-
-_E6 = None
+# Orthonormal basis e1..e6 of S^3 (E_ii, then (E_ij + E_ji)/sqrt(2), i < j),
+# raveled to rows of length 9.
+_SYM3_ROWS = np.array(_standard_sym_basis(3)).reshape(6, 9)
+_SYM3_ROWS.setflags(write=False)
 
 
 def sym_to_coords(X):
     """Coordinates of X in the orthonormal basis e1..e6."""
-    global _E6
-    if _E6 is None:
-        _E6 = sym_basis6()
-        _E6.setflags(write=False)
-    return np.array([frob_inner(e, X) for e in _E6])
+    return _SYM3_ROWS @ np.ravel(X)
 
 
 def coords_to_sym(v):
-    global _E6
-    if _E6 is None:
-        _E6 = sym_basis6()
-    return np.tensordot(np.asarray(v, dtype=float), _E6, axes=1)
+    return (np.asarray(v, dtype=float) @ _SYM3_ROWS).reshape(3, 3)
 
 
 PLUCKER_INDEX_TRIPLES = tuple(combinations(range(6), 3))

@@ -1,14 +1,16 @@
 """Convergence-rate estimation: inverse-power and geometric least-squares
 fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1)),
-and the closed-form constant of the k^(-1/6) limit law."""
+and the closed-form constant of the k^(-1/6) limit law.
+
+The recursion is a plain Python loop: each step depends on the previous x,
+so it cannot be vectorised, and the loop body is kept to the arithmetic of
+one step and one store into a preallocated array."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
-_NOISE_MODES = {"plus": 0, "minus": 1, "alternating": 2}
+_NOISE_MODES = ("plus", "minus", "alternating")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,9 @@ def fit_geometric(trace, window):
 def recursive_sequence(C, K, q, x0, n, noise="plus"):
     """Iterate x <- x (1 - C x^q +/- K x^(q+1)) for n steps.
 
+    ``noise`` picks the sign of the K term: "plus", "minus", or
+    "alternating" (starting with +).
+
     Requires the decrease hypothesis (q+1) C - (q+2) K x0 > 0 and x0 > 0.
     Returns ``(sequence, limit_product)`` with
     limit_product = (q C)^(1/q) n^(1/q) x_n, which tends to 1.
@@ -97,8 +102,24 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
         raise ValueError("hypothesis (q+1) C - (q+2) K x0 > 0 violated")
     if noise not in _NOISE_MODES:
         raise ValueError(f"noise must be one of {sorted(_NOISE_MODES)}")
-    xs = kernels.recurrence_sequence(float(C), float(K), int(q), float(x0),
-                                     int(n), _NOISE_MODES[noise])
+    C, K, q, x0, n = float(C), float(K), int(q), float(x0), int(n)
+    xs = np.empty(n + 1)
+    xs[0] = x = x0
+    if K == 0.0:
+        # the K term is +0.0 or -0.0, which leaves 1 - C x^q unchanged
+        for k in range(1, n + 1):
+            x = x * (1.0 - C * x ** q)
+            xs[k] = x
+    else:
+        # the sign is fixed before the loop and flipped per step, so the
+        # loop does not branch
+        sign = -1.0 if noise == "minus" else 1.0
+        flip = -1.0 if noise == "alternating" else 1.0
+        for k in range(1, n + 1):
+            xq = x ** q
+            x = x * (1.0 - C * xq + sign * K * xq * x)
+            xs[k] = x
+            sign *= flip
     product = float((q * C) ** (1.0 / q) * n ** (1.0 / q) * xs[-1])
     return xs, product
 

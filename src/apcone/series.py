@@ -1,17 +1,19 @@
 """Degree-capped univariate power series and the curve expansions built on
 them.
 
-The series certify, independently of pointwise floating evaluation, the
-low-degree structure of the slowest curve: the recursion satisfied by w, the
-t^10 leading coefficient of det G(t), and the perturbed moment-curve pattern
-of the c1 = c4 = 1 instance.
+The curve expansions run the slowest curve's own rational formulas
+(``slowcurve._w_parts`` and ``_curve_parts``) on the series t instead of a
+float, so the series certify the low-degree structure of exactly the code
+that evaluates the curve pointwise: the recursion satisfied by w, the t^10
+leading coefficient of det G(t), and the perturbed moment-curve pattern of
+the c1 = c4 = 1 instance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .planes import type2_b1_products
+from .slowcurve import _curve_parts, _w_parts
 
 DEFAULT_CAP = 12
 
@@ -100,6 +102,16 @@ class TruncSeries:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
+    def __pow__(self, exponent):
+        """self * self * ... * self, multiplied left to right; ``exponent``
+        must be a positive integer."""
+        if not isinstance(exponent, (int, np.integer)) or exponent < 1:
+            raise ValueError("series powers need a positive integer exponent")
+        out = self
+        for _ in range(int(exponent) - 1):
+            out = out * self
+        return out
+
     def compose(self, inner):
         """self(inner(t)); the inner series must have zero constant term."""
         inner = self._coerce(inner)
@@ -121,41 +133,17 @@ class TruncSeries:
         return float(self.coeffs[d])
 
 
-def _curve_series_parts(spec, cap):
-    """(w, g13, g23) as TruncSeries from the nested rational curve formulas."""
-    c1, c2, c3, c4, c5 = spec.c
-    if c4 == 0.0:
-        raise ValueError("curve expansion requires c4 != 0")
-    nb1, ip21, ip31 = type2_b1_products(spec.c)
-
-    one = TruncSeries.constant(1.0, cap)
-    t = TruncSeries.x(cap)
-    t2, t3 = t * t, t * t * t
-    t6 = t3 * t3
-    t7 = t6 * t
-
-    inner1 = c4 * (one - 2 * c1 * t) + c5 * t
-    mid = one - 2 * c1 * t + c2 * t2 / inner1 + c3 * t3 / c4
-    q = one - 2 * c1 * t + c2 * t2 / c4
-    w = (one - 2 * c1 * t
-         + c2 * t2 / (c4 * mid + c5 * t)
-         + c3 * t3 / ((c4 * q + c5 * t) * q))
-
-    den = 2 * c4 * w + 2 * c5 * t
-    den4 = den * den * den * den
-    den5 = den4 * den
-    gt13 = t2 / den - 2 * (2 * c5 ** 2 + 1) * t6 / den5
-    r0 = (c4 * ip31 + c5 * ip21) / (8 * c4 ** 5 * nb1) + 1 / (8 * c4 ** 3)
-    r13 = (c5 / c4) * r0 * t7 + ip21 * t7 / (16 * c4 ** 6 * nb1)
-    r23 = -2 * c5 * t6 / (den4 * w) + r0 * t7
-    g13 = gt13 + r13
-    g23 = -(gt13 / w) * t + r23
-    return w, g13, g23
-
-
 def expand_curve(spec, cap=DEFAULT_CAP):
-    """Series expansions (w, g13, g23) of the slowest curve in t."""
-    return _curve_series_parts(spec.canonical(), cap)
+    """Series expansions (w, g13, g23) of the slowest curve in t, from the
+    same formulas that evaluate it pointwise (``slowcurve._w_parts`` and
+    ``slowcurve._curve_parts``) applied to the series t."""
+    c = spec.canonical().c
+    if c[3] == 0.0:
+        raise ValueError("curve expansion requires c4 != 0")
+    t = TruncSeries.x(cap)
+    w = _w_parts(c, t)[-1]
+    _, g13, g23, _ = _curve_parts(c, t, w)
+    return w, g13, g23
 
 
 def curve_matrix_series(spec, cap=DEFAULT_CAP):

@@ -38,9 +38,9 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # first kernel invocations JIT-compile; keep that out of timed sections
-    # by touching every kernel entry point once
+def warm_up():
+    # keep one-time costs (lazy imports, the first LAPACK call) out of the
+    # timed sections by touching each entry point they use once
     E = get_example("ex3.2").plane
     run_ap(E, np.array([0.05]), max_iter=5, tol=0.0)
     recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10)

@@ -147,11 +147,10 @@ def test_run_zero_iterations(capsys, tmp_path):
     cfg = {"plane": "ex3.4", "start": [0.1, 0.0], "max_iter": 0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "run", str(cfg_path))
-    assert code == 0
-    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
-    assert rows[0] == "k,dist,psd_rank,inv2,inv6"
-    assert len(rows) == 2 and rows[1].startswith("0,")
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert "max_iter must be >= 1" in err
+    assert out == ""
 
 
 def test_run_bad_config_is_usage_error(capsys, tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
-                           plucker_coords, plucker_relation_defect,
-                           rotation_matrix, singularity_degree, sym_basis6,
+                           coords_to_sym, plucker_coords,
+                           plucker_relation_defect, rotation_matrix,
+                           singularity_degree, sym_to_coords,
                            type2_b1_products, type2_basis)
-from apcone.symcore import AffineSubspace, eig_sym, frob_inner, frob_norm
+from apcone.symcore import (AffineSubspace, _standard_sym_basis, eig_sym,
+                            frob_inner, frob_norm)
 
 
 def test_type2_basis_matches_template():
@@ -123,11 +125,23 @@ def test_spec_json_round_trip():
 # --- Pluecker ----------------------------------------------------------------
 
 def test_plucker_standard_triple():
-    e = sym_basis6()
+    e = _standard_sym_basis(3)
     E = AffineSubspace.from_basis(U_STAR, np.array([e[0], e[1], e[2]]))
     coords = plucker_coords(E)
     assert coords[0] == pytest.approx(1.0, abs=1e-15)
     assert np.abs(coords[1:]).max() <= 1e-15
+
+
+def test_sym_coords_match_inner_products():
+    # reference: one Frobenius inner product per basis element
+    e = _standard_sym_basis(3)
+    rng = np.random.RandomState(3)
+    for _ in range(20):
+        X = rng.normal(size=(3, 3))
+        X = X + X.T
+        want = np.array([frob_inner(b, X) for b in e])
+        assert np.allclose(sym_to_coords(X), want, rtol=1e-15, atol=0.0)
+        assert np.allclose(coords_to_sym(want), X, rtol=1e-15, atol=1e-15)
 
 
 def test_plucker_scaling_multilinearity():

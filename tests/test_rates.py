@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from apcone import kernels
 from apcone.planes import PlaneSpec
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
                           recursive_sequence, slow_rate_constant)
@@ -119,7 +118,8 @@ def _reference_recurrence(C, K, q, x0, n, mode):
                                       (1.0 / 3.0, 0.03, 2, 0.1),
                                       (1.0 / 24.0, 0.002, 6, 0.2)])
 def test_recurrence_kernel_matches_reference_bitwise(C, K, q, x0, mode):
-    got = kernels.recurrence_sequence(C, K, q, x0, 20000, mode)
+    noise = ("plus", "minus", "alternating")[mode]
+    got, _ = recursive_sequence(C, K, q, x0, 20000, noise)
     want = _reference_recurrence(C, K, q, x0, 20000, mode)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -56,6 +56,17 @@ def test_ring_axioms(ca, cb, cc):
     assert np.abs(comm).max() < 1e-12 * scale
 
 
+def test_power_is_repeated_multiplication():
+    a = ts([0.7, -1.3, 0.4, 2.1])
+    want = a
+    for k in range(1, 8):
+        assert np.array_equal((a ** k).coeffs, want.coeffs)
+        want = want * a
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            a ** bad
+
+
 def test_division_rejects_zero_constant():
     with pytest.raises(ZeroConstantTermError):
         ts([1.0]) / TruncSeries.x(12)
@@ -98,8 +109,13 @@ def test_expand_curve_leading_terms_generic():
     assert g23.coeffs[:3] == pytest.approx([0.0] * 3, abs=1e-15)
 
 
-def test_series_matches_pointwise_curve():
-    spec = PlaneSpec("type2", (0.3, -0.7, 0.5, 1.2, -0.4))
+@pytest.mark.parametrize("spec", [
+    pytest.param(SPEC61, id="ex6.1"),
+    pytest.param(PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0)), id="ex4.4"),
+    pytest.param(PlaneSpec("type2", (0.3, -0.7, 0.5, 1.2, -0.4), theta=0.7,
+                           reflect=True), id="rotated-reflected"),
+])
+def test_series_matches_pointwise_curve(spec):
     w, g13, g23 = expand_curve(spec)
     t = 1e-3
     cp = curve_point(spec, t)

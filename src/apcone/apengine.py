@@ -6,13 +6,14 @@ the eigenvalue formula on an orthogonal basis, and the rank-1 chart relation
 M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, check_sym, eig_sym, eigh_desc,
-                      frob_inner, frob_norm, project_affine, project_psd,
-                      psd_part)
+from .symcore import (EigenSolverError, affine_part, check_finite_sym,
+                      check_sym, eig_sym, eigh_desc, frob_inner, frob_norm,
+                      project_affine, project_psd, psd_part)
 
 _STAGNATION_REL = 1e-16
 _STAGNATION_RUN = 100
@@ -57,14 +58,34 @@ class APTrace:
                 int(self.psd_ranks[k])
 
 
+def _step(E, U):
+    """P_E(P_psd(U)) without checking U.
+
+    Returns ``(W, rank, z)``: the next iterate, exactly symmetric; the rank
+    of P_psd(U); and the Q-coordinates z of W (see ``symcore.affine_part``).
+    """
+    P, rank = psd_part(*eigh_desc(U))
+    W, z = affine_part(E, P)
+    return W, rank, z
+
+
 def ap_step(E, U):
     """One alternating-projection step P_E(P_psd(U)).
 
-    Returns (next iterate, rank of the intermediate PSD projection).
+    ``U`` is checked once, here: a non-square or not exactly symmetric
+    matrix, or one of the wrong size, raises ``ValueError``, and non-finite
+    entries raise ``EigenSolverError``.  The step is the one ``run_ap``
+    iterates.  Returns ``(W, rank, coeffs)``: the next iterate, exactly
+    symmetric; the rank of the intermediate PSD projection; and the basis
+    coefficients of W, from the same R^-1 z expression
+    (``E.coefficients_from_q``) that ``E.coefficients`` uses, so no second
+    solve is needed.
     """
-    V, rank = project_psd(U)
-    W, _ = project_affine(E, V)
-    return W, rank
+    U = check_finite_sym(U)
+    if U.shape[0] != E.n:
+        raise ValueError("dimension mismatch")
+    W, rank, z = _step(E, U)
+    return W, rank, E.coefficients_from_q(z)
 
 
 def run_ap(E, p0, max_iter, tol, stride=None, target=None):
@@ -74,6 +95,8 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
     ``max_iter < 1``, ``tol < 0`` and ``stride < 1`` raise ``ValueError``.
+    Each step is ``ap_step``'s, without its input check: the iterates are
+    built here, exactly symmetric.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -93,25 +116,19 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
     if not np.isfinite(U).all():
         raise EigenSolverError("starting point has non-finite entries")
 
-    # B = Q R with Q orthonormal in the raveled (Frobenius) inner product, so
-    # P_E(V) = anchor + mat(Q z) with z = Q^T vec(V - anchor), and the
-    # basis coefficients of that point are R^-1 z.
-    n, Q, R = E.n, E.Q, E.R
-    Qt = Q.T
-    anchor, anchor_vec = E.anchor, E.anchor.ravel()
-
     dists = np.empty(max_iter + 1)
     ranks = np.empty(max_iter + 1, dtype=np.int64)
     sample_ks, sample_coeffs = [], []
     dist = dists[0] = float(np.linalg.norm(U - target))
-    z = None
+    z = None            # Q-coordinates of U; coefficients are R^-1 z
     stagnant = 0
     k = 0
     while True:
-        P, ranks[k] = psd_part(*eigh_desc(U))
+        W, ranks[k], z_next = _step(E, U)
         if k % stride == 0:
             sample_ks.append(k)
-            sample_coeffs.append(p0 if z is None else np.linalg.solve(R, z))
+            sample_coeffs.append(p0 if z is None
+                                 else E.coefficients_from_q(z))
         if dist < tol:
             stop = "tol"
             break
@@ -121,10 +138,10 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
         if stagnant >= _STAGNATION_RUN:
             stop = "stagnation"
             break
-        z = Qt @ (P.ravel() - anchor_vec)
-        U = anchor + (Q @ z).reshape(n, n)
+        U, z = W, z_next
         k += 1
-        prev, dist = dist, float(np.linalg.norm(U - target))
+        d = (U - target).ravel()
+        prev, dist = dist, math.sqrt(d @ d)
         dists[k] = dist
         if prev - dist < _STAGNATION_REL * max(prev, 1e-300):
             stagnant += 1
@@ -132,7 +149,7 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
             stagnant = 0
     if sample_ks[-1] != k:
         sample_ks.append(k)
-        sample_coeffs.append(np.linalg.solve(R, z))
+        sample_coeffs.append(E.coefficients_from_q(z))
 
     def own(a):
         out = np.array(a)

@@ -7,7 +7,8 @@ Subcommands:
 
 Trace output is CSV with header ``k,dist,psd_rank,inv2,inv6`` where
 inv_p = dist^-p; summary lines start with '#', so a trace printed to stdout
-still parses.  Exit codes: 0 success, 1 failed check or run, 2 usage error.
+still parses.  Exit codes: 0 success, 1 failed check or run, or stdout
+closed by its reader before the output was written, 2 usage error.
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
 """
 
@@ -231,7 +232,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point stdout at devnull
+        # so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ resulting matrices conjugated back, so they stay consistent with
 ``planes.build_plane`` for rotated specs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,15 @@ def _w_parts(c, t):
     written: ``(d_inner, d_mid, d_q, q, w)``.  ``t`` is a float or an
     ndarray; nothing is checked here."""
     c1, c2, c3, c4, c5 = c
+    t3 = t ** 3
     d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
-    mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t ** 3 / c4
+    mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t3 / c4
     d_mid = c4 * mid + c5 * t
     q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
     d_q = c4 * q + c5 * t
     w = (1.0 - 2.0 * c1 * t
          + c2 * t * t / d_mid
-         + c3 * t ** 3 / (d_q * q))
+         + c3 * t3 / (d_q * q))
     return d_inner, d_mid, d_q, q, w
 
 
@@ -95,13 +97,14 @@ def _curve_parts(c, t, w):
     c4, c5 = c[3], c[4]
     nb1, ip21, ip31 = type2_b1_products(c)
     den = 2.0 * c4 * w + 2.0 * c5 * t
-    gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t ** 6 / den ** 5
+    t6, t7, den4w = t ** 6, t ** 7, den ** 4 * w
+    gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t6 / den ** 5
     r0 = (c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1) + 1.0 / (8.0 * c4 ** 3)
-    r13 = (c5 / c4) * r0 * t ** 7 + ip21 * t ** 7 / (16.0 * c4 ** 6 * nb1)
-    r23 = -2.0 * c5 * t ** 6 / (den ** 4 * w) + r0 * t ** 7
+    r13 = (c5 / c4) * r0 * t7 + ip21 * t7 / (16.0 * c4 ** 6 * nb1)
+    r23 = -2.0 * c5 * t6 / den4w + r0 * t7
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
-    h = 2.0 * t ** 6 / (den ** 4 * w)
+    h = 2.0 * t6 / den4w
     return den, g13, g23, h
 
 
@@ -398,11 +401,14 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     inside the bracket t - c t^7 -/+ K t^8 with K fitted on the first half
     of the run.
 
-    t is recovered by quasi-Newton on the first-coordinate map p1, started
-    at the predicted t - c t^7, with the finite-difference slope of p1 taken
-    once (at the first step) and reused: over a run t moves by O(t^7) per
-    step, so the slope barely changes and one correction usually reaches
-    the tolerance.
+    Each step is one ``ap_step`` call, which checks the iterate and
+    returns it with its basis coefficients (the same R^-1 z expression as
+    ``coefficients``), so nothing is solved twice.  t is recovered from the
+    first coefficient by quasi-Newton on the first-coordinate map p1,
+    started at the predicted t - c t^7, with the finite-difference slope of
+    p1 taken once (at the first step) and reused: over a run t moves by
+    O(t^7) per step, so the slope barely changes and one correction usually
+    reaches the tolerance.  The per-step scalar work runs on Python floats.
     """
     _require_type2_curve(spec)
     spec = spec.canonical()
@@ -412,9 +418,9 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     C = Eo.basis
     n1sq = frob_inner(C[0], C[0])
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
-    gram_row1 = E.gram[0]
+    gram_row1 = E.gram[0].tolist()
 
-    if np.hypot(beta * n2, gamma * n3) >= eps:
+    if math.hypot(beta * n2, gamma * n3) >= eps:
         raise ValueError("initial transverse offset must satisfy "
                          "||beta C2 + gamma C3|| < eps")
     if t0 == 0.0:
@@ -427,8 +433,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
     ratios = []
     transverse_ok = True
     for _ in range(steps):
-        U, _rank = ap_step(Eo, U)
-        pobs = Eo.coefficients(U)
+        U, _rank, coeffs = ap_step(Eo, U)
+        pobs = coeffs.tolist()
         tol = 1e-13 * max(1.0, abs(pobs[0]))
         tn = t - c_shift * t ** 7
         for _ in range(60):
@@ -448,7 +454,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
             raise ChartError("could not recover the curve parameter")
         if not 0.0 < tn < t:
             return False
-        dev = np.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
+        dev = math.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
         if dev / tn ** 7 >= eps:
             transverse_ok = False
         ratios.append(abs(tn - (t - c_shift * t ** 7)) / t ** 8)

@@ -3,14 +3,22 @@ two projections (PSD cone, affine subspace) everything else composes.
 
 Matrices are plain float64 ndarrays kept exactly symmetric; an affine
 subspace carries its anchor, a (not necessarily orthogonal) basis of the
-direction space, its Gram matrix, the thin QR factorization ``B = Q R`` of
-the raveled basis (columns of Q orthonormal in the Frobenius inner product),
-and an orthonormal basis of the Frobenius-orthogonal complement.  All three
-are computed once, when the subspace is built; coefficients and projections
-then cost one product with Q^T and one m x m solve with R.
+direction space, its Gram matrix, the orthonormal factor Q and the inverse
+of the triangular factor R of the thin QR factorization ``B = Q R`` of the
+raveled basis (each column of Q an exactly symmetric matrix, orthonormal in
+the Frobenius inner product), and an orthonormal basis of the
+Frobenius-orthogonal complement.  All of these are computed once, when the
+subspace is built.  The projection of V is then ``anchor + mat(Q z)`` with
+``z = Q^T vec(V - anchor)``, and its basis coefficients are ``R^-1 z``; that
+one expression (``AffineSubspace.coefficients_from_q``) serves
+``coefficients``, ``project_affine`` and both AP entry points in
+``apengine``.
 
 Every eigendecomposition in the package goes through ``eigh_desc`` (LAPACK
-via ``numpy.linalg.eigh``) and every PSD projection through ``psd_part``.
+via ``numpy.linalg.eigh``), every PSD projection through ``psd_part`` and
+every affine projection through ``affine_part``.  These three check
+nothing; input is checked (square, finite, exactly symmetric) once, where
+it enters a public function, by ``check_sym`` or ``check_finite_sym``.
 """
 
 from dataclasses import dataclass, field
@@ -96,7 +104,9 @@ def psd_part(lam, vecs):
     return 0.5 * (P + P.T), rank
 
 
-def _finite_sym(a):
+def check_finite_sym(a):
+    """``check_sym`` preceded by a finiteness check that raises
+    ``EigenSolverError``."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise EigenSolverError("matrix has non-finite entries")
@@ -106,7 +116,7 @@ def _finite_sym(a):
 def eig_sym(a):
     """Symmetric eigendecomposition; the first component above 1e-12 in
     magnitude of every eigenvector is positive."""
-    lam, vecs = eigh_desc(_finite_sym(a))
+    lam, vecs = eigh_desc(check_finite_sym(a))
     lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return EigDecomp(lam, vecs * signs)
@@ -114,7 +124,7 @@ def eig_sym(a):
 
 def project_psd(a):
     """Project onto the PSD cone; returns (projection, retained rank)."""
-    return psd_part(*eigh_desc(_finite_sym(a)))
+    return psd_part(*eigh_desc(check_finite_sym(a)))
 
 
 def _standard_sym_basis(n):
@@ -142,8 +152,10 @@ def _freeze(a):
 class AffineSubspace:
     """Affine subspace anchor + span{basis} of S^n with projection data.
 
-    ``Q`` (n*n, m) and ``R`` (m, m) are the thin QR factors of the raveled
-    basis, ``basis.reshape(m, n*n).T = Q R``; ``complement`` holds an
+    ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
+    of the raveled basis, ``basis.reshape(m, n*n).T = Q R``; every column of
+    Q, read as an n x n matrix, is exactly symmetric, so mirror entries of
+    ``mat(Q z)`` are the same dot product.  ``complement`` holds an
     orthonormal basis of the Frobenius-orthogonal complement in S^n.
     """
 
@@ -151,7 +163,7 @@ class AffineSubspace:
     basis: np.ndarray          # (m, n, n)
     gram: np.ndarray           # (m, m)
     Q: np.ndarray = field(repr=False)
-    R: np.ndarray = field(repr=False)
+    R_inv: np.ndarray = field(repr=False)
     complement: np.ndarray = field(repr=False)  # (n(n+1)/2 - m, n, n)
 
     @property
@@ -188,8 +200,12 @@ class AffineSubspace:
                 f"complement construction found {len(comp)} directions, "
                 f"expected {expected}")
         comp = 0.5 * (comp + comp.transpose(0, 2, 1))
+        # columns of Q are symmetric only up to rounding; make them exactly
+        # symmetric so that every projection anchor + mat(Q z) is too
+        Q = Q.T.reshape(m, n, n)
+        Q = (0.5 * (Q + Q.transpose(0, 2, 1))).reshape(m, n * n).T
         return cls(_freeze(anchor), _freeze(basis), _freeze(flat @ flat.T),
-                   _freeze(Q), _freeze(R), _freeze(comp))
+                   _freeze(Q), _freeze(np.linalg.inv(R)), _freeze(comp))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -207,13 +223,31 @@ class AffineSubspace:
         X = check_sym(X)
         if X.shape[0] != self.n:
             raise ValueError("dimension mismatch")
-        return np.linalg.solve(self.R, self.Q.T @ (X - self.anchor).ravel())
+        return self.coefficients_from_q((X - self.anchor).ravel() @ self.Q)
+
+    def coefficients_from_q(self, z):
+        """Basis coefficients R^-1 z of the point anchor + mat(Q z)."""
+        return self.R_inv @ z
+
+
+def affine_part(E, V):
+    """Orthogonal projection onto E with its Q-coordinates: returns
+    ``(anchor + mat(Q z), z)`` with ``z = Q^T vec(V - anchor)``.
+
+    V is not checked; the point is exactly symmetric because every column
+    of Q is.
+    """
+    z = (V - E.anchor).ravel() @ E.Q
+    return E.anchor + (E.Q @ z).reshape(E.anchor.shape), z
 
 
 def project_affine(E, X):
     """Orthogonal projection onto E; returns (point, coefficients)."""
-    s = E.coefficients(X)
-    return E.point(s), s
+    X = check_sym(X)
+    if X.shape[0] != E.n:
+        raise ValueError("dimension mismatch")
+    W, z = affine_part(E, X)
+    return W, E.coefficients_from_q(z)
 
 
 def dist2_affine(E, X):

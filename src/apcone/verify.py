@@ -5,6 +5,7 @@ returns CheckResult rows; the CLI prints one line per row and exits nonzero
 when anything fails.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +199,7 @@ def suite_lemma75(seed=0):
 def suite_prop76(seed=0):
     """AP iterates started on/near the slowest curve stay in its tube."""
     spec = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
-    n2 = np.sqrt(6.0)  # ||C2|| for this spec
+    n2 = math.sqrt(6.0)  # ||C2|| for this spec
     cases = [
         ("on-curve start, t0=0.1", dict(t0=0.1, beta=0.0, gamma=0.0,
                                         steps=2000, eps=1.0)),

@@ -9,8 +9,8 @@ from apcone.catalog import get_example
 from apcone.planes import PlaneSpec, build_plane
 from apcone.slowcurve import curve_point
 from apcone.symcore import (AffineSubspace, EigenSolverError, dist2_affine,
-                            frob_norm, orthogonalize, project_affine,
-                            project_psd, sym_matrix)
+                            frob_inner, frob_norm, orthogonalize,
+                            project_affine, project_psd, sym_matrix)
 from apcone.verify import formula_vs_direct_gap, random_type2_spec
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
@@ -21,8 +21,9 @@ SPEC44 = PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0))
 
 def test_ap_step_fixed_point():
     E, _ = build_plane(SPEC61)
-    U, rank = ap_step(E, E.anchor)
+    U, rank, coeffs = ap_step(E, E.anchor)
     assert frob_norm(U - E.anchor) <= 1e-15
+    assert np.abs(coeffs).max() <= 1e-15
     assert rank == 1
 
 
@@ -30,23 +31,23 @@ def test_ap_step_segment_plane_exact_ratios():
     # one-dimensional plane meeting the cone in a segment: the update is
     # exactly linear on both sides of the segment
     neg = get_example("ex3.3", "neg")
-    U1, rank = ap_step(neg.plane, neg.plane.point(np.array([-0.1])))
+    U1, rank, _ = ap_step(neg.plane, neg.plane.point(np.array([-0.1])))
     assert rank == 1
     assert frob_norm(U1 - neg.plane.point(np.array([-0.02]))) <= 1e-12
 
     pos = get_example("ex3.3", "pos")
-    U1, _ = ap_step(pos.plane, pos.plane.point(np.array([0.5])))
+    U1, _, _ = ap_step(pos.plane, pos.plane.point(np.array([0.5])))
     assert frob_norm(U1 - pos.plane.point(np.array([0.4]))) <= 1e-12
 
 
 def test_ap_step_is_projection_composition():
     E, _ = build_plane(SPEC61)
     U = curve_point(SPEC61, 0.08).G
-    stepped, rank = ap_step(E, U)
+    stepped, rank, _ = ap_step(E, U)
     V, rank2 = project_psd(U)
     composed, _ = project_affine(E, V)
     assert rank == rank2
-    assert np.array_equal(stepped, composed)
+    assert frob_norm(stepped - composed) <= 1e-15 * frob_norm(composed)
 
 
 # --- run_ap -------------------------------------------------------------------
@@ -84,20 +85,77 @@ def test_run_ap_fejer_monotone_singleton_planes():
 
 
 def test_run_ap_matches_iterated_ap_step():
-    # run_ap projects with an orthonormal QR basis, ap_step with the Gram
-    # system; both compute the same P_E, so they agree to rounding
+    # run_ap iterates ap_step's own step, so the two agree bit for bit; the
+    # reference both are held to is built here from project_psd and the
+    # Gram system G s = (<B_i, V - anchor>)_i
     E, _ = build_plane(SPEC61)
     p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
     trace = run_ap(E, p0, max_iter=50, tol=0.0, stride=10)
-    U = E.point(p0)
+    U = U_ref = E.point(p0)
+    coeffs = s_ref = p0
     for k in range(51):
-        assert frob_norm(U - E.anchor) == pytest.approx(trace.dists[k],
-                                                        rel=1e-12)
+        assert frob_norm(U - E.anchor) == trace.dists[k]
+        assert trace.dists[k] == pytest.approx(frob_norm(U_ref - E.anchor),
+                                               rel=1e-12)
+        assert np.allclose(coeffs, s_ref, rtol=1e-12, atol=0)
         if k % 10 == 0:
-            got = trace.sample_coeffs[k // 10]
-            assert np.allclose(got, E.coefficients(U), rtol=1e-12, atol=0)
-        U, rank = ap_step(E, U)
-        assert rank == trace.psd_ranks[k]
+            assert np.array_equal(trace.sample_coeffs[k // 10], coeffs)
+        V, rank_ref = project_psd(U_ref)
+        b = np.array([frob_inner(B, V - E.anchor) for B in E.basis])
+        s_ref = np.linalg.solve(E.gram, b)
+        U_ref = E.anchor + np.tensordot(s_ref, E.basis, axes=1)
+        U, rank, coeffs = ap_step(E, U)
+        assert rank == rank_ref == trace.psd_ranks[k]
+
+
+def _random_planes(rng, count):
+    """type2 and type1 planes with random rotation and reflection, plus
+    their Gram-Schmidt orthogonalized copies."""
+    for i in range(count):
+        if i % 2:
+            spec = PlaneSpec("type1", tuple(rng.uniform(-1.0, 1.0, 8)),
+                             mu=float(rng.uniform(0.2, 2.0)))
+        else:
+            spec = random_type2_spec(rng, mild=False)
+        spec = PlaneSpec(spec.kind, spec.c,
+                         theta=float(rng.uniform(0, 2 * np.pi)),
+                         reflect=bool(rng.randint(2)), mu=spec.mu)
+        E, _ = build_plane(spec)
+        yield E
+        yield orthogonalize(E)
+
+
+def test_ap_step_returns_symmetric_iterate_and_its_coefficients():
+    rng = np.random.RandomState(41)
+    for E in _random_planes(rng, 30):
+        for _ in range(5):
+            U = E.point(rng.uniform(-0.5, 0.5, E.dim))
+            W, rank, coeffs = ap_step(E, U)
+            assert np.array_equal(W, W.T)
+            assert 0 <= rank <= 3
+            ref = E.coefficients(W)
+            assert np.abs(coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ap_step_non_finite_input_raises(bad):
+    E, _ = build_plane(SPEC61)
+    U = np.array(E.anchor)
+    U[1, 2] = U[2, 1] = bad
+    with pytest.raises(EigenSolverError):
+        ap_step(E, U)
+
+
+def test_ap_step_rejects_malformed_input():
+    E, _ = build_plane(SPEC61)
+    U = np.array(E.anchor)
+    U[0, 1] = 1e-300
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        ap_step(E, U)
+    with pytest.raises(ValueError, match="square"):
+        ap_step(E, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ap_step(E, np.eye(2))
 
 
 def test_run_ap_stagnation_stop():

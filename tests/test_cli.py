@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apcone
 from apcone.cli import main
 from apcone.rates import parse_trace_csv
 
@@ -218,3 +223,22 @@ def test_run_degenerate_trace_still_succeeds(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(cfg_path))
     assert code == 0
     assert "fit unavailable" in out
+
+
+def test_closed_stdout_pipe_exits_1_without_error_line():
+    # like `apcone example ex6.1 --iters 3000 | head -1`: the 3000-row trace
+    # overflows the pipe buffer, so writing goes on after the reader closed
+    src = str(Path(apcone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apcone.cli", "example", "ex6.1", "--iters",
+         "3000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert first == b"k,dist,psd_rank,inv2,inv6\n"
+    assert code == 1
+    assert err == ""

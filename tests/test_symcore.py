@@ -199,6 +199,7 @@ def test_qr_coefficients_match_gram_system():
             b = np.array([frob_inner(B, X - E.anchor) for B in E.basis])
             ref = np.linalg.solve(E.gram, b)
             Y, coeffs = project_affine(E, X)
+            assert np.array_equal(Y, Y.T)
             scale = np.abs(ref).max()
             assert np.abs(E.coefficients(X) - ref).max() <= 1e-12 * scale
             assert np.abs(coeffs - ref).max() <= 1e-12 * scale
@@ -296,4 +297,4 @@ def test_affine_subspace_arrays_are_frozen(plane_ex32):
     with pytest.raises(ValueError):
         plane_ex32.Q[0, 0] = 1.0
     with pytest.raises(ValueError):
-        plane_ex32.R[0, 0] = 1.0
+        plane_ex32.R_inv[0, 0] = 1.0

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, affine_part, check_finite_sym,
-                      check_sym, eig_sym, eigh_desc, frob_inner, frob_norm,
-                      project_affine, project_psd, psd_part)
+from .symcore import (EigenSolverError, check_sym, eig_sym, eigh_desc,
+                      frob_inner, frob_norm, project_affine, project_psd,
+                      psd_part)
 
 _STAGNATION_REL = 1e-16
 _STAGNATION_RUN = 100
@@ -62,10 +62,11 @@ def _step(E, U):
     """P_E(P_psd(U)) without checking U.
 
     Returns ``(W, rank, z)``: the next iterate, exactly symmetric; the rank
-    of P_psd(U); and the Q-coordinates z of W (see ``symcore.affine_part``).
+    of P_psd(U); and the Q-coordinates z of W (see
+    ``AffineSubspace._project``).
     """
     P, rank = psd_part(*eigh_desc(U))
-    W, z = affine_part(E, P)
+    W, z = E._project(P)
     return W, rank, z
 
 
@@ -78,14 +79,11 @@ def ap_step(E, U):
     iterates.  Returns ``(W, rank, coeffs)``: the next iterate, exactly
     symmetric; the rank of the intermediate PSD projection; and the basis
     coefficients of W, from the same R^-1 z expression
-    (``E.coefficients_from_q``) that ``E.coefficients`` uses, so no second
-    solve is needed.
+    (``E._coefficients_from_q``) that ``E.coefficients`` uses, so no
+    second solve is needed.
     """
-    U = check_finite_sym(U)
-    if U.shape[0] != E.n:
-        raise ValueError("dimension mismatch")
-    W, rank, z = _step(E, U)
-    return W, rank, E.coefficients_from_q(z)
+    W, rank, z = _step(E, E._check_point(U, finite=True))
+    return W, rank, E._coefficients_from_q(z)
 
 
 def run_ap(E, p0, max_iter, tol, stride=None, target=None):
@@ -128,7 +126,7 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
         if k % stride == 0:
             sample_ks.append(k)
             sample_coeffs.append(p0 if z is None
-                                 else E.coefficients_from_q(z))
+                                 else E._coefficients_from_q(z))
         if dist < tol:
             stop = "tol"
             break
@@ -149,7 +147,7 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
             stagnant = 0
     if sample_ks[-1] != k:
         sample_ks.append(k)
-        sample_coeffs.append(E.coefficients_from_q(z))
+        sample_coeffs.append(E._coefficients_from_q(z))
 
     def own(a):
         out = np.array(a)

@@ -8,7 +8,8 @@ Subcommands:
 Trace output is CSV with header ``k,dist,psd_rank,inv2,inv6`` where
 inv_p = dist^-p; summary lines start with '#', so a trace printed to stdout
 still parses.  Exit codes: 0 success, 1 failed check or run, or stdout
-closed by its reader before the output was written, 2 usage error.
+closed by its reader before the output was written, 2 usage error or any
+other I/O error (a closed pipe behind ``--out`` included).
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
 """
 
@@ -52,13 +53,29 @@ def trace_csv(trace):
     return "\n".join(lines) + "\n"
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout closed the pipe (e.g. ``| head``)."""
+
+
+def _out(text="", flush=False):
+    """Write text to stdout, and flush it if asked; a ``BrokenPipeError``
+    from stdout is raised as ``_StdoutClosed``, so that one from any other
+    file still reads as an error."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _emit(csv_text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(csv_text)
         log.info("trace written to %s", out)
     else:
-        sys.stdout.write(csv_text)
+        _out(csv_text)
 
 
 def _positive_window(trace, k_min, k_max):
@@ -131,9 +148,9 @@ def cmd_example(args):
     trace = run_ap(inst.plane, start, max_iter=iters, tol=args.tol,
                    stride=args.stride, target=inst.target)
     _emit(trace_csv(trace), args.out)
-    print(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
-          f"stop={trace.stop_reason}")
-    print("# " + _summarize(trace, inst.fit_model, inst.fit_power))
+    _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
+         f"stop={trace.stop_reason}\n")
+    _out("# " + _summarize(trace, inst.fit_model, inst.fit_power) + "\n")
     return 0
 
 
@@ -176,11 +193,11 @@ def cmd_run(args):
     out = args.out if args.out else config.get("out")
     _emit(trace_csv(trace), out)
     if degree is not None:
-        print(f"# singularity degree: {degree}")
+        _out(f"# singularity degree: {degree}\n")
     if degree == 2:
-        print("# " + _summarize(trace, "inverse_power", 6))
+        _out("# " + _summarize(trace, "inverse_power", 6) + "\n")
     else:
-        print("# " + _summarize(trace, "geometric", None))
+        _out("# " + _summarize(trace, "geometric", None) + "\n")
     return 0
 
 
@@ -189,9 +206,10 @@ def cmd_verify(args):
     all_ok = True
     for res in results:
         tag = "pass" if res.passed else "FAIL"
-        print(f"[{tag}] {args.suite}: {res.label} -- {res.detail}")
+        _out(f"[{tag}] {args.suite}: {res.label} -- {res.detail}\n")
         all_ok &= res.passed
-    print(f"# suite {args.suite}: {'all checks passed' if all_ok else 'FAILURES'}")
+    _out(f"# suite {args.suite}: "
+         f"{'all checks passed' if all_ok else 'FAILURES'}\n")
     return 0 if all_ok else 1
 
 
@@ -233,11 +251,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        _out(flush=True)
         return code
-    except BrokenPipeError:
-        # the reader closed stdout (e.g. `| head`); point stdout at devnull
-        # so the interpreter's final flush cannot fail again
+    except _StdoutClosed:
+        # point stdout at devnull so the interpreter's final flush cannot
+        # fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -10,15 +10,17 @@ the Frobenius inner product), and an orthonormal basis of the
 Frobenius-orthogonal complement.  All of these are computed once, when the
 subspace is built.  The projection of V is then ``anchor + mat(Q z)`` with
 ``z = Q^T vec(V - anchor)``, and its basis coefficients are ``R^-1 z``; that
-one expression (``AffineSubspace.coefficients_from_q``) serves
+one expression (the private ``AffineSubspace._coefficients_from_q``) serves
 ``coefficients``, ``project_affine`` and both AP entry points in
 ``apengine``.
 
 Every eigendecomposition in the package goes through ``eigh_desc`` (LAPACK
 via ``numpy.linalg.eigh``), every PSD projection through ``psd_part`` and
-every affine projection through ``affine_part``.  These three check
-nothing; input is checked (square, finite, exactly symmetric) once, where
-it enters a public function, by ``check_sym`` or ``check_finite_sym``.
+every affine projection through the private ``AffineSubspace._project``.
+These check nothing.  Input is checked (square, finite, exactly symmetric)
+once, where it enters a public function, by ``check_sym`` or
+``check_finite_sym``; a point of an affine subspace is checked, size
+included, by the private ``AffineSubspace._check_point``.
 """
 
 from dataclasses import dataclass, field
@@ -220,41 +222,39 @@ class AffineSubspace:
     def coefficients(self, X):
         """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
         to X - anchor in span{basis}."""
-        X = check_sym(X)
+        X = self._check_point(X)
+        return self._coefficients_from_q((X - self.anchor).ravel() @ self.Q)
+
+    def _check_point(self, X, finite=False):
+        """X as an exactly symmetric n x n float array; ``ValueError``
+        otherwise, and with ``finite`` an ``EigenSolverError`` on non-finite
+        entries."""
+        X = check_finite_sym(X) if finite else check_sym(X)
         if X.shape[0] != self.n:
             raise ValueError("dimension mismatch")
-        return self.coefficients_from_q((X - self.anchor).ravel() @ self.Q)
+        return X
 
-    def coefficients_from_q(self, z):
+    def _project(self, V):
+        """Orthogonal projection of unchecked V with its Q-coordinates:
+        ``(anchor + mat(Q z), z)`` with ``z = Q^T vec(V - anchor)``; the
+        point is exactly symmetric because every column of Q is."""
+        z = (V - self.anchor).ravel() @ self.Q
+        return self.anchor + (self.Q @ z).reshape(self.anchor.shape), z
+
+    def _coefficients_from_q(self, z):
         """Basis coefficients R^-1 z of the point anchor + mat(Q z)."""
         return self.R_inv @ z
 
 
-def affine_part(E, V):
-    """Orthogonal projection onto E with its Q-coordinates: returns
-    ``(anchor + mat(Q z), z)`` with ``z = Q^T vec(V - anchor)``.
-
-    V is not checked; the point is exactly symmetric because every column
-    of Q is.
-    """
-    z = (V - E.anchor).ravel() @ E.Q
-    return E.anchor + (E.Q @ z).reshape(E.anchor.shape), z
-
-
 def project_affine(E, X):
     """Orthogonal projection onto E; returns (point, coefficients)."""
-    X = check_sym(X)
-    if X.shape[0] != E.n:
-        raise ValueError("dimension mismatch")
-    W, z = affine_part(E, X)
-    return W, E.coefficients_from_q(z)
+    W, z = E._project(E._check_point(X))
+    return W, E._coefficients_from_q(z)
 
 
 def dist2_affine(E, X):
     """Squared Frobenius distance to E via the orthogonal-complement sum."""
-    X = check_sym(X)
-    if X.shape[0] != E.n:
-        raise ValueError("dimension mismatch")
+    X = E._check_point(X)
     C = E.complement.reshape(len(E.complement), E.n * E.n)
     return float(np.sum((C @ (X - E.anchor).ravel()) ** 2))
 

@@ -47,7 +47,7 @@ def test_ap_step_is_projection_composition():
     V, rank2 = project_psd(U)
     composed, _ = project_affine(E, V)
     assert rank == rank2
-    assert frob_norm(stepped - composed) <= 1e-15 * frob_norm(composed)
+    assert np.array_equal(stepped, composed)
 
 
 # --- run_ap -------------------------------------------------------------------

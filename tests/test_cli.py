@@ -242,3 +242,26 @@ def test_closed_stdout_pipe_exits_1_without_error_line():
     assert first == b"k,dist,psd_rank,inv2,inv6\n"
     assert code == 1
     assert err == ""
+
+
+def test_broken_pipe_on_trace_file_is_an_error(capsys, monkeypatch):
+    # a closed pipe behind --out (e.g. a FIFO whose reader went away) is not
+    # stdout's reader leaving: it is reported like any other OSError
+    class ClosedPipeFile:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    from apcone import cli
+    monkeypatch.setattr(cli, "open", lambda *a, **k: ClosedPipeFile(),
+                        raising=False)
+    code, out, err = run_cli(capsys, "example", "ex3.2", "--variant", "neg",
+                             "--iters", "5", "--out", "trace.csv")
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert out == ""

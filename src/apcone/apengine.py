@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, check_sym, eig_sym, eigh_desc,
+from .symcore import (EigenSolverError, _eigh, check_sym, eig_sym,
                       frob_inner, frob_norm, project_affine, project_psd,
                       psd_part)
 
@@ -65,7 +65,7 @@ def _step(E, U):
     of P_psd(U); and the Q-coordinates z of W (see
     ``AffineSubspace._project``).
     """
-    P, rank = psd_part(*eigh_desc(U))
+    P, rank = psd_part(*_eigh(U))
     W, z = E._project(P)
     return W, rank, z
 

@@ -16,6 +16,7 @@ The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -29,6 +30,8 @@ from .slowcurve import curve_point
 from .verify import SUITES, run_suite
 
 log = logging.getLogger("apcone")
+
+_NOISE_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 CONFIG_KEYS = frozenset(("plane", "variant", "start", "max_iter", "tol",
                          "stride", "out"))
@@ -44,12 +47,18 @@ def _setup_logging():
 
 def trace_csv(trace):
     lines = ["k,dist,psd_rank,inv2,inv6"]
-    # dist^-6 overflows to inf once dist < ~1e-52; inf is the value written
-    with np.errstate(over="ignore"):
-        for k, (d, r) in enumerate(zip(trace.dists, trace.psd_ranks)):
-            inv2 = d ** -2.0 if d > 0 else float("inf")
-            inv6 = d ** -6.0 if d > 0 else float("inf")
-            lines.append(f"{k},{d:.17g},{int(r)},{inv2:.17g},{inv6:.17g}")
+    rows = zip(trace.dists.tolist(), trace.psd_ranks.tolist())
+    for k, (d, r) in enumerate(rows):
+        # dist^-6 overflows once dist < ~1e-52 (Python floats raise); inf
+        # is the value written
+        inv2 = inv6 = math.inf
+        if d > 0:
+            try:
+                inv2 = d ** -2.0
+                inv6 = d ** -6.0
+            except OverflowError:
+                pass
+        lines.append(f"{k},{d:.17g},{r},{inv2:.17g},{inv6:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -78,9 +87,10 @@ def _emit(csv_text, out):
         _out(csv_text)
 
 
-def _positive_window(trace, k_min, k_max):
+def _positive_window(trace, k_min, k_max, floor=0.0):
+    """(k_min, k_max) ending no later than the last k with dist_k > floor."""
     last = len(trace.dists) - 1
-    while last > 0 and trace.dists[last] <= 0.0:
+    while last > 0 and trace.dists[last] <= floor:
         last -= 1
     return max(0, min(k_min, last - 1)), min(k_max, last)
 
@@ -91,7 +101,9 @@ def _summarize(trace, model, power):
         return "too few iterations for a fit"
     try:
         if model == "geometric":
-            window = _positive_window(trace, max(2, n // 10), n)
+            # distances below sqrt(eps) dist_0 are rounding noise, not rate
+            window = _positive_window(trace, max(2, n // 10), n,
+                                      _NOISE_FLOOR * float(trace.dists[0]))
             fit = fit_geometric(trace, window)
             return (f"geometric fit on k in {fit.window}: "
                     f"ratio={fit.ratio:.6f} amplitude={fit.amplitude:.4g} "

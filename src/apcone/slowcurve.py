@@ -91,9 +91,10 @@ class CurvePoint:
 
 
 def _curve_parts(c, t, w):
-    """``(den, g13, g23, h)`` of the curve point at t with den = 2 c4 w +
-    2 c5 t, in the canonical frame.  ``t`` and ``w`` are floats or ndarrays
-    of one shape; nothing is checked here."""
+    """``(den, g13, g23, den4w)`` of the curve point at t with den = 2 c4 w +
+    2 c5 t and den4w = den^4 w, in the canonical frame (h = 2 t^6 / den4w
+    is left to ``_curve_scalars``).  ``t`` and ``w`` are floats or ndarrays
+    of one shape, or ``TruncSeries``; nothing is checked here."""
     c4, c5 = c[3], c[4]
     nb1, ip21, ip31 = type2_b1_products(c)
     den = 2.0 * c4 * w + 2.0 * c5 * t
@@ -104,8 +105,7 @@ def _curve_parts(c, t, w):
     r23 = -2.0 * c5 * t6 / den4w + r0 * t7
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
-    h = 2.0 * t6 / den4w
-    return den, g13, g23, h
+    return den, g13, g23, den4w
 
 
 def _curve_scalars(spec, t):
@@ -113,7 +113,8 @@ def _curve_scalars(spec, t):
     t = float(t)
     w = w_rational(spec, t)
     try:
-        den, g13, g23, h = _curve_parts(spec.c, t, w)
+        den, g13, g23, den4w = _curve_parts(spec.c, t, w)
+        h = 2.0 * t ** 6 / den4w
     except ZeroDivisionError:
         raise VanishingDenominatorError("w or 2 c4 w + 2 c5 t is zero") from None
     if abs(den) <= 1e-12:

@@ -8,21 +8,27 @@ of the triangular factor R of the thin QR factorization ``B = Q R`` of the
 raveled basis (each column of Q an exactly symmetric matrix, orthonormal in
 the Frobenius inner product), and an orthonormal basis of the
 Frobenius-orthogonal complement.  All of these are computed once, when the
-subspace is built.  The projection of V is then ``anchor + mat(Q z)`` with
-``z = Q^T vec(V - anchor)``, and its basis coefficients are ``R^-1 z``; that
-one expression (the private ``AffineSubspace._coefficients_from_q``) serves
-``coefficients``, ``project_affine`` and both AP entry points in
-``apengine``.
+subspace is built, and so is ``vec(anchor) Q``.  The projection of V is
+then ``anchor + mat(Q z)`` with ``z = Q^T vec(V - anchor)``, evaluated as
+``vec(V) Q - vec(anchor) Q``, and its basis coefficients are ``R^-1 z``;
+those expressions (the private ``AffineSubspace._q_coords`` and
+``_coefficients_from_q``) serve ``coefficients``, ``project_affine`` and
+both AP entry points in ``apengine``.
 
-Every eigendecomposition in the package goes through ``eigh_desc`` (LAPACK
-via ``numpy.linalg.eigh``), every PSD projection through ``psd_part`` and
-every affine projection through the private ``AffineSubspace._project``.
-These check nothing.  Input is checked (square, finite, exactly symmetric)
-once, where it enters a public function, by ``check_sym`` or
-``check_finite_sym``; a point of an affine subspace is checked, size
-included, by the private ``AffineSubspace._check_point``.
+Every eigendecomposition in the package goes through the private
+``_eigh`` (LAPACK via ``numpy.linalg.eigh``, eigenvalues ascending; its
+reversed view ``eigh_desc`` serves ``eig_sym``), every PSD projection
+through ``psd_part`` and every affine projection through the private
+``AffineSubspace._project``.  ``psd_part`` returns ``S S^T``, which NumPy
+evaluates as a symmetric rank-k product, so the clip is exactly symmetric
+without a symmetrization pass.  These check nothing.
+Input is checked (square, finite, exactly symmetric) once, where it enters
+a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
+affine subspace is checked, size included, by the private
+``AffineSubspace._check_point``.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +57,9 @@ def check_sym(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    # same decision as np.array_equal for a square array (NaN != NaN,
+    # -0.0 == 0.0), without its overhead
+    if not (a == a.T).all():
         raise ValueError("matrix is not exactly symmetric")
     return a
 
@@ -80,30 +88,37 @@ class EigDecomp:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-def eigh_desc(a):
-    """Eigenvalues of a symmetric matrix in descending order, with matching
-    orthonormal columns.
+def _eigh(a):
+    """Eigenvalues of a symmetric matrix in ascending order, with matching
+    orthonormal columns (LAPACK's own order).
 
     Only the lower triangle is read and the input is not checked; raises
     ``EigenSolverError`` when LAPACK reports a failure.
     """
     try:
-        lam, vecs = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"LAPACK eigh failed: {exc}") from exc
+
+
+def eigh_desc(a):
+    """``_eigh`` in descending order: reversed views of its output."""
+    lam, vecs = _eigh(a)
     return lam[::-1], vecs[:, ::-1]
 
 
 def psd_part(lam, vecs):
-    """PSD projection from a descending eigendecomposition.
+    """PSD projection from an ascending eigendecomposition (``_eigh``'s).
 
-    Eigenvalues above tau = 1e-12 * max(1, lambda_max) are retained; returns
-    ``(projection, rank)`` with the projection exactly symmetric.
+    Eigenvalues above tau = 1e-12 * max(1, lambda_max) are retained, a
+    suffix of ``lam``; returns ``(S @ S.T, rank)`` with ``S`` the retained
+    columns scaled by sqrt(lambda).  NumPy computes ``S @ S.T`` as a
+    symmetric rank-k product, so the projection is exactly symmetric.
     """
-    rank = int(np.count_nonzero(lam > 1e-12 * max(1.0, float(lam[0]))))
-    V = vecs[:, :rank]
-    P = (V * lam[:rank]) @ V.T
-    return 0.5 * (P + P.T), rank
+    lams = lam.tolist()
+    lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
+    S = vecs[:, lo:] * np.sqrt(lam[lo:])
+    return S @ S.T, len(lams) - lo
 
 
 def check_finite_sym(a):
@@ -126,7 +141,7 @@ def eig_sym(a):
 
 def project_psd(a):
     """Project onto the PSD cone; returns (projection, retained rank)."""
-    return psd_part(*eigh_desc(check_finite_sym(a)))
+    return psd_part(*_eigh(check_finite_sym(a)))
 
 
 def _standard_sym_basis(n):
@@ -157,8 +172,10 @@ class AffineSubspace:
     ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
     of the raveled basis, ``basis.reshape(m, n*n).T = Q R``; every column of
     Q, read as an n x n matrix, is exactly symmetric, so mirror entries of
-    ``mat(Q z)`` are the same dot product.  ``complement`` holds an
-    orthonormal basis of the Frobenius-orthogonal complement in S^n.
+    ``mat(Q z)`` are the same dot product.  ``anchor_q`` is
+    ``vec(anchor) Q``, so the Q-coordinates of V - anchor are
+    ``vec(V) Q - anchor_q``.  ``complement`` holds an orthonormal basis of
+    the Frobenius-orthogonal complement in S^n.
     """
 
     anchor: np.ndarray
@@ -166,6 +183,7 @@ class AffineSubspace:
     gram: np.ndarray           # (m, m)
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
+    anchor_q: np.ndarray = field(repr=False)  # (m,)
     complement: np.ndarray = field(repr=False)  # (n(n+1)/2 - m, n, n)
 
     @property
@@ -207,7 +225,8 @@ class AffineSubspace:
         Q = Q.T.reshape(m, n, n)
         Q = (0.5 * (Q + Q.transpose(0, 2, 1))).reshape(m, n * n).T
         return cls(_freeze(anchor), _freeze(basis), _freeze(flat @ flat.T),
-                   _freeze(Q), _freeze(np.linalg.inv(R)), _freeze(comp))
+                   _freeze(Q), _freeze(np.linalg.inv(R)),
+                   _freeze(anchor.ravel() @ Q), _freeze(comp))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -222,8 +241,7 @@ class AffineSubspace:
     def coefficients(self, X):
         """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
         to X - anchor in span{basis}."""
-        X = self._check_point(X)
-        return self._coefficients_from_q((X - self.anchor).ravel() @ self.Q)
+        return self._coefficients_from_q(self._q_coords(self._check_point(X)))
 
     def _check_point(self, X, finite=False):
         """X as an exactly symmetric n x n float array; ``ValueError``
@@ -234,11 +252,16 @@ class AffineSubspace:
             raise ValueError("dimension mismatch")
         return X
 
+    def _q_coords(self, V):
+        """Q-coordinates ``z = vec(V) Q - anchor_q`` of unchecked V, those of
+        V - anchor."""
+        return V.ravel() @ self.Q - self.anchor_q
+
     def _project(self, V):
         """Orthogonal projection of unchecked V with its Q-coordinates:
-        ``(anchor + mat(Q z), z)`` with ``z = Q^T vec(V - anchor)``; the
-        point is exactly symmetric because every column of Q is."""
-        z = (V - self.anchor).ravel() @ self.Q
+        ``(anchor + mat(Q z), z)`` with z from ``_q_coords``; the point is
+        exactly symmetric because every column of Q is."""
+        z = self._q_coords(V)
         return self.anchor + (self.Q @ z).reshape(self.anchor.shape), z
 
     def _coefficients_from_q(self, z):

@@ -50,6 +50,46 @@ def test_ap_step_is_projection_composition():
     assert np.array_equal(stepped, composed)
 
 
+def test_ap_step_is_projection_composition_on_seeded_points():
+    # bit-equal to project_psd then project_affine on type1 and type2 planes,
+    # at random points and on the slowest curve, with the same rank
+    rng = np.random.RandomState(17)
+    ranks = []
+    for i in range(300):
+        if i % 3 == 0:
+            spec = PlaneSpec("type1", tuple(rng.uniform(-1.0, 1.0, 8)),
+                             mu=float(rng.uniform(0.2, 2.0)))
+        else:
+            spec = random_type2_spec(rng)
+        E, _ = build_plane(spec)
+        if i % 3 == 2:
+            U = curve_point(spec, rng.uniform(0.02, 0.1)).G
+        else:
+            U = E.point(rng.uniform(-0.5, 0.5, E.dim))
+        stepped, rank, coeffs = ap_step(E, U)
+        V, rank2 = project_psd(U)
+        composed, coeffs2 = project_affine(E, V)
+        assert rank == rank2
+        assert np.array_equal(stepped, composed)
+        assert np.array_equal(coeffs, coeffs2)
+        ranks.append(rank)
+    assert {1, 2} <= set(ranks)
+
+
+@pytest.mark.parametrize("U, rank", [(-np.diag([1.0, 2.0, 3.0]), 0),
+                                     (np.diag([1.0, 2.0, 3.0]), 3)])
+def test_ap_step_nsd_and_pd_inputs(U, rank):
+    # rank 0 clips to the zero matrix, full rank keeps U
+    E, _ = build_plane(SPEC61)
+    stepped, got, coeffs = ap_step(E, U)
+    V, _ = project_psd(U)
+    assert got == rank
+    assert frob_norm(V - (U if rank else np.zeros_like(U))) <= 1e-14
+    composed, composed_coeffs = project_affine(E, V)
+    assert np.array_equal(stepped, composed)
+    assert np.array_equal(coeffs, composed_coeffs)
+
+
 # --- run_ap -------------------------------------------------------------------
 
 def test_run_ap_immediate_convergence():

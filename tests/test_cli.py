@@ -4,12 +4,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import apcone
-from apcone.cli import main
+from apcone.apengine import run_ap
+from apcone.catalog import get_example
+from apcone.cli import _summarize, main, trace_csv
 from apcone.rates import parse_trace_csv
 
 
@@ -105,6 +108,46 @@ def test_example_trace_csv_emits_no_overflow_warning(capsys, tmp_path):
     assert code == 0 and err == ""
     cols = parse_trace_csv(out_file.read_text())
     assert np.any((cols["dist"] > 0.0) & np.isinf(cols["inv6"]))
+
+
+def _numpy_trace_csv(trace):
+    # the CSV writer as it was over NumPy scalars: the byte reference
+    lines = ["k,dist,psd_rank,inv2,inv6"]
+    with np.errstate(over="ignore"):
+        for k, (d, r) in enumerate(zip(trace.dists, trace.psd_ranks)):
+            inv2 = d ** -2.0 if d > 0 else float("inf")
+            inv6 = d ** -6.0 if d > 0 else float("inf")
+            lines.append(f"{k},{d:.17g},{int(r)},{inv2:.17g},{inv6:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ident, iters", [("ex6.1", 10 ** 4), ("ex3.4", 1000)])
+def test_trace_csv_bytes_match_numpy_scalar_writer(ident, iters):
+    # ex3.4 reaches dist = 0 and dist^-6 overflow (inf cells); ex6.1 does not
+    inst = get_example(ident)
+    trace = run_ap(inst.plane, inst.start, max_iter=iters, tol=0.0,
+                   target=inst.target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = trace_csv(trace)
+    assert text == _numpy_trace_csv(trace)
+    if ident == "ex3.4":
+        assert ",inf," in text and text.count("inf\n") > text.count(",inf,")
+
+
+def test_geometric_summary_stops_at_the_noise_floor():
+    # 0.2^k down to ~1e-8, then rounding-level noise that a fit through it
+    # would pull off 0.2
+    k = np.arange(41)
+    dists = 0.2 ** k
+    noisy = dists < 1.49e-8
+    dists[noisy] = np.random.RandomState(5).uniform(1e-17, 1e-15,
+                                                    noisy.sum())
+    trace = SimpleNamespace(dists=dists)
+    line = _summarize(trace, "geometric", None)
+    last = int(np.nonzero(~noisy)[0][-1])
+    assert f"on k in (4, {last}): ratio=0.200000" in line
+    assert "rmse=" in line
 
 
 def test_verify_suite_pass(capsys):

@@ -75,6 +75,18 @@ def test_curve_point_moment_closed_forms():
         assert cp.G[0, 1] == t and cp.G[0, 2] == -cp.g13
 
 
+def test_curve_point_h_is_the_rational_formula():
+    # h = 2 t^6 / (den^4 w), den = 2 c4 w + 2 c5 t, to the last bit
+    rng = np.random.RandomState(8)
+    for _ in range(10):
+        spec = random_type2_spec(rng)
+        c4, c5 = spec.c[3], spec.c[4]
+        for t in np.linspace(0.01, 0.4, 5) * valid_t_max(spec):
+            cp = curve_point(spec, t)
+            den = 2.0 * c4 * cp.w + 2.0 * c5 * float(t)
+            assert cp.h == 2.0 * float(t) ** 6 / (den ** 4 * cp.w)
+
+
 def test_curve_point_lies_in_plane():
     rng = np.random.RandomState(4)
     for _ in range(10):

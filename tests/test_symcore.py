@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from apcone.planes import PlaneSpec, build_plane, type2_basis
 from apcone.symcore import (AffineSubspace, DependentBasisError,
-                            EigenSolverError, dist2_affine, eig_sym,
-                            frob_inner, frob_norm, orthogonalize,
+                            EigenSolverError, check_sym, dist2_affine,
+                            eig_sym, frob_inner, frob_norm, orthogonalize,
                             project_affine, project_psd, read_sym_matrices,
                             sym_matrix, write_sym_matrices)
 
@@ -135,6 +137,47 @@ def test_project_psd_idempotent_nonexpansive_minimal():
         X = rng.uniform(-1, 1, (3, 3))
         W = sym_matrix(X @ X.T)  # arbitrary PSD competitor
         assert frob_norm(A - PA) <= frob_norm(A - W) + 1e-12
+
+
+def test_project_psd_exactly_symmetric_at_every_rank():
+    # the clip is S @ S.T with no symmetrization pass; NumPy's symmetric
+    # rank-k product must make it exactly symmetric at every size and rank
+    rng = np.random.RandomState(29)
+    for n in range(2, 6):
+        for r in range(n + 1):
+            for _ in range(120):
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                lam = np.concatenate([rng.uniform(0.1, 2.0, r),
+                                      -rng.uniform(0.1, 2.0, n - r)])
+                P, rank = project_psd(sym_matrix((Q * lam) @ Q.T))
+                assert rank == r
+                assert np.array_equal(P, P.T)
+
+
+# --- check_sym ------------------------------------------------------------------
+
+def test_check_sym_decision_matches_array_equal():
+    nan, inf = np.nan, np.inf
+    cases = [
+        sym_matrix([[1.0, 2.0], [2.0, 3.0]]),
+        np.array([[1.0, 2.0], [2.0 + 1e-16 * 4, 3.0]]),
+        np.array([[nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, nan], [nan, 1.0]]),
+        np.array([[inf, -inf], [-inf, 1.0]]),
+        np.array([[1.0, inf], [-inf, 1.0]]),
+        np.array([[0.0, -0.0], [0.0, 0.0]]),
+        np.zeros((0, 0)),
+        random_sym(4),
+        random_sym(4) + np.triu(np.full((4, 4), 1e-12), 1),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in cases:
+            if np.array_equal(a, a.T):
+                check_sym(a)
+            else:
+                with pytest.raises(ValueError, match="not exactly symmetric"):
+                    check_sym(a)
 
 
 # --- affine subspace ---------------------------------------------------------
@@ -298,3 +341,5 @@ def test_affine_subspace_arrays_are_frozen(plane_ex32):
         plane_ex32.Q[0, 0] = 1.0
     with pytest.raises(ValueError):
         plane_ex32.R_inv[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        plane_ex32.anchor_q[0] = 1.0

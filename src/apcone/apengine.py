@@ -2,8 +2,10 @@
 
 ``run_ap`` runs the AP loop and returns an immutable trace; the
 rest of the module verifies the parameter-space descriptions of one AP step:
-the eigenvalue formula on an orthogonal basis, and the rank-1 chart relation
-M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0.
+the eigenvalue formula on an orthogonal basis, whose derivative is taken
+exactly from one eigendecomposition, and the rank-1 chart relation
+M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
+closed-form array products.
 """
 
 import math
@@ -11,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, _eigh, check_sym, eig_sym,
-                      frob_inner, frob_norm, project_affine, project_psd,
-                      psd_part)
+from .symcore import (EigenSolverError, _eigh, check_finite_sym, check_sym,
+                      eig_sym, project_affine, project_psd, psd_part)
 
 _STAGNATION_REL = 1e-16
 _STAGNATION_RUN = 100
-
-
-class EigenCrossingError(RuntimeError):
-    """A finite-difference stencil straddles an eigenvalue sign change."""
 
 
 class RankOneError(ValueError):
@@ -164,99 +161,84 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
 # --- eigenvalue formula ----------------------------------------------------
 
 def _require_orthogonal(E, tol=1e-10):
-    m = E.dim
-    scale = max(frob_norm(B) for B in E.basis)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(E.gram[i, j]) > tol * scale * scale:
-                raise ValueError(
-                    "operation needs a pairwise-orthogonal basis; call "
-                    "symcore.orthogonalize first")
+    G = E.gram
+    if np.abs(np.triu(G, 1)).max() > tol * G.diagonal().max():
+        raise ValueError(
+            "operation needs a pairwise-orthogonal basis; call "
+            "symcore.orthogonalize first")
 
 
-def _negative_energy(E, p):
-    """1/2 sum of squared negative eigenvalues of phi(p) and their count.
-
-    Eigenvalues inside the rounding band |lam| <= 1e-12 max(1, |lam_max|)
-    count as zero, so structurally-zero spectra do not flip the count.
-    """
-    lam = eig_sym(E.point(p)).eigenvalues
-    band = 1e-12 * max(1.0, float(np.max(np.abs(lam))))
-    neg = lam[lam < -band]
-    return 0.5 * float(np.sum(neg * neg)), len(neg)
-
-
-def eigenvalue_formula_step(E, p, fd_step=1e-5, max_retries=10):
+def eigenvalue_formula_step(E, p):
     """Parameter update p_i - (1/||B_i||^2) d/dp_i [1/2 sum_{lam<0} lam^2].
 
-    The derivative is taken by central finite differences; the set of
-    negative eigenvalues must be stable across each stencil, otherwise the
-    step is halved (up to ``max_retries`` times) before giving up.
+    1/2 sum_{lam<0} lam^2 = 1/2 ||U_-||^2 is C^1 in p, with partial
+    derivative <U_-, B_i> = sum_{lam_j<0} lam_j u_j^T B_i u_j (Lewis 1996),
+    taken exactly from one eigendecomposition of phi(p).  The eigenpairs
+    counted as negative are exactly those ``psd_part`` drops.  A wrong-length
+    ``p`` raises ``ValueError``, a non-finite one ``EigenSolverError``.
     """
     _require_orthogonal(E)
-    p = np.asarray(p, dtype=float)
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    _, n_neg = _negative_energy(E, p)
-
-    out = np.empty(E.dim)
-    for i in range(E.dim):
-        h = fd_step
-        for _ in range(max_retries + 1):
-            pp = p.copy(); pp[i] += h
-            pm = p.copy(); pm[i] -= h
-            ep, count_p = _negative_energy(E, pp)
-            em, count_m = _negative_energy(E, pm)
-            if count_p == n_neg == count_m:
-                out[i] = p[i] - (ep - em) / (2.0 * h) / E.gram[i, i]
-                break
-            h *= 0.5
-        else:
-            raise EigenCrossingError(
-                f"negative-eigenvalue set unstable near p along coordinate {i}")
-    return out
+    lam, vecs = _eigh(check_finite_sym(E.point(p)))
+    k = len(lam) - psd_part(lam, vecs)[1]   # psd_part drops lam[:k]
+    neg = vecs[:, :k]
+    U_minus = (neg * lam[:k]) @ neg.T
+    grad = E.basis.reshape(E.dim, -1) @ U_minus.ravel()
+    return np.asarray(p, dtype=float) - grad / E.gram.diagonal()
 
 
 # --- rank-1 chart ------------------------------------------------------------
 
-def psi(x):
-    """Rank-1 chart psi(x) = (1/x1) x x^T."""
+def _check_chart_point(x):
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("x must be a 3-vector")
     if x[0] == 0.0:
         raise ValueError("psi requires x1 != 0")
+    return x
+
+
+def psi(x):
+    """Rank-1 chart psi(x) = (1/x1) x x^T."""
+    x = _check_chart_point(x)
     return np.outer(x, x) / x[0]
 
 
 def psi_partial(x, k):
-    """Exact partial derivative of psi with respect to x_k (k = 0, 1, 2)."""
-    x = np.asarray(x, dtype=float)
-    if x[0] == 0.0:
-        raise ValueError("psi requires x1 != 0")
+    """Exact partial derivative of psi with respect to x_k (k = 0, 1, 2):
+    (e_k x^T + x e_k^T)/x1, less x x^T/x1^2 when k = 0."""
+    x = _check_chart_point(x)
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1 or 2")
     D = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            D[i, j] = ((x[j] if k == i else 0.0)
-                       + (x[i] if k == j else 0.0)) / x[0]
-            if k == 0:
-                D[i, j] -= x[i] * x[j] / (x[0] * x[0])
+    D[k] = x / x[0]
+    D = D + D.T
+    if k == 0:
+        D -= np.outer(x, x) / x[0] ** 2
     return D
 
 
+def _pair_with_psi_partials(A, x):
+    """<d_k psi(x), A> = 2 (A x)_k/x1 - delta_k0 x^T A x/x1^2 for symmetric
+    A of shape (..., 3, 3); k runs along the last axis."""
+    Ax = A @ x
+    out = 2.0 * Ax / x[0]
+    out[..., 0] -= Ax @ x / x[0] ** 2
+    return out
+
+
 def m_matrix(E, x):
-    """Coupling matrix M(x) with entries <d_k psi(x), B_i>."""
+    """Coupling matrix M(x) with entries M[k, i] = <d_k psi(x), B_i>."""
     if E.n != 3 or E.dim != 3:
         raise ValueError("m_matrix needs a 3-plane in S^3")
-    return np.array([[frob_inner(psi_partial(x, k), E.basis[i])
-                      for i in range(3)] for k in range(3)])
+    return _pair_with_psi_partials(E.basis, _check_chart_point(x)).T
 
 
 def grad_half_dist2_psi(E, x):
-    """Gradient in x of 1/2 d^2(psi(x), E), via the projection residual."""
+    """Gradient in x of 1/2 d^2(psi(x), E): <d_k psi(x), R> with R the
+    projection residual psi(x) - P_E(psi(x))."""
+    x = _check_chart_point(x)
     P = psi(x)
-    R = P - project_affine(E, P)[0]
-    return np.array([frob_inner(R, psi_partial(x, k)) for k in range(3)])
+    return _pair_with_psi_partials(P - project_affine(E, P)[0], x)
 
 
 def extract_rank_one_param(V, u1_tol=1e-8):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apengine import ap_step, grad_half_dist2_psi, m_matrix, psi
+from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
+                       m_matrix, psi)
 from .planes import (build_plane, conjugate, rotation_matrix,
                      type2_b1_products)
 from .symcore import frob_inner, frob_norm, orthogonalize
@@ -297,8 +298,6 @@ def newton_slowest_point(E, t, guess=None, tol=1e-12, max_iter=50,
     Returns ``(x, p)`` where p are the curve coefficients
     <B_i, psi(x) - U*>/||B_i||^2 + F(x) in the (orthogonal) basis of E.
     """
-    from .apengine import _require_orthogonal
-
     _require_orthogonal(E)
 
     def f23(x):

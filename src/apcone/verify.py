@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apengine import (EigenCrossingError, ap_step,
-                       eigenvalue_formula_step, rank_one_step_residual)
+from .apengine import ap_step, eigenvalue_formula_step, rank_one_step_residual
 from .catalog import get_example
 from .planes import PlaneSpec, build_plane, plucker_coords, \
     plucker_relation_defect
@@ -55,36 +54,28 @@ def _orth_plane(spec):
     return orthogonalize(E)
 
 
-def formula_vs_direct_gap(E, p, fd_step=1e-5):
+def formula_vs_direct_gap(E, p):
     """|eigenvalue-formula step - direct AP step| (max over coordinates)."""
-    stepped = eigenvalue_formula_step(E, p, fd_step=fd_step)
+    stepped = eigenvalue_formula_step(E, p)
     direct = E.coefficients(project_psd(E.point(np.asarray(p, float)))[0])
     return float(np.max(np.abs(stepped - direct)))
 
 
 def suite_prop31(seed=0):
-    """Eigenvalue-formula steps match direct AP steps on 20 planes."""
+    """Eigenvalue-formula steps match direct AP steps on 20 planes: the two
+    catalog probes and one random probe on each of 18 random type2 planes."""
     rng = np.random.RandomState(seed)
     worst = 0.0
-    n_planes = 2
     for E, p in ((get_example("ex3.2").plane, np.array([0.06])),
                  (get_example("ex3.4").plane, np.array([0.07, 0.03]))):
         worst = max(worst, formula_vs_direct_gap(E, p))
-    while n_planes < 20:
-        spec = random_type2_spec(rng)
-        E = _orth_plane(spec)
-        for _ in range(8):
-            p = rng.uniform(-0.05, 0.05, 3)
-            try:
-                gap = formula_vs_direct_gap(E, p)
-            except EigenCrossingError:
-                continue
-            worst = max(worst, gap)
-            n_planes += 1
-            break
+    for _ in range(18):
+        E = _orth_plane(random_type2_spec(rng))
+        p = rng.uniform(-0.05, 0.05, 3)
+        worst = max(worst, formula_vs_direct_gap(E, p))
     return [CheckResult(
-        "formula-vs-direct gap on 20 planes", worst < 1e-6,
-        f"max gap {worst:.3e} (tol 1e-6)")]
+        "formula-vs-direct gap on 20 planes", worst < 1e-12,
+        f"max gap {worst:.3e} (tol 1e-12)")]
 
 
 def curve_probe_t(spec, frac=0.5, cap=0.1):

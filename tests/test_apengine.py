@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from apcone.apengine import (EigenCrossingError, RankOneError, ap_step,
-                             eigenvalue_formula_step, extract_rank_one_param,
-                             grad_half_dist2_psi, m_matrix, psi, psi_partial,
+from apcone.apengine import (RankOneError, ap_step, eigenvalue_formula_step,
+                             extract_rank_one_param, grad_half_dist2_psi,
+                             m_matrix, psi, psi_partial,
                              rank_one_step_residual, run_ap)
 from apcone.catalog import get_example
 from apcone.planes import PlaneSpec, build_plane
@@ -239,37 +239,48 @@ def test_formula_step_psd_interior_is_identity():
     p = np.array([-0.5])  # anchor + (-0.5) B = midpoint of the segment
     stepped = eigenvalue_formula_step(pos.plane, p)
     assert stepped == pytest.approx(p, abs=1e-12)
+    # just past either end of the segment an eigenvalue crosses zero; the
+    # step is still the direct one
+    for t, expect in ((1e-9, 8.0e-10), (-1.0 - 1e-9, -1.0)):
+        p = np.array([t])
+        stepped = eigenvalue_formula_step(pos.plane, p)
+        direct = pos.plane.coefficients(project_psd(pos.plane.point(p))[0])
+        assert abs(stepped[0] - direct[0]) <= 1e-12
+        assert direct[0] == pytest.approx(expect, rel=0.01)
 
 
 def test_formula_step_line_cubic_contraction():
     E = get_example("ex3.2").plane
     t = 0.01
-    stepped = eigenvalue_formula_step(E, np.array([t]), fd_step=1e-5)
+    stepped = eigenvalue_formula_step(E, np.array([t]))
     direct = E.coefficients(project_psd(E.point(np.array([t])))[0])
-    assert abs(stepped[0] - direct[0]) < 1e-9
+    assert abs(stepped[0] - direct[0]) < 1e-12
     assert stepped[0] == pytest.approx(t - t ** 3 / 3.0, abs=1e-8)
 
 
 def test_formula_step_random_type2_agrees_with_direct():
     rng = np.random.RandomState(15)
     worst = 0.0
-    done = 0
-    while done < 20:
+    for _ in range(20):
         spec = random_type2_spec(rng)
         E = orthogonalize(build_plane(spec)[0])
         p = rng.uniform(-0.05, 0.05, 3)
-        try:
-            worst = max(worst, formula_vs_direct_gap(E, p))
-        except EigenCrossingError:
-            continue
-        done += 1
-    assert worst < 1e-6
+        worst = max(worst, formula_vs_direct_gap(E, p))
+    assert worst < 1e-12
 
 
 def test_formula_step_requires_orthogonal_basis():
     E, _ = build_plane(PlaneSpec("type2", (0.5, 0.3, -0.2, 1.0, 0.4)))
     with pytest.raises(ValueError, match="orthogonal"):
         eigenvalue_formula_step(E, np.zeros(3))
+
+
+def test_formula_step_rejects_bad_p():
+    E = orthogonalize(build_plane(SPEC61)[0])
+    with pytest.raises(ValueError, match="expected 3 coefficients"):
+        eigenvalue_formula_step(E, np.zeros(2))
+    with pytest.raises(EigenSolverError):
+        eigenvalue_formula_step(E, np.array([0.1, np.nan, 0.0]))
 
 
 # --- rank-1 chart ------------------------------------------------------------------
@@ -281,6 +292,14 @@ def test_psi_basics():
                           np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         psi([0.0, 1.0, 0.0])
+    x = [1.0, 0.2, -0.3]
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="k must be"):
+            psi_partial(x, k)
+    with pytest.raises(ValueError, match="x must be a 3-vector"):
+        psi_partial([1.0, 0.2], 1)
+    with pytest.raises(ValueError, match="x1 != 0"):
+        psi_partial([0.0, 0.2, -0.3], 1)
 
 
 def test_psi_scaling_invariance_and_rank():
@@ -313,6 +332,10 @@ def test_m_matrix_linearity_in_basis():
     E = orthogonalize(build_plane(SPEC44)[0])
     x = np.array([1.0, 0.05, -0.01])
     M = m_matrix(E, x)
+    # the closed form is the pairing M[k, i] = <d_k psi(x), B_i>
+    pairs = [[frob_inner(psi_partial(x, k), B) for B in E.basis]
+             for k in range(3)]
+    assert np.allclose(M, pairs, rtol=1e-14, atol=1e-15)
     scaled = AffineSubspace.from_basis(
         E.anchor, np.array([2.0 * E.basis[0], E.basis[1], E.basis[2]]))
     M2 = m_matrix(scaled, x)

@@ -106,8 +106,7 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
         raise ValueError("stride must be >= 1")
     target = E.anchor if target is None else check_sym(target)
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        U = E.point(p0)
+    U = E.point(p0)
     if not np.isfinite(U).all():
         raise EigenSolverError("starting point has non-finite entries")
 

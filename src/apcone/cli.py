@@ -34,7 +34,7 @@ log = logging.getLogger("apcone")
 _NOISE_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 CONFIG_KEYS = frozenset(("plane", "variant", "start", "max_iter", "tol",
-                         "stride", "out"))
+                         "out"))
 
 
 def _setup_logging():
@@ -158,7 +158,7 @@ def cmd_example(args):
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
              iters)
     trace = run_ap(inst.plane, start, max_iter=iters, tol=args.tol,
-                   stride=args.stride, target=inst.target)
+                   target=inst.target)
     _emit(trace_csv(trace), args.out)
     _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
          f"stop={trace.stop_reason}\n")
@@ -199,9 +199,7 @@ def cmd_run(args):
 
     max_iter = int(config.get("max_iter", 1000))
     tol = float(config.get("tol", 0.0))
-    stride = config.get("stride")
-    trace = run_ap(plane, start, max_iter=max_iter, tol=tol, stride=stride,
-                   target=target)
+    trace = run_ap(plane, start, max_iter=max_iter, tol=tol, target=target)
     out = args.out if args.out else config.get("out")
     _emit(trace_csv(trace), out)
     if degree is not None:
@@ -240,7 +238,6 @@ def build_parser():
                       help="t0, comma triple, or slowest-curve:t0")
     p_ex.add_argument("--iters", type=int, default=None)
     p_ex.add_argument("--tol", type=float, default=0.0)
-    p_ex.add_argument("--stride", type=int, default=None)
     p_ex.add_argument("--out", default=None, help="trace CSV path")
     p_ex.set_defaults(func=cmd_example)
 

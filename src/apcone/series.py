@@ -2,18 +2,18 @@
 them.
 
 The curve expansions run the slowest curve's own rational formulas
-(``slowcurve._w_parts`` and ``_curve_parts``) on the series t instead of a
-float, so the series certify the low-degree structure of exactly the code
-that evaluates the curve pointwise: the recursion satisfied by w, the t^10
-leading coefficient of det G(t), and the perturbed moment-curve pattern of
-the c1 = c4 = 1 instance.
+(``slowcurve._w_parts``, ``_curve_parts`` and ``_canonical_matrix``) on the
+series t instead of a float, so the series certify the low-degree structure
+of exactly the code that evaluates the curve pointwise: the recursion
+satisfied by w, the t^10 leading coefficient of det G(t), and the perturbed
+moment-curve pattern of the c1 = c4 = 1 instance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .slowcurve import _curve_parts, _w_parts
+from .slowcurve import _canonical_matrix, _curve_parts, _w_parts
 
 DEFAULT_CAP = 12
 
@@ -147,26 +147,18 @@ def expand_curve(spec, cap=DEFAULT_CAP):
 
 
 def curve_matrix_series(spec, cap=DEFAULT_CAP):
-    """3x3 array of TruncSeries giving the entries of G(t)."""
-    c1, c2, c3, c4, c5 = spec.c
-    w, g13, g23 = expand_curve(spec, cap)
-    t = TruncSeries.x(cap)
-    zero = TruncSeries.constant(0.0, cap)
-    g11 = 1 - 2 * c1 * t + 2 * c2 * g13 - 2 * c3 * g23
-    g22 = 2 * c4 * g13 - 2 * c5 * g23
-    return [[g11, t, -g13],
-            [t, g22, g23],
-            [-g13, g23, zero]]
+    """Rows of TruncSeries giving the entries of G(t), assembled by
+    ``slowcurve._canonical_matrix`` on the series t."""
+    _, g13, g23 = expand_curve(spec, cap)
+    return _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)
 
 
 def w_recursion_defect(spec, cap=DEFAULT_CAP):
     """Max |coefficient| gap, degree 0..5, of w minus its own recursion
-    1 - 2 c1 t + 2 c2 g13 - 2 c3 g23 (they agree below degree 6)."""
-    c1, c2, c3 = spec.c[0], spec.c[1], spec.c[2]
+    G_11 = 1 - 2 c1 t + 2 c2 g13 - 2 c3 g23 (they agree below degree 6)."""
     w, g13, g23 = expand_curve(spec, cap)
-    t = TruncSeries.x(cap)
-    rhs = 1 - 2 * c1 * t + 2 * c2 * g13 - 2 * c3 * g23
-    return float(np.max(np.abs(w.coeffs[:6] - rhs.coeffs[:6])))
+    g11 = _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)[0][0]
+    return float(np.max(np.abs(w.coeffs[:6] - g11.coeffs[:6])))
 
 
 def det_series(spec, cap=DEFAULT_CAP):

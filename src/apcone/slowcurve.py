@@ -124,21 +124,22 @@ def _curve_scalars(spec, t):
 
 
 def _canonical_matrix(c, t, g13, g23):
-    """G(t) = U* + t B1 + g13 B2 + g23 B3 in the canonical frame, entrywise;
-    for ndarray arguments the matrix axes come first."""
+    """Rows of G(t) = U* + t B1 + g13 B2 + g23 B3 in the canonical frame, as
+    nested lists of entries of t's type (float, ndarray or ``TruncSeries``);
+    for ndarray arguments ``np.array`` of them puts the matrix axes first."""
     c1, c2, c3, c4, c5 = c
     g11 = 1.0 - 2.0 * c1 * t + 2.0 * c2 * g13 - 2.0 * c3 * g23
     g22 = 2.0 * c4 * g13 - 2.0 * c5 * g23
-    return np.array([[g11, t, -g13],
-                     [t, g22, g23],
-                     [-g13, g23, np.zeros_like(g11)]])
+    return [[g11, t, -g13],
+            [t, g22, g23],
+            [-g13, g23, 0.0 * t]]
 
 
 def curve_point(spec, t):
     """Assemble G(t) = U* + t B1 + g13 B2 + g23 B3 from the rational
     formulas."""
     w, g13, g23, h = _curve_scalars(spec, t)
-    G = _canonical_matrix(spec.c, float(t), g13, g23)
+    G = np.array(_canonical_matrix(spec.c, float(t), g13, g23))
     if spec.theta != 0.0 or spec.reflect:
         P = rotation_matrix(spec.theta, spec.reflect)
         G = conjugate(P, G)
@@ -195,7 +196,7 @@ def _domain_ok(c, t):
         for d in (d_mid, d_q, q, w, den):
             ok &= np.abs(d) > DENOM_FLOOR
         # G is symmetric, so .T only moves the matrix axes last
-        det = np.linalg.det(_canonical_matrix(c, t, g13, g23).T)
+        det = np.linalg.det(np.array(_canonical_matrix(c, t, g13, g23)).T)
     return ok & (det > 0.0)
 
 

@@ -3,17 +3,18 @@ two projections (PSD cone, affine subspace) everything else composes.
 
 Matrices are plain float64 ndarrays kept exactly symmetric; an affine
 subspace carries its anchor, a (not necessarily orthogonal) basis of the
-direction space, its Gram matrix, the orthonormal factor Q and the inverse
-of the triangular factor R of the thin QR factorization ``B = Q R`` of the
-raveled basis (each column of Q an exactly symmetric matrix, orthonormal in
-the Frobenius inner product), and an orthonormal basis of the
-Frobenius-orthogonal complement.  All of these are computed once, when the
-subspace is built, and so is ``vec(anchor) Q``.  The projection of V is
-then ``anchor + mat(Q z)`` with ``z = Q^T vec(V - anchor)``, evaluated as
+direction space, its Gram matrix, and the orthonormal factor Q and the
+inverse of the triangular factor R of the thin QR factorization ``B = Q R``
+of the raveled basis (each column of Q an exactly symmetric matrix,
+orthonormal in the Frobenius inner product).  That QR is the one
+factorization of a subspace: it is computed once, when the subspace is
+built, and so is ``vec(anchor) Q``.  The projection of V is then
+``anchor + mat(Q z)`` with ``z = Q^T vec(V - anchor)``, evaluated as
 ``vec(V) Q - vec(anchor) Q``, and its basis coefficients are ``R^-1 z``;
 those expressions (the private ``AffineSubspace._q_coords`` and
-``_coefficients_from_q``) serve ``coefficients``, ``project_affine`` and
-both AP entry points in ``apengine``.
+``_coefficients_from_q``) serve ``coefficients``, ``project_affine``,
+``dist2_affine`` and both AP entry points in ``apengine``; ``orthogonalize``
+reads its Gram-Schmidt basis off Q and R.
 
 Every eigendecomposition in the package goes through the private
 ``_eigh`` (LAPACK via ``numpy.linalg.eigh``, eigenvalues ascending; its
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-COMPLEMENT_DROP_TOL = 1e-10
+DEPENDENT_BASIS_TOL = 1e-10
 
 
 class EigenSolverError(RuntimeError):
@@ -174,8 +175,8 @@ class AffineSubspace:
     Q, read as an n x n matrix, is exactly symmetric, so mirror entries of
     ``mat(Q z)`` are the same dot product.  ``anchor_q`` is
     ``vec(anchor) Q``, so the Q-coordinates of V - anchor are
-    ``vec(V) Q - anchor_q``.  ``complement`` holds an orthonormal basis of
-    the Frobenius-orthogonal complement in S^n.
+    ``vec(V) Q - anchor_q``.  A basis whose R has a diagonal entry at most
+    ``DEPENDENT_BASIS_TOL`` times its largest is rejected as dependent.
     """
 
     anchor: np.ndarray
@@ -184,7 +185,6 @@ class AffineSubspace:
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
     anchor_q: np.ndarray = field(repr=False)  # (m,)
-    complement: np.ndarray = field(repr=False)  # (n(n+1)/2 - m, n, n)
 
     @property
     def n(self):
@@ -204,29 +204,15 @@ class AffineSubspace:
         flat = basis.reshape(m, n * n)
         Q, R = np.linalg.qr(flat.T)
         diag = np.abs(np.diag(R))
-        if not diag.min() > COMPLEMENT_DROP_TOL * diag.max():
+        if not diag.min() > DEPENDENT_BASIS_TOL * diag.max():
             raise DependentBasisError("basis matrices are linearly dependent")
-
-        # Orthogonal complement: remove the span{basis} part from the
-        # standard basis of S^n; the residuals span the complement, and their
-        # left singular vectors with nonzero singular value (exactly 1 in
-        # exact arithmetic) are an orthonormal basis of it.
-        S = np.array(_standard_sym_basis(n)).reshape(-1, n * n).T
-        U, sv, _ = np.linalg.svd(S - Q @ (Q.T @ S), full_matrices=False)
-        comp = U[:, sv > COMPLEMENT_DROP_TOL].T.reshape(-1, n, n)
-        expected = n * (n + 1) // 2 - m
-        if len(comp) != expected:
-            raise DependentBasisError(
-                f"complement construction found {len(comp)} directions, "
-                f"expected {expected}")
-        comp = 0.5 * (comp + comp.transpose(0, 2, 1))
         # columns of Q are symmetric only up to rounding; make them exactly
         # symmetric so that every projection anchor + mat(Q z) is too
         Q = Q.T.reshape(m, n, n)
         Q = (0.5 * (Q + Q.transpose(0, 2, 1))).reshape(m, n * n).T
         return cls(_freeze(anchor), _freeze(basis), _freeze(flat @ flat.T),
                    _freeze(Q), _freeze(np.linalg.inv(R)),
-                   _freeze(anchor.ravel() @ Q), _freeze(comp))
+                   _freeze(anchor.ravel() @ Q))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -235,8 +221,11 @@ class AffineSubspace:
             raise ValueError(f"expected {self.dim} coefficients")
         n = self.n
         flat = self.basis.reshape(self.dim, n * n)
-        U = self.anchor + (coeffs @ flat).reshape(n, n)
-        return 0.5 * (U + U.T)
+        # a non-finite coefficient gives NaN entries (inf * 0) without a
+        # warning; callers that need a finite point check for them
+        with np.errstate(invalid="ignore", over="ignore"):
+            U = self.anchor + (coeffs @ flat).reshape(n, n)
+            return 0.5 * (U + U.T)
 
     def coefficients(self, X):
         """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
@@ -276,24 +265,21 @@ def project_affine(E, X):
 
 
 def dist2_affine(E, X):
-    """Squared Frobenius distance to E via the orthogonal-complement sum."""
+    """Squared Frobenius distance ||X - P_E(X)||^2 to E."""
     X = E._check_point(X)
-    C = E.complement.reshape(len(E.complement), E.n * E.n)
-    return float(np.sum((C @ (X - E.anchor).ravel()) ** 2))
+    r = (X - E._project(X)[0]).ravel()
+    return float(r @ r)
 
 
 def orthogonalize(E):
-    """Gram-Schmidt the basis in order (first element kept verbatim)."""
-    basis = [np.array(E.basis[0])]
-    for i in range(1, E.dim):
-        R = np.array(E.basis[i])
-        for C in basis:
-            R = R - (frob_inner(C, E.basis[i]) / frob_inner(C, C)) * C
-        if frob_norm(R) <= COMPLEMENT_DROP_TOL * max(1.0, frob_norm(E.basis[i])):
-            raise DependentBasisError(
-                f"basis element {i} is dependent on its predecessors")
-        basis.append(0.5 * (R + R.T))
-    return AffineSubspace.from_basis(E.anchor, np.array(basis))
+    """Gram-Schmidt the basis in order (first element kept verbatim).
+
+    Element i is B_i less its projection onto span{B_0, ..., B_{i-1}}, read
+    off the stored QR factors as R_ii mat(Q_i), with R_ii = 1 / (R^-1)_ii.
+    """
+    C = (E.Q / np.diag(E.R_inv)).T.reshape(E.dim, E.n, E.n)
+    C[0] = E.basis[0]
+    return AffineSubspace.from_basis(E.anchor, C)
 
 
 def read_sym_matrices(text):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,11 @@ def test_formula_step_rejects_bad_p():
         eigenvalue_formula_step(E, np.zeros(2))
     with pytest.raises(EigenSolverError):
         eigenvalue_formula_step(E, np.array([0.1, np.nan, 0.0]))
+    # an infinite coefficient is rejected without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolverError):
+            eigenvalue_formula_step(E, np.array([np.inf, 0.0, 0.0]))
 
 
 # --- rank-1 chart ------------------------------------------------------------------
@@ -403,6 +410,14 @@ def test_rank_one_residual_random_planes():
         res = rank_one_step_residual(E, p)
         assert res <= 1e-9 * (1.0 + float(np.linalg.norm(p)))
         done += 1
+
+
+def test_rank_one_residual_rejects_infinite_p():
+    E = orthogonalize(build_plane(SPEC61)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolverError):
+            rank_one_step_residual(E, np.array([np.inf, 0.0, 0.0]))
 
 
 def test_rank_one_residual_rejects_rank2():

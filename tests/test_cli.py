@@ -74,13 +74,6 @@ def test_example_bad_start_reports_error(capsys):
     assert "comma triple" in err
 
 
-def test_example_zero_stride_usage_error(capsys):
-    code, _, err = run_cli(capsys, "example", "ex3.2", "--iters", "10",
-                           "--stride", "0")
-    assert code == 2
-    assert "stride must be >= 1" in err
-
-
 def test_example_slowest_curve_start_outside_domain(capsys):
     # w's inner denominator 1 - 2t vanishes at t = 0.5 for ex6.1
     code, _, err = run_cli(capsys, "example", "ex6.1", "--iters", "5",
@@ -231,11 +224,12 @@ def test_run_slowest_curve_start_outside_domain(capsys, tmp_path):
 
 def test_run_unknown_config_key_usage_error(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"plane": "ex3.4", "start": [0.1, 0.0],
-                                    "max_iters": 5}))
-    code, out, err = run_cli(capsys, "run", str(cfg_path))
-    assert code == 2
-    assert "'max_iters'" in err and out == ""
+    for key in ("max_iters", "stride"):
+        cfg_path.write_text(json.dumps({"plane": "ex3.4",
+                                        "start": [0.1, 0.0], key: 5}))
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert f"'{key}'" in err and out == ""
 
 
 def test_run_builtin_with_variant(capsys, tmp_path):

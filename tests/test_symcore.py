@@ -11,6 +11,7 @@ from apcone.symcore import (AffineSubspace, DependentBasisError,
                             eig_sym, frob_inner, frob_norm, orthogonalize,
                             project_affine, project_psd, read_sym_matrices,
                             sym_matrix, write_sym_matrices)
+from apcone.verify import random_type2_spec
 
 RNG = np.random.RandomState(101)
 
@@ -195,9 +196,13 @@ def test_project_affine_fixed_point(plane_ex32):
     assert coeffs == pytest.approx([0.35], abs=1e-12)
 
 
+# unit normals of the ex3.2 line's direction [[0, 0, -1], [0, 2, 0], [-1, 0, 0]]
+_NORMAL_11 = np.diag([1.0, 0.0, 0.0])
+_NORMAL_12 = sym_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) / np.sqrt(2.0)
+
+
 def test_project_affine_complement_direction(plane_ex32):
-    C = plane_ex32.complement[0]
-    X = sym_matrix(plane_ex32.anchor + 0.7 * C)
+    X = sym_matrix(plane_ex32.anchor + 0.7 * _NORMAL_12)
     Y, coeffs = project_affine(plane_ex32, X)
     assert frob_norm(Y - plane_ex32.anchor) <= 1e-12
     assert np.abs(coeffs).max() <= 1e-12
@@ -272,22 +277,27 @@ def test_dist2_affine_zero_on_plane(plane_ex32):
 
 
 def test_dist2_affine_pythagoras(plane_ex32):
-    C = plane_ex32.complement[1]
-    C = C / frob_norm(C)
-    X = sym_matrix(plane_ex32.anchor + 0.3 * C)
-    assert dist2_affine(plane_ex32, X) == pytest.approx(0.09, rel=1e-12)
+    for N in (_NORMAL_11, _NORMAL_12):
+        X = sym_matrix(plane_ex32.anchor + 0.3 * N)
+        assert dist2_affine(plane_ex32, X) == pytest.approx(0.09, rel=1e-12)
 
 
 def test_dist2_affine_matches_projection_path():
+    # reference: the part of X - anchor in the span of the plane's
+    # constraint matrices A_i, which are normal to its direction space
     rng = np.random.RandomState(17)
-    E = AffineSubspace.from_basis(np.diag([1.0, 0, 0]),
-                                  type2_basis((-0.3, 0.5, 0.2, 0.8, 0.1)))
-    for _ in range(100):
-        X = random_sym(3, rng, 2.0)
-        d2 = dist2_affine(E, X)
-        Y, _ = project_affine(E, X)
-        ref = frob_norm(X - Y) ** 2
-        assert d2 == pytest.approx(ref, rel=1e-10, abs=1e-18)
+    for spec in _random_planes(rng):
+        E, constraints = build_plane(spec)
+        A = np.array(constraints).reshape(3, 9)
+        for _ in range(10):
+            X = random_sym(3, rng, 2.0)
+            y = A @ (X - E.anchor).ravel()
+            ref = y @ np.linalg.solve(A @ A.T, y)
+            Y, _ = project_affine(E, X)
+            assert dist2_affine(E, X) == pytest.approx(ref, rel=1e-10,
+                                                       abs=1e-18)
+            assert dist2_affine(E, X) == pytest.approx(
+                frob_norm(X - Y) ** 2, rel=1e-14)
 
 
 # --- orthogonalize -----------------------------------------------------------
@@ -307,6 +317,42 @@ def test_orthogonalize_type2_general():
     for i in range(3):
         for j in range(i + 1, 3):
             assert abs(frob_inner(Eo.basis[i], Eo.basis[j])) < 1e-12
+
+
+def _gram_schmidt(basis):
+    """Reference: classical Gram-Schmidt in order, first element verbatim."""
+    out = []
+    for B in basis:
+        R = B.copy()
+        for C in out:
+            R = R - (frob_inner(C, B) / frob_inner(C, C)) * C
+        out.append(R)
+    return np.array(out)
+
+
+def test_orthogonalize_is_unit_triangular_in_the_basis():
+    # Gram-Schmidt in order: Eo.basis[j] = E.basis[j] + sum_{i<j} T_ij
+    # E.basis[i], a unit triangular transform, with orthogonal results
+    # that match the loop above
+    rng = np.random.RandomState(41)
+    for _ in range(50):
+        spec = random_type2_spec(rng, mild=False)
+        spec = PlaneSpec("type2", spec.c, theta=float(rng.uniform(0, 6.3)),
+                         reflect=bool(rng.randint(2)))
+        E, _ = build_plane(spec)
+        Eo = orthogonalize(E)
+        F, Fo = E.basis.reshape(3, 9), Eo.basis.reshape(3, 9)
+        T = np.linalg.lstsq(F.T, Fo.T, rcond=None)[0]   # Fo.T = F.T T
+        assert np.abs(F.T @ T - Fo.T).max() <= 1e-12 * np.abs(F).max()
+        assert np.abs(np.diag(T) - 1.0).max() <= 1e-12
+        assert np.abs(np.tril(T, -1)).max() <= 1e-12 * np.abs(T).max()
+        G = Fo @ Fo.T
+        off = np.abs(G - np.diag(np.diag(G))).max()
+        assert off <= 1e-12 * np.diag(G).max()
+        assert np.array_equal(Eo.basis[0], E.basis[0])
+        ref = _gram_schmidt(E.basis)
+        for C, C_ref in zip(Eo.basis, ref):
+            assert np.abs(C - C_ref).max() <= 1e-14 * np.abs(C_ref).max()
 
 
 def test_orthogonalize_preserves_projections():

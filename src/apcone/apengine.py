@@ -79,7 +79,7 @@ def ap_step(E, U):
     (``E._coefficients_from_q``) that ``E.coefficients`` uses, so no
     second solve is needed.
     """
-    W, rank, z = _step(E, E._check_point(U, finite=True))
+    W, rank, z = _step(E, E._check_point(U))
     return W, rank, E._coefficients_from_q(z)
 
 

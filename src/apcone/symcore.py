@@ -17,22 +17,29 @@ those expressions (the private ``AffineSubspace._q_coords`` and
 reads its Gram-Schmidt basis off Q and R.
 
 Every eigendecomposition in the package goes through the private
-``_eigh`` (LAPACK via ``numpy.linalg.eigh``, eigenvalues ascending; its
-reversed view ``eigh_desc`` serves ``eig_sym``), every PSD projection
-through ``psd_part`` and every affine projection through the private
+``_eigh``: one call of LAPACK's symmetric eigensolver through the gufunc
+``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
+calls, so the results are the same bits, eigenvalues ascending.  The
+public wrapper's checks, ``np.errstate`` context and result wrapping cost
+about 5 us per 3x3 call, of a ~20 us AP step (2-core x86-64, numpy 2.4);
+failure is detected instead from the output (NaN eigenvalues raise
+``EigenSolverError``).  Every PSD projection
+goes through ``psd_part`` and every affine projection through the private
 ``AffineSubspace._project``.  ``psd_part`` returns ``S S^T``, which NumPy
 evaluates as a symmetric rank-k product, so the clip is exactly symmetric
 without a symmetrization pass.  These check nothing.
 Input is checked (square, finite, exactly symmetric) once, where it enters
 a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
-affine subspace is checked, size included, by the private
+affine subspace is checked the same way, size included, by the private
 ``AffineSubspace._check_point``.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 DEPENDENT_BASIS_TOL = 1e-10
 
@@ -90,22 +97,23 @@ class EigDecomp:
 
 
 def _eigh(a):
-    """Eigenvalues of a symmetric matrix in ascending order, with matching
-    orthonormal columns (LAPACK's own order).
+    """Eigenvalues of a symmetric float64 matrix in ascending order, with
+    matching orthonormal columns (LAPACK's own order).
 
-    Only the lower triangle is read and the input is not checked; raises
-    ``EigenSolverError`` when LAPACK reports a failure.
+    Calls the gufunc behind ``numpy.linalg.eigh`` directly, with the same
+    arguments, so the output is bit-identical to it.  Only the lower
+    triangle is read and the input is not checked: callers check that it
+    is finite, since for n <= 2 non-finite input can come back finite.
+    The gufunc reports a LAPACK failure as NaN output, which raises
+    ``EigenSolverError`` here, as does NaN from non-finite input.  A
+    failure also sets floating-point flags, which NumPy reports as
+    ``np.errstate`` says (a ``RuntimeWarning`` by default).
     """
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"LAPACK eigh failed: {exc}") from exc
-
-
-def eigh_desc(a):
-    """``_eigh`` in descending order: reversed views of its output."""
-    lam, vecs = _eigh(a)
-    return lam[::-1], vecs[:, ::-1]
+    lam, vecs = _umath_linalg.eigh_lo(a, signature="d->dd")
+    # sum() is NaN iff an eigenvalue is NaN, or both +inf and -inf occur
+    if math.isnan(sum(lam.tolist())):
+        raise EigenSolverError("LAPACK eigh failed: NaN eigenvalues")
+    return lam, vecs
 
 
 def psd_part(lam, vecs):
@@ -134,7 +142,8 @@ def check_finite_sym(a):
 def eig_sym(a):
     """Symmetric eigendecomposition; the first component above 1e-12 in
     magnitude of every eigenvector is positive."""
-    lam, vecs = eigh_desc(check_finite_sym(a))
+    lam, vecs = _eigh(check_finite_sym(a))
+    lam, vecs = lam[::-1], vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return EigDecomp(lam, vecs * signs)
@@ -232,11 +241,11 @@ class AffineSubspace:
         to X - anchor in span{basis}."""
         return self._coefficients_from_q(self._q_coords(self._check_point(X)))
 
-    def _check_point(self, X, finite=False):
-        """X as an exactly symmetric n x n float array; ``ValueError``
-        otherwise, and with ``finite`` an ``EigenSolverError`` on non-finite
-        entries."""
-        X = check_finite_sym(X) if finite else check_sym(X)
+    def _check_point(self, X):
+        """X as a finite, exactly symmetric n x n float array: a
+        non-finite entry raises ``EigenSolverError``, any other fault
+        ``ValueError``."""
+        X = check_finite_sym(X)
         if X.shape[0] != self.n:
             raise ValueError("dimension mismatch")
         return X

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apcone.planes import PlaneSpec, build_plane, type2_basis
 from apcone.symcore import (AffineSubspace, DependentBasisError,
-                            EigenSolverError, check_sym, dist2_affine,
+                            EigenSolverError, _eigh, check_sym, dist2_affine,
                             eig_sym, frob_inner, frob_norm, orthogonalize,
                             project_affine, project_psd, read_sym_matrices,
                             sym_matrix, write_sym_matrices)
@@ -48,6 +48,55 @@ def test_frob_inner_symmetric_bilinear(seed):
     lhs = frob_inner(a * A + b * B, C)
     rhs = a * frob_inner(A, C) + b * frob_inner(B, C)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# --- _eigh -------------------------------------------------------------------
+
+def _eigh_cases(rng):
+    """Symmetric matrices for n = 1..5: random, rank-deficient, and with
+    repeated eigenvalues, each C-ordered, F-ordered and transposed."""
+    for n in range(1, 6):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        mats = [np.zeros((n, n)), np.eye(n), (Q * 2.0) @ Q.T]
+        for _ in range(20):
+            A = rng.standard_normal((n, n))
+            mats.append(A + A.T)
+            for r in range(n):
+                X = rng.standard_normal((n, r))
+                mats.append(X @ X.T)
+            lam = rng.choice([-1.0, 0.0, 2.0], size=n)
+            mats.append((Q * lam) @ Q.T)
+        for M in mats:
+            yield from (M, np.asfortranarray(M), M.T,
+                        np.asfortranarray(M).T)
+
+
+def test_eigh_bit_identical_to_numpy():
+    count = 0
+    for M in _eigh_cases(np.random.default_rng(2024)):
+        lam, vecs = _eigh(M)
+        ref_lam, ref_vecs = np.linalg.eigh(M)
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(vecs, ref_vecs)
+        count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_eigh_infinite_input_raises(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolverError):
+            _eigh(np.diag([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("a", [np.diag([np.nan, 0.0, 0.0]),
+                               np.full((3, 3), np.nan)])
+def test_eigh_nan_input_raises(a):
+    # the full-NaN matrix makes LAPACK fail, which also sets the invalid flag
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EigenSolverError):
+            _eigh(a)
 
 
 # --- eig_sym ------------------------------------------------------------------
@@ -269,6 +318,16 @@ def test_dependent_basis_rejected():
     B = sym_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(DependentBasisError):
         AffineSubspace.from_basis(np.zeros((3, 3)), np.array([B, 2 * B]))
+
+
+@pytest.mark.parametrize("fn", [project_affine, dist2_affine,
+                                AffineSubspace.coefficients])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_affine_non_finite_input_raises(plane_ex32, fn, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolverError, match="non-finite"):
+            fn(plane_ex32, np.diag([bad, 0.0, 0.0]))
 
 
 def test_dist2_affine_zero_on_plane(plane_ex32):

@@ -9,6 +9,7 @@ closed-form array products.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,14 @@ class RankOneError(ValueError):
     """The intermediate PSD projection does not have rank one."""
 
 
-def default_stride(max_iter):
-    return 1 if max_iter <= 1000 else 1000
-
-
 @dataclass(frozen=True)
 class APTrace:
     """Per-iteration log of one alternating-projection run.
 
     ``dists[k]`` is the Frobenius distance of iterate k to the target and
-    ``psd_ranks[k]`` the rank of its PSD projection; full coefficient vectors
-    are kept every ``stride`` iterations (``sample_ks`` / ``sample_coeffs``).
+    ``psd_ranks[k]`` the rank of its PSD projection.  Full coefficient
+    vectors are kept at the decade checkpoints k = 0, 1, 10, 100, ... and
+    at the last k (``sample_ks`` / ``sample_coeffs``).
     """
 
     plane: object
@@ -48,23 +46,17 @@ class APTrace:
     def __len__(self):
         return len(self.dists)
 
-    def iterates(self):
-        """(k, coeffs, dist, psd_rank) rows at the sampled iterations."""
-        for i, k in enumerate(self.sample_ks):
-            yield int(k), self.sample_coeffs[i], float(self.dists[k]), \
-                int(self.psd_ranks[k])
 
+def _step(E, u):
+    """P_E(P_psd(U)) on the flat iterate u = vec(U), without checking it.
 
-def _step(E, U):
-    """P_E(P_psd(U)) without checking U.
-
-    Returns ``(W, rank, z)``: the next iterate, exactly symmetric; the rank
-    of P_psd(U); and the Q-coordinates z of W (see
-    ``AffineSubspace._project``).
+    Returns ``(w, rank, p)``: the next iterate w = ``E._project(p)``, flat
+    and exactly symmetric; the rank of P_psd(U); and p = vec(P_psd(U)),
+    whose ``E._coefficients`` are those of w.
     """
-    P, rank = psd_part(*_eigh(U))
-    W, z = E._project(P)
-    return W, rank, z
+    P, rank = psd_part(*_eigh(u.reshape(E.anchor.shape)))
+    p = P.ravel()
+    return E._project(p), rank, p
 
 
 def ap_step(E, U):
@@ -75,23 +67,25 @@ def ap_step(E, U):
     entries raise ``EigenSolverError``.  The step is the one ``run_ap``
     iterates.  Returns ``(W, rank, coeffs)``: the next iterate, exactly
     symmetric; the rank of the intermediate PSD projection; and the basis
-    coefficients of W, from the same R^-1 z expression
-    (``E._coefficients_from_q``) that ``E.coefficients`` uses, so no
-    second solve is needed.
+    coefficients of W, from the same expressions ``project_affine`` applies
+    to the PSD projection, so no second solve is needed.
     """
-    W, rank, z = _step(E, E._check_point(U))
-    return W, rank, E._coefficients_from_q(z)
+    U = E._check_point(U)
+    w, rank, p = _step(E, U.ravel())
+    return w.reshape(U.shape), rank, E._coefficients(p)
 
 
-def run_ap(E, p0, max_iter, tol, stride=None, target=None):
+def run_ap(E, p0, max_iter, tol, target=None):
     """Iterate U <- P_E(P_psd(U)) from phi(p0) and record an APTrace.
 
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
-    ``max_iter < 1``, ``tol < 0`` and ``stride < 1`` raise ``ValueError``.
-    Each step is ``ap_step``'s, without its input check: the iterates are
-    built here, exactly symmetric.
+    ``max_iter < 1``, ``tol < 0`` and a start whose squared distance to
+    the target overflows raise ``ValueError``.  Each step is ``ap_step``'s
+    on the flat iterate, built here exactly symmetric, without its check.
+    Memory grows with the steps taken, not with ``max_iter``.  The sampled
+    coefficients (k = 0: ``p0``) are ``ap_step``'s expression.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -100,29 +94,26 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (E.dim,):
         raise ValueError(f"expected {E.dim} starting coefficients")
-    if stride is None:
-        stride = default_stride(max_iter)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    target = E.anchor if target is None else check_sym(target)
+    target = (E.anchor if target is None else check_sym(target)).ravel()
 
-    U = E.point(p0)
-    if not np.isfinite(U).all():
+    u = E.point(p0).ravel()
+    if not np.isfinite(u).all():
         raise EigenSolverError("starting point has non-finite entries")
+    with np.errstate(over="ignore"):
+        d = u - target
+        dist = math.sqrt(d @ d)
+    if dist == math.inf:
+        raise ValueError("the start is too far from the target: its squared "
+                         "distance overflows")
 
-    dists = np.empty(max_iter + 1)
-    ranks = np.empty(max_iter + 1, dtype=np.int64)
-    sample_ks, sample_coeffs = [], []
-    dist = dists[0] = float(np.linalg.norm(U - target))
-    z = None            # Q-coordinates of U; coefficients are R^-1 z
+    dists, ranks = array("d", [dist]), array("q")
+    sample_ks, sample_coeffs = [0], [p0]
+    checkpoint = 1
     stagnant = 0
     k = 0
     while True:
-        W, ranks[k], z_next = _step(E, U)
-        if k % stride == 0:
-            sample_ks.append(k)
-            sample_coeffs.append(p0 if z is None
-                                 else E._coefficients_from_q(z))
+        w, rank, p_next = _step(E, u)
+        ranks.append(rank)
         if dist < tol:
             stop = "tol"
             break
@@ -132,26 +123,29 @@ def run_ap(E, p0, max_iter, tol, stride=None, target=None):
         if stagnant >= _STAGNATION_RUN:
             stop = "stagnation"
             break
-        U, z = W, z_next
+        u, p = w, p_next    # p = vec(P_psd(U_{k-1})) once k is advanced
         k += 1
-        d = (U - target).ravel()
+        if k == checkpoint:
+            sample_ks.append(k)
+            sample_coeffs.append(E._coefficients(p))
+            checkpoint *= 10
+        d = u - target
         prev, dist = dist, math.sqrt(d @ d)
-        dists[k] = dist
+        dists.append(dist)
         if prev - dist < _STAGNATION_REL * max(prev, 1e-300):
             stagnant += 1
         else:
             stagnant = 0
     if sample_ks[-1] != k:
         sample_ks.append(k)
-        sample_coeffs.append(E._coefficients_from_q(z))
+        sample_coeffs.append(E._coefficients(p))
 
     def own(a):
-        out = np.array(a)
-        out.setflags(write=False)
-        return out
+        a.setflags(write=False)
+        return a
 
-    return APTrace(plane=E, dists=own(dists[:k + 1]),
-                   psd_ranks=own(ranks[:k + 1]),
+    return APTrace(plane=E, dists=own(np.frombuffer(dists)),
+                   psd_ranks=own(np.frombuffer(ranks, np.int64)),
                    sample_ks=own(np.array(sample_ks, dtype=np.int64)),
                    sample_coeffs=own(np.array(sample_coeffs)),
                    converged=(stop == "tol"), stop_reason=stop)

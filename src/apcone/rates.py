@@ -3,9 +3,10 @@ fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1)),
 and the closed-form constant of the k^(-1/6) limit law.
 
 The recursion is a plain Python loop: each step depends on the previous x,
-so it cannot be vectorised, and the loop body is kept to the arithmetic of
-one step and one store into a preallocated array."""
+so it cannot be vectorised; the loop body is one step's arithmetic and one
+store into an ``array("d")``, which becomes the result without a copy."""
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,12 @@ def _line_fit(x, y):
 def fit_inverse_power(trace, p, window):
     """Fit dist_k^{-p} ~ intercept + slope * k on the window."""
     ks, d = _window_dists(trace, window)
-    intercept, slope, rmse = _line_fit(ks, d ** (-float(p)))
+    with np.errstate(over="ignore"):
+        y = d ** (-float(p))
+        if not np.isfinite(y @ y):    # so the fit's sums of squares are too
+            raise ValueError(f"dist^-{p} or its square overflows on the "
+                             "fit window")
+    intercept, slope, rmse = _line_fit(ks, y)
     return RateFit(model=f"inverse_power({p})", window=(int(window[0]),
                    int(window[1])), params=(intercept, slope), rmse=rmse)
 
@@ -102,9 +108,9 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
         raise ValueError("hypothesis (q+1) C - (q+2) K x0 > 0 violated")
     if noise not in _NOISE_MODES:
         raise ValueError(f"noise must be one of {sorted(_NOISE_MODES)}")
-    C, K, q, x0, n = float(C), float(K), int(q), float(x0), int(n)
-    xs = np.empty(n + 1)
-    xs[0] = x = x0
+    C, K, q, x0, n = float(C), float(K), float(q), float(x0), int(n)
+    xs = array("d", [x0]) * (n + 1)    # exactly n + 1 entries, no copy
+    x = x0
     if K == 0.0:
         # the K term is +0.0 or -0.0, which leaves 1 - C x^q unchanged
         for k in range(1, n + 1):
@@ -120,8 +126,8 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
             x = x * (1.0 - C * xq + sign * K * xq * x)
             xs[k] = x
             sign *= flip
-    product = float((q * C) ** (1.0 / q) * n ** (1.0 / q) * xs[-1])
-    return xs, product
+    product = float((q * C) ** (1.0 / q) * n ** (1.0 / q) * x)
+    return np.frombuffer(xs), product
 
 
 def slow_rate_constant(spec):

@@ -1,33 +1,30 @@
 """Symmetric-matrix core: Frobenius geometry, eigendecomposition, and the
 two projections (PSD cone, affine subspace) everything else composes.
 
-Matrices are plain float64 ndarrays kept exactly symmetric; an affine
+Matrices are plain float64 ndarrays kept exactly symmetric.  An affine
 subspace carries its anchor, a (not necessarily orthogonal) basis of the
-direction space, its Gram matrix, and the orthonormal factor Q and the
-inverse of the triangular factor R of the thin QR factorization ``B = Q R``
-of the raveled basis (each column of Q an exactly symmetric matrix,
-orthonormal in the Frobenius inner product).  That QR is the one
-factorization of a subspace: it is computed once, when the subspace is
-built, and so is ``vec(anchor) Q``.  The projection of V is then
-``anchor + mat(Q z)`` with ``z = Q^T vec(V - anchor)``, evaluated as
-``vec(V) Q - vec(anchor) Q``, and its basis coefficients are ``R^-1 z``;
-those expressions (the private ``AffineSubspace._q_coords`` and
-``_coefficients_from_q``) serve ``coefficients``, ``project_affine``,
-``dist2_affine`` and both AP entry points in ``apengine``; ``orthogonalize``
-reads its Gram-Schmidt basis off Q and R.
+direction space and its Gram matrix, and, from the one QR factorization
+``B = Q R`` of the raveled basis made when it is built, Q (columns exactly
+symmetric, Frobenius-orthonormal), R^-1 and two affine maps of a flat
+``v = vec(V)``: the projector, ``vec(P_E(V)) = offset + Q Q^T v``, and the
+coefficient map, whose basis coefficients of P_E(V) are ``v Q R^-T - R^-1
+Q^T vec(anchor)``.  The private ``AffineSubspace._project`` and
+``_coefficients`` apply them, one matrix-vector product each, for
+``coefficients``, ``project_affine``, ``dist2_affine`` and both AP entry
+points in ``apengine``; ``orthogonalize`` reads its Gram-Schmidt basis off
+Q and R.
 
 Every eigendecomposition in the package goes through the private
 ``_eigh``: one call of LAPACK's symmetric eigensolver through the gufunc
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
 calls, so the results are the same bits, eigenvalues ascending.  The
 public wrapper's checks, ``np.errstate`` context and result wrapping cost
-about 5 us per 3x3 call, of a ~20 us AP step (2-core x86-64, numpy 2.4);
-failure is detected instead from the output (NaN eigenvalues raise
-``EigenSolverError``).  Every PSD projection
-goes through ``psd_part`` and every affine projection through the private
-``AffineSubspace._project``.  ``psd_part`` returns ``S S^T``, which NumPy
-evaluates as a symmetric rank-k product, so the clip is exactly symmetric
-without a symmetrization pass.  These check nothing.
+about 5 us per 3x3 call, of a ~16 us step of ``apengine.run_ap`` (2-core
+x86-64, numpy 2.4); failure is detected instead from the output (NaN
+eigenvalues raise ``EigenSolverError``).  Every PSD projection goes through
+``psd_part``, which returns ``S S^T``; NumPy evaluates that as a symmetric
+rank-k product, so the clip is exactly symmetric without a symmetrization
+pass.  ``psd_part``, ``_project`` and ``_coefficients`` check nothing.
 Input is checked (square, finite, exactly symmetric) once, where it enters
 a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
 affine subspace is checked the same way, size included, by the private
@@ -180,12 +177,12 @@ class AffineSubspace:
     """Affine subspace anchor + span{basis} of S^n with projection data.
 
     ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
-    of the raveled basis, ``basis.reshape(m, n*n).T = Q R``; every column of
-    Q, read as an n x n matrix, is exactly symmetric, so mirror entries of
-    ``mat(Q z)`` are the same dot product.  ``anchor_q`` is
-    ``vec(anchor) Q``, so the Q-coordinates of V - anchor are
-    ``vec(V) Q - anchor_q``.  A basis whose R has a diagonal entry at most
-    ``DEPENDENT_BASIS_TOL`` times its largest is rejected as dependent.
+    ``basis.reshape(m, n*n).T = Q R``; each column of Q, as an n x n
+    matrix, is exactly symmetric.  A flat v projects to ``offset + proj v``
+    (``proj = Q Q^T``, rows (i, j) and (j, i) equal, as in ``offset``), with
+    basis coefficients ``v coef_map - coef_offset`` (``coef_map = Q R^-T``).
+    A basis whose R has a diagonal entry at most ``DEPENDENT_BASIS_TOL``
+    times its largest is rejected as dependent.
     """
 
     anchor: np.ndarray
@@ -193,7 +190,10 @@ class AffineSubspace:
     gram: np.ndarray           # (m, m)
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
-    anchor_q: np.ndarray = field(repr=False)  # (m,)
+    proj: np.ndarray = field(repr=False)
+    offset: np.ndarray = field(repr=False)       # (n*n,)
+    coef_map: np.ndarray = field(repr=False)
+    coef_offset: np.ndarray = field(repr=False)  # (m,)
 
     @property
     def n(self):
@@ -215,13 +215,19 @@ class AffineSubspace:
         diag = np.abs(np.diag(R))
         if not diag.min() > DEPENDENT_BASIS_TOL * diag.max():
             raise DependentBasisError("basis matrices are linearly dependent")
+
+        def mirror(A):   # rows (i, j) and (j, i) replaced by their mean
+            A = A.reshape(n, n, -1)
+            return (0.5 * (A + A.transpose(1, 0, 2))).reshape(n * n, -1)
+
         # columns of Q are symmetric only up to rounding; make them exactly
-        # symmetric so that every projection anchor + mat(Q z) is too
-        Q = Q.T.reshape(m, n, n)
-        Q = (0.5 * (Q + Q.transpose(0, 2, 1))).reshape(m, n * n).T
-        return cls(_freeze(anchor), _freeze(basis), _freeze(flat @ flat.T),
-                   _freeze(Q), _freeze(np.linalg.inv(R)),
-                   _freeze(anchor.ravel() @ Q))
+        # symmetric, and rows (i, j) and (j, i) of proj and offset equal, so
+        # that every projection offset + proj v is exactly symmetric
+        Q, R_inv, a = mirror(Q), np.linalg.inv(R), anchor.ravel()
+        proj, coef_map = mirror(Q @ Q.T), Q @ R_inv.T
+        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv,
+                                  proj, mirror(a - proj @ a)[:, 0], coef_map,
+                                  a @ coef_map)))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -239,7 +245,7 @@ class AffineSubspace:
     def coefficients(self, X):
         """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
         to X - anchor in span{basis}."""
-        return self._coefficients_from_q(self._q_coords(self._check_point(X)))
+        return self._coefficients(self._check_point(X).ravel())
 
     def _check_point(self, X):
         """X as a finite, exactly symmetric n x n float array: a
@@ -250,33 +256,26 @@ class AffineSubspace:
             raise ValueError("dimension mismatch")
         return X
 
-    def _q_coords(self, V):
-        """Q-coordinates ``z = vec(V) Q - anchor_q`` of unchecked V, those of
-        V - anchor."""
-        return V.ravel() @ self.Q - self.anchor_q
+    def _project(self, v):
+        """vec of the orthogonal projection of flat, unchecked v."""
+        return self.offset + self.proj @ v
 
-    def _project(self, V):
-        """Orthogonal projection of unchecked V with its Q-coordinates:
-        ``(anchor + mat(Q z), z)`` with z from ``_q_coords``; the point is
-        exactly symmetric because every column of Q is."""
-        z = self._q_coords(V)
-        return self.anchor + (self.Q @ z).reshape(self.anchor.shape), z
-
-    def _coefficients_from_q(self, z):
-        """Basis coefficients R^-1 z of the point anchor + mat(Q z)."""
-        return self.R_inv @ z
+    def _coefficients(self, v):
+        """Basis coefficients of the projection of flat, unchecked v."""
+        return v @ self.coef_map - self.coef_offset
 
 
 def project_affine(E, X):
     """Orthogonal projection onto E; returns (point, coefficients)."""
-    W, z = E._project(E._check_point(X))
-    return W, E._coefficients_from_q(z)
+    X = E._check_point(X)
+    v = X.ravel()
+    return E._project(v).reshape(X.shape), E._coefficients(v)
 
 
 def dist2_affine(E, X):
     """Squared Frobenius distance ||X - P_E(X)||^2 to E."""
-    X = E._check_point(X)
-    r = (X - E._project(X)[0]).ravel()
+    v = E._check_point(X).ravel()
+    r = v - E._project(v)
     return float(r @ r)
 
 

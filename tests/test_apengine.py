@@ -105,15 +105,46 @@ def test_run_ap_immediate_convergence():
 def test_run_ap_trace_contents():
     E, _ = build_plane(SPEC61)
     p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
-    trace = run_ap(E, p0, max_iter=500, tol=0.0, stride=100)
+    trace = run_ap(E, p0, max_iter=500, tol=0.0)
     assert len(trace) == 501
     assert trace.stop_reason == "max_iter"
-    assert set(trace.sample_ks) == {0, 100, 200, 300, 400, 500}
-    rows = list(trace.iterates())
-    k, coeffs, dist, rank = rows[0]
-    assert k == 0 and np.allclose(coeffs, p0) and rank == 1
-    assert dist == pytest.approx(frob_norm(E.point(p0) - E.anchor), rel=1e-12)
+    assert trace.sample_ks.tolist() == [0, 1, 10, 100, 500]
+    assert trace.sample_coeffs.shape == (5, 3)
+    assert np.array_equal(trace.sample_coeffs[0], p0)
+    assert trace.psd_ranks[0] == 1
+    assert trace.dists[0] == pytest.approx(frob_norm(E.point(p0) - E.anchor),
+                                           rel=1e-12)
     assert np.all(trace.psd_ranks >= 0) and np.all(trace.psd_ranks <= 3)
+
+
+@pytest.mark.parametrize("max_iter, ks", [
+    (1, [0, 1]), (9, [0, 1, 9]), (10, [0, 1, 10]), (11, [0, 1, 10, 11]),
+    (500, [0, 1, 10, 100, 500]), (1000, [0, 1, 10, 100, 1000])])
+def test_run_ap_samples_decade_checkpoints(max_iter, ks):
+    # each sample is bit-equal to the coefficients ap_step returns for the
+    # same iterate, k = 0 to the start itself
+    E, _ = build_plane(SPEC61)
+    p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
+    trace = run_ap(E, p0, max_iter=max_iter, tol=0.0)
+    assert trace.sample_ks.tolist() == ks
+    U, coeffs = E.point(p0), p0
+    for k in range(max_iter + 1):
+        if k in ks:
+            assert np.array_equal(trace.sample_coeffs[ks.index(k)], coeffs)
+        U, _, coeffs = ap_step(E, U)
+
+
+def test_run_ap_samples_the_last_iterate_on_an_early_stop():
+    neg = get_example("ex3.2", "neg")
+    trace = run_ap(neg.plane, neg.start, max_iter=10 ** 11, tol=1e-3,
+                   target=neg.target)
+    assert trace.stop_reason == "tol"
+    k = len(trace) - 1
+    assert trace.sample_ks[-1] == k
+    U = neg.plane.point(neg.start)
+    for _ in range(k):
+        U, _, coeffs = ap_step(neg.plane, U)
+    assert np.array_equal(trace.sample_coeffs[-1], coeffs)
 
 
 def test_run_ap_fejer_monotone_singleton_planes():
@@ -132,7 +163,7 @@ def test_run_ap_matches_iterated_ap_step():
     # Gram system G s = (<B_i, V - anchor>)_i
     E, _ = build_plane(SPEC61)
     p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
-    trace = run_ap(E, p0, max_iter=50, tol=0.0, stride=10)
+    trace = run_ap(E, p0, max_iter=50, tol=0.0)
     U = U_ref = E.point(p0)
     coeffs = s_ref = p0
     for k in range(51):
@@ -140,8 +171,9 @@ def test_run_ap_matches_iterated_ap_step():
         assert trace.dists[k] == pytest.approx(frob_norm(U_ref - E.anchor),
                                                rel=1e-12)
         assert np.allclose(coeffs, s_ref, rtol=1e-12, atol=0)
-        if k % 10 == 0:
-            assert np.array_equal(trace.sample_coeffs[k // 10], coeffs)
+        if k in (0, 1, 10, 50):
+            i = trace.sample_ks.tolist().index(k)
+            assert np.array_equal(trace.sample_coeffs[i], coeffs)
         V, rank_ref = project_psd(U_ref)
         b = np.array([frob_inner(B, V - E.anchor) for B in E.basis])
         s_ref = np.linalg.solve(E.gram, b)
@@ -227,10 +259,12 @@ def test_run_ap_non_finite_start_raises(bad):
         run_ap(E, np.array([0.1, bad, 0.0]), max_iter=10, tol=0.0)
 
 
-def test_run_ap_zero_stride_raises():
+def test_run_ap_overflowing_start_distance_raises():
     E, _ = build_plane(SPEC61)
-    with pytest.raises(ValueError, match="stride must be >= 1"):
-        run_ap(E, np.array([0.1, 0.0, 0.0]), max_iter=10, tol=0.0, stride=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared distance overflows"):
+            run_ap(E, np.array([1e160, 0.0, 0.0]), max_iter=10, tol=0.0)
 
 
 # --- eigenvalue formula ----------------------------------------------------------

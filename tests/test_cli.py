@@ -262,15 +262,54 @@ def test_run_degenerate_trace_still_succeeds(capsys, tmp_path):
     assert "fit unavailable" in out
 
 
+def _cli_env():
+    src = str(Path(apcone.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _run_cli_warnings_as_errors(*argv):
+    """``python -W error -m apcone.cli argv``: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "apcone.cli", *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_example_overflowing_start_distance_is_usage_error():
+    code, _, err = _run_cli_warnings_as_errors(
+        "example", "ex6.1", "--start", "slowest-curve:1.8e38", "--iters", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "squared distance overflows" in err
+    assert "Warning" not in err
+
+
+def test_example_fit_overflow_is_reported_as_unavailable():
+    code, out, err = _run_cli_warnings_as_errors(
+        "example", "ex6.1", "--start", "slowest-curve:3e-60", "--iters", "3")
+    assert code == 0 and err == ""
+    assert "iterations=3 stop=max_iter" in out
+    assert "# fit unavailable (dist^-6 or its square overflows" in out
+
+
+def test_example_huge_iteration_count_allocates_per_step():
+    # memory grows with the steps taken, so a max_iter far beyond memory
+    # still runs: this start reaches the tolerance at k = 5
+    code, out, err = _run_cli_warnings_as_errors(
+        "example", "ex3.2", "--variant", "neg", "--iters", "100000000000",
+        "--tol", "1e-3")
+    assert code == 0 and err == ""
+    assert "iterations=5 stop=tol" in out
+    assert len(parse_trace_csv(out)["dist"]) == 6
+
+
 def test_closed_stdout_pipe_exits_1_without_error_line():
     # like `apcone example ex6.1 --iters 3000 | head -1`: the 3000-row trace
     # overflows the pipe buffer, so writing goes on after the reader closed
-    src = str(Path(apcone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "apcone.cli", "example", "ex6.1", "--iters",
-         "3000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+         "3000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_cli_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     code = proc.wait(timeout=60)

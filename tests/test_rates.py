@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def test_fit_window_validation():
     trace = FakeTrace([1.0, 0.5, 0.0, 0.25])
     with pytest.raises(ValueError):
         fit_geometric(trace, (0, 3))
+    # dist^-6 overflows at 1e-60 and its square at 1e-30: no warning, and
+    # no nan fit
+    for tiny in (1e-60, 1e-30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows on the fit"):
+                fit_inverse_power(FakeTrace([1.0, tiny, tiny / 2]), 6, (0, 2))
 
 
 def test_fit_accepts_plain_arrays():

@@ -341,6 +341,24 @@ def test_dist2_affine_pythagoras(plane_ex32):
         assert dist2_affine(plane_ex32, X) == pytest.approx(0.09, rel=1e-12)
 
 
+def test_projector_matches_qr_route():
+    # reference: the projection and coefficients through the QR factors,
+    # anchor + mat(Q (Q^T vec X - Q^T vec anchor)) and R^-1 of the same
+    # Q-coordinates
+    rng = np.random.RandomState(31)
+    for spec in _random_planes(rng):
+        E, _ = build_plane(spec)
+        for _ in range(10):
+            X = random_sym(3, rng, 2.0)
+            z = X.ravel() @ E.Q - E.anchor.ravel() @ E.Q
+            ref = E.anchor + (E.Q @ z).reshape(3, 3)
+            Y, coeffs = project_affine(E, X)
+            assert np.abs(Y - ref).max() <= 1e-14 * np.abs(ref).max()
+            ref_c = E.R_inv @ z
+            assert (np.abs(coeffs - ref_c).max()
+                    <= 1e-14 * np.abs(ref_c).max())
+
+
 def test_dist2_affine_matches_projection_path():
     # reference: the part of X - anchor in the span of the plane's
     # constraint matrices A_i, which are normal to its direction space
@@ -438,13 +456,7 @@ def test_matrix_text_round_trip():
 
 
 def test_affine_subspace_arrays_are_frozen(plane_ex32):
-    with pytest.raises(ValueError):
-        plane_ex32.basis[0][0, 0] = 5.0
-    with pytest.raises(ValueError):
-        plane_ex32.anchor[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        plane_ex32.Q[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        plane_ex32.R_inv[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        plane_ex32.anchor_q[0] = 1.0
+    for name in ("anchor", "basis", "gram", "Q", "R_inv", "proj", "offset",
+                 "coef_map", "coef_offset"):
+        with pytest.raises(ValueError):
+            getattr(plane_ex32, name).flat[0] = 1.0

@@ -3,7 +3,7 @@ projections, parametric update formulas, singleton-intersection plane
 families, the rational slowest curve, and convergence-rate estimation."""
 
 from .apengine import (APTrace, ap_step, eigenvalue_formula_step,
-                       grad_half_dist2_psi, m_matrix, psi, psi_partial,
+                       grad_half_dist2_psi, m_matrix, psi,
                        rank_one_step_residual, run_ap)
 from .catalog import BUILTIN_IDS, get_example
 from .planes import (PlaneSpec, build_plane, plucker_coords,
@@ -17,9 +17,9 @@ from .slowcurve import (CurvePoint, PerturbGain, ap_image_formula,
                         psd_projection_formula, residual_order,
                         residual_order_certified, tube_check, valid_t_max,
                         w_rational)
-from .symcore import (AffineSubspace, EigDecomp, dist2_affine, eig_sym,
-                      frob_inner, frob_norm, orthogonalize, project_affine,
-                      project_psd, sym_matrix)
+from .symcore import (AffineSubspace, EigDecomp, eig_sym, frob_inner,
+                      frob_norm, orthogonalize, project_affine, project_psd,
+                      sym_matrix)
 
 __version__ = "0.1.0"
 
@@ -29,15 +29,14 @@ USING_NUMBA = False
 __all__ = [
     "APTrace", "AffineSubspace", "BUILTIN_IDS", "CurvePoint", "EigDecomp",
     "PerturbGain", "PlaneSpec", "RateFit", "TruncSeries", "USING_NUMBA",
-    "ap_image_formula", "ap_step", "build_plane", "curve_point",
-    "det_series", "dist2_affine", "eig_sym", "eigenvalue_formula_step",
-    "expand_curve", "fit_geometric", "fit_inverse_power", "frob_inner",
-    "frob_norm", "get_example", "grad_half_dist2_psi", "m_matrix",
-    "moment_curve_defect", "newton_slowest_point", "orthogonalize",
-    "perturb_gain", "plucker_coords", "plucker_relation_defect",
-    "project_affine", "project_psd", "psd_projection_formula", "psi",
-    "psi_partial", "rank_one_step_residual", "recursive_sequence",
-    "residual_order", "residual_order_certified", "run_ap",
-    "singularity_degree", "slow_rate_constant", "sym_matrix", "tube_check",
-    "valid_t_max", "w_rational", "w_recursion_defect",
+    "ap_image_formula", "ap_step", "build_plane", "curve_point", "det_series",
+    "eig_sym", "eigenvalue_formula_step", "expand_curve", "fit_geometric",
+    "fit_inverse_power", "frob_inner", "frob_norm", "get_example",
+    "grad_half_dist2_psi", "m_matrix", "moment_curve_defect",
+    "newton_slowest_point", "orthogonalize", "perturb_gain", "plucker_coords",
+    "plucker_relation_defect", "project_affine", "project_psd",
+    "psd_projection_formula", "psi", "rank_one_step_residual",
+    "recursive_sequence", "residual_order", "residual_order_certified",
+    "run_ap", "singularity_degree", "slow_rate_constant", "sym_matrix",
+    "tube_check", "valid_t_max", "w_rational", "w_recursion_defect",
 ]

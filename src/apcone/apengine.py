@@ -19,6 +19,8 @@ from .symcore import (EigenSolverError, _eigh, check_finite_sym, check_sym,
 
 _STAGNATION_REL = 1e-16
 _STAGNATION_RUN = 100
+_ORTHOGONAL_TOL = 1e-10   # |off-diagonal Gram entry| / largest diagonal one
+_U1_TOL = 1e-8            # least |u_1| the rank-1 chart inverts
 
 
 class RankOneError(ValueError):
@@ -40,7 +42,6 @@ class APTrace:
     psd_ranks: np.ndarray
     sample_ks: np.ndarray
     sample_coeffs: np.ndarray
-    converged: bool
     stop_reason: str
 
     def __len__(self):
@@ -81,15 +82,15 @@ def run_ap(E, p0, max_iter, tol, target=None):
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
-    ``max_iter < 1``, ``tol < 0`` and a start whose squared distance to
-    the target overflows raise ``ValueError``.  Each step is ``ap_step``'s
-    on the flat iterate, built here exactly symmetric, without its check.
-    Memory grows with the steps taken, not with ``max_iter``.  The sampled
-    coefficients (k = 0: ``p0``) are ``ap_step``'s expression.
+    ``max_iter < 1``, a negative or NaN ``tol`` and a start whose squared
+    distance to the target overflows raise ``ValueError``.  Each step is
+    ``ap_step``'s on the flat iterate, built here exactly symmetric, without
+    its check.  Memory grows with the steps taken, not with ``max_iter``.
+    The sampled coefficients (k = 0: ``p0``) are ``ap_step``'s expression.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol < 0:
+    if not tol >= 0:    # NaN included
         raise ValueError("tol must be >= 0")
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (E.dim,):
@@ -148,14 +149,14 @@ def run_ap(E, p0, max_iter, tol, target=None):
                    psd_ranks=own(np.frombuffer(ranks, np.int64)),
                    sample_ks=own(np.array(sample_ks, dtype=np.int64)),
                    sample_coeffs=own(np.array(sample_coeffs)),
-                   converged=(stop == "tol"), stop_reason=stop)
+                   stop_reason=stop)
 
 
 # --- eigenvalue formula ----------------------------------------------------
 
-def _require_orthogonal(E, tol=1e-10):
+def _require_orthogonal(E):
     G = E.gram
-    if np.abs(np.triu(G, 1)).max() > tol * G.diagonal().max():
+    if np.abs(np.triu(G, 1)).max() > _ORTHOGONAL_TOL * G.diagonal().max():
         raise ValueError(
             "operation needs a pairwise-orthogonal basis; call "
             "symcore.orthogonalize first")
@@ -196,20 +197,6 @@ def psi(x):
     return np.outer(x, x) / x[0]
 
 
-def psi_partial(x, k):
-    """Exact partial derivative of psi with respect to x_k (k = 0, 1, 2):
-    (e_k x^T + x e_k^T)/x1, less x x^T/x1^2 when k = 0."""
-    x = _check_chart_point(x)
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    D = np.zeros((3, 3))
-    D[k] = x / x[0]
-    D = D + D.T
-    if k == 0:
-        D -= np.outer(x, x) / x[0] ** 2
-    return D
-
-
 def _pair_with_psi_partials(A, x):
     """<d_k psi(x), A> = 2 (A x)_k/x1 - delta_k0 x^T A x/x1^2 for symmetric
     A of shape (..., 3, 3); k runs along the last axis."""
@@ -234,11 +221,11 @@ def grad_half_dist2_psi(E, x):
     return _pair_with_psi_partials(P - project_affine(E, P)[0], x)
 
 
-def extract_rank_one_param(V, u1_tol=1e-8):
+def extract_rank_one_param(V):
     """Recover x with psi(x) = V from a rank-1 PSD matrix V = lam u u^T."""
     dec = eig_sym(V)
     lam, u = dec.eigenvalues, dec.eigenvectors[:, 0]
-    if abs(u[0]) < u1_tol:
+    if abs(u[0]) < _U1_TOL:
         raise RankOneError("leading eigenvector has (near-)zero first component")
     return lam[0] * u[0] * u
 

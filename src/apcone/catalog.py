@@ -26,11 +26,6 @@ class ExampleInstance:
     fit_power: int | None
     spec: PlaneSpec | None      # set for the type2 instances
 
-    @property
-    def singleton(self):
-        """Whether the plane meets the PSD cone only at the target."""
-        return self.ident != "ex3.3"
-
 
 _LINE_32 = sym_matrix([[0, 0, -1], [0, 2, 0], [-1, 0, 0]])
 _LINE_33 = sym_matrix([[-1, 0, 0], [0, 1, 1], [0, 1, 1]])

@@ -117,29 +117,26 @@ def _summarize(trace, model, power):
         return f"fit unavailable ({exc})"
 
 
-def _parse_start(text, inst=None, spec=None, plane=None):
+def _parse_start(text, spec, plane):
     """Start forms: a float, a comma triple, or slowest-curve:t0."""
     if text.startswith("slowest-curve:"):
         t0 = float(text.split(":", 1)[1])
         if not np.isfinite(t0):
             raise ValueError("slowest-curve t0 must be finite")
-        the_spec = spec if spec is not None else (inst.spec if inst else None)
-        the_plane = plane if plane is not None else (inst.plane if inst else None)
-        if the_spec is None:
+        if spec is None:
             raise ValueError("slowest-curve starts need a type2 plane")
         try:
-            G = curve_point(the_spec, t0).G
+            G = curve_point(spec, t0).G
         except ArithmeticError:
             raise ValueError(f"slowest-curve t0={t0:g} is outside the "
                              "curve's domain") from None
-        return the_plane.coefficients(G)
+        return plane.coefficients(G)
     if "," in text:
         return np.array([float(tok) for tok in text.split(",")])
     value = float(text)
-    dim = (plane or inst.plane).dim
-    if dim != 1:
+    if plane.dim != 1:
         raise ValueError(
-            f"plane has {dim} coefficients; pass a comma triple or "
+            f"plane has {plane.dim} coefficients; pass a comma triple or "
             "slowest-curve:t0")
     return np.array([value])
 
@@ -153,7 +150,7 @@ def cmd_example(args):
     inst = get_example(args.ident, args.variant)
     iters = args.iters if args.iters is not None else inst.default_iters
     start = inst.start if args.start is None else _parse_start(
-        args.start, inst=inst)
+        args.start, inst.spec, inst.plane)
     _require_finite(start)
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
              iters)
@@ -166,6 +163,15 @@ def cmd_example(args):
     return 0
 
 
+def _config_value(config, key, ok, what, default=None):
+    """config[key], or ``default`` when the key is absent; a value that
+    ``ok`` rejects raises ``ValueError`` naming the key."""
+    value = config.get(key, default)
+    if not ok(value):
+        raise ValueError(f"config key {key!r} must be {what}")
+    return value
+
+
 def cmd_run(args):
     with open(args.config) as fh:
         config = json.load(fh)
@@ -175,7 +181,9 @@ def cmd_run(args):
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}; known: "
                          f"{', '.join(sorted(CONFIG_KEYS))}")
-    plane_field = config["plane"]
+    plane_field = _config_value(config, "plane",
+                                lambda v: isinstance(v, (str, dict)),
+                                "a built-in id or a plane object")
     if isinstance(plane_field, str):
         inst = get_example(plane_field, config.get("variant"))
         plane, spec = inst.plane, inst.spec
@@ -187,21 +195,29 @@ def cmd_run(args):
         target = plane.anchor
         degree = singularity_degree(spec)
         inst = None
-    start_field = config.get("start", 0.0)
-    if isinstance(start_field, (int, float)):
-        start = _parse_start(str(float(start_field)), inst=inst, spec=spec,
-                             plane=plane)
-    elif isinstance(start_field, list):
-        start = np.array([float(v) for v in start_field])
+    # JSON numbers decode to exactly int or float (true and false to bool)
+    if "start" in config:
+        start_field = _config_value(
+            config, "start", lambda v: type(v) in (int, float, str) or
+            type(v) is list and all(type(x) in (int, float) for x in v),
+            "a number, a list of numbers or a string")
+        start = (np.array(start_field, dtype=float)
+                 if type(start_field) is list
+                 else _parse_start(str(start_field), spec, plane))
+    elif inst is not None:
+        start = inst.start
     else:
-        start = _parse_start(start_field, inst=inst, spec=spec, plane=plane)
+        raise ValueError("config key 'start' is required with a plane object")
     _require_finite(start)
 
-    max_iter = int(config.get("max_iter", 1000))
-    tol = float(config.get("tol", 0.0))
+    max_iter = _config_value(config, "max_iter", lambda v: type(v) is int,
+                             "an integer", 1000)
+    tol = _config_value(config, "tol", lambda v: type(v) in (int, float),
+                        "a number", 0.0)
+    out = _config_value(config, "out",
+                        lambda v: v is None or isinstance(v, str), "a string")
     trace = run_ap(plane, start, max_iter=max_iter, tol=tol, target=target)
-    out = args.out if args.out else config.get("out")
-    _emit(trace_csv(trace), out)
+    _emit(trace_csv(trace), args.out or out)
     if degree is not None:
         _out(f"# singularity degree: {degree}\n")
     if degree == 2:

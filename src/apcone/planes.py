@@ -6,9 +6,10 @@ exactly when c4 != 0.  The module also computes Pluecker coordinates of a
 3-plane inside the 6-dimensional space S^3.
 """
 
-import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -17,6 +18,10 @@ from .symcore import (AffineSubspace, DependentBasisError,
 
 U_STAR = sym_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 U_STAR.setflags(write=False)
+
+
+def _finite(v):
+    return not isinstance(v, bool) and isinstance(v, Real) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,14 @@ class PlaneSpec:
     mu: float | None = None   # type1 only, > 0
 
     def __post_init__(self):
+        if not (isinstance(self.c, (list, tuple, np.ndarray))
+                and all(map(_finite, self.c))):
+            raise ValueError("plane field 'c' must list finite numbers")
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        if not _finite(self.theta):
+            raise ValueError("plane field 'theta' must be finite")
+        if self.mu is not None and not _finite(self.mu):
+            raise ValueError("plane field 'mu' must be finite")
         if self.kind == "type1":
             if len(self.c) != 8:
                 raise ValueError("type1 takes parameters c1..c8")
@@ -50,18 +62,11 @@ class PlaneSpec:
         """Same parameters with the rotation block stripped."""
         return PlaneSpec(self.kind, self.c, 0.0, False, self.mu)
 
-    def to_json(self):
-        data = {"kind": self.kind, "c": list(self.c), "theta": self.theta,
-                "reflect": self.reflect}
-        if self.kind == "type1":
-            data["mu"] = self.mu
-        return json.dumps(data)
-
     @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else dict(text)
-        return cls(kind=data["kind"], c=tuple(data["c"]),
-                   theta=float(data.get("theta", 0.0)),
+    def from_json(cls, data):
+        """Spec from a decoded plane JSON object (a dict)."""
+        return cls(kind=data["kind"], c=data["c"],
+                   theta=data.get("theta", 0.0),
                    reflect=bool(data.get("reflect", False)),
                    mu=data.get("mu"))
 

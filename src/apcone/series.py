@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planes import PlaneSpec
 from .slowcurve import _canonical_matrix, _curve_parts, _w_parts
 
 DEFAULT_CAP = 12
+_MOMENT_CAP = 8    # the moment pattern is compared through degree 7
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -122,13 +124,6 @@ class TruncSeries:
             out = out * inner + self.coeffs[d]
         return out
 
-    # -- queries -------------------------------------------------------------
-    def eval(self, t):
-        acc = 0.0
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc
-
     def __getitem__(self, d):
         return float(self.coeffs[d])
 
@@ -146,18 +141,18 @@ def expand_curve(spec, cap=DEFAULT_CAP):
     return w, g13, g23
 
 
-def curve_matrix_series(spec, cap=DEFAULT_CAP):
+def curve_matrix_series(spec, cap):
     """Rows of TruncSeries giving the entries of G(t), assembled by
     ``slowcurve._canonical_matrix`` on the series t."""
     _, g13, g23 = expand_curve(spec, cap)
     return _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)
 
 
-def w_recursion_defect(spec, cap=DEFAULT_CAP):
+def w_recursion_defect(spec):
     """Max |coefficient| gap, degree 0..5, of w minus its own recursion
     G_11 = 1 - 2 c1 t + 2 c2 g13 - 2 c3 g23 (they agree below degree 6)."""
-    w, g13, g23 = expand_curve(spec, cap)
-    g11 = _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)[0][0]
+    w, g13, g23 = expand_curve(spec)
+    g11 = _canonical_matrix(spec.c, TruncSeries.x(w.cap), g13, g23)[0][0]
     return float(np.max(np.abs(w.coeffs[:6] - g11.coeffs[:6])))
 
 
@@ -171,7 +166,7 @@ def det_series(spec, cap=DEFAULT_CAP):
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
 
 
-def moment_curve_defect(cap=8):
+def moment_curve_defect():
     """Deviation of the c1 = c4 = 1 curve from the perturbed moment pattern.
 
     Expands G(t)/(1 - 2t) entrywise, substitutes t = s/(1 + 2s), and compares
@@ -180,28 +175,26 @@ def moment_curve_defect(cap=8):
     (3,2)=-s^3/2 + 3 s^7/16, (3,3)=0, all through degree 7.  Returns the max
     absolute coefficient gap.
     """
-    from .planes import PlaneSpec
-
     spec = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
-    g = curve_matrix_series(spec, cap)
-    t = TruncSeries.x(cap)
+    g = curve_matrix_series(spec, _MOMENT_CAP)
+    t = TruncSeries.x(_MOMENT_CAP)
     scale = 1 - 2 * t
     s_of_t = t / (1 + 2 * t)  # inverse of s = t/(1-2t)
 
     def sub(entry):
         return (entry / scale).compose(s_of_t)
 
-    s = TruncSeries.x(cap)
+    s = TruncSeries.x(_MOMENT_CAP)
     s2, s3 = s * s, s * s * s
     s6 = s3 * s3
     s7 = s6 * s
     target = {
-        (0, 0): TruncSeries.constant(1.0, cap),
+        (0, 0): TruncSeries.constant(1.0, _MOMENT_CAP),
         (1, 0): s,
         (2, 0): -s2 / 2 + s6 / 16,
         (1, 1): s2 - s6 / 8,
         (2, 1): -s3 / 2 + 3 * s7 / 16,
-        (2, 2): TruncSeries.constant(0.0, cap),
+        (2, 2): TruncSeries.constant(0.0, _MOMENT_CAP),
     }
     worst = 0.0
     for (i, j), want in target.items():

@@ -20,7 +20,12 @@ from .symcore import _eigh, frob_inner, frob_norm, orthogonalize
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
+DOMAIN_GRID = 200
 DENOM_FLOOR = 0.1
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+NEWTON_JAC_STEP = 1e-7
+TUBE_K_SLACK = 1.5
 
 
 class VanishingDenominatorError(ZeroDivisionError):
@@ -200,18 +205,18 @@ def _domain_ok(c, t):
     return ok & (det > 0.0)
 
 
-def valid_t_max(spec, t_cap=T_CAP, grid=200):
-    """Largest t <= t_cap below which the curve denominators stay above 0.1
-    and det G(t) stays positive.
+def valid_t_max(spec):
+    """Largest t <= T_CAP below which the curve denominators stay above
+    DENOM_FLOOR and det G(t) stays positive.
 
-    The ``grid`` points t_cap/grid, ..., t_cap are tested in one array call
-    of the domain predicate (one stacked determinant); if one fails, 50
+    DOMAIN_GRID equally spaced points up to T_CAP are tested in one array
+    call of the domain predicate (one stacked determinant); if one fails, 50
     bisection steps between it and the last passing grid point (0 if none)
     refine the answer, each testing one point with the same predicate.
     """
     _require_type2_curve(spec)
     c = spec.c
-    ts = np.linspace(t_cap / grid, t_cap, grid)
+    ts = np.linspace(T_CAP / DOMAIN_GRID, T_CAP, DOMAIN_GRID)
     ok = _domain_ok(c, ts)
     if ok.all():
         return float(ts[-1])
@@ -252,7 +257,7 @@ def residual_order(f, g, t0, halvings):
                           for j in range(halvings)]))
 
 
-def residual_order_certified(f, g, t0, halvings=3, t_cap=None):
+def residual_order_certified(f, g, t0, halvings, t_cap):
     """residual_order with its documented remediations applied.
 
     Probe points whose differences drown in rounding make the plain
@@ -261,8 +266,6 @@ def residual_order_certified(f, g, t0, halvings=3, t_cap=None):
     ``t_cap``) and only then the halving count reduced (never below 2).
     Returns ``(order, t0_used, halvings_used)``.
     """
-    if t_cap is None:
-        t_cap = t0
     t0 = min(t0, t_cap)
 
     def diff(t):
@@ -290,11 +293,10 @@ def residual_order_certified(f, g, t0, halvings=3, t_cap=None):
 
 # --- Newton continuation ------------------------------------------------------
 
-def newton_slowest_point(E, t, guess=None, tol=1e-12, max_iter=50,
-                         jac_step=1e-7):
+def newton_slowest_point(E, t):
     """Solve components 2 and 3 of F(x) = M(x)^{-1} grad 1/2 d^2(psi(x), E)
     for (x1, x3) with x2 = t held fixed, by damped Newton with a
-    finite-difference Jacobian.
+    finite-difference Jacobian, from x = (1, t, -t^2 / (B_2)_22).
 
     Returns ``(x, p)`` where p are the curve coefficients
     <B_i, psi(x) - U*>/||B_i||^2 + F(x) in the (orthogonal) basis of E.
@@ -309,22 +311,19 @@ def newton_slowest_point(E, t, guess=None, tol=1e-12, max_iter=50,
             raise NewtonConvergenceError("singular coupling matrix") from exc
         return F[1:]
 
-    if guess is None:
-        c4_proxy = 0.5 * E.basis[1][1, 1]
-        x3 = -t * t / (2.0 * c4_proxy) if c4_proxy != 0.0 else 0.0
-        guess = np.array([1.0, t, x3])
-    x = np.array(guess, dtype=float)
-    x[1] = t
+    c4_proxy = 0.5 * E.basis[1][1, 1]
+    x3 = -t * t / (2.0 * c4_proxy) if c4_proxy != 0.0 else 0.0
+    x = np.array([1.0, t, x3], dtype=float)
 
     res = f23(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(res) < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if np.linalg.norm(res) < NEWTON_TOL:
             break
         J = np.empty((2, 2))
         for col, idx in enumerate((0, 2)):
-            xp = x.copy(); xp[idx] += jac_step
-            xm = x.copy(); xm[idx] -= jac_step
-            J[:, col] = (f23(xp) - f23(xm)) / (2.0 * jac_step)
+            xp = x.copy(); xp[idx] += NEWTON_JAC_STEP
+            xm = x.copy(); xm[idx] -= NEWTON_JAC_STEP
+            J[:, col] = (f23(xp) - f23(xm)) / (2.0 * NEWTON_JAC_STEP)
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError as exc:
@@ -339,9 +338,9 @@ def newton_slowest_point(E, t, guess=None, tol=1e-12, max_iter=50,
                 x, res = xn, rn
                 break
             lam *= 0.5
-    if not np.linalg.norm(res) < tol:
+    if not np.linalg.norm(res) < NEWTON_TOL:
         raise NewtonConvergenceError(
-            f"Newton did not reach {tol:g} in {max_iter} iterations")
+            f"Newton did not reach {NEWTON_TOL:g} in {NEWTON_MAX_ITER} steps")
 
     M = m_matrix(E, x)
     F = np.linalg.solve(M, grad_half_dist2_psi(E, x))
@@ -393,14 +392,14 @@ def _p1_of_t(spec, gram_row1, n1sq, t):
     return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq, g13, g23
 
 
-def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
+def tube_check(spec, t0, beta, gamma, steps, eps):
     """Empirical invariance of a tube around the slowest curve.
 
     Starting from G(t0) + beta t0^7 C2 + gamma t0^7 C3, iterate the AP map;
     at each step recover t from the C1 coefficient, demand the transverse
     part stays below ``eps`` in the beta/gamma norm, and demand t decreases
     inside the bracket t - c t^7 -/+ K t^8 with K fitted on the first half
-    of the run.
+    of the run and allowed TUBE_K_SLACK times over on the second.
 
     Each step is one ``ap_step`` call, which checks the iterate and
     returns it with its basis coefficients (the same R^-1 z expression as
@@ -462,5 +461,5 @@ def tube_check(spec, t0, beta, gamma, steps, eps, k_slack=1.5):
         t = tn
     half = max(1, len(ratios) // 2)
     k_fit = max(ratios[:half])
-    bracket_ok = all(r <= k_slack * k_fit + 1e-9 for r in ratios[half:])
+    bracket_ok = all(r <= TUBE_K_SLACK * k_fit + 1e-9 for r in ratios[half:])
     return transverse_ok and bracket_ok

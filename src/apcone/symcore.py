@@ -10,8 +10,8 @@ symmetric, Frobenius-orthonormal), R^-1 and two affine maps of a flat
 coefficient map, whose basis coefficients of P_E(V) are ``v Q R^-T - R^-1
 Q^T vec(anchor)``.  The private ``AffineSubspace._project`` and
 ``_coefficients`` apply them, one matrix-vector product each, for
-``coefficients``, ``project_affine``, ``dist2_affine`` and both AP entry
-points in ``apengine``; ``orthogonalize`` reads its Gram-Schmidt basis off
+``coefficients``, ``project_affine`` and both AP entry points in
+``apengine``; ``orthogonalize`` reads its Gram-Schmidt basis off
 Q and R.
 
 Every eigendecomposition in the package goes through the private
@@ -88,9 +88,6 @@ class EigDecomp:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def _eigh(a):
@@ -272,13 +269,6 @@ def project_affine(E, X):
     return E._project(v).reshape(X.shape), E._coefficients(v)
 
 
-def dist2_affine(E, X):
-    """Squared Frobenius distance ||X - P_E(X)||^2 to E."""
-    v = E._check_point(X).ravel()
-    r = v - E._project(v)
-    return float(r @ r)
-
-
 def orthogonalize(E):
     """Gram-Schmidt the basis in order (first element kept verbatim).
 
@@ -288,35 +278,3 @@ def orthogonalize(E):
     C = (E.Q / np.diag(E.R_inv)).T.reshape(E.dim, E.n, E.n)
     C[0] = E.basis[0]
     return AffineSubspace.from_basis(E.anchor, C)
-
-
-def read_sym_matrices(text):
-    """Parse the test matrix format: '#' comments, blank-line-separated
-    blocks of whitespace-separated row-major entries, one matrix per block."""
-    blocks, current = [], []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        current.extend(float(tok) for tok in line.split())
-    if current:
-        blocks.append(current)
-    out = []
-    for vals in blocks:
-        n = int(round(len(vals) ** 0.5))
-        if n * n != len(vals):
-            raise ValueError(f"block of {len(vals)} entries is not square")
-        out.append(sym_matrix(np.array(vals).reshape(n, n)))
-    return out
-
-
-def write_sym_matrices(mats):
-    lines = []
-    for M in mats:
-        for row in np.asarray(M):
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append("")
-    return "\n".join(lines)

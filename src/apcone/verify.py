@@ -15,7 +15,7 @@ from .catalog import get_example
 from .planes import PlaneSpec, build_plane, plucker_coords, \
     plucker_relation_defect
 from .rates import recursive_sequence
-from .series import det_series, w_recursion_defect
+from .series import det_series, moment_curve_defect, w_recursion_defect
 from .slowcurve import (ap_image_formula, curve_point, perturb_gain,
                         psd_projection_formula, residual_order_certified,
                         tube_check, valid_t_max)
@@ -155,13 +155,19 @@ def suite_lemma64(seed=0):
 
 
 def suite_lemma67(seed=0):
-    """det G(t) = t^10/(32 c4^6) + O(t^11), via series."""
+    """det G(t) = t^10/(32 c4^6) + O(t^11), via series; and the ex6.1 curve
+    G(t)/(1 - 2t), at t = s/(1 + 2s), is the perturbed moment curve of
+    (1, s, -s^2/2) through degree 7."""
     rng = np.random.RandomState(seed)
     results = []
     d = det_series(PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0)))
     results.append(CheckResult(
         "det-series coefficient 10, ex6.1", abs(d[10] - 0.03125) <= 1e-12,
         f"coeff10 {d[10]!r} expect 0.03125"))
+    defect = moment_curve_defect()
+    results.append(CheckResult(
+        "perturbed moment-curve pattern, ex6.1", defect <= 1e-10,
+        f"max coefficient gap {defect:.3e} (tol 1e-10)"))
     for i in range(10):
         spec = random_type2_spec(rng)
         c4 = spec.c[3]

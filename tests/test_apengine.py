@@ -5,14 +5,13 @@ import pytest
 
 from apcone.apengine import (RankOneError, ap_step, eigenvalue_formula_step,
                              extract_rank_one_param, grad_half_dist2_psi,
-                             m_matrix, psi, psi_partial,
-                             rank_one_step_residual, run_ap)
+                             m_matrix, psi, rank_one_step_residual, run_ap)
 from apcone.catalog import get_example
 from apcone.planes import PlaneSpec, build_plane
 from apcone.slowcurve import curve_point
-from apcone.symcore import (AffineSubspace, EigenSolverError, dist2_affine,
-                            frob_inner, frob_norm, orthogonalize,
-                            project_affine, project_psd, sym_matrix)
+from apcone.symcore import (AffineSubspace, EigenSolverError, frob_inner,
+                            frob_norm, orthogonalize, project_affine,
+                            project_psd, sym_matrix)
 from apcone.verify import formula_vs_direct_gap, random_type2_spec
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
@@ -98,7 +97,7 @@ def test_run_ap_immediate_convergence():
     E, _ = build_plane(SPEC61)
     trace = run_ap(E, np.zeros(3), max_iter=50, tol=1e-12)
     assert len(trace) == 1
-    assert trace.converged and trace.stop_reason == "tol"
+    assert trace.stop_reason == "tol"
     assert trace.psd_ranks[0] == 1
 
 
@@ -250,6 +249,13 @@ def test_run_ap_argument_validation():
         run_ap(E, np.zeros(2), max_iter=10, tol=0.0)
 
 
+def test_run_ap_nan_tol_raises():
+    # NaN < 0 is false, so a NaN tol would otherwise run to max_iter
+    E, _ = build_plane(SPEC61)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        run_ap(E, np.zeros(3), max_iter=10, tol=np.nan)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_ap_non_finite_start_raises(bad):
     # LAPACK may return NaN eigenvalues without an error; the clip would then
@@ -326,6 +332,19 @@ def test_formula_step_rejects_bad_p():
 
 # --- rank-1 chart ------------------------------------------------------------------
 
+def psi_partial(x, k):
+    """Closed-form partial derivative of psi with respect to x_k (k = 0, 1,
+    2): (e_k x^T + x e_k^T)/x1, less x x^T/x1^2 when k = 0; the reference
+    that m_matrix's array expression is checked against."""
+    x = np.asarray(x, dtype=float)
+    D = np.zeros((3, 3))
+    D[k] = x / x[0]
+    D = D + D.T
+    if k == 0:
+        D -= np.outer(x, x) / x[0] ** 2
+    return D
+
+
 def test_psi_basics():
     assert np.array_equal(psi([1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 0.0]))
     assert np.array_equal(psi([2.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0]))
@@ -333,14 +352,10 @@ def test_psi_basics():
                           np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         psi([0.0, 1.0, 0.0])
-    x = [1.0, 0.2, -0.3]
-    for k in (-1, 3):
-        with pytest.raises(ValueError, match="k must be"):
-            psi_partial(x, k)
     with pytest.raises(ValueError, match="x must be a 3-vector"):
-        psi_partial([1.0, 0.2], 1)
+        psi([1.0, 0.2])
     with pytest.raises(ValueError, match="x1 != 0"):
-        psi_partial([0.0, 0.2, -0.3], 1)
+        psi([0.0, 0.2, -0.3])
 
 
 def test_psi_scaling_invariance_and_rank():
@@ -395,6 +410,11 @@ def test_grad_matches_finite_differences():
     rng = np.random.RandomState(21)
     h = 1e-6
     worst = 0.0
+
+    def half_dist2(E, X):   # 1/2 ||X - P_E(X)||^2
+        R = X - project_affine(E, X)[0]
+        return 0.5 * frob_inner(R, R)
+
     for _ in range(50):
         spec = random_type2_spec(rng)
         E = orthogonalize(build_plane(spec)[0])
@@ -404,8 +424,7 @@ def test_grad_matches_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[k] += h
             xm[k] -= h
-            fd = (0.5 * dist2_affine(E, psi(xp))
-                  - 0.5 * dist2_affine(E, psi(xm))) / (2 * h)
+            fd = (half_dist2(E, psi(xp)) - half_dist2(E, psi(xm))) / (2 * h)
             worst = max(worst, abs(fd - g[k]))
     assert worst < 1e-8
 

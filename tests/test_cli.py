@@ -147,7 +147,7 @@ def test_verify_suite_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma67", "--seed", "7")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(ln.startswith("[pass]") for ln in lines)
 
 
@@ -230,6 +230,60 @@ def test_run_unknown_config_key_usage_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(cfg_path))
         assert code == 2
         assert f"'{key}'" in err and out == ""
+
+
+def test_example_nan_tol_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "example", "ex3.2", "--variant", "neg",
+                             "--tol", "nan", "--iters", "50")
+    assert code == 2
+    assert "tol must be >= 0" in err and out == ""
+
+
+_SPEC61_PLANE = {"kind": "type2", "c": [1.0, 0.0, 0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"plane": 5}, "plane"),
+    ({"plane": [1, 2]}, "plane"),
+    ({"plane": "ex3.4", "max_iter": None}, "max_iter"),
+    ({"plane": "ex3.4", "max_iter": 2.7}, "max_iter"),
+    ({"plane": "ex3.4", "max_iter": True}, "max_iter"),
+    ({"plane": "ex3.4", "tol": None}, "tol"),
+    ({"plane": "ex3.4", "tol": "nan"}, "tol"),
+    ({"plane": "ex3.4", "start": {"a": 1}}, "start"),
+    ({"plane": "ex3.4", "start": [0.1, None]}, "start"),
+    ({"plane": "ex3.4", "out": 5}, "out"),
+    ({"plane": {**_SPEC61_PLANE, "theta": float("nan")}, "start": "0,0,0"},
+     "theta"),
+    ({"plane": {**_SPEC61_PLANE, "c": 5}, "start": "0,0,0"}, "c"),
+])
+def test_run_config_wrong_type_is_usage_error(capsys, tmp_path, body, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert f"'{key}' must" in err and out == ""
+
+
+def test_run_builtin_without_start_uses_its_default(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": "ex3.2", "variant": "neg",
+                                    "max_iter": 30}))
+    code, out, _ = run_cli(capsys, "run", str(cfg_path))
+    assert code == 0
+    cols = parse_trace_csv(out)
+    inst = get_example("ex3.2", "neg")
+    assert cols["dist"][0] == run_ap(inst.plane, inst.start, 1, 0.0).dists[0]
+    assert cols["dist"][0] > 0.0
+    assert "geometric fit" in out and "ratio=0.333" in out
+
+
+def test_run_spec_plane_without_start_is_usage_error(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": _SPEC61_PLANE}))
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert "config key 'start' is required" in err and out == ""
 
 
 def test_run_builtin_with_variant(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -111,15 +112,25 @@ def test_spec_validation():
         PlaneSpec("type3", (1, 2, 3, 4, 5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c", 5), ("c", "10010"), ("c", [1, 0, "x", 1, 0]),
+    ("c", [1, 0, np.nan, 1, 0]), ("c", [1, 0, True, 1, 0]),
+    ("theta", np.nan), ("theta", -np.inf), ("theta", "0"),
+    ("mu", "x"), ("mu", np.inf)])
+def test_spec_rejects_bad_fields(field, value):
+    fields = ({"kind": "type1", "c": (1, 0, 0, 0, 1, 0, 0, 2), "mu": 0.5}
+              if field == "mu" else {"kind": "type2", "c": (1, 0, 0, 1, 0)})
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"plane field '{field}' must"):
+        PlaneSpec(**fields)
+
+
 def test_spec_json_round_trip():
     for spec in (PlaneSpec("type2", (1, 0, 0, 1, 0), theta=0.2),
                  PlaneSpec("type1", (1, 0, 0, 0, 1, 0, 0, 2), mu=0.5,
                            reflect=True)):
-        back = PlaneSpec.from_json(spec.to_json())
+        back = PlaneSpec.from_json(json.loads(json.dumps(asdict(spec))))
         assert back == spec
-    doc = json.loads(PlaneSpec("type2", (1, 0, 0, 1, 0)).to_json())
-    assert doc == {"kind": "type2", "c": [1.0, 0.0, 0.0, 1.0, 0.0],
-                   "theta": 0.0, "reflect": False}
 
 
 # --- Pluecker ----------------------------------------------------------------
@@ -205,27 +216,11 @@ def test_rate_classification_matches_singularity_degree():
 
 
 def test_constraints_match_golden_text_block():
-    # constraint triple of the c = (0,0,1,1,0) instance, row-major blocks
-    from apcone.symcore import read_sym_matrices
-
-    golden = """
-    # A1
-    1 0 0
-    0 0 1
-    0 1 0
-
-    # A2
-    0 0 1
-    0 1 0
-    1 0 0
-
-    # A3
-    0 0 0
-    0 0 0
-    0 0 1
-    """
-    want = read_sym_matrices(golden)
+    # constraint triple (A1, A2, A3) of the c = (0,0,1,1,0) instance
+    want = [[[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
     _, got = build_plane(PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0)))
-    assert len(want) == 3
+    assert len(got) == 3
     for W, G in zip(want, got):
-        assert np.array_equal(W, G)
+        assert np.array_equal(np.array(W, dtype=float), G)

@@ -8,7 +8,7 @@ from .apengine import (APTrace, ap_step, eigenvalue_formula_step,
 from .catalog import BUILTIN_IDS, get_example
 from .planes import (PlaneSpec, build_plane, plucker_coords,
                      plucker_relation_defect, singularity_degree)
-from .rates import (RateFit, fit_geometric, fit_inverse_power,
+from .rates import (RateFit, RecursionRun, fit_geometric, fit_inverse_power,
                     recursive_sequence, slow_rate_constant)
 from .series import (TruncSeries, det_series, expand_curve,
                      moment_curve_defect, w_recursion_defect)
@@ -28,7 +28,8 @@ USING_NUMBA = False
 
 __all__ = [
     "APTrace", "AffineSubspace", "BUILTIN_IDS", "CurvePoint", "EigDecomp",
-    "PerturbGain", "PlaneSpec", "RateFit", "TruncSeries", "USING_NUMBA",
+    "PerturbGain", "PlaneSpec", "RateFit", "RecursionRun", "TruncSeries",
+    "USING_NUMBA",
     "ap_image_formula", "ap_step", "build_plane", "curve_point", "det_series",
     "eig_sym", "eigenvalue_formula_step", "expand_curve", "fit_geometric",
     "fit_inverse_power", "frob_inner", "frob_norm", "get_example",

@@ -102,7 +102,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
         raise EigenSolverError("starting point has non-finite entries")
     with np.errstate(over="ignore"):
         d = u - target
-        dist = math.sqrt(d @ d)
+        dist = math.sqrt(d.dot(d))
     if dist == math.inf:
         raise ValueError("the start is too far from the target: its squared "
                          "distance overflows")
@@ -131,7 +131,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
             sample_coeffs.append(E._coefficients(p))
             checkpoint *= 10
         d = u - target
-        prev, dist = dist, math.sqrt(d @ d)
+        prev, dist = dist, math.sqrt(d.dot(d))
         dists.append(dist)
         if prev - dist < _STAGNATION_REL * max(prev, 1e-300):
             stagnant += 1

@@ -61,7 +61,7 @@ def _ex33(variant):
     raise ValueError("ex3.3 variants: pos, neg")
 
 
-def _ex34(variant):
+def _ex34():
     anchor = np.zeros((4, 4))
     anchor[0, 0] = 1.0
     B1 = np.zeros((4, 4))
@@ -84,16 +84,19 @@ def _type2_instance(ident, spec, start_t, iters, power):
 
 
 def get_example(ident, variant=None):
-    """Look up a built-in instance; raises KeyError for unknown ids."""
+    """Look up a built-in instance; raises KeyError for unknown ids and
+    ValueError for a variant the id does not have."""
     if ident == "ex3.2":
         return _ex32(variant)
     if ident == "ex3.3":
         return _ex33(variant)
+    if ident not in BUILTIN_IDS:
+        raise KeyError(f"unknown example id {ident!r}; "
+                       f"known: {', '.join(BUILTIN_IDS)}")
+    if variant not in (None, "default"):
+        raise ValueError(f"{ident} has one variant: default")
     if ident == "ex3.4":
-        return _ex34(variant)
+        return _ex34()
     if ident == "ex4.4":
         return _type2_instance("ex4.4", _SPEC_44, 0.05, 10000, 6)
-    if ident == "ex6.1":
-        return _type2_instance("ex6.1", _SPEC_61, 0.1, 100000, 6)
-    raise KeyError(f"unknown example id {ident!r}; "
-                   f"known: {', '.join(BUILTIN_IDS)}")
+    return _type2_instance("ex6.1", _SPEC_61, 0.1, 100000, 6)

@@ -190,6 +190,9 @@ def cmd_run(args):
         target = inst.target
         degree = singularity_degree(spec) if spec else None
     else:
+        if "variant" in config:
+            raise ValueError("config key 'variant' applies to a built-in "
+                             "plane id only")
         spec = PlaneSpec.from_json(plane_field)
         plane, _ = build_plane(spec)
         target = plane.anchor

@@ -41,6 +41,8 @@ class PlaneSpec:
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         if not _finite(self.theta):
             raise ValueError("plane field 'theta' must be finite")
+        if not isinstance(self.reflect, bool):
+            raise ValueError("plane field 'reflect' must be true or false")
         if self.mu is not None and not _finite(self.mu):
             raise ValueError("plane field 'mu' must be finite")
         if self.kind == "type1":
@@ -67,7 +69,7 @@ class PlaneSpec:
         """Spec from a decoded plane JSON object (a dict)."""
         return cls(kind=data["kind"], c=data["c"],
                    theta=data.get("theta", 0.0),
-                   reflect=bool(data.get("reflect", False)),
+                   reflect=data.get("reflect", False),
                    mu=data.get("mu"))
 
 

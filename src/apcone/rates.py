@@ -3,11 +3,12 @@ fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1)),
 and the closed-form constant of the k^(-1/6) limit law.
 
 The recursion is a plain Python loop: each step depends on the previous x,
-so it cannot be vectorised; the loop body is one step's arithmetic and one
-store into an ``array("d")``, which becomes the result without a copy."""
+so it cannot be vectorised.  x is kept only at the decade checkpoints, so
+memory does not grow with the step count; for K = 0 the loop body between
+checkpoints is one step's arithmetic and nothing else."""
 
-from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -90,44 +91,87 @@ def fit_geometric(trace, window):
                    rmse=rmse)
 
 
+@dataclass(frozen=True)
+class RecursionRun:
+    """The slow-rate recursion at its decade checkpoints.
+
+    ``xs[i]`` is x at step ``ks[i]``, with ``ks`` = 0, 1, 10, 100, ... and
+    the last step n (``run_ap``'s sampling rule); both arrays are read-only.
+    ``product`` is (q C)^(1/q) n^(1/q) x_n and ``decreasing`` says whether
+    every one of the n steps decreased x strictly.
+    """
+
+    ks: np.ndarray
+    xs: np.ndarray
+    product: float
+    decreasing: bool
+
+
 def recursive_sequence(C, K, q, x0, n, noise="plus"):
-    """Iterate x <- x (1 - C x^q +/- K x^(q+1)) for n steps.
+    """Iterate x <- x (1 - C x^q +/- K x^(q+1)) for n >= 1 steps.
 
     ``noise`` picks the sign of the K term: "plus", "minus", or
     "alternating" (starting with +).
 
-    Requires the decrease hypothesis (q+1) C - (q+2) K x0 > 0 and x0 > 0.
-    Returns ``(sequence, limit_product)`` with
-    limit_product = (q C)^(1/q) n^(1/q) x_n, which tends to 1.
+    Requires x0 > 0, q > 0, the decrease hypothesis (q+1) C - (q+2) K x0 > 0 and a
+    positive first factor, C x0^q + K x0^(q+1) < 1.  Returns a
+    ``RecursionRun``: x at the decade checkpoints and the limit product
+    (q C)^(1/q) n^(1/q) x_n, which tends to 1.
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
+    if not q > 0:
+        raise ValueError("q must be positive")
     if C <= 0 or K < 0:
         raise ValueError("C must be positive and K nonnegative")
     if not (q + 1) * C - (q + 2) * K * x0 > 0:
         raise ValueError("hypothesis (q+1) C - (q+2) K x0 > 0 violated")
     if noise not in _NOISE_MODES:
         raise ValueError(f"noise must be one of {sorted(_NOISE_MODES)}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     C, K, q, x0, n = float(C), float(K), float(q), float(x0), int(n)
-    xs = array("d", [x0]) * (n + 1)    # exactly n + 1 entries, no copy
-    x = x0
+    if not C * x0 ** q + K * x0 ** (q + 1) < 1.0:
+        raise ValueError("the first factor 1 - C x0^q - K x0^(q+1) must be "
+                         "positive")
+    ks, checkpoint = [0], 1
+    while checkpoint < n:
+        ks.append(checkpoint)
+        checkpoint *= 10
+    ks.append(n)
+    xs = [x0]
+    x, k = x0, 0
     if K == 0.0:
-        # the K term is +0.0 or -0.0, which leaves 1 - C x^q unchanged
-        for k in range(1, n + 1):
-            x = x * (1.0 - C * x ** q)
-            xs[k] = x
+        # the K term is +0.0 or -0.0, which leaves 1 - C x^q unchanged.
+        # Each factor lies in (0, 1], so x never increases, and a step that
+        # leaves x unchanged leaves it fixed for good: the last step
+        # decreases x iff every step does.
+        for b in ks[1:]:
+            for _ in repeat(None, b - k - 1):
+                x = x * (1.0 - C * x ** q)
+            prev, x = x, x * (1.0 - C * x ** q)
+            xs.append(x)
+            k = b
+        decreasing = x < prev
     else:
         # the sign is fixed before the loop and flipped per step, so the
         # loop does not branch
         sign = -1.0 if noise == "minus" else 1.0
         flip = -1.0 if noise == "alternating" else 1.0
-        for k in range(1, n + 1):
-            xq = x ** q
-            x = x * (1.0 - C * xq + sign * K * xq * x)
-            xs[k] = x
-            sign *= flip
+        decreasing = True
+        for b in ks[1:]:
+            for _ in repeat(None, b - k):
+                xq = x ** q
+                prev, x = x, x * (1.0 - C * xq + sign * K * xq * x)
+                decreasing &= x < prev
+                sign *= flip
+            xs.append(x)
+            k = b
     product = float((q * C) ** (1.0 / q) * n ** (1.0 / q) * x)
-    return np.frombuffer(xs), product
+    ks, xs = np.array(ks, dtype=np.int64), np.array(xs)
+    ks.setflags(write=False)
+    xs.setflags(write=False)
+    return RecursionRun(ks, xs, product, bool(decreasing))
 
 
 def slow_rate_constant(spec):

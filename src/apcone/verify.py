@@ -214,19 +214,20 @@ def suite_prop76(seed=0):
 def suite_lemma77(seed=0):
     """Slow-rate recursion products approach 1 (fast for q=2, slow for q=6)."""
     results = []
-    xs, prod2 = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=10 ** 6)
+    run = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=10 ** 6)
     results.append(CheckResult(
-        "q=2 product at n=1e6", abs(prod2 - 1.0) <= 0.01,
-        f"product {prod2:.6f}"))
+        "q=2 product at n=1e6", abs(run.product - 1.0) <= 0.01,
+        f"product {run.product:.6f}"))
     results.append(CheckResult(
-        "q=2 monotone decrease", bool(np.all(np.diff(xs[:10000]) < 0.0)),
-        "x strictly decreasing on first 1e4 steps"))
-    xs, prod6 = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.2, n=10 ** 6)
+        "q=2 monotone decrease", run.decreasing,
+        "x strictly decreasing on all 1e6 steps"))
+    run = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.2, n=10 ** 6)
     results.append(CheckResult(
-        "q=6 product at n=1e6", abs(prod6 - 1.0) <= 0.10,
-        f"product {prod6:.6f}"))
+        "q=6 product at n=1e6", abs(run.product - 1.0) <= 0.10,
+        f"product {run.product:.6f}"))
+    x_at = dict(zip(run.ks.tolist(), run.xs.tolist()))
     decades = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-    prods = [(6.0 / 24.0) ** (1 / 6) * n ** (1 / 6) * xs[n] for n in decades]
+    prods = [(6.0 / 24.0) ** (1 / 6) * n ** (1 / 6) * x_at[n] for n in decades]
     gaps = [abs(p - 1.0) for p in prods]
     results.append(CheckResult(
         "q=6 monotone approach over decades",

@@ -224,11 +224,13 @@ def test_criterion_11_transverse_gain_bound():
 
 
 def test_criterion_12_recursion_limit_products():
-    _, prod2 = recursive_sequence(C=1 / 3, K=0.0, q=2, x0=0.1, n=10 ** 6)
-    xs6, prod6 = recursive_sequence(C=1 / 24, K=0.0, q=6, x0=0.2, n=10 ** 6)
+    prod2 = recursive_sequence(C=1 / 3, K=0.0, q=2, x0=0.1, n=10 ** 6).product
+    run6 = recursive_sequence(C=1 / 24, K=0.0, q=6, x0=0.2, n=10 ** 6)
+    prod6 = run6.product
+    x6 = dict(zip(run6.ks.tolist(), run6.xs.tolist()))
     gaps = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
-        gaps.append(abs((6 / 24) ** (1 / 6) * n ** (1 / 6) * xs6[n] - 1.0))
+        gaps.append(abs((6 / 24) ** (1 / 6) * n ** (1 / 6) * x6[n] - 1.0))
     monotone = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     ok = abs(prod2 - 1) <= 0.01 and abs(prod6 - 1) <= 0.10 and monotone
     report(12, ok, f"q=2 product {prod2:.6f}, q=6 product {prod6:.6f}, "

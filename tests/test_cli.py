@@ -256,6 +256,8 @@ _SPEC61_PLANE = {"kind": "type2", "c": [1.0, 0.0, 0.0, 1.0, 0.0]}
     ({"plane": {**_SPEC61_PLANE, "theta": float("nan")}, "start": "0,0,0"},
      "theta"),
     ({"plane": {**_SPEC61_PLANE, "c": 5}, "start": "0,0,0"}, "c"),
+    ({"plane": {**_SPEC61_PLANE, "reflect": "false"}, "start": "0,0,0"},
+     "reflect"),
 ])
 def test_run_config_wrong_type_is_usage_error(capsys, tmp_path, body, key):
     cfg_path = tmp_path / "cfg.json"
@@ -293,6 +295,33 @@ def test_run_builtin_with_variant(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(cfg_path))
     assert code == 0
     assert "geometric fit" in out and "ratio=0.800" in out
+
+
+@pytest.mark.parametrize("ident", ["ex3.4", "ex4.4", "ex6.1"])
+def test_example_unknown_variant_is_usage_error(capsys, ident):
+    code, out, err = run_cli(capsys, "example", ident, "--variant", "bogus",
+                             "--iters", "5", "--out", os.devnull)
+    assert code == 2
+    assert f"{ident} has one variant: default" in err and out == ""
+    code, out, _ = run_cli(capsys, "example", ident, "--variant", "default",
+                           "--iters", "5", "--out", os.devnull)
+    assert code == 0
+    assert f"# {ident} (default): iterations=5 " in out
+
+
+@pytest.mark.parametrize("plane, message", [
+    ("ex6.1", "ex6.1 has one variant"),
+    (_SPEC61_PLANE, "'variant' applies to a built-in plane id only"),
+])
+def test_run_variant_the_plane_lacks_is_usage_error(capsys, tmp_path, plane,
+                                                    message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": plane, "variant": "bogus",
+                                    "start": "slowest-curve:0.1",
+                                    "max_iter": 5}))
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2
+    assert message in err and out == ""
 
 
 def test_verify_suites_deterministic_per_seed():

@@ -116,7 +116,7 @@ def test_spec_validation():
     ("c", 5), ("c", "10010"), ("c", [1, 0, "x", 1, 0]),
     ("c", [1, 0, np.nan, 1, 0]), ("c", [1, 0, True, 1, 0]),
     ("theta", np.nan), ("theta", -np.inf), ("theta", "0"),
-    ("mu", "x"), ("mu", np.inf)])
+    ("mu", "x"), ("mu", np.inf), ("reflect", "false"), ("reflect", 1)])
 def test_spec_rejects_bad_fields(field, value):
     fields = ({"kind": "type1", "c": (1, 0, 0, 0, 1, 0, 0, 2), "mu": 0.5}
               if field == "mu" else {"kind": "type2", "c": (1, 0, 0, 1, 0)})

@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apcone.planes import PlaneSpec
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
@@ -71,39 +74,63 @@ def test_fit_accepts_plain_arrays():
 # --- recursion ---------------------------------------------------------------
 
 def test_recursion_q2_product_near_one():
-    _, prod = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=10 ** 6)
-    assert 0.99 <= prod <= 1.01
+    run = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=10 ** 6)
+    assert 0.99 <= run.product <= 1.01
 
 
 def test_recursion_q6_product_slow_limit():
     # x0 = 0.1 leaves x0^-6 = 1e6 comparable to 6Ck at n = 1e6, so the
     # product is still far from 1: (0.25e6 / 1.25e6)^(1/6) = 0.7645
-    _, prod = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.1, n=10 ** 6)
-    assert prod == pytest.approx((0.25 / 1.25) ** (1.0 / 6.0), abs=2e-4)
+    run = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.1, n=10 ** 6)
+    assert run.product == pytest.approx((0.25 / 1.25) ** (1.0 / 6.0),
+                                        abs=2e-4)
     # from x0 = 0.2 the transient is 16x smaller and the product is within 2%
-    _, prod = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.2, n=10 ** 6)
-    assert prod == pytest.approx(1.0, abs=0.02)
+    run = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.2, n=10 ** 6)
+    assert run.product == pytest.approx(1.0, abs=0.02)
 
 
 def test_recursion_monotone_decrease():
-    xs, _ = recursive_sequence(C=1.0 / 3.0, K=0.05, q=2, x0=0.1, n=5000,
-                               noise="alternating")
-    assert np.all(np.diff(xs) < 0.0)
+    run = recursive_sequence(C=1.0 / 3.0, K=0.05, q=2, x0=0.1, n=5000,
+                             noise="alternating")
+    assert run.decreasing
 
 
 def test_recursion_product_approaches_one():
     prods = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
-        _, prod = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=n)
-        prods.append(prod)
+        prods.append(recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1,
+                                        n=n).product)
     gaps = [abs(p - 1.0) for p in prods]
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
 def test_recursion_noise_modes_bracket():
-    xs_plus, _ = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, 100, "plus")
-    xs_minus, _ = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, 100, "minus")
-    assert np.all(xs_minus[1:] <= xs_plus[1:])
+    for n in range(1, 101):
+        plus = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, n, "plus")
+        minus = recursive_sequence(1.0 / 3.0, 0.03, 2, 0.1, n, "minus")
+        assert minus.xs[-1] <= plus.xs[-1]
+
+
+def test_recursion_keeps_only_decade_checkpoints():
+    run = recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 2500)
+    assert run.ks.tolist() == [0, 1, 10, 100, 1000, 2500]
+    assert recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 1).ks.tolist() == [0, 1]
+    assert recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10).ks.tolist() == [
+        0, 1, 10]
+    for a in (run.ks, run.xs):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_recursion_memory_does_not_grow_with_n():
+    recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10)    # first-call costs
+    tracemalloc.start()
+    try:
+        recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def _reference_recurrence(C, K, q, x0, n, mode):
@@ -121,6 +148,18 @@ def _reference_recurrence(C, K, q, x0, n, mode):
     return xs
 
 
+def _assert_matches_reference(run, C, K, q, x0, n, want):
+    """``run`` is recursive_sequence(C, K, q, x0, n) and ``want`` the
+    reference sequence through at least step n."""
+    want = want[:n + 1]
+    assert run.ks[-1] == n
+    assert np.array_equal(run.xs.view(np.int64),
+                          want[run.ks].view(np.int64))
+    q = float(q)
+    assert run.product == (q * C) ** (1.0 / q) * n ** (1.0 / q) * want[n]
+    assert run.decreasing == bool(np.all(np.diff(want) < 0.0))
+
+
 @pytest.mark.parametrize("mode", [0, 1, 2])
 @pytest.mark.parametrize("C,K,q,x0", [(1.0 / 3.0, 0.0, 2, 0.1),
                                       (1.0 / 24.0, 0.0, 6, 0.2),
@@ -128,9 +167,32 @@ def _reference_recurrence(C, K, q, x0, n, mode):
                                       (1.0 / 24.0, 0.002, 6, 0.2)])
 def test_recurrence_kernel_matches_reference_bitwise(C, K, q, x0, mode):
     noise = ("plus", "minus", "alternating")[mode]
-    got, _ = recursive_sequence(C, K, q, x0, 20000, noise)
     want = _reference_recurrence(C, K, q, x0, 20000, mode)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for n in [*range(1, 1001), 20000]:
+        _assert_matches_reference(recursive_sequence(C, K, q, x0, n, noise),
+                                  C, K, q, x0, n, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 6]),
+       x0=st.floats(0.01, 2.0),
+       log_first=st.floats(-20.0, -0.005),
+       k_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       n=st.integers(1, 2000),
+       mode=st.sampled_from([0, 1, 2]))
+def test_recursion_checkpoints_and_decrease_match_reference(
+        q, x0, log_first, k_share, n, mode):
+    # C x0^q = 10^log_first, below 1e-16 a factor that rounds to 1 and an x
+    # that never decreases; K takes a share of what both hypotheses leave it
+    first = 10.0 ** log_first
+    C = first / x0 ** q
+    K = k_share * min((q + 1) * C / ((q + 2) * x0),
+                      (1.0 - first) / x0 ** (q + 1))
+    assume(C * x0 ** q + K * x0 ** (q + 1) < 1.0)
+    noise = ("plus", "minus", "alternating")[mode]
+    _assert_matches_reference(recursive_sequence(C, K, q, x0, n, noise),
+                              C, K, q, x0, n,
+                              _reference_recurrence(C, K, q, x0, n, mode))
 
 
 def test_recursion_hypothesis_validation():
@@ -140,6 +202,21 @@ def test_recursion_hypothesis_validation():
         recursive_sequence(C=0.1, K=0.0, q=2, x0=-0.5, n=10)
     with pytest.raises(ValueError):
         recursive_sequence(C=0.1, K=0.0, q=2, x0=0.5, n=10, noise="bogus")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        recursive_sequence(C=0.1, K=0.0, q=2, x0=0.5, n=0)
+    for q in (0, -0.5):
+        with pytest.raises(ValueError, match="q must be positive"):
+            recursive_sequence(C=0.5, K=0.0, q=q, x0=0.5, n=10)
+
+
+@pytest.mark.parametrize("C,K,q,x0", [(1.0, 0.0, 2, 2.0),
+                                      (1.0, 0.0, 2, 1.0),
+                                      (0.5, 0.2, 2, 1.2)])
+def test_recursion_rejects_a_start_with_nonpositive_first_factor(C, K, q, x0):
+    with pytest.raises(ValueError, match="first factor"):
+        recursive_sequence(C, K, q, x0, 5)
+    with pytest.raises(ValueError, match="first factor"):
+        recursive_sequence(C, K, q, x0, 10 ** 4)
 
 
 # --- limit-law constant ----------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The benchmark tracer (apbench/tracer.py) looks apcone functions up by name;
-a renamed or deleted function must fail here, not inside a benchmark run."""
+"""The benchmark (apbench/*.py) looks apcone names up: the tracer by name
+strings, the rest by attribute reads.  A renamed or deleted name must fail
+here, not inside a benchmark run."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "apbench" / "tracer.py"
+APBENCH = Path(__file__).resolve().parents[1] / "apbench"
+TRACER = APBENCH / "tracer.py"
 
 
 def _literal(name):
@@ -28,3 +30,55 @@ def test_traced_functions_resolve():
                if not callable(getattr(importlib.import_module(
                    f"apcone.{mod}"), fn, None))]
     assert not missing, f"traced names missing from apcone: {missing}"
+
+
+def _apcone_reads(path):
+    """Dotted apcone names a file reads: each name a ``from apcone[.mod]
+    import`` binds, and each attribute chain rooted at such a name or at
+    ``apcone`` after ``import apcone[.mod]``."""
+    tree = ast.parse(path.read_text())
+    roots, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "apcone":
+                    roots[alias.asname or "apcone"] = (
+                        alias.name if alias.asname else "apcone")
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "apcone"):
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                roots[alias.asname or alias.name] = dotted
+                reads.add(dotted)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in roots:
+            reads.add(".".join([roots[node.id], *reversed(chain)]))
+    return reads
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_apbench_apcone_reads_resolve():
+    reads = set().union(*map(_apcone_reads, APBENCH.glob("*.py")))
+    # one read of each form: import apcone.mod, from apcone import mod,
+    # from apcone.mod import name
+    assert {"apcone.cli.main", "apcone.catalog.get_example",
+            "apcone.symcore.AffineSubspace"} <= reads
+    missing = sorted(r for r in reads if not _resolves(r))
+    assert not missing, f"apbench reads names missing from apcone: {missing}"

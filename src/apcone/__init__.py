@@ -14,9 +14,8 @@ from .series import (TruncSeries, det_series, expand_curve,
                      moment_curve_defect, w_recursion_defect)
 from .slowcurve import (CurvePoint, PerturbGain, ap_image_formula,
                         curve_point, newton_slowest_point, perturb_gain,
-                        psd_projection_formula, residual_order,
-                        residual_order_certified, tube_check, valid_t_max,
-                        w_rational)
+                        psd_projection_formula, residual_order_certified,
+                        tube_check, valid_t_max, w_rational)
 from .symcore import (AffineSubspace, EigDecomp, eig_sym, frob_inner,
                       frob_norm, orthogonalize, project_affine, project_psd,
                       sym_matrix)
@@ -37,7 +36,7 @@ __all__ = [
     "newton_slowest_point", "orthogonalize", "perturb_gain", "plucker_coords",
     "plucker_relation_defect", "project_affine", "project_psd",
     "psd_projection_formula", "psi", "rank_one_step_residual",
-    "recursive_sequence", "residual_order", "residual_order_certified",
-    "run_ap", "singularity_degree", "slow_rate_constant", "sym_matrix",
-    "tube_check", "valid_t_max", "w_rational", "w_recursion_defect",
+    "recursive_sequence", "residual_order_certified", "run_ap",
+    "singularity_degree", "slow_rate_constant", "sym_matrix", "tube_check",
+    "valid_t_max", "w_rational", "w_recursion_defect",
 ]

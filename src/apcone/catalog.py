@@ -1,14 +1,16 @@
 """Built-in experiment instances (ids ex3.2, ex3.3, ex3.4, ex4.4, ex6.1).
 
 Each instance fixes a plane, a distance target, a default start, and the
-fit that summarizes its convergence behaviour.
+fit that summarizes its convergence behaviour.  A plane object (a
+``PlaneSpec``) makes an instance too, with no default start: its fit, like
+that of the type2 instances, follows from its singularity degree.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .planes import PlaneSpec, U_STAR, build_plane
+from .planes import PlaneSpec, U_STAR, build_plane, singularity_degree
 from .symcore import AffineSubspace, sym_matrix
 
 BUILTIN_IDS = ("ex3.2", "ex3.3", "ex3.4", "ex4.4", "ex6.1")
@@ -20,11 +22,10 @@ class ExampleInstance:
     variant: str
     plane: AffineSubspace
     target: np.ndarray
-    start: np.ndarray           # default coefficients
-    default_iters: int
-    fit_model: str              # "geometric" | "inverse_power(p)"
-    fit_power: int | None
-    spec: PlaneSpec | None      # set for the type2 instances
+    start: np.ndarray | None    # default coefficients
+    default_iters: int | None
+    fit_power: int | None       # fit dist^-p against k; None: geometric
+    spec: PlaneSpec | None      # set for type2 instances and plane objects
 
 
 _LINE_32 = sym_matrix([[0, 0, -1], [0, 2, 0], [-1, 0, 0]])
@@ -39,10 +40,10 @@ def _ex32(variant):
     E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_32]))
     if variant == "pos":
         return ExampleInstance("ex3.2", "pos", E, U_STAR, np.array([0.1]),
-                               100000, "inverse_power", 2, None)
+                               100000, 2, None)
     if variant == "neg":
         return ExampleInstance("ex3.2", "neg", E, U_STAR, np.array([-0.05]),
-                               40, "geometric", None, None)
+                               40, None, None)
     raise ValueError("ex3.2 variants: pos, neg")
 
 
@@ -51,13 +52,13 @@ def _ex33(variant):
     if variant == "neg":
         E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_33]))
         return ExampleInstance("ex3.3", "neg", E, U_STAR, np.array([-0.1]),
-                               40, "geometric", None, None)
+                               40, None, None)
     if variant == "pos":
         # anchor at the far endpoint of the intersection segment
         anchor = sym_matrix(U_STAR + _LINE_33)
         E = AffineSubspace.from_basis(anchor, np.array([_LINE_33]))
         return ExampleInstance("ex3.3", "pos", E, anchor, np.array([0.5]),
-                               60, "geometric", None, None)
+                               60, None, None)
     raise ValueError("ex3.3 variants: pos, neg")
 
 
@@ -71,16 +72,27 @@ def _ex34():
     E = AffineSubspace.from_basis(sym_matrix(anchor),
                                   np.array([sym_matrix(B1), sym_matrix(B2)]))
     return ExampleInstance("ex3.4", "default", E, E.anchor,
-                           np.array([0.1, 0.0]), 40, "geometric", None, None)
+                           np.array([0.1, 0.0]), 40, None, None)
 
 
-def _type2_instance(ident, spec, start_t, iters, power):
+def plane_instance(spec):
+    """The instance of a plane object, labelled ``plane (<kind>)``: it
+    targets the plane's anchor U* and has no default start or iteration
+    count.  At singularity degree 2 the fit is dist^-6 against k (the
+    k^(-1/6) law from the slowest curve), otherwise geometric."""
     E, _ = build_plane(spec)
+    power = 6 if singularity_degree(spec) == 2 else None
+    return ExampleInstance("plane", spec.kind, E, E.anchor, None, None, power,
+                           spec)
+
+
+def _type2_instance(ident, spec, start_t, iters):
     from .slowcurve import curve_point
 
-    start = E.coefficients(curve_point(spec, start_t).G)
-    return ExampleInstance(ident, "default", E, U_STAR, start, iters,
-                           "inverse_power", power, spec)
+    inst = plane_instance(spec)
+    start = inst.plane.coefficients(curve_point(spec, start_t).G)
+    return replace(inst, ident=ident, variant="default", start=start,
+                   default_iters=iters)
 
 
 def get_example(ident, variant=None):
@@ -98,5 +110,5 @@ def get_example(ident, variant=None):
     if ident == "ex3.4":
         return _ex34()
     if ident == "ex4.4":
-        return _type2_instance("ex4.4", _SPEC_44, 0.05, 10000, 6)
-    return _type2_instance("ex6.1", _SPEC_61, 0.1, 100000, 6)
+        return _type2_instance("ex4.4", _SPEC_44, 0.05, 10000)
+    return _type2_instance("ex6.1", _SPEC_61, 0.1, 100000)

@@ -2,12 +2,16 @@
 
 Subcommands:
   example  run a built-in instance (ex3.2, ex3.3, ex3.4, ex4.4, ex6.1)
-  run      run a custom plane described by a JSON config file
+  run      run a built-in instance or a plane object from a JSON config file
   verify   run one of the seeded verification suites
 
-Trace output is CSV with header ``k,dist,psd_rank,inv2,inv6`` where
-inv_p = dist^-p; summary lines start with '#', so a trace printed to stdout
-still parses.  Exit codes: 0 success, 1 failed check or run, or stdout
+``example`` and ``run`` resolve their input to a ``catalog.ExampleInstance``
+and share one run-and-report path.  Trace output is CSV with header
+``k,dist,psd_rank,inv2,inv6`` where inv_p = dist^-p; the summary follows
+it, in lines that start with '#' (so a trace printed to stdout still
+parses): ``# <id> (<variant>): iterations=N stop=R``, then ``# singularity
+degree: d`` for a type2 instance or plane object, then the instance's rate
+fit.  Exit codes: 0 success, 1 failed check or run, or stdout
 closed by its reader before the output was written, 2 usage error or any
 other I/O error (a closed pipe behind ``--out`` included).
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
@@ -23,8 +27,8 @@ import sys
 import numpy as np
 
 from .apengine import run_ap
-from .catalog import BUILTIN_IDS, get_example
-from .planes import PlaneSpec, build_plane, singularity_degree
+from .catalog import BUILTIN_IDS, get_example, plane_instance
+from .planes import PlaneSpec, singularity_degree
 from .rates import fit_geometric, fit_inverse_power
 from .slowcurve import curve_point
 from .verify import SUITES, run_suite
@@ -95,12 +99,14 @@ def _positive_window(trace, k_min, k_max, floor=0.0):
     return max(0, min(k_min, last - 1)), min(k_max, last)
 
 
-def _summarize(trace, model, power):
+def _summarize(trace, power):
+    """The fit line of the summary: dist^-power against k, or log dist
+    against k (geometric) when ``power`` is None."""
     n = len(trace.dists) - 1
     if n < 3:
         return "too few iterations for a fit"
     try:
-        if model == "geometric":
+        if power is None:
             # distances below sqrt(eps) dist_0 are rounding noise, not rate
             window = _positive_window(trace, max(2, n // 10), n,
                                       _NOISE_FLOOR * float(trace.dists[0]))
@@ -141,9 +147,23 @@ def _parse_start(text, spec, plane):
     return np.array([value])
 
 
-def _require_finite(start):
+def _run_and_report(inst, start, iters, tol, out):
+    """Run AP on the instance from ``start``, write the trace CSV to ``out``
+    (stdout when None) and print the summary; the one run path of both
+    ``example`` and ``run``."""
     if not np.isfinite(start).all():
         raise ValueError("start coefficients must be finite")
+    log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
+             iters)
+    trace = run_ap(inst.plane, start, max_iter=iters, tol=tol,
+                   target=inst.target)
+    _emit(trace_csv(trace), out)
+    _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
+         f"stop={trace.stop_reason}\n")
+    if inst.spec is not None:
+        _out(f"# singularity degree: {singularity_degree(inst.spec)}\n")
+    _out(f"# {_summarize(trace, inst.fit_power)}\n")
+    return 0
 
 
 def cmd_example(args):
@@ -151,16 +171,7 @@ def cmd_example(args):
     iters = args.iters if args.iters is not None else inst.default_iters
     start = inst.start if args.start is None else _parse_start(
         args.start, inst.spec, inst.plane)
-    _require_finite(start)
-    log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
-             iters)
-    trace = run_ap(inst.plane, start, max_iter=iters, tol=args.tol,
-                   target=inst.target)
-    _emit(trace_csv(trace), args.out)
-    _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
-         f"stop={trace.stop_reason}\n")
-    _out("# " + _summarize(trace, inst.fit_model, inst.fit_power) + "\n")
-    return 0
+    return _run_and_report(inst, start, iters, args.tol, args.out)
 
 
 def _config_value(config, key, ok, what, default=None):
@@ -186,18 +197,11 @@ def cmd_run(args):
                                 "a built-in id or a plane object")
     if isinstance(plane_field, str):
         inst = get_example(plane_field, config.get("variant"))
-        plane, spec = inst.plane, inst.spec
-        target = inst.target
-        degree = singularity_degree(spec) if spec else None
+    elif "variant" in config:
+        raise ValueError("config key 'variant' applies to a built-in plane "
+                         "id only")
     else:
-        if "variant" in config:
-            raise ValueError("config key 'variant' applies to a built-in "
-                             "plane id only")
-        spec = PlaneSpec.from_json(plane_field)
-        plane, _ = build_plane(spec)
-        target = plane.anchor
-        degree = singularity_degree(spec)
-        inst = None
+        inst = plane_instance(PlaneSpec.from_json(plane_field))
     # JSON numbers decode to exactly int or float (true and false to bool)
     if "start" in config:
         start_field = _config_value(
@@ -206,12 +210,11 @@ def cmd_run(args):
             "a number, a list of numbers or a string")
         start = (np.array(start_field, dtype=float)
                  if type(start_field) is list
-                 else _parse_start(str(start_field), spec, plane))
-    elif inst is not None:
+                 else _parse_start(str(start_field), inst.spec, inst.plane))
+    elif inst.start is not None:
         start = inst.start
     else:
         raise ValueError("config key 'start' is required with a plane object")
-    _require_finite(start)
 
     max_iter = _config_value(config, "max_iter", lambda v: type(v) is int,
                              "an integer", 1000)
@@ -219,15 +222,7 @@ def cmd_run(args):
                         "a number", 0.0)
     out = _config_value(config, "out",
                         lambda v: v is None or isinstance(v, str), "a string")
-    trace = run_ap(plane, start, max_iter=max_iter, tol=tol, target=target)
-    _emit(trace_csv(trace), args.out or out)
-    if degree is not None:
-        _out(f"# singularity degree: {degree}\n")
-    if degree == 2:
-        _out("# " + _summarize(trace, "inverse_power", 6) + "\n")
-    else:
-        _out("# " + _summarize(trace, "geometric", None) + "\n")
-    return 0
+    return _run_and_report(inst, start, max_iter, tol, args.out or out)
 
 
 def cmd_verify(args):

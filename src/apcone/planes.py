@@ -66,11 +66,17 @@ class PlaneSpec:
 
     @classmethod
     def from_json(cls, data):
-        """Spec from a decoded plane JSON object (a dict)."""
-        return cls(kind=data["kind"], c=data["c"],
-                   theta=data.get("theta", 0.0),
-                   reflect=data.get("reflect", False),
-                   mu=data.get("mu"))
+        """Spec from a decoded plane JSON object (a dict); an unknown or a
+        missing required key raises ``ValueError`` naming it."""
+        known = sorted(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown plane key {unknown[0]!r}; known: "
+                             f"{', '.join(known)}")
+        for key in ("kind", "c"):
+            if key not in data:
+                raise ValueError(f"plane key {key!r} is required")
+        return cls(**data)
 
 
 def rotation_matrix(theta, reflect=False):

@@ -17,37 +17,27 @@ _NOISE_MODES = ("plus", "minus", "alternating")
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares fit of a trace window under one rate model.
+    """Least-squares fit of the trace window (k_min, k_max) under one rate
+    model, with the root-mean-square residual of the fitted line."""
 
-    ``params`` is (intercept, slope) for the inverse_power model fitted to
-    dist^-p against k, and (amplitude, ratio) for the geometric model fitted
-    to log dist against k.
-    """
-
-    model: str
     window: tuple
-    params: tuple
     rmse: float
 
-    @property
-    def intercept(self):
-        return self.params[0]
 
-    @property
-    def slope(self):
-        if self.model.startswith("inverse_power"):
-            return self.params[1]
-        raise AttributeError("slope applies to inverse_power fits")
+@dataclass(frozen=True)
+class InversePowerFit(RateFit):
+    """dist^-p ~ intercept + slope * k."""
 
-    @property
-    def amplitude(self):
-        return self.params[0]
+    intercept: float
+    slope: float
 
-    @property
-    def ratio(self):
-        if self.model != "geometric":
-            raise AttributeError("ratio applies to geometric fits")
-        return self.params[1]
+
+@dataclass(frozen=True)
+class GeometricFit(RateFit):
+    """dist ~ amplitude * ratio^k, fitted to log dist."""
+
+    amplitude: float
+    ratio: float
 
 
 def _window_dists(trace, window):
@@ -78,17 +68,16 @@ def fit_inverse_power(trace, p, window):
             raise ValueError(f"dist^-{p} or its square overflows on the "
                              "fit window")
     intercept, slope, rmse = _line_fit(ks, y)
-    return RateFit(model=f"inverse_power({p})", window=(int(window[0]),
-                   int(window[1])), params=(intercept, slope), rmse=rmse)
+    return InversePowerFit((int(window[0]), int(window[1])), rmse, intercept,
+                           slope)
 
 
 def fit_geometric(trace, window):
     """Fit log dist_k ~ log amplitude + k log ratio on the window."""
     ks, d = _window_dists(trace, window)
     logc, logr, rmse = _line_fit(ks, np.log(d))
-    return RateFit(model="geometric", window=(int(window[0]), int(window[1])),
-                   params=(float(np.exp(logc)), float(np.exp(logr))),
-                   rmse=rmse)
+    return GeometricFit((int(window[0]), int(window[1])), rmse,
+                        float(np.exp(logc)), float(np.exp(logr)))
 
 
 @dataclass(frozen=True)

@@ -234,61 +234,52 @@ def valid_t_max(spec):
 
 # --- residual-order estimation ----------------------------------------------
 
-def residual_order(f, g, t0, halvings):
-    """Mean of log2(|f - g|(t_j) / |f - g|(t_{j+1})) over t_j = t0 / 2^j.
+def residual_order_certified(f, g, t0, halvings, t_cap):
+    """Mean of log2(|f - g|(t_j) / |f - g|(t_{j+1})) over the ladder
+    t_j = t0 / 2^j, j = 0..halvings, once the ladder is clear of rounding.
 
-    Raises ResidualNoiseError when the difference at t0 is already below
-    100 machine epsilons (relative to |f(t0)|): the signal is then buried in
-    rounding and the caller should enlarge t0 or shrink the halving count.
+    A difference at t0 below 100 machine epsilons (relative to |f| at the
+    first t0) is buried in rounding, and a deepest ladder point below 1e3 of
+    them makes the estimate meaningless; either way t0 is enlarged, up to
+    ``t_cap``.  At ``t_cap`` the first raises ResidualNoiseError, and the
+    second reduces the halving count (never below 2, where a marginal
+    deepest point is accepted).  Each point of the final ladder is
+    evaluated once.  Returns ``(order, t0_used, halvings_used)``.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
-    ts = [t0 / 2 ** j for j in range(halvings + 1)]
-    diffs = [float(np.linalg.norm(np.asarray(f(t)) - np.asarray(g(t))))
-             for t in ts]
-    scale = max(1.0, float(np.linalg.norm(np.asarray(f(t0)))))
-    if diffs[0] < 100.0 * _EPS * scale:
-        raise ResidualNoiseError(
-            f"difference {diffs[0]:.3e} at t0={t0:g} is below the noise "
-            "floor; shrink the halving count or enlarge t0")
-    return float(np.mean([np.log2(diffs[j] / diffs[j + 1])
-                          for j in range(halvings)]))
-
-
-def residual_order_certified(f, g, t0, halvings, t_cap):
-    """residual_order with its documented remediations applied.
-
-    Probe points whose differences drown in rounding make the plain
-    estimator meaningless, so while the deepest sample of the halving ladder
-    sits below 1e3 machine epsilons the probe scale t0 is enlarged (up to
-    ``t_cap``) and only then the halving count reduced (never below 2).
-    Returns ``(order, t0_used, halvings_used)``.
-    """
     t0 = min(t0, t_cap)
 
     def diff(t):
         return float(np.linalg.norm(np.asarray(f(t)) - np.asarray(g(t))))
 
     scale = max(1.0, float(np.linalg.norm(np.asarray(f(t0)))))
+    top = diff(t0)
     while True:
-        if diff(t0) < 100.0 * _EPS * scale:     # top of the ladder is noise
-            if t0 < t_cap:
-                t0 = min(2.0 * t0, t_cap)
-                continue
-            raise ResidualNoiseError(
-                "difference is below the noise floor over the whole "
-                "admissible range")
-        if diff(t0 / 2 ** halvings) >= 1e3 * _EPS * scale:
+        if top < 100.0 * _EPS * scale:          # top of the ladder is noise
+            if not t0 < t_cap:
+                raise ResidualNoiseError(
+                    "difference is below the noise floor over the whole "
+                    "admissible range")
+            t0 = min(2.0 * t0, t_cap)
+            top = diff(t0)
+            continue
+        deep = diff(t0 / 2 ** halvings)
+        if deep >= 1e3 * _EPS * scale:
             break                               # whole ladder is clean
         if t0 < t_cap:
             t0 = min(2.0 * t0, t_cap)
+            top = diff(t0)
         elif halvings > 2:
             halvings -= 1
         else:
             break                               # accept a marginal deep point
-    return residual_order(f, g, t0, halvings), t0, halvings
+    diffs = [top, *(diff(t0 / 2 ** j) for j in range(1, halvings)), deep]
+    order = float(np.mean([np.log2(diffs[j] / diffs[j + 1])
+                           for j in range(halvings)]))
+    return order, t0, halvings
 
 
 # --- Newton continuation ------------------------------------------------------

@@ -137,7 +137,7 @@ def test_geometric_summary_stops_at_the_noise_floor():
     dists[noisy] = np.random.RandomState(5).uniform(1e-17, 1e-15,
                                                     noisy.sum())
     trace = SimpleNamespace(dists=dists)
-    line = _summarize(trace, "geometric", None)
+    line = _summarize(trace, None)
     last = int(np.nonzero(~noisy)[0][-1])
     assert f"on k in (4, {last}): ratio=0.200000" in line
     assert "rmse=" in line
@@ -265,6 +265,59 @@ def test_run_config_wrong_type_is_usage_error(capsys, tmp_path, body, key):
     code, out, err = run_cli(capsys, "run", str(cfg_path))
     assert code == 2
     assert f"'{key}' must" in err and out == ""
+
+
+@pytest.mark.parametrize("plane, message", [
+    ({**_SPEC61_PLANE, "thetta": 0.3, "reflected": True},
+     "unknown plane key 'reflected'; known: c, kind, mu, reflect, theta"),
+    ({**_SPEC61_PLANE, "thetta": 0.3},
+     "unknown plane key 'thetta'; known: c, kind, mu, reflect, theta"),
+    ({"c": _SPEC61_PLANE["c"]}, "plane key 'kind' is required"),
+    ({"kind": "type2"}, "plane key 'c' is required"),
+])
+def test_run_unknown_or_missing_plane_key_is_usage_error(capsys, tmp_path,
+                                                          plane, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": plane, "start": "0,0,0"}))
+    code, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ident, variant", [
+    ("ex3.2", "pos"), ("ex3.2", "neg"), ("ex3.3", "neg"), ("ex3.3", "pos"),
+    ("ex3.4", "default"), ("ex4.4", "default"), ("ex6.1", "default")])
+def test_example_and_run_agree(capsys, tmp_path, ident, variant):
+    # the same instance, start and iteration count through both commands:
+    # the same CSV bytes and the same summary, fit included
+    ex_csv, run_csv = tmp_path / "example.csv", tmp_path / "run.csv"
+    code, ex_out, _ = run_cli(capsys, "example", ident, "--variant", variant,
+                              "--iters", "300", "--out", str(ex_csv))
+    assert code == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": ident, "variant": variant,
+                                    "max_iter": 300, "out": str(run_csv)}))
+    code, run_out, _ = run_cli(capsys, "run", str(cfg_path))
+    assert code == 0
+    assert run_csv.read_bytes() == ex_csv.read_bytes()
+    assert run_out == ex_out
+    assert ex_out.startswith(f"# {ident} ({variant}): iterations=")
+    fit = ("1/dist^2" if (ident, variant) == ("ex3.2", "pos") else
+           "1/dist^6" if ident in ("ex4.4", "ex6.1") else "geometric")
+    assert f"# {fit} fit on k in" in ex_out
+
+
+def test_run_plane_object_summary(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": _SPEC61_PLANE,
+                                    "start": "slowest-curve:0.1",
+                                    "max_iter": 50, "out": os.devnull}))
+    code, out, _ = run_cli(capsys, "run", str(cfg_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["# plane (type2): iterations=50 stop=max_iter",
+                         "# singularity degree: 2"]
+    assert lines[2].startswith("# 1/dist^6 fit on k in (5, 50): ")
 
 
 def test_run_builtin_without_start_uses_its_default(capsys, tmp_path):

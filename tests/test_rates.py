@@ -47,6 +47,20 @@ def test_geometric_fit_recovers_synthetic_model():
     assert fit.amplitude == pytest.approx(amp, rel=1e-9)
 
 
+def test_fit_lacks_the_other_models_parameters():
+    d = 0.5 ** np.arange(20.0)
+    power = fit_inverse_power(d, 2, (0, 19))
+    geometric = fit_geometric(d, (0, 19))
+    for name in ("amplitude", "ratio"):
+        with pytest.raises(AttributeError):
+            getattr(power, name)
+    for name in ("intercept", "slope"):
+        with pytest.raises(AttributeError):
+            getattr(geometric, name)
+    assert geometric.ratio == pytest.approx(0.5, rel=1e-12)
+    assert power.window == geometric.window == (0, 19)
+
+
 def test_fit_window_validation():
     trace = FakeTrace(np.linspace(1.0, 0.5, 10))
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
 from apcone.slowcurve import (ResidualNoiseError,
                               VanishingDenominatorError, ap_image_formula,
                               curve_point, newton_slowest_point, perturb_gain,
-                              psd_projection_formula, residual_order,
+                              psd_projection_formula,
                               residual_order_certified, tube_check,
                               valid_t_max, w_rational)
 from apcone.series import det_series
@@ -249,14 +249,21 @@ def test_formula_residual_orders(formula, oracle_builder):
 
 def test_residual_order_exact_monomial():
     M = np.arange(9.0).reshape(3, 3) + 1.0
+    g_at = []
 
     def f(t):
         return t ** 8 * M
 
     def g(t):
+        g_at.append(t)
         return 0.0 * M
 
-    assert residual_order(f, g, 0.25, 4) == pytest.approx(8.0, abs=1e-9)
+    # the deepest point (1/32)^8 |M| is clear of rounding: nothing escalates
+    order, t0, halvings = residual_order_certified(f, g, 0.5, 4, t_cap=0.5)
+    assert order == pytest.approx(8.0, abs=1e-9)
+    assert (t0, halvings) == (0.5, 4)
+    # each of the five ladder points is evaluated once
+    assert sorted(g_at) == [0.5 / 2 ** j for j in range(4, -1, -1)]
 
 
 def test_residual_order_noise_signal():
@@ -268,8 +275,9 @@ def test_residual_order_noise_signal():
     def g(t):
         return M + 1e-18 * t * M
 
+    # 1e-19 at t0 = 0.1 is noise, and t0 cannot be enlarged past t_cap
     with pytest.raises(ResidualNoiseError):
-        residual_order(f, g, 0.1, 3)
+        residual_order_certified(f, g, 0.1, 3, t_cap=0.1)
 
 
 def test_residual_order_certified_escalates():

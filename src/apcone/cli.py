@@ -49,21 +49,29 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _inverse_powers(dists, p):
+    """d ** p for each distance d >= 0 and p < 0, or inf where d is 0 or
+    the power overflows (dist^-6 does once dist < ~1e-52; Python floats
+    raise there)."""
+    try:
+        return [d ** p for d in dists]
+    except (ZeroDivisionError, OverflowError):
+        pass
+    out = []
+    for d in dists:
+        try:
+            out.append(d ** p if d > 0 else math.inf)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
 def trace_csv(trace):
-    lines = ["k,dist,psd_rank,inv2,inv6"]
-    rows = zip(trace.dists.tolist(), trace.psd_ranks.tolist())
-    for k, (d, r) in enumerate(rows):
-        # dist^-6 overflows once dist < ~1e-52 (Python floats raise); inf
-        # is the value written
-        inv2 = inv6 = math.inf
-        if d > 0:
-            try:
-                inv2 = d ** -2.0
-                inv6 = d ** -6.0
-            except OverflowError:
-                pass
-        lines.append(f"{k},{d:.17g},{r},{inv2:.17g},{inv6:.17g}")
-    return "\n".join(lines) + "\n"
+    dists = trace.dists.tolist()
+    rows = zip(range(len(dists)), dists, trace.psd_ranks.tolist(),
+               _inverse_powers(dists, -2.0), _inverse_powers(dists, -6.0))
+    return "k,dist,psd_rank,inv2,inv6\n" + "".join(
+        map("%d,%.17g,%d,%.17g,%.17g\n".__mod__, rows))
 
 
 class _StdoutClosed(Exception):
@@ -91,12 +99,18 @@ def _emit(csv_text, out):
         _out(csv_text)
 
 
-def _positive_window(trace, k_min, k_max, floor=0.0):
-    """(k_min, k_max) ending no later than the last k with dist_k > floor."""
+def _fit_window(trace, k_min, floor=0.0):
+    """The fit window: from a tenth of the run, at least ``k_min``, to the
+    last k with dist_k > floor.  When that clean range ends before twice a
+    tenth of the run, the window starts at a tenth of the clean range
+    instead, so it does not shrink to its last two points."""
     last = len(trace.dists) - 1
     while last > 0 and trace.dists[last] <= floor:
         last -= 1
-    return max(0, min(k_min, last - 1)), min(k_max, last)
+    start = (len(trace.dists) - 1) // 10
+    if 2 * start > last:
+        start = last // 10
+    return max(0, min(max(k_min, start), last - 1)), last
 
 
 def _summarize(trace, power):
@@ -108,13 +122,13 @@ def _summarize(trace, power):
     try:
         if power is None:
             # distances below sqrt(eps) dist_0 are rounding noise, not rate
-            window = _positive_window(trace, max(2, n // 10), n,
-                                      _NOISE_FLOOR * float(trace.dists[0]))
+            window = _fit_window(trace, 2,
+                                 _NOISE_FLOOR * float(trace.dists[0]))
             fit = fit_geometric(trace, window)
             return (f"geometric fit on k in {fit.window}: "
                     f"ratio={fit.ratio:.6f} amplitude={fit.amplitude:.4g} "
                     f"rmse={fit.rmse:.2e}")
-        window = _positive_window(trace, max(1, n // 10), n)
+        window = _fit_window(trace, 1)
         fit = fit_inverse_power(trace, power, window)
         return (f"1/dist^{power} fit on k in {fit.window}: "
                 f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} "

@@ -6,25 +6,27 @@ subspace carries its anchor, a (not necessarily orthogonal) basis of the
 direction space and its Gram matrix, and, from the one QR factorization
 ``B = Q R`` of the raveled basis made when it is built, Q (columns exactly
 symmetric, Frobenius-orthonormal), R^-1 and two affine maps of a flat
-``v = vec(V)``: the projector, ``vec(P_E(V)) = offset + Q Q^T v``, and the
-coefficient map, whose basis coefficients of P_E(V) are ``v Q R^-T - R^-1
-Q^T vec(anchor)``.  The private ``AffineSubspace._project`` and
-``_coefficients`` apply them, one matrix-vector product each, for
-``coefficients``, ``project_affine`` and both AP entry points in
-``apengine``; ``orthogonalize`` reads its Gram-Schmidt basis off
-Q and R.
+``v = vec(V)``: the augmented projector ``aug = [Q Q^T | offset]``, with
+``vec(P_E(V)) = aug [v | 1]``, and the coefficient map, whose basis
+coefficients of P_E(V) are ``v Q R^-T - R^-1 Q^T vec(anchor)``.  The
+private ``AffineSubspace._project`` and ``_coefficients`` apply them, one
+matrix-vector product each, for ``coefficients``, ``project_affine`` and
+the AP step in ``apengine``; ``orthogonalize`` reads its Gram-Schmidt
+basis off Q and R.
 
 Every eigendecomposition in the package goes through the private
 ``_eigh``: one call of LAPACK's symmetric eigensolver through the gufunc
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
 calls, so the results are the same bits, eigenvalues ascending.  The
 public wrapper's checks, ``np.errstate`` context and result wrapping cost
-about 5 us per 3x3 call, of a ~16 us step of ``apengine.run_ap`` (2-core
-x86-64, numpy 2.4); failure is detected instead from the output (NaN
-eigenvalues raise ``EigenSolverError``).  Every PSD projection goes through
-``psd_part``, which returns ``S S^T``; NumPy evaluates that as a symmetric
-rank-k product, so the clip is exactly symmetric without a symmetrization
-pass.  ``psd_part``, ``_project`` and ``_coefficients`` check nothing.
+about 5 us per 3x3 call; the gufunc itself takes about 3.6 us of the
+~7.5 us step of ``apengine.run_ap`` (2-core x86-64, numpy 2.4).  Failure
+is detected instead from the output (NaN eigenvalues raise
+``EigenSolverError``).  Every PSD projection goes through ``psd_part``,
+which returns ``S S^T``, written into a caller's array when given one;
+NumPy evaluates that as a symmetric rank-k product, so the clip is exactly
+symmetric without a symmetrization pass.  ``psd_part``, ``_project`` and
+``_coefficients`` check nothing.
 Input is checked (square, finite, exactly symmetric) once, where it enters
 a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
 affine subspace is checked the same way, size included, by the private
@@ -63,8 +65,9 @@ def check_sym(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # same decision as np.array_equal for a square array (NaN != NaN,
-    # -0.0 == 0.0), without its overhead
-    if not (a == a.T).all():
+    # -0.0 == 0.0: tolist makes a new float per entry, so no NaN is
+    # compared with itself), at a third of the cost of (a == a.T).all()
+    if a.tolist() != a.T.tolist():
         raise ValueError("matrix is not exactly symmetric")
     return a
 
@@ -110,13 +113,14 @@ def _eigh(a):
     return lam, vecs
 
 
-def psd_part(lam, vecs):
+def psd_part(lam, vecs, out=None):
     """PSD projection from an ascending eigendecomposition (``_eigh``'s).
 
     Eigenvalues above tau = 1e-12 * max(1, lambda_max) are retained, a
     suffix of ``lam``; returns ``(S S^T, rank)`` with ``S`` the retained
-    columns scaled by sqrt(lambda).  NumPy computes ``S.dot(S.T)`` as a
-    symmetric rank-k product, so the projection is exactly symmetric.
+    columns scaled by sqrt(lambda), ``S S^T`` written into ``out`` (C
+    contiguous, n x n) when it is given.  NumPy computes ``S.dot(S.T)`` as
+    a symmetric rank-k product, so the projection is exactly symmetric.
     The products on the AP step use ``ndarray.dot``: it gives the bits
     ``@`` gives and skips the matmul gufunc's dispatch, about 0.8 us a
     call at these sizes.
@@ -124,14 +128,16 @@ def psd_part(lam, vecs):
     lams = lam.tolist()
     lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
     S = vecs[:, lo:] * np.sqrt(lam[lo:])
-    return S.dot(S.T), len(lams) - lo
+    return S.dot(S.T, out=out), len(lams) - lo
 
 
 def check_finite_sym(a):
     """``check_sym`` preceded by a finiteness check that raises
     ``EigenSolverError``."""
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
+    # a finite sum has finite terms; a sum that overflows is decided
+    # entry by entry
+    if not (math.isfinite(sum(a.ravel().tolist())) or np.isfinite(a).all()):
         raise EigenSolverError("matrix has non-finite entries")
     return check_sym(a)
 
@@ -178,11 +184,12 @@ class AffineSubspace:
 
     ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
     ``basis.reshape(m, n*n).T = Q R``; each column of Q, as an n x n
-    matrix, is exactly symmetric.  A flat v projects to ``offset + proj v``
-    (``proj = Q Q^T``, rows (i, j) and (j, i) equal, as in ``offset``), with
-    basis coefficients ``v coef_map - coef_offset`` (``coef_map = Q R^-T``).
-    A basis whose R has a diagonal entry at most ``DEPENDENT_BASIS_TOL``
-    times its largest is rejected as dependent.
+    matrix, is exactly symmetric.  A flat v projects to ``aug [v | 1]``
+    with ``aug = [proj | offset]`` (``proj = Q Q^T``, rows (i, j) and
+    (j, i) equal, as in ``offset``; ``proj`` and ``offset`` are read-only
+    views of ``aug``), with basis coefficients ``v coef_map - coef_offset``
+    (``coef_map = Q R^-T``).  A basis whose R has a diagonal entry at most
+    ``DEPENDENT_BASIS_TOL`` times its largest is rejected as dependent.
     """
 
     anchor: np.ndarray
@@ -190,8 +197,9 @@ class AffineSubspace:
     gram: np.ndarray           # (m, m)
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
-    proj: np.ndarray = field(repr=False)
-    offset: np.ndarray = field(repr=False)       # (n*n,)
+    aug: np.ndarray = field(repr=False)          # (n*n, n*n + 1)
+    proj: np.ndarray = field(repr=False)         # aug[:, :-1]
+    offset: np.ndarray = field(repr=False)       # aug[:, -1]
     coef_map: np.ndarray = field(repr=False)
     coef_offset: np.ndarray = field(repr=False)  # (m,)
 
@@ -221,13 +229,14 @@ class AffineSubspace:
             return (0.5 * (A + A.transpose(1, 0, 2))).reshape(n * n, -1)
 
         # columns of Q are symmetric only up to rounding; make them exactly
-        # symmetric, and rows (i, j) and (j, i) of proj and offset equal, so
-        # that every projection offset + proj v is exactly symmetric
+        # symmetric, and rows (i, j) and (j, i) of aug equal, so that every
+        # projection aug [v | 1] is exactly symmetric
         Q, R_inv, a = mirror(Q), np.linalg.inv(R), anchor.ravel()
         proj, coef_map = mirror(Q @ Q.T), Q @ R_inv.T
-        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv,
-                                  proj, mirror(a - proj @ a)[:, 0], coef_map,
-                                  a @ coef_map)))
+        aug = _freeze(np.hstack([proj, mirror(a - proj @ a)]))
+        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv)),
+                    aug, aug[:, :-1], aug[:, -1],
+                    *map(_freeze, (coef_map, a @ coef_map)))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -256,9 +265,10 @@ class AffineSubspace:
             raise ValueError("dimension mismatch")
         return X
 
-    def _project(self, v):
-        """vec of the orthogonal projection of flat, unchecked v."""
-        return self.offset + self.proj.dot(v)
+    def _project(self, r, out):
+        """vec of the orthogonal projection of V, written into the flat
+        ``out`` and returned, from the unchecked row r = [vec V | 1]."""
+        return self.aug.dot(r, out=out)
 
     def _coefficients(self, v):
         """Basis coefficients of the projection of flat, unchecked v."""
@@ -268,8 +278,12 @@ class AffineSubspace:
 def project_affine(E, X):
     """Orthogonal projection onto E; returns (point, coefficients)."""
     X = E._check_point(X)
-    v = X.ravel()
-    return E._project(v).reshape(X.shape), E._coefficients(v)
+    r = np.empty(X.size + 1)
+    r[-1] = 1.0
+    v = r[:-1]
+    v[:] = X.ravel()
+    return (E._project(r, np.empty(X.size)).reshape(X.shape),
+            E._coefficients(v))
 
 
 def orthogonalize(E):

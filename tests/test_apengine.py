@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from apcone import apengine
 from apcone.apengine import (RankOneError, ap_step, eigenvalue_formula_step,
                              extract_rank_one_param, grad_half_dist2_psi,
                              m_matrix, psi, rank_one_step_residual, run_ap)
@@ -271,6 +273,162 @@ def test_run_ap_overflowing_start_distance_raises():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="squared distance overflows"):
             run_ap(E, np.array([1e160, 0.0, 0.0]), max_iter=10, tol=0.0)
+
+
+# --- run_ap blocks ------------------------------------------------------------
+
+def _serial_run(E, p0, max_iter, tol, target=None):
+    """run_ap's stop rules and sampling applied one ``ap_step`` at a time:
+    (dists, psd_ranks, sample_ks, sample_coeffs, stop_reason)."""
+    target = E.anchor if target is None else target
+    U, coeffs, k = E.point(p0), p0, 0
+    dists, ranks, ks, samples = [frob_norm(U - target)], [], [0], [p0]
+    checkpoint, stagnant = 1, 0
+    while True:
+        W, rank, next_coeffs = ap_step(E, U)
+        ranks.append(rank)
+        if dists[-1] < tol:
+            stop = "tol"
+            break
+        if k == max_iter:
+            stop = "max_iter"
+            break
+        if stagnant >= 100:
+            stop = "stagnation"
+            break
+        U, coeffs, k = W, next_coeffs, k + 1
+        if k == checkpoint:
+            ks.append(k)
+            samples.append(coeffs)
+            checkpoint *= 10
+        dists.append(frob_norm(U - target))
+        if dists[-2] - dists[-1] < 1e-16 * max(dists[-2], 1e-300):
+            stagnant += 1
+        else:
+            stagnant = 0
+    if ks[-1] != k:
+        ks.append(k)
+        samples.append(coeffs)
+    return dists, ranks, ks, samples, stop
+
+
+def _assert_same_run(trace, ref):
+    dists, ranks, ks, samples, stop = ref
+    assert trace.stop_reason == stop
+    assert trace.dists.tolist() == dists
+    assert trace.psd_ranks.tolist() == ranks
+    assert trace.sample_ks.tolist() == ks
+    assert np.array_equal(trace.sample_coeffs, np.array(samples))
+
+
+_EX34_STAGNATION_K = 660   # the k at which ex3.4 from its start stagnates
+
+
+@pytest.mark.parametrize("stop", ["max_iter", "tol", "stagnation"])
+@pytest.mark.parametrize("where", ["B-1", "B", "B+1", "2B"])
+def test_run_ap_stops_at_block_boundaries_as_serial_steps_do(
+        monkeypatch, stop, where):
+    # the stop lands at k = B-1, B, B+1 or 2B for the block size B; the
+    # blocked run must equal the serial reference bit for bit
+    offset = {"B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B": (2, 0)}[where]
+    if stop == "stagnation":
+        inst = get_example("ex3.4")
+        E, p0, target = inst.plane, inst.start, inst.target
+        monkeypatch.setattr(apengine, "_BLOCK",
+                            (_EX34_STAGNATION_K - offset[1]) // offset[0])
+        max_iter, tol = 10 ** 6, 0.0
+    else:
+        E, target = build_plane(SPEC61)[0], None
+        p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
+        K = offset[0] * apengine._BLOCK + offset[1]
+        if stop == "max_iter":
+            max_iter, tol = K, 0.0
+        else:
+            dists = _serial_run(E, p0, K, 0.0)[0]
+            max_iter, tol = 10 ** 6, float(np.nextafter(dists[K], 1.0))
+    ref = _serial_run(E, p0, max_iter, tol, target)
+    assert ref[4] == stop
+    if stop == "stagnation":
+        assert len(ref[0]) - 1 == _EX34_STAGNATION_K
+    trace = run_ap(E, p0, max_iter=max_iter, tol=tol, target=target)
+    _assert_same_run(trace, ref)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_run_ap_matches_serial_steps_in_other_dimensions(n):
+    # the blocked distances (np.vecdot over rows of n*n entries) and the
+    # kernel are not specific to 3x3 iterates
+    rng = np.random.RandomState(n)
+    basis = [sym_matrix(rng.standard_normal((n, n))) for _ in range(n)]
+    E = AffineSubspace.from_basis(np.diag(np.arange(n, dtype=float) - 1.0),
+                                  basis)
+    p0 = rng.uniform(-0.5, 0.5, n)
+    max_iter = apengine._BLOCK + 6
+    trace = run_ap(E, p0, max_iter=max_iter, tol=0.0)
+    _assert_same_run(trace, _serial_run(E, p0, max_iter, 0.0))
+
+
+def _failing_after(monkeypatch, calls):
+    """Make the eigensolver of the AP step fail from its ``calls + 1``-th
+    call on: that call gets a NaN matrix, so LAPACK returns NaN."""
+    eigh = apengine._eigh
+    count = [0]
+
+    def eigh_then_nan(a):
+        count[0] += 1
+        if count[0] > calls:
+            a = np.full_like(a, np.nan)
+        return eigh(a)
+
+    monkeypatch.setattr(apengine, "_eigh", eigh_then_nan)
+
+
+def test_run_ap_failure_past_the_stop_does_not_surface(monkeypatch):
+    # a tol stop at k = 5: the serial loop takes the steps from iterates
+    # 0..5 and never the one from iterate 6, which a block computes ahead
+    E, _ = build_plane(SPEC61)
+    p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
+    tol = float(np.nextafter(_serial_run(E, p0, 5, 0.0)[0][5], 1.0))
+    ref = _serial_run(E, p0, 10 ** 6, tol)
+    assert ref[4] == "tol" and len(ref[0]) == 6
+    _failing_after(monkeypatch, 6)
+    with np.errstate(invalid="ignore"):
+        trace = run_ap(E, p0, max_iter=10 ** 6, tol=tol)
+    _assert_same_run(trace, ref)
+
+
+def test_run_ap_failure_of_a_step_taken_raises(monkeypatch):
+    E, _ = build_plane(SPEC61)
+    p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
+    tol = float(np.nextafter(_serial_run(E, p0, 5, 0.0)[0][5], 1.0))
+    _failing_after(monkeypatch, 5)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EigenSolverError):
+            run_ap(E, p0, max_iter=10 ** 6, tol=tol)
+
+
+def _peak_bytes(run):
+    run()   # caches and lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_ap_memory_grows_with_steps_taken_only():
+    E, _ = build_plane(SPEC61)
+    p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
+    short, long = (_peak_bytes(lambda: run_ap(E, p0, n, 0.0))
+                   for n in (2 * 10 ** 3, 2 * 10 ** 4))
+    # dists and psd_ranks: 16 B per step, with room for array growth
+    assert long - short <= 20 * (2 * 10 ** 4 - 2 * 10 ** 3)
+    neg = get_example("ex3.2", "neg")
+    huge, small = (_peak_bytes(lambda: run_ap(neg.plane, neg.start, n, 1e-3,
+                                              target=neg.target))
+                   for n in (10 ** 12, 10 ** 3))
+    assert huge <= small
 
 
 # --- eigenvalue formula ----------------------------------------------------------

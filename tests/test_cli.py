@@ -128,6 +128,39 @@ def test_trace_csv_bytes_match_numpy_scalar_writer(ident, iters):
         assert ",inf," in text and text.count("inf\n") > text.count(",inf,")
 
 
+def test_trace_csv_bytes_on_zero_overflowing_and_ordinary_distances():
+    # 0 and 1e-160 give inf in both power columns, 1e-60 only in inv6
+    dists = np.array([0.5, 1e-3, 1e-60, 1e-160, 0.0, 3.0, 0.1])
+    trace = SimpleNamespace(dists=dists,
+                            psd_ranks=np.array([1, 2, 1, 0, 0, 3, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = trace_csv(trace)
+    assert text == _numpy_trace_csv(trace)
+    powers = [line.split(",")[3:] for line in text.splitlines()[1:]]
+    assert [[x == "inf" for x in row] for row in powers[2:5]] == [
+        [False, True], [True, True], [True, True]]
+
+
+@pytest.mark.parametrize("ident, variant, ratio, rel", [
+    ("ex3.2", "neg", 1.0 / 3.0, 1e-4), ("ex3.3", "neg", 0.2, 1e-4),
+    ("ex3.4", None, 0.75, 1e-2)])
+def test_geometric_window_spans_the_clean_range_of_a_long_run(
+        capsys, ident, variant, ratio, rel):
+    # these runs reach the noise floor within the first tenth of 2000
+    # iterations; the window then starts at a tenth of the clean range
+    argv = ["example", ident, "--iters", "2000", "--out", os.devnull]
+    if variant:
+        argv += ["--variant", variant]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    fit = out.splitlines()[-1]
+    start, last = map(int, fit.split("k in (")[1].split(")")[0].split(", "))
+    assert start == max(2, last // 10) and last - start >= 8, fit
+    assert float(fit.split("ratio=")[1].split()[0]) == pytest.approx(
+        ratio, rel=rel)
+
+
 def test_geometric_summary_stops_at_the_noise_floor():
     # 0.2^k down to ~1e-8, then rounding-level noise that a fit through it
     # would pull off 0.2

@@ -6,6 +6,7 @@ exactly when c4 != 0.  The module also computes Pluecker coordinates of a
 3-plane inside the 6-dimensional space S^3.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -190,35 +191,44 @@ def plucker_coords(E):
     return np.array([np.linalg.det(M[:, cols]) for cols in PLUCKER_INDEX_TRIPLES])
 
 
+@functools.cache
+def _plucker_tables():
+    """``(first, second, sign)``, each (225, 4): term k of the relation for
+    the pair alpha and quadruple beta (both lexicographic) is
+    ``sign * p[first] * p[second]`` with p the coordinates and a zero
+    appended, ``first`` the sorted triple alpha + b_k (the zero where it
+    repeats an index), ``second`` the triple beta - b_k and ``sign``
+    (-1)^k times the parity of sorting alpha + b_k.  Built on first use."""
+    index = {trip: i for i, trip in enumerate(PLUCKER_INDEX_TRIPLES)}
+    first, second, sign = [], [], []
+    for alpha in combinations(range(6), 2):
+        for beta in combinations(range(6), 4):
+            for k, bk in enumerate(beta):
+                trip = (*alpha, bk)
+                inversions = sum(a > b for a, b in combinations(trip, 2))
+                first.append(index.get(tuple(sorted(trip)), len(index)))
+                second.append(index[tuple(b for b in beta if b != bk)])
+                sign.append((-1.0) ** (k + inversions))
+    tables = tuple(np.array(a).reshape(-1, 4) for a in (first, second, sign))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def plucker_relation_defect(coords):
     """Largest violation of the quadratic Grassmann-Pluecker relations.
 
     For every pair alpha = (a1 < a2) and quadruple beta = (b1 < .. < b4) the
-    alternating sum  sum_k (-1)^k  p[alpha + b_k] p[beta - b_k]  must vanish.
+    alternating sum  sum_k (-1)^k  p[alpha + b_k] p[beta - b_k]  must vanish
+    (p of a triple with a repeated index is 0).  The four terms of every
+    relation are summed in order k = 1..4, all relations at once; a NaN
+    relation is passed over.
     """
     coords = np.asarray(coords, dtype=float)
-    lut = {trip: coords[i] for i, trip in enumerate(PLUCKER_INDEX_TRIPLES)}
-
-    def signed(i, j, k):
-        trip = (i, j, k)
-        if len(set(trip)) < 3:
-            return 0.0
-        order = tuple(sorted(trip))
-        # parity of the permutation taking trip to sorted order
-        perm = [order.index(t) for t in trip]
-        sign = 1.0
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        return sign * lut[order]
-
-    worst = 0.0
-    for alpha in combinations(range(6), 2):
-        for beta in combinations(range(6), 4):
-            acc = 0.0
-            for k, bk in enumerate(beta):
-                rest = tuple(b for b in beta if b != bk)
-                acc += (-1.0) ** k * signed(alpha[0], alpha[1], bk) * lut[rest]
-            worst = max(worst, abs(acc))
-    return worst
+    if coords.shape != (len(PLUCKER_INDEX_TRIPLES),):
+        raise ValueError("expected the 20 Pluecker coordinates")
+    first, second, sign = _plucker_tables()
+    p = np.append(coords, 0.0)
+    terms = sign * p[first] * p[second]
+    acc = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    return float(np.fmax.reduce(np.abs(acc), initial=0.0))

@@ -1,10 +1,13 @@
 """The rational slowest curve G(t) of a type2 plane with c4 != 0, rational
 formulas for its projections, a Newton continuation that rebuilds the curve
-from the rank-1 chart, and the transverse perturbation-gain matrix.
+from the rank-1 chart, the transverse perturbation-gain matrix and the tube
+check of AP iterates started near the curve.
 
 All curve formulas are evaluated in the canonical (theta = 0) frame and the
 resulting matrices conjugated back, so they stay consistent with
-``planes.build_plane`` for rotated specs.
+``planes.build_plane`` for rotated specs.  The same formula code runs on a
+float, on an ndarray of t (with the float's bits, entry by entry) and on a
+``TruncSeries`` in t.
 """
 
 import math
@@ -16,7 +19,8 @@ from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
                        m_matrix, psi)
 from .planes import (build_plane, conjugate, rotation_matrix,
                      type2_b1_products)
-from .symcore import _eigh, frob_inner, frob_norm, orthogonalize
+from .symcore import (EigenSolverError, _eigh, frob_inner, frob_norm,
+                      orthogonalize)
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
@@ -26,6 +30,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_JAC_STEP = 1e-7
 TUBE_K_SLACK = 1.5
+TUBE_BLOCK = 256
 
 
 class VanishingDenominatorError(ZeroDivisionError):
@@ -52,12 +57,20 @@ def _require_type2_curve(spec):
         raise ValueError("the slowest curve requires c4 != 0")
 
 
+def _power(x, k):
+    """x ** k, entry by entry as the scalar ``**`` rounds it.  An ndarray
+    goes through ``np.float_power``, which calls the same libm ``pow``;
+    ``**`` on an ndarray may take a SIMD path that differs in the last bit,
+    and then the array and scalar curve formulas would disagree."""
+    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
+
+
 def _w_parts(c, t):
     """Nested denominators of w(t) and w(t) itself, evaluated exactly as
-    written: ``(d_inner, d_mid, d_q, q, w)``.  ``t`` is a float or an
-    ndarray; nothing is checked here."""
+    written: ``(d_inner, d_mid, d_q, q, w)``.  ``t`` is a float, an ndarray
+    or a ``TruncSeries``; nothing is checked here."""
     c1, c2, c3, c4, c5 = c
-    t3 = t ** 3
+    t3 = _power(t, 3)
     d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
     mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t3 / c4
     d_mid = c4 * mid + c5 * t
@@ -104,8 +117,8 @@ def _curve_parts(c, t, w):
     c4, c5 = c[3], c[4]
     nb1, ip21, ip31 = type2_b1_products(c)
     den = 2.0 * c4 * w + 2.0 * c5 * t
-    t6, t7, den4w = t ** 6, t ** 7, den ** 4 * w
-    gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t6 / den ** 5
+    t6, t7, den4w = _power(t, 6), _power(t, 7), _power(den, 4) * w
+    gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t6 / _power(den, 5)
     r0 = (c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1) + 1.0 / (8.0 * c4 ** 3)
     r13 = (c5 / c4) * r0 * t7 + ip21 * t7 / (16.0 * c4 ** 6 * nb1)
     r23 = -2.0 * c5 * t6 / den4w + r0 * t7
@@ -377,10 +390,61 @@ def perturb_gain(spec):
     return PerturbGain(matrix=R, spectral_norm=norm)
 
 
-def _p1_of_t(spec, gram_row1, n1sq, t):
-    """First curve coefficient p1(t) with the g13, g23 it was built from."""
-    _, g13, g23, _ = _curve_scalars(spec, t)
-    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq, g13, g23
+def _p1_parts(c, gram_row1, n1sq, t):
+    """First curve coefficient p1(t) = t + (<B1, B2> g13 + <B1, B3> g23) /
+    ||B1||^2 with the g13, g23 it was built from, and the quantities
+    ``_curve_scalars`` rejects the point for: the denominators it checks and
+    den^4 w, its last divisor.  ``t`` is a float, an ndarray or a
+    ``TruncSeries``; nothing is checked here."""
+    d_inner, d_mid, d_q, q, w = _w_parts(c, t)
+    den, g13, g23, den4w = _curve_parts(c, t, w)
+    p1 = t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq
+    return p1, g13, g23, (d_inner, d_mid, d_q, q, den), den4w
+
+
+def _p1_block(c, gram_row1, n1sq, t):
+    """``(p1, g13, g23, vanished)`` at every entry of the ndarray t, with the
+    same bits as ``_curve_scalars`` gives one float at a time; ``vanished``
+    marks the entries where it raises VanishingDenominatorError (a checked
+    denominator at most 1e-12 in modulus, or a division by zero)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p1, g13, g23, dens, den4w = _p1_parts(c, gram_row1, n1sq, t)
+        vanished = den4w == 0.0
+        for d in dens:
+            vanished |= np.abs(d) <= 1e-12
+    return p1, g13, g23, vanished
+
+
+def _recover_block(c, gram_row1, n1sq, slope, t_last, p1_last, pobs):
+    """Curve parameters of a block of first coefficients ``pobs`` by
+    quasi-Newton on p1 with the fixed ``slope``, every entry started from
+    the last recovered t (where p1 is ``p1_last``) and iterated as an array
+    until |p1(t) - pobs| < 1e-13 max(1, |pobs|), at most 60 evaluations.
+
+    Returns ``(t, p1, g13, g23, vanished, unresolved)``; an entry marked
+    vanished or unresolved has no valid t, p1, g13, g23.
+    """
+    tol = 1e-13 * np.maximum(1.0, np.abs(pobs))
+    t = t_last - (p1_last - pobs) / slope
+    p1, g13, g23 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    vanished = np.zeros(t.shape, dtype=bool)
+    todo = np.arange(t.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(60):
+            p, a, b, gone = _p1_block(c, gram_row1, n1sq, t[todo])
+            r = p - pobs[todo]
+            done = (np.abs(r) < tol[todo]) & ~gone
+            hit = todo[done]
+            p1[hit], g13[hit], g23[hit] = p[done], a[done], b[done]
+            vanished[todo[gone]] = True
+            left = ~(done | gone)
+            todo = todo[left]
+            if not todo.size:
+                break
+            t[todo] -= r[left] / slope
+    unresolved = np.zeros(t.shape, dtype=bool)
+    unresolved[todo] = True
+    return t, p1, g13, g23, vanished, unresolved
 
 
 def tube_check(spec, t0, beta, gamma, steps, eps):
@@ -394,16 +458,29 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
 
     Each step is one ``ap_step`` call, which checks the iterate and
     returns it with its basis coefficients (the same R^-1 z expression as
-    ``coefficients``), so nothing is solved twice.  t is recovered from the
-    first coefficient by quasi-Newton on the first-coordinate map p1,
-    started at the predicted t - c t^7, with the finite-difference slope of
-    p1 taken once (at the first step) and reused: over a run t moves by
-    O(t^7) per step, so the slope barely changes and one correction usually
-    reaches the tolerance.  The per-step scalar work runs on Python floats.
+    ``coefficients``), so nothing is solved twice.  The steps stay one call
+    each because each iterate is the next step's input; what is batched is
+    the rest.  The coefficients of ``TUBE_BLOCK`` steps are stored, then t
+    is recovered for the whole block in one array pass: quasi-Newton on the
+    first-coordinate map p1, every step started from the last recovered t,
+    with the slope dp1/dt taken once, exactly, from p1 evaluated on the
+    series t0 + s (over a run t moves by O(t^7) per step, so the slope
+    barely changes and one correction usually reaches the tolerance).  The
+    curve formulas are evaluated on the array with the bits of the scalar
+    formulas and with ``curve_point``'s denominator checks entry by entry;
+    the transverse deviations and bracket ratios are array expressions.
+
+    The outcome is the one a step-by-step loop gives: the first step whose
+    t leaves (0, t_prev) returns False, a failed recovery (ChartError or
+    VanishingDenominatorError) and an ``ap_step`` error surface only when
+    every earlier step passed.  After a False the rest of its block has
+    already been stepped: at most ``TUBE_BLOCK - 1`` extra ``ap_step`` calls.
     """
+    from .series import TruncSeries  # series imports this module
+
     _require_type2_curve(spec)
     spec = spec.canonical()
-    c4 = spec.c[3]
+    c, c4 = spec.c, spec.c[3]
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
     C = Eo.basis
@@ -416,41 +493,48 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
                          "||beta C2 + gamma C3|| < eps")
     if t0 == 0.0:
         return True
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
 
     c_shift = 1.0 / (4.0 * c4 ** 4 * n1sq)
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
-    t = t0
-    slope = None
-    ratios = []
+    p1_series = _p1_parts(c, gram_row1, n1sq,
+                          TruncSeries.from_coeffs([t0, 1.0], 1))[0]
+    t, p1_last, slope = t0, p1_series[0], p1_series[1]
+    if slope == 0.0:
+        raise ChartError("flat first-coordinate map")
+    half = max(1, steps // 2)
+    k_fit = r_late = 0.0
     transverse_ok = True
-    for _ in range(steps):
-        U, _rank, coeffs = ap_step(Eo, U)
-        pobs = coeffs.tolist()
-        tol = 1e-13 * max(1.0, abs(pobs[0]))
-        tn = t - c_shift * t ** 7
-        for _ in range(60):
-            p1, g13, g23 = _p1_of_t(spec, gram_row1, n1sq, tn)
-            r = p1 - pobs[0]
-            if abs(r) < tol:
+    coeffs = np.empty((min(TUBE_BLOCK, steps), Eo.dim))
+    for first in range(0, steps, TUBE_BLOCK):
+        n, failure = min(TUBE_BLOCK, steps - first), None
+        for i in range(n):
+            try:
+                U, _rank, coeffs[i] = ap_step(Eo, U)
+            except (ValueError, EigenSolverError) as exc:
+                # surfaces once the steps before it have passed
+                n, failure = i, exc
                 break
-            if slope is None:
-                hstep = 1e-7 * max(abs(tn), 1e-3)
-                slope = (_p1_of_t(spec, gram_row1, n1sq, tn + hstep)[0]
-                         - _p1_of_t(spec, gram_row1, n1sq, tn - hstep)[0]
-                         ) / (2 * hstep)
-                if slope == 0.0:
-                    raise ChartError("flat first-coordinate map")
-            tn -= r / slope
-        else:
-            raise ChartError("could not recover the curve parameter")
-        if not 0.0 < tn < t:
+        pobs, p2, p3 = coeffs[:n].T
+        tn, p1, g13, g23, vanished, unresolved = _recover_block(
+            c, gram_row1, n1sq, slope, t, p1_last, pobs)
+        tprev = np.concatenate(([t], tn))[:-1]
+        bad = vanished | unresolved | ~((0.0 < tn) & (tn < tprev))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if vanished[i]:
+                raise VanishingDenominatorError("a curve denominator vanished")
+            if unresolved[i]:
+                raise ChartError("could not recover the curve parameter")
             return False
-        dev = math.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
-        if dev / tn ** 7 >= eps:
-            transverse_ok = False
-        ratios.append(abs(tn - (t - c_shift * t ** 7)) / t ** 8)
-        t = tn
-    half = max(1, len(ratios) // 2)
-    k_fit = max(ratios[:half])
-    bracket_ok = all(r <= TUBE_K_SLACK * k_fit + 1e-9 for r in ratios[half:])
-    return transverse_ok and bracket_ok
+        if failure is not None:
+            raise failure
+        dev = np.hypot((p2 - g13) * n2, (p3 - g23) * n3)
+        transverse_ok &= not np.any(dev / tn ** 7 >= eps)
+        ratios = np.abs(tn - (tprev - c_shift * tprev ** 7)) / tprev ** 8
+        split = min(max(half - first, 0), n)
+        k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
+        r_late = max(r_late, np.max(ratios[split:], initial=0.0))
+        t, p1_last = float(tn[-1]), float(p1[-1])
+    return transverse_ok and r_late <= TUBE_K_SLACK * k_fit + 1e-9

@@ -185,9 +185,8 @@ class AffineSubspace:
     ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
     ``basis.reshape(m, n*n).T = Q R``; each column of Q, as an n x n
     matrix, is exactly symmetric.  A flat v projects to ``aug [v | 1]``
-    with ``aug = [proj | offset]`` (``proj = Q Q^T``, rows (i, j) and
-    (j, i) equal, as in ``offset``; ``proj`` and ``offset`` are read-only
-    views of ``aug``), with basis coefficients ``v coef_map - coef_offset``
+    with ``aug = [Q Q^T | offset]`` (rows (i, j) and (j, i) equal), with
+    basis coefficients ``v coef_map - coef_offset``
     (``coef_map = Q R^-T``).  A basis whose R has a diagonal entry at most
     ``DEPENDENT_BASIS_TOL`` times its largest is rejected as dependent.
     """
@@ -198,8 +197,6 @@ class AffineSubspace:
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
     aug: np.ndarray = field(repr=False)          # (n*n, n*n + 1)
-    proj: np.ndarray = field(repr=False)         # aug[:, :-1]
-    offset: np.ndarray = field(repr=False)       # aug[:, -1]
     coef_map: np.ndarray = field(repr=False)
     coef_offset: np.ndarray = field(repr=False)  # (m,)
 
@@ -233,10 +230,9 @@ class AffineSubspace:
         # projection aug [v | 1] is exactly symmetric
         Q, R_inv, a = mirror(Q), np.linalg.inv(R), anchor.ravel()
         proj, coef_map = mirror(Q @ Q.T), Q @ R_inv.T
-        aug = _freeze(np.hstack([proj, mirror(a - proj @ a)]))
-        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv)),
-                    aug, aug[:, :-1], aug[:, -1],
-                    *map(_freeze, (coef_map, a @ coef_map)))
+        aug = np.hstack([proj, mirror(a - proj @ a)])
+        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv, aug,
+                                  coef_map, a @ coef_map)))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""

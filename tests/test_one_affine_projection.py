@@ -1,9 +1,8 @@
 """Every affine projection in apcone goes through ``AffineSubspace._project``
 and every coefficient read-out through ``AffineSubspace._coefficients``: no
-other function may read the stored projector or coefficient map, and no
-function reads ``proj`` or ``offset``, the views of the projector kept as
-fields (read from the source with ``ast``, so a second projection fails
-here rather than drifting unnoticed)."""
+other function may read the stored projector or coefficient map (read from
+the source with ``ast``, so a second projection fails here rather than
+drifting unnoticed)."""
 
 import ast
 from pathlib import Path
@@ -12,12 +11,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "apcone"
 READERS = {"aug": "symcore.AffineSubspace._project",
            "coef_map": "symcore.AffineSubspace._coefficients",
            "coef_offset": "symcore.AffineSubspace._coefficients"}
-UNREAD = {"proj", "offset"}
 
 
 class _Reads(ast.NodeVisitor):
     """(attribute, qualified function) for every attribute read of a name in
-    ``READERS`` or ``UNREAD``; module level reads as ``<module>``."""
+    ``READERS``; module level reads as ``<module>``."""
 
     def __init__(self, module):
         self.scope = [module]
@@ -31,7 +29,7 @@ class _Reads(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
     def visit_Attribute(self, node):
-        if node.attr in READERS or node.attr in UNREAD:
+        if node.attr in READERS:
             where = self.scope if len(self.scope) > 1 else [*self.scope,
                                                             "<module>"]
             self.found.add((node.attr, ".".join(where)))

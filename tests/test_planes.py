@@ -1,14 +1,15 @@
 import json
 from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
-                           coords_to_sym, plucker_coords,
-                           plucker_relation_defect, rotation_matrix,
-                           singularity_degree, sym_to_coords,
-                           type2_b1_products, type2_basis)
+from apcone.planes import (PLUCKER_INDEX_TRIPLES, PlaneSpec, U_STAR,
+                           build_plane, conjugate, coords_to_sym,
+                           plucker_coords, plucker_relation_defect,
+                           rotation_matrix, singularity_degree,
+                           sym_to_coords, type2_b1_products, type2_basis)
 from apcone.symcore import (AffineSubspace, _standard_sym_basis, eig_sym,
                             frob_inner, frob_norm)
 
@@ -174,6 +175,71 @@ def test_plucker_relations_random_planes():
         coords = plucker_coords(E)
         scale = max(1.0, float(np.max(np.abs(coords))) ** 2)
         assert plucker_relation_defect(coords) / scale < 1e-10
+
+
+def _plucker_relation_defect_loop(coords):
+    """The relation-by-relation loop, rebuilding signs and indices per term."""
+    coords = np.asarray(coords, dtype=float)
+    lut = {trip: coords[i] for i, trip in enumerate(PLUCKER_INDEX_TRIPLES)}
+
+    def signed(i, j, k):
+        trip = (i, j, k)
+        if len(set(trip)) < 3:
+            return 0.0
+        order = tuple(sorted(trip))
+        perm = [order.index(t) for t in trip]
+        sign = 1.0
+        for a in range(3):
+            for b in range(a + 1, 3):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        return sign * lut[order]
+
+    worst = 0.0
+    for alpha in combinations(range(6), 2):
+        for beta in combinations(range(6), 4):
+            acc = 0.0
+            for k, bk in enumerate(beta):
+                rest = tuple(b for b in beta if b != bk)
+                acc += (-1.0) ** k * signed(alpha[0], alpha[1], bk) * lut[rest]
+            worst = max(worst, abs(acc))
+    return worst
+
+
+def test_plucker_relation_defect_matches_the_loop_bit_for_bit():
+    rng = np.random.RandomState(4)
+    cases = [rng.standard_normal(20) * rng.choice([1e-3, 1.0, 1e3])
+             for _ in range(30)]
+    nan = rng.standard_normal(20)
+    nan[7] = np.nan                   # its relations are passed over
+    cases.append(nan)
+    for coords in cases:
+        with np.errstate(invalid="ignore"):
+            got = plucker_relation_defect(coords)
+            want = _plucker_relation_defect_loop(coords)
+        assert got == want
+    assert plucker_relation_defect(nan) > 0.0
+    for wrong in (np.zeros(19), np.zeros(21), np.zeros((4, 5))):
+        with pytest.raises(ValueError):
+            plucker_relation_defect(wrong)
+
+
+def test_plucker_relation_defect_matches_the_loop_on_the_suite(monkeypatch):
+    import apcone.verify as verify
+
+    seen = []
+
+    def recording(coords):
+        seen.append(coords)
+        return plucker_relation_defect(coords)
+
+    monkeypatch.setattr(verify, "plucker_relation_defect", recording)
+    for seed in (0, 1, 7):
+        assert all(row.passed for row in verify.suite_plucker(seed))
+    assert len(seen) == 30
+    for coords in seen:
+        assert plucker_relation_defect(coords) == \
+            _plucker_relation_defect_loop(coords)
 
 
 def test_plucker_needs_3plane():

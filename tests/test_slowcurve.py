@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 import pytest
@@ -5,14 +7,18 @@ import pytest
 from apcone.apengine import ap_step
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
                            rotation_matrix, type2_basis)
-from apcone.slowcurve import (ResidualNoiseError,
-                              VanishingDenominatorError, ap_image_formula,
+import apcone.slowcurve as slowcurve
+from apcone.series import TruncSeries
+from apcone.slowcurve import (TUBE_BLOCK, ChartError, ResidualNoiseError,
+                              VanishingDenominatorError, _curve_scalars,
+                              _p1_block, _p1_parts, ap_image_formula,
                               curve_point, newton_slowest_point, perturb_gain,
                               psd_projection_formula,
                               residual_order_certified, tube_check,
                               valid_t_max, w_rational)
 from apcone.series import det_series
-from apcone.symcore import frob_inner, frob_norm, orthogonalize, project_psd
+from apcone.symcore import (EigenSolverError, frob_inner, frob_norm,
+                            orthogonalize, project_psd)
 from apcone.verify import random_type2_spec
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
@@ -384,3 +390,278 @@ def test_tube_check_tight_eps_fails():
 def test_tube_check_offset_precondition():
     with pytest.raises(ValueError):
         tube_check(SPEC61, t0=0.1, beta=1.0, gamma=0.0, steps=10, eps=1e-3)
+
+
+def test_tube_check_needs_a_step():
+    with pytest.raises(ValueError):
+        tube_check(SPEC61, t0=0.1, beta=0.0, gamma=0.0, steps=0, eps=1.0)
+
+
+# --- block recovery of the curve parameter ------------------------------------
+
+def _first_coordinate_data(spec):
+    E, _ = build_plane(spec.canonical())
+    C = orthogonalize(E).basis
+    return E.gram[0].tolist(), frob_inner(C[0], C[0])
+
+
+def _p1_of_t(spec, gram_row1, n1sq, t):
+    """The scalar first-coordinate map the tube check used step by step."""
+    _, g13, g23, _ = _curve_scalars(spec, t)
+    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq, g13, g23
+
+
+def _tube_check_stepwise(spec, t0, beta, gamma, steps, eps, step=ap_step):
+    """The step-by-step tube check: one scalar recovery per AP step, with a
+    central-difference slope of p1 taken at the first correction."""
+    spec = spec.canonical()
+    c4 = spec.c[3]
+    E, _ = build_plane(spec)
+    Eo = orthogonalize(E)
+    C = Eo.basis
+    n1sq = frob_inner(C[0], C[0])
+    n2, n3 = frob_norm(C[1]), frob_norm(C[2])
+    gram_row1 = E.gram[0].tolist()
+    if t0 == 0.0:
+        return True, []
+    c_shift = 1.0 / (4.0 * c4 ** 4 * n1sq)
+    U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
+    t = t0
+    slope = None
+    ratios, ts = [], []
+    transverse_ok = True
+    for _ in range(steps):
+        U, _rank, coeffs = step(Eo, U)
+        pobs = coeffs.tolist()
+        tol = 1e-13 * max(1.0, abs(pobs[0]))
+        tn = t - c_shift * t ** 7
+        for _ in range(60):
+            p1, g13, g23 = _p1_of_t(spec, gram_row1, n1sq, tn)
+            r = p1 - pobs[0]
+            if abs(r) < tol:
+                break
+            if slope is None:
+                hstep = 1e-7 * max(abs(tn), 1e-3)
+                slope = (_p1_of_t(spec, gram_row1, n1sq, tn + hstep)[0]
+                         - _p1_of_t(spec, gram_row1, n1sq, tn - hstep)[0]
+                         ) / (2 * hstep)
+                if slope == 0.0:
+                    raise ChartError("flat first-coordinate map")
+            tn -= r / slope
+        else:
+            raise ChartError("could not recover the curve parameter")
+        if not 0.0 < tn < t:
+            return False, ts
+        dev = math.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
+        if dev / tn ** 7 >= eps:
+            transverse_ok = False
+        ratios.append(abs(tn - (t - c_shift * t ** 7)) / t ** 8)
+        ts.append(tn)
+        t = tn
+    half = max(1, len(ratios) // 2)
+    k_fit = max(ratios[:half])
+    bracket_ok = all(r <= 1.5 * k_fit + 1e-9 for r in ratios[half:])
+    return transverse_ok and bracket_ok, ts
+
+
+@pytest.mark.parametrize("draw", range(7))
+def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
+    # draw 0 is ex6.1's plane, draw 1 one whose inner denominator is exactly
+    # zero at t = 0.5; the rest seeded mild and wide random type2 planes
+    if draw == 0:
+        spec = SPEC61
+    elif draw == 1:
+        spec = PlaneSpec("type2", (1.0, 1.0, 0.0, 1.0, 0.0))
+    else:
+        spec = random_type2_spec(np.random.RandomState(draw),
+                                 mild=draw % 2 == 0)
+    gram_row1, n1sq = _first_coordinate_data(spec)
+    ts = np.concatenate([np.linspace(-0.4, 0.6, 201),
+                         np.geomspace(1e-6, 0.3, 97), [0.5]])
+    p1, g13, g23, vanished = _p1_block(spec.c, gram_row1, n1sq, ts)
+    raised = 0
+    for i, t in enumerate(ts.tolist()):
+        try:
+            want = _p1_of_t(spec, gram_row1, n1sq, t)
+        except VanishingDenominatorError:
+            assert vanished[i], t
+            raised += 1
+            continue
+        assert not vanished[i], t
+        got = (p1[i], g13[i], g23[i])
+        assert np.array_equal(np.array(got), np.array(want)), t
+    if draw == 1:
+        assert raised >= 1
+
+
+def test_tube_slope_is_the_exact_derivative_of_p1():
+    for spec in (SPEC61, PlaneSpec("type2", (1.0, -0.7, 0.4, 1.0, 0.9)),
+                 PlaneSpec("type2", (0.3, 0.5, -0.6, 0.8, -0.2))):
+        gram_row1, n1sq = _first_coordinate_data(spec)
+        for t in (0.03, 0.1):
+            p1 = _p1_parts(spec.c, gram_row1, n1sq,
+                           TruncSeries.from_coeffs([t, 1.0], 1))[0]
+            assert p1[0] == pytest.approx(
+                _p1_of_t(spec, gram_row1, n1sq, t)[0], rel=1e-15)
+            h = 1e-5 * t   # fourth-order central difference
+            fd = (8.0 * (_p1_of_t(spec, gram_row1, n1sq, t + h)[0]
+                         - _p1_of_t(spec, gram_row1, n1sq, t - h)[0])
+                  - (_p1_of_t(spec, gram_row1, n1sq, t + 2 * h)[0]
+                     - _p1_of_t(spec, gram_row1, n1sq, t - 2 * h)[0])
+                  ) / (12.0 * h)
+            assert p1[1] == pytest.approx(fd, rel=1e-8)
+    # on ex6.1's plane p1(t) = t
+    gram_row1, n1sq = _first_coordinate_data(SPEC61)
+    p1 = _p1_parts(SPEC61.c, gram_row1, n1sq,
+                   TruncSeries.from_coeffs([0.1, 1.0], 1))[0]
+    assert p1[1] == 1.0
+
+
+def _recovered_ts(monkeypatch):
+    """Record the t that tube_check recovers, block by block."""
+    blocks = []
+    recover = slowcurve._recover_block
+
+    def recording(*args):
+        out = recover(*args)
+        blocks.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(slowcurve, "_recover_block", recording)
+    return blocks
+
+
+N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
+
+
+def _assert_matches_the_stepwise_loop(spec, kw, monkeypatch):
+    """Same outcome as the stepwise loop, and every t it recovered within
+    2e-13 of the block's: each side stops within 1e-13 max(1, |p1|) of the
+    observed p1, and dp1/dt is near 1 on these planes."""
+    want, want_ts = _tube_check_stepwise(spec, **kw)
+    blocks = _recovered_ts(monkeypatch)
+    assert tube_check(spec, **kw) == want
+    got_ts = np.concatenate(blocks)
+    assert len(got_ts) == kw["steps"] >= len(want_ts)
+    n = len(want_ts)
+    np.testing.assert_allclose(got_ts[:n], want_ts, rtol=0.0, atol=2e-13)
+
+
+N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
+
+
+@pytest.mark.parametrize("kw", [
+    dict(t0=0.1, beta=0.0, gamma=0.0, steps=2000, eps=1.0),
+    dict(t0=0.1, beta=0.5 / N2_61, gamma=0.0, steps=2000, eps=1.0),
+    dict(t0=0.05, beta=0.0, gamma=0.0, steps=2000, eps=0.35),
+    dict(t0=0.1, beta=0.0, gamma=0.0, steps=600, eps=1e-6),
+    dict(t0=0.15, beta=0.0, gamma=0.0, steps=600, eps=1.0),
+    dict(t0=0.2, beta=0.0, gamma=0.0, steps=600, eps=1.0),
+], ids=["prop76-on-curve", "prop76-offset", "prop76-t0.05", "eps1e-6",
+        "t0.15", "t0.2"])
+def test_tube_check_matches_the_stepwise_loop(kw, monkeypatch):
+    _assert_matches_the_stepwise_loop(SPEC61, kw, monkeypatch)
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_tube_check_matches_the_stepwise_loop_on_random_planes(draw,
+                                                               monkeypatch):
+    # p1 is not linear in t here, unlike on ex6.1's plane
+    spec = random_type2_spec(np.random.RandomState(11 + draw))
+    kw = dict(t0=0.05, beta=0.0, gamma=0.0, steps=600, eps=10.0)
+    _assert_matches_the_stepwise_loop(spec, kw, monkeypatch)
+
+
+def _patched_steps(monkeypatch, edits=None, raise_at=None):
+    """Make tube_check's ap_step count its calls, raise EigenSolverError at
+    call ``raise_at`` and pass call k's plane, iterate and coefficients
+    through ``edits[k]``, which returns the iterate and coefficients
+    handed on."""
+    edits = edits or {}
+    calls = []
+
+    def step(E, U):
+        calls.append(1)
+        if len(calls) == raise_at:
+            raise EigenSolverError("injected")
+        W, rank, coeffs = ap_step(E, U)
+        if len(calls) in edits:
+            W, coeffs = edits[len(calls)](E, W, coeffs)
+        return W, rank, coeffs
+
+    monkeypatch.setattr(slowcurve, "ap_step", step)
+    return step, calls
+
+
+def _observe_p1(value):
+    """Report ``value`` as the first coefficient; on ex6.1's plane p1(t) = t,
+    so the recovered t is ``value``, and the next step goes on from the
+    true iterate."""
+    def edit(E, W, coeffs):
+        return W, np.array([value, *coeffs[1:]])
+    return edit
+
+
+def _raise_p1(delta):
+    return lambda E, W, coeffs: _observe_p1(coeffs[0] + delta)(E, W, coeffs)
+
+
+def _move_along_c1(delta):
+    """Move the iterate by delta C1, so every later step goes on from there."""
+    def edit(E, W, coeffs):
+        return W + delta * E.basis[0], coeffs + np.array([delta, 0.0, 0.0])
+    return edit
+
+
+KW61 = dict(t0=0.1, beta=0.0, gamma=0.0, steps=2000, eps=1.0)
+
+
+def _both_outcomes(monkeypatch, kw, edits=None, raise_at=None):
+    """(stepwise outcome, block outcome, steps the block took) under the
+    same edited steps; an outcome is the result or the exception type."""
+    outcomes = []
+    for stepwise in (True, False):
+        step, calls = _patched_steps(monkeypatch, edits, raise_at)
+        try:
+            if stepwise:
+                out = _tube_check_stepwise(SPEC61, **kw, step=step)[0]
+            else:
+                out = tube_check(SPEC61, **kw)
+        except (ChartError, VanishingDenominatorError, EigenSolverError) as exc:
+            out = type(exc)
+        outcomes.append(out)
+    return (*outcomes, len(calls))
+
+
+def test_tube_check_rising_t_fails_within_one_block(monkeypatch):
+    assert _both_outcomes(monkeypatch, KW61, {5: _raise_p1(1e-3)}) == \
+        (False, False, TUBE_BLOCK)
+
+
+@pytest.mark.parametrize("edits, raise_at, want", [
+    ({3: _raise_p1(np.nan), 7: _raise_p1(1e-3)}, None, ChartError),
+    ({2: _raise_p1(1e-3), 3: _raise_p1(np.nan)}, None, False),
+    # d_inner = 1 - 2t vanishes at t = 0.5
+    ({3: _observe_p1(0.5)}, None, VanishingDenominatorError),
+    ({2: _raise_p1(1e-3), 3: _observe_p1(0.5)}, None, False),
+    # a step error in the second block, after a whole block of recoveries
+    (None, TUBE_BLOCK + 8, EigenSolverError),
+    ({TUBE_BLOCK + 5: _raise_p1(1e-3)}, TUBE_BLOCK + 8, False),
+    ({TUBE_BLOCK + 5: _raise_p1(np.nan)}, TUBE_BLOCK + 8, ChartError),
+], ids=["chart", "rise-then-chart", "vanish", "rise-then-vanish",
+        "step-error", "rise-then-step-error", "chart-then-step-error"])
+def test_tube_check_failure_precedence_follows_the_steps(monkeypatch, edits,
+                                                         raise_at, want):
+    stepwise, block, _ = _both_outcomes(monkeypatch, KW61, edits, raise_at)
+    assert stepwise == block == want
+
+
+@pytest.mark.parametrize("at, want", [(100, True), (450, False)])
+def test_tube_check_bracket_is_fitted_on_the_first_half(monkeypatch, at,
+                                                         want):
+    # a jump of about 10 K t^8 down the curve widens the bracket when it
+    # falls in the first half (steps 1-300) and breaks it in the second
+    kw = dict(KW61, steps=600)
+    stepwise, block, _ = _both_outcomes(monkeypatch, kw,
+                                        {at: _move_along_c1(-1e-7)})
+    assert stepwise == block == want

@@ -15,7 +15,7 @@ from .series import (TruncSeries, det_series, expand_curve,
 from .slowcurve import (CurvePoint, PerturbGain, ap_image_formula,
                         curve_point, newton_slowest_point, perturb_gain,
                         psd_projection_formula, residual_order_certified,
-                        tube_check, valid_t_max, w_rational)
+                        tube_check, valid_t_max)
 from .symcore import (AffineSubspace, EigDecomp, eig_sym, frob_inner,
                       frob_norm, orthogonalize, project_affine, project_psd,
                       sym_matrix)
@@ -38,5 +38,5 @@ __all__ = [
     "psd_projection_formula", "psi", "rank_one_step_residual",
     "recursive_sequence", "residual_order_certified", "run_ap",
     "singularity_degree", "slow_rate_constant", "sym_matrix", "tube_check",
-    "valid_t_max", "w_rational", "w_recursion_defect",
+    "valid_t_max", "w_recursion_defect",
 ]

@@ -1,9 +1,10 @@
 """Built-in experiment instances (ids ex3.2, ex3.3, ex3.4, ex4.4, ex6.1).
 
-Each instance fixes a plane, a distance target, a default start, and the
-fit that summarizes its convergence behaviour.  A plane object (a
-``PlaneSpec``) makes an instance too, with no default start: its fit, like
-that of the type2 instances, follows from its singularity degree.
+Each instance fixes a plane, whose anchor is the distance target, a
+default start, and the fit that summarizes its convergence behaviour.  A
+plane object (a ``PlaneSpec``) makes an instance too, with no default
+start: its fit, like that of the type2 instances, follows from its
+singularity degree.
 """
 
 from dataclasses import dataclass, replace
@@ -21,11 +22,15 @@ class ExampleInstance:
     ident: str
     variant: str
     plane: AffineSubspace
-    target: np.ndarray
     start: np.ndarray | None    # default coefficients
     default_iters: int | None
     fit_power: int | None       # fit dist^-p against k; None: geometric
     spec: PlaneSpec | None      # set for type2 instances and plane objects
+
+    @property
+    def target(self):
+        """The distance target: the plane's anchor."""
+        return self.plane.anchor
 
 
 _LINE_32 = sym_matrix([[0, 0, -1], [0, 2, 0], [-1, 0, 0]])
@@ -39,11 +44,11 @@ def _ex32(variant):
     variant = variant or "pos"
     E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_32]))
     if variant == "pos":
-        return ExampleInstance("ex3.2", "pos", E, U_STAR, np.array([0.1]),
-                               100000, 2, None)
+        return ExampleInstance("ex3.2", "pos", E, np.array([0.1]), 100000,
+                               2, None)
     if variant == "neg":
-        return ExampleInstance("ex3.2", "neg", E, U_STAR, np.array([-0.05]),
-                               40, None, None)
+        return ExampleInstance("ex3.2", "neg", E, np.array([-0.05]), 40,
+                               None, None)
     raise ValueError("ex3.2 variants: pos, neg")
 
 
@@ -51,14 +56,14 @@ def _ex33(variant):
     variant = variant or "neg"
     if variant == "neg":
         E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_33]))
-        return ExampleInstance("ex3.3", "neg", E, U_STAR, np.array([-0.1]),
-                               40, None, None)
+        return ExampleInstance("ex3.3", "neg", E, np.array([-0.1]), 40,
+                               None, None)
     if variant == "pos":
         # anchor at the far endpoint of the intersection segment
         anchor = sym_matrix(U_STAR + _LINE_33)
         E = AffineSubspace.from_basis(anchor, np.array([_LINE_33]))
-        return ExampleInstance("ex3.3", "pos", E, anchor, np.array([0.5]),
-                               60, None, None)
+        return ExampleInstance("ex3.3", "pos", E, np.array([0.5]), 60,
+                               None, None)
     raise ValueError("ex3.3 variants: pos, neg")
 
 
@@ -71,8 +76,8 @@ def _ex34():
     B2[0, 3] = B2[3, 0] = B2[1, 3] = B2[3, 1] = 1.0
     E = AffineSubspace.from_basis(sym_matrix(anchor),
                                   np.array([sym_matrix(B1), sym_matrix(B2)]))
-    return ExampleInstance("ex3.4", "default", E, E.anchor,
-                           np.array([0.1, 0.0]), 40, None, None)
+    return ExampleInstance("ex3.4", "default", E, np.array([0.1, 0.0]), 40,
+                           None, None)
 
 
 def plane_instance(spec):
@@ -82,8 +87,7 @@ def plane_instance(spec):
     k^(-1/6) law from the slowest curve), otherwise geometric."""
     E, _ = build_plane(spec)
     power = 6 if singularity_degree(spec) == 2 else None
-    return ExampleInstance("plane", spec.kind, E, E.anchor, None, None, power,
-                           spec)
+    return ExampleInstance("plane", spec.kind, E, None, None, power, spec)
 
 
 def _type2_instance(ident, spec, start_t, iters):

@@ -169,8 +169,7 @@ def _run_and_report(inst, start, iters, tol, out):
         raise ValueError("start coefficients must be finite")
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
              iters)
-    trace = run_ap(inst.plane, start, max_iter=iters, tol=tol,
-                   target=inst.target)
+    trace = run_ap(inst.plane, start, max_iter=iters, tol=tol)
     _emit(trace_csv(trace), out)
     _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
          f"stop={trace.stop_reason}\n")

@@ -2,9 +2,9 @@
 them.
 
 The curve expansions run the slowest curve's own rational formulas
-(``slowcurve._w_parts``, ``_curve_parts`` and ``_canonical_matrix``) on the
-series t instead of a float, so the series certify the low-degree structure
-of exactly the code that evaluates the curve pointwise: the recursion
+(``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
+instead of a float, so the series certify the low-degree structure of
+exactly the code that evaluates the curve pointwise: the recursion
 satisfied by w, the t^10 leading coefficient of det G(t), and the perturbed
 moment-curve pattern of the c1 = c4 = 1 instance.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planes import PlaneSpec
-from .slowcurve import _canonical_matrix, _curve_parts, _w_parts
+from .slowcurve import _canonical_matrix, _curve_parts
 
 DEFAULT_CAP = 12
 _MOMENT_CAP = 8    # the moment pattern is compared through degree 7
@@ -130,15 +130,12 @@ class TruncSeries:
 
 def expand_curve(spec, cap=DEFAULT_CAP):
     """Series expansions (w, g13, g23) of the slowest curve in t, from the
-    same formulas that evaluate it pointwise (``slowcurve._w_parts`` and
-    ``slowcurve._curve_parts``) applied to the series t."""
+    same formulas that evaluate it pointwise (``slowcurve._curve_parts``)
+    applied to the series t."""
     c = spec.canonical().c
     if c[3] == 0.0:
         raise ValueError("curve expansion requires c4 != 0")
-    t = TruncSeries.x(cap)
-    w = _w_parts(c, t)[-1]
-    _, g13, g23, _ = _curve_parts(c, t, w)
-    return w, g13, g23
+    return _curve_parts(c, TruncSeries.x(cap))[:3]
 
 
 def curve_matrix_series(spec, cap):

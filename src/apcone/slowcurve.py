@@ -5,7 +5,9 @@ check of AP iterates started near the curve.
 
 All curve formulas are evaluated in the canonical (theta = 0) frame and the
 resulting matrices conjugated back, so they stay consistent with
-``planes.build_plane`` for rotated specs.  The same formula code runs on a
+``planes.build_plane`` for rotated specs.  The formulas are written once,
+in ``_curve_parts``, with the denominators a point is rejected for, and one
+predicate (``_vanished``) decides the rejection.  The same code runs on a
 float, on an ndarray of t (with the float's bits, entry by entry) and on a
 ``TruncSeries`` in t.
 """
@@ -65,38 +67,6 @@ def _power(x, k):
     return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
 
-def _w_parts(c, t):
-    """Nested denominators of w(t) and w(t) itself, evaluated exactly as
-    written: ``(d_inner, d_mid, d_q, q, w)``.  ``t`` is a float, an ndarray
-    or a ``TruncSeries``; nothing is checked here."""
-    c1, c2, c3, c4, c5 = c
-    t3 = _power(t, 3)
-    d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
-    mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t3 / c4
-    d_mid = c4 * mid + c5 * t
-    q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
-    d_q = c4 * q + c5 * t
-    w = (1.0 - 2.0 * c1 * t
-         + c2 * t * t / d_mid
-         + c3 * t3 / (d_q * q))
-    return d_inner, d_mid, d_q, q, w
-
-
-def w_rational(spec, t):
-    """The nested rational function w(t), evaluated exactly as written."""
-    _require_type2_curve(spec)
-    try:
-        d_inner, d_mid, d_q, q, w = _w_parts(spec.c, float(t))
-    except ZeroDivisionError:
-        raise VanishingDenominatorError("a denominator of w is zero") from None
-    if abs(d_inner) <= 1e-12:
-        raise VanishingDenominatorError("inner denominator vanished")
-    for d in (d_mid, d_q, q):
-        if abs(d) <= 1e-12:
-            raise VanishingDenominatorError("nested denominator vanished")
-    return w
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """One point of the slowest curve with its scalar ingredients."""
@@ -109,35 +79,58 @@ class CurvePoint:
     G: np.ndarray
 
 
-def _curve_parts(c, t, w):
-    """``(den, g13, g23, den4w)`` of the curve point at t with den = 2 c4 w +
-    2 c5 t and den4w = den^4 w, in the canonical frame (h = 2 t^6 / den4w
-    is left to ``_curve_scalars``).  ``t`` and ``w`` are floats or ndarrays
-    of one shape, or ``TruncSeries``; nothing is checked here."""
-    c4, c5 = c[3], c[4]
+def _curve_parts(c, t):
+    """``(w, g13, g23, den4w, checked)`` of the curve point at t in the
+    canonical frame, evaluated exactly as written: the nested rational w(t),
+    the coefficients g13, g23, den4w = den^4 w with den = 2 c4 w + 2 c5 t
+    (h = 2 t^6 / den4w is left to ``_curve_scalars``), and the denominators
+    a point is rejected for, ``checked = (d_inner, d_mid, d_q, q, den)``.
+    ``t`` is a float, an ndarray or a ``TruncSeries``; nothing is checked
+    here."""
+    c1, c2, c3, c4, c5 = c
     nb1, ip21, ip31 = type2_b1_products(c)
+    t3, t6, t7 = _power(t, 3), _power(t, 6), _power(t, 7)
+    d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
+    mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t3 / c4
+    d_mid = c4 * mid + c5 * t
+    q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
+    d_q = c4 * q + c5 * t
+    w = (1.0 - 2.0 * c1 * t
+         + c2 * t * t / d_mid
+         + c3 * t3 / (d_q * q))
     den = 2.0 * c4 * w + 2.0 * c5 * t
-    t6, t7, den4w = _power(t, 6), _power(t, 7), _power(den, 4) * w
+    den4w = _power(den, 4) * w
     gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t6 / _power(den, 5)
     r0 = (c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1) + 1.0 / (8.0 * c4 ** 3)
     r13 = (c5 / c4) * r0 * t7 + ip21 * t7 / (16.0 * c4 ** 6 * nb1)
     r23 = -2.0 * c5 * t6 / den4w + r0 * t7
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
-    return den, g13, g23, den4w
+    return w, g13, g23, den4w, (d_inner, d_mid, d_q, q, den)
+
+
+def _vanished(den4w, checked):
+    """Whether a curve point whose formulas ran without a division by zero
+    is rejected all the same: den^4 w is zero or a checked denominator is
+    at most 1e-12 in modulus.  Elementwise on arrays, where a division by
+    zero gives inf or nan instead of raising and lands here too."""
+    out = den4w == 0.0
+    for d in checked:
+        out = out | (abs(d) <= 1e-12)
+    return out
 
 
 def _curve_scalars(spec, t):
     """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
+    _require_type2_curve(spec)
     t = float(t)
-    w = w_rational(spec, t)
     try:
-        den, g13, g23, den4w = _curve_parts(spec.c, t, w)
+        w, g13, g23, den4w, checked = _curve_parts(spec.c, t)
         h = 2.0 * t ** 6 / den4w
     except ZeroDivisionError:
-        raise VanishingDenominatorError("w or 2 c4 w + 2 c5 t is zero") from None
-    if abs(den) <= 1e-12:
-        raise VanishingDenominatorError("2 c4 w + 2 c5 t vanished")
+        raise VanishingDenominatorError("a curve denominator is zero") from None
+    if _vanished(den4w, checked):
+        raise VanishingDenominatorError("a curve denominator vanished")
     return w, g13, g23, h
 
 
@@ -188,13 +181,17 @@ def psd_projection_formula(spec, t):
     return out
 
 
+def _ap_shift(c, t):
+    """Curve parameter of one AP step from G(t), to O(t^8):
+    t - t^7 / (4 c4^4 ||B1||^2).  ``t`` is a float or an ndarray."""
+    return t - _power(t, 7) / (4.0 * c[3] ** 4 * type2_b1_products(c)[0])
+
+
 def ap_image_formula(spec, t):
     """Rational model of one AP step applied to G(t): the curve point at
-    t - t^7 / (4 c4^4 ||B1||^2), accurate to O(t^8)."""
+    ``_ap_shift``'s t - t^7 / (4 c4^4 ||B1||^2), accurate to O(t^8)."""
     _require_type2_curve(spec)
-    c4 = spec.c[3]
-    nb1 = type2_b1_products(spec.c)[0]
-    return curve_point(spec, t - t ** 7 / (4.0 * c4 ** 4 * nb1)).G
+    return curve_point(spec, _ap_shift(spec.c, t)).G
 
 
 # --- curve domain ------------------------------------------------------------
@@ -208,10 +205,9 @@ def _domain_ok(c, t):
     denominator yields inf or nan, which fails the floor test.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_inner, d_mid, d_q, q, w = _w_parts(c, t)
-        den, g13, g23, _ = _curve_parts(c, t, w)
-        ok = np.abs(d_inner) > DENOM_FLOOR
-        for d in (d_mid, d_q, q, w, den):
+        w, g13, g23, _, checked = _curve_parts(c, t)
+        ok = np.abs(w) > DENOM_FLOOR
+        for d in checked:
             ok &= np.abs(d) > DENOM_FLOOR
         # G is symmetric, so .T only moves the matrix axes last
         det = np.linalg.det(np.array(_canonical_matrix(c, t, g13, g23)).T)
@@ -390,36 +386,21 @@ def perturb_gain(spec):
     return PerturbGain(matrix=R, spectral_norm=norm)
 
 
-def _p1_parts(c, gram_row1, n1sq, t):
-    """First curve coefficient p1(t) = t + (<B1, B2> g13 + <B1, B3> g23) /
-    ||B1||^2 with the g13, g23 it was built from, and the quantities
-    ``_curve_scalars`` rejects the point for: the denominators it checks and
-    den^4 w, its last divisor.  ``t`` is a float, an ndarray or a
-    ``TruncSeries``; nothing is checked here."""
-    d_inner, d_mid, d_q, q, w = _w_parts(c, t)
-    den, g13, g23, den4w = _curve_parts(c, t, w)
-    p1 = t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq
-    return p1, g13, g23, (d_inner, d_mid, d_q, q, den), den4w
+def _coordinate(row, t, g13, g23):
+    """One coefficient of the curve point over C: ``row`` is a row of the
+    basis change T of ``tube_check``.  ``t``, ``g13`` and ``g23`` are
+    floats, ndarrays or ``TruncSeries``."""
+    return row[0] * t + row[1] * g13 + row[2] * g23
 
 
-def _p1_block(c, gram_row1, n1sq, t):
-    """``(p1, g13, g23, vanished)`` at every entry of the ndarray t, with the
-    same bits as ``_curve_scalars`` gives one float at a time; ``vanished``
-    marks the entries where it raises VanishingDenominatorError (a checked
-    denominator at most 1e-12 in modulus, or a division by zero)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p1, g13, g23, dens, den4w = _p1_parts(c, gram_row1, n1sq, t)
-        vanished = den4w == 0.0
-        for d in dens:
-            vanished |= np.abs(d) <= 1e-12
-    return p1, g13, g23, vanished
-
-
-def _recover_block(c, gram_row1, n1sq, slope, t_last, p1_last, pobs):
+def _recover_block(c, p1_row, slope, t_last, p1_last, pobs):
     """Curve parameters of a block of first coefficients ``pobs`` by
-    quasi-Newton on p1 with the fixed ``slope``, every entry started from
-    the last recovered t (where p1 is ``p1_last``) and iterated as an array
-    until |p1(t) - pobs| < 1e-13 max(1, |pobs|), at most 60 evaluations.
+    quasi-Newton on p1(t) = ``_coordinate(p1_row, t, g13, g23)`` with the
+    fixed ``slope``, every entry started from the last recovered t (where
+    p1 is ``p1_last``) and iterated as an array until |p1(t) - pobs| <
+    1e-13 max(1, |pobs|), at most 60 evaluations.  The curve formulas give
+    the bits ``_curve_scalars`` gives one float at a time, and an entry is
+    marked vanished where it would raise VanishingDenominatorError.
 
     Returns ``(t, p1, g13, g23, vanished, unresolved)``; an entry marked
     vanished or unresolved has no valid t, p1, g13, g23.
@@ -431,7 +412,9 @@ def _recover_block(c, gram_row1, n1sq, slope, t_last, p1_last, pobs):
     todo = np.arange(t.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(60):
-            p, a, b, gone = _p1_block(c, gram_row1, n1sq, t[todo])
+            _, a, b, den4w, checked = _curve_parts(c, t[todo])
+            p = _coordinate(p1_row, t[todo], a, b)
+            gone = _vanished(den4w, checked)
             r = p - pobs[todo]
             done = (np.abs(r) < tol[todo]) & ~gone
             hit = todo[done]
@@ -453,22 +436,29 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     Starting from G(t0) + beta t0^7 C2 + gamma t0^7 C3, iterate the AP map;
     at each step recover t from the C1 coefficient, demand the transverse
     part stays below ``eps`` in the beta/gamma norm, and demand t decreases
-    inside the bracket t - c t^7 -/+ K t^8 with K fitted on the first half
-    of the run and allowed TUBE_K_SLACK times over on the second.
+    inside the bracket t - c t^7 -/+ K t^8 (``_ap_shift``) with K fitted on
+    the first half of the run and allowed TUBE_K_SLACK times over on the
+    second.
+
+    The curve is read over the Gram-Schmidt basis C through one 3x3 matrix
+    T whose column j holds the coefficients <B_j, C_i> / ||C_i||^2 of B_j
+    over C, so G(t) has coefficients T (t, g13, g23): row 0 is the
+    first-coordinate map p1(t) the recovery inverts, rows 1 and 2 the
+    curve's transverse coefficients the iterate is compared with.
 
     Each step is one ``ap_step`` call, which checks the iterate and
     returns it with its basis coefficients (the same R^-1 z expression as
     ``coefficients``), so nothing is solved twice.  The steps stay one call
     each because each iterate is the next step's input; what is batched is
     the rest.  The coefficients of ``TUBE_BLOCK`` steps are stored, then t
-    is recovered for the whole block in one array pass: quasi-Newton on the
-    first-coordinate map p1, every step started from the last recovered t,
-    with the slope dp1/dt taken once, exactly, from p1 evaluated on the
-    series t0 + s (over a run t moves by O(t^7) per step, so the slope
-    barely changes and one correction usually reaches the tolerance).  The
-    curve formulas are evaluated on the array with the bits of the scalar
-    formulas and with ``curve_point``'s denominator checks entry by entry;
-    the transverse deviations and bracket ratios are array expressions.
+    is recovered for the whole block in one array pass: quasi-Newton on p1,
+    every step started from the last recovered t, with the slope dp1/dt
+    taken once, exactly, from p1 evaluated on the series t0 + s (over a run
+    t moves by O(t^7) per step, so the slope barely changes and one
+    correction usually reaches the tolerance).  The curve formulas are
+    evaluated on the array with the bits of the scalar formulas and with
+    ``curve_point``'s denominator checks entry by entry; the transverse
+    deviations and bracket ratios are array expressions.
 
     The outcome is the one a step-by-step loop gives: the first step whose
     t leaves (0, t_prev) returns False, a failed recovery (ChartError or
@@ -480,13 +470,13 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
 
     _require_type2_curve(spec)
     spec = spec.canonical()
-    c, c4 = spec.c, spec.c[3]
+    c = spec.c
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
     C = Eo.basis
-    n1sq = frob_inner(C[0], C[0])
+    T = [[frob_inner(B, Ci) / frob_inner(Ci, Ci) for B in E.basis]
+         for Ci in C]
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
-    gram_row1 = E.gram[0].tolist()
 
     if math.hypot(beta * n2, gamma * n3) >= eps:
         raise ValueError("initial transverse offset must satisfy "
@@ -496,10 +486,9 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
-    c_shift = 1.0 / (4.0 * c4 ** 4 * n1sq)
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
-    p1_series = _p1_parts(c, gram_row1, n1sq,
-                          TruncSeries.from_coeffs([t0, 1.0], 1))[0]
+    ts = TruncSeries.from_coeffs([t0, 1.0], 1)
+    p1_series = _coordinate(T[0], ts, *_curve_parts(c, ts)[1:3])
     t, p1_last, slope = t0, p1_series[0], p1_series[1]
     if slope == 0.0:
         raise ChartError("flat first-coordinate map")
@@ -518,7 +507,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
                 break
         pobs, p2, p3 = coeffs[:n].T
         tn, p1, g13, g23, vanished, unresolved = _recover_block(
-            c, gram_row1, n1sq, slope, t, p1_last, pobs)
+            c, T[0], slope, t, p1_last, pobs)
         tprev = np.concatenate(([t], tn))[:-1]
         bad = vanished | unresolved | ~((0.0 < tn) & (tn < tprev))
         if bad.any():
@@ -530,11 +519,12 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
             return False
         if failure is not None:
             raise failure
-        dev = np.hypot((p2 - g13) * n2, (p3 - g23) * n3)
+        dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
+                       (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
         transverse_ok &= not np.any(dev / tn ** 7 >= eps)
-        ratios = np.abs(tn - (tprev - c_shift * tprev ** 7)) / tprev ** 8
+        ratios = np.abs(tn - _ap_shift(c, tprev)) / tprev ** 8
         split = min(max(half - first, 0), n)
         k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
         r_late = max(r_late, np.max(ratios[split:], initial=0.0))
         t, p1_last = float(tn[-1]), float(p1[-1])
-    return transverse_ok and r_late <= TUBE_K_SLACK * k_fit + 1e-9
+    return transverse_ok and bool(r_late <= TUBE_K_SLACK * k_fit + 1e-9)

@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("ident, variant", [
+    ("ex3.2", "pos"), ("ex3.2", "neg"), ("ex3.3", "pos"), ("ex3.3", "neg"),
+    ("ex3.4", None), ("ex4.4", None), ("ex6.1", None)])
+def test_example_target_is_the_plane_anchor(ident, variant):
+    inst = get_example(ident, variant)
+    assert inst.target is inst.plane.anchor
+    with pytest.raises(AttributeError):
+        inst.target = np.zeros((inst.plane.n, inst.plane.n))
+
+
 def test_example_neg_branch_summary(capsys, tmp_path):
     out_file = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, "example", "ex3.3", "--variant", "neg",

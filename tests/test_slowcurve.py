@@ -10,16 +10,17 @@ from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
 import apcone.slowcurve as slowcurve
 from apcone.series import TruncSeries
 from apcone.slowcurve import (TUBE_BLOCK, ChartError, ResidualNoiseError,
-                              VanishingDenominatorError, _curve_scalars,
-                              _p1_block, _p1_parts, ap_image_formula,
-                              curve_point, newton_slowest_point, perturb_gain,
+                              VanishingDenominatorError, _coordinate,
+                              _curve_parts, _curve_scalars, _vanished,
+                              ap_image_formula, curve_point,
+                              newton_slowest_point, perturb_gain,
                               psd_projection_formula,
                               residual_order_certified, tube_check,
-                              valid_t_max, w_rational)
+                              valid_t_max)
 from apcone.series import det_series
 from apcone.symcore import (EigenSolverError, frob_inner, frob_norm,
                             orthogonalize, project_psd)
-from apcone.verify import random_type2_spec
+from apcone.verify import curve_probe_t, random_type2_spec
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
 SPEC44 = PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0))
@@ -29,24 +30,24 @@ SPEC44 = PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0))
 
 def test_w_moment_instance_exact():
     for t in (0.0, 1e-3, 0.05, 0.15):
-        assert w_rational(SPEC61, t) == 1.0 - 2.0 * t
+        assert curve_point(SPEC61, t).w == 1.0 - 2.0 * t
 
 
 def test_w_at_zero_is_one():
     spec = PlaneSpec("type2", (0.3, -0.7, 0.5, 1.2, -0.4))
-    assert w_rational(spec, 0.0) == 1.0
+    assert curve_point(spec, 0.0).w == 1.0
 
 
 def test_w_requires_c4():
     with pytest.raises(ValueError):
-        w_rational(PlaneSpec("type2", (1, 0, 0, 0, 1)), 0.01)
+        curve_point(PlaneSpec("type2", (1, 0, 0, 0, 1)), 0.01)
 
 
 def test_w_vanishing_denominator():
     # inner denominator c4 (1 - 2 c1 t) + c5 t hits zero at t = 0.5
     spec = PlaneSpec("type2", (1.0, 1.0, 0.0, 1.0, 0.0))
     with pytest.raises(VanishingDenominatorError):
-        w_rational(spec, 0.5)
+        curve_point(spec, 0.5)
 
 
 def test_w_recursion_pointwise_halving_order():
@@ -54,7 +55,7 @@ def test_w_recursion_pointwise_halving_order():
     spec = PlaneSpec("type2", (0.3, -0.7, 0.5, 1.2, -0.4))
 
     def lhs(t):
-        return w_rational(spec, t)
+        return curve_point(spec, t).w
 
     def rhs(t):
         cp = curve_point(spec, t)
@@ -163,18 +164,17 @@ def _reference_valid_t_max(spec, t_cap=0.2, grid=200):
 
     def domain_ok(t):
         try:
-            w = w_rational(spec, t)
-            G = curve_point(spec, t).G
+            cp = curve_point(spec, t)
         except VanishingDenominatorError:
             return False
         d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
         mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t ** 3 / c4
         q = 1.0 - 2.0 * c1 * t + c2 * t * t / c4
-        dens = (d_inner, c4 * mid + c5 * t, c4 * q + c5 * t, q, w,
-                2.0 * c4 * w + 2.0 * c5 * t)
+        dens = (d_inner, c4 * mid + c5 * t, c4 * q + c5 * t, q, cp.w,
+                2.0 * c4 * cp.w + 2.0 * c5 * t)
         if min(abs(d) for d in dens) <= 0.1:
             return False
-        return float(np.linalg.det(G)) > 0.0
+        return float(np.linalg.det(cp.G)) > 0.0
 
     last_ok, first_bad = 0.0, None
     for t in np.linspace(t_cap / grid, t_cap, grid):
@@ -399,29 +399,36 @@ def test_tube_check_needs_a_step():
 
 # --- block recovery of the curve parameter ------------------------------------
 
-def _first_coordinate_data(spec):
+def _basis_change(spec):
+    """T with column j the coefficients <B_j, C_i> / ||C_i||^2 of B_j over
+    the Gram-Schmidt basis C: the curve point has coefficients
+    T (t, g13, g23) over C."""
     E, _ = build_plane(spec.canonical())
     C = orthogonalize(E).basis
-    return E.gram[0].tolist(), frob_inner(C[0], C[0])
+    return [[frob_inner(B, Ci) / frob_inner(Ci, Ci) for B in E.basis]
+            for Ci in C]
 
 
-def _p1_of_t(spec, gram_row1, n1sq, t):
-    """The scalar first-coordinate map the tube check used step by step."""
+def _p1_of_t(spec, row, t):
+    """The scalar first-coordinate map, row 0 of the basis change, with
+    the g13, g23 it was built from."""
     _, g13, g23, _ = _curve_scalars(spec, t)
-    return t + (gram_row1[1] * g13 + gram_row1[2] * g23) / n1sq, g13, g23
+    return row[0] * t + row[1] * g13 + row[2] * g23, g13, g23
 
 
 def _tube_check_stepwise(spec, t0, beta, gamma, steps, eps, step=ap_step):
     """The step-by-step tube check: one scalar recovery per AP step, with a
-    central-difference slope of p1 taken at the first correction."""
+    central-difference slope of p1 taken at the first correction, and the
+    transverse deviation measured from the curve's own C2, C3 coefficients
+    (rows 1 and 2 of the basis change)."""
     spec = spec.canonical()
     c4 = spec.c[3]
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
     C = Eo.basis
+    T = _basis_change(spec)
     n1sq = frob_inner(C[0], C[0])
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
-    gram_row1 = E.gram[0].tolist()
     if t0 == 0.0:
         return True, []
     c_shift = 1.0 / (4.0 * c4 ** 4 * n1sq)
@@ -436,15 +443,14 @@ def _tube_check_stepwise(spec, t0, beta, gamma, steps, eps, step=ap_step):
         tol = 1e-13 * max(1.0, abs(pobs[0]))
         tn = t - c_shift * t ** 7
         for _ in range(60):
-            p1, g13, g23 = _p1_of_t(spec, gram_row1, n1sq, tn)
+            p1, g13, g23 = _p1_of_t(spec, T[0], tn)
             r = p1 - pobs[0]
             if abs(r) < tol:
                 break
             if slope is None:
                 hstep = 1e-7 * max(abs(tn), 1e-3)
-                slope = (_p1_of_t(spec, gram_row1, n1sq, tn + hstep)[0]
-                         - _p1_of_t(spec, gram_row1, n1sq, tn - hstep)[0]
-                         ) / (2 * hstep)
+                slope = (_p1_of_t(spec, T[0], tn + hstep)[0]
+                         - _p1_of_t(spec, T[0], tn - hstep)[0]) / (2 * hstep)
                 if slope == 0.0:
                     raise ChartError("flat first-coordinate map")
             tn -= r / slope
@@ -452,7 +458,8 @@ def _tube_check_stepwise(spec, t0, beta, gamma, steps, eps, step=ap_step):
             raise ChartError("could not recover the curve parameter")
         if not 0.0 < tn < t:
             return False, ts
-        dev = math.hypot((pobs[1] - g13) * n2, (pobs[2] - g23) * n3)
+        p2, p3 = (T[i][0] * tn + T[i][1] * g13 + T[i][2] * g23 for i in (1, 2))
+        dev = math.hypot((pobs[1] - p2) * n2, (pobs[2] - p3) * n3)
         if dev / tn ** 7 >= eps:
             transverse_ok = False
         ratios.append(abs(tn - (t - c_shift * t ** 7)) / t ** 8)
@@ -466,8 +473,10 @@ def _tube_check_stepwise(spec, t0, beta, gamma, steps, eps, step=ap_step):
 
 @pytest.mark.parametrize("draw", range(7))
 def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
-    # draw 0 is ex6.1's plane, draw 1 one whose inner denominator is exactly
-    # zero at t = 0.5; the rest seeded mild and wide random type2 planes
+    # the array curve formulas, their rejection predicate and row 0 of the
+    # basis change, as the block recovery runs them, against the scalar
+    # map.  Draw 0 is ex6.1's plane, draw 1 one whose inner denominator is
+    # exactly zero at t = 0.5; the rest seeded mild and wide random planes
     if draw == 0:
         spec = SPEC61
     elif draw == 1:
@@ -475,14 +484,17 @@ def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
     else:
         spec = random_type2_spec(np.random.RandomState(draw),
                                  mild=draw % 2 == 0)
-    gram_row1, n1sq = _first_coordinate_data(spec)
+    row = _basis_change(spec)[0]
     ts = np.concatenate([np.linspace(-0.4, 0.6, 201),
                          np.geomspace(1e-6, 0.3, 97), [0.5]])
-    p1, g13, g23, vanished = _p1_block(spec.c, gram_row1, n1sq, ts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, g13, g23, den4w, checked = _curve_parts(spec.c, ts)
+        p1 = _coordinate(row, ts, g13, g23)
+        vanished = _vanished(den4w, checked)
     raised = 0
     for i, t in enumerate(ts.tolist()):
         try:
-            want = _p1_of_t(spec, gram_row1, n1sq, t)
+            want = _p1_of_t(spec, row, t)
         except VanishingDenominatorError:
             assert vanished[i], t
             raised += 1
@@ -494,27 +506,29 @@ def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
         assert raised >= 1
 
 
+def _series_p1(spec, row, t):
+    ts = TruncSeries.from_coeffs([t, 1.0], 1)
+    return _coordinate(row, ts, *_curve_parts(spec.c, ts)[1:3])
+
+
 def test_tube_slope_is_the_exact_derivative_of_p1():
     for spec in (SPEC61, PlaneSpec("type2", (1.0, -0.7, 0.4, 1.0, 0.9)),
                  PlaneSpec("type2", (0.3, 0.5, -0.6, 0.8, -0.2))):
-        gram_row1, n1sq = _first_coordinate_data(spec)
+        row = _basis_change(spec)[0]
         for t in (0.03, 0.1):
-            p1 = _p1_parts(spec.c, gram_row1, n1sq,
-                           TruncSeries.from_coeffs([t, 1.0], 1))[0]
-            assert p1[0] == pytest.approx(
-                _p1_of_t(spec, gram_row1, n1sq, t)[0], rel=1e-15)
+            p1 = _series_p1(spec, row, t)
+            assert p1[0] == pytest.approx(_p1_of_t(spec, row, t)[0],
+                                          rel=1e-15)
             h = 1e-5 * t   # fourth-order central difference
-            fd = (8.0 * (_p1_of_t(spec, gram_row1, n1sq, t + h)[0]
-                         - _p1_of_t(spec, gram_row1, n1sq, t - h)[0])
-                  - (_p1_of_t(spec, gram_row1, n1sq, t + 2 * h)[0]
-                     - _p1_of_t(spec, gram_row1, n1sq, t - 2 * h)[0])
-                  ) / (12.0 * h)
+            fd = (8.0 * (_p1_of_t(spec, row, t + h)[0]
+                         - _p1_of_t(spec, row, t - h)[0])
+                  - (_p1_of_t(spec, row, t + 2 * h)[0]
+                     - _p1_of_t(spec, row, t - 2 * h)[0])) / (12.0 * h)
             assert p1[1] == pytest.approx(fd, rel=1e-8)
-    # on ex6.1's plane p1(t) = t
-    gram_row1, n1sq = _first_coordinate_data(SPEC61)
-    p1 = _p1_parts(SPEC61.c, gram_row1, n1sq,
-                   TruncSeries.from_coeffs([0.1, 1.0], 1))[0]
-    assert p1[1] == 1.0
+    # on ex6.1's plane the basis change is the identity and p1(t) = t
+    T = _basis_change(SPEC61)
+    assert T == np.eye(3).tolist()
+    assert _series_p1(SPEC61, T[0], 0.1)[1] == 1.0
 
 
 def _recovered_ts(monkeypatch):
@@ -531,13 +545,11 @@ def _recovered_ts(monkeypatch):
     return blocks
 
 
-N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
-
-
 def _assert_matches_the_stepwise_loop(spec, kw, monkeypatch):
     """Same outcome as the stepwise loop, and every t it recovered within
     2e-13 of the block's: each side stops within 1e-13 max(1, |p1|) of the
-    observed p1, and dp1/dt is near 1 on these planes."""
+    observed p1, and dp1/dt is near 1 on these planes.  Returns the
+    outcome."""
     want, want_ts = _tube_check_stepwise(spec, **kw)
     blocks = _recovered_ts(monkeypatch)
     assert tube_check(spec, **kw) == want
@@ -545,6 +557,7 @@ def _assert_matches_the_stepwise_loop(spec, kw, monkeypatch):
     assert len(got_ts) == kw["steps"] >= len(want_ts)
     n = len(want_ts)
     np.testing.assert_allclose(got_ts[:n], want_ts, rtol=0.0, atol=2e-13)
+    return want
 
 
 N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
@@ -566,10 +579,25 @@ def test_tube_check_matches_the_stepwise_loop(kw, monkeypatch):
 @pytest.mark.parametrize("draw", range(3))
 def test_tube_check_matches_the_stepwise_loop_on_random_planes(draw,
                                                                monkeypatch):
-    # p1 is not linear in t here, unlike on ex6.1's plane
+    # p1 is not linear in t here, and C2, C3 are not B2, B3, unlike on
+    # ex6.1's plane; an on-curve start stays in the tube
     spec = random_type2_spec(np.random.RandomState(11 + draw))
     kw = dict(t0=0.05, beta=0.0, gamma=0.0, steps=600, eps=10.0)
-    _assert_matches_the_stepwise_loop(spec, kw, monkeypatch)
+    assert _assert_matches_the_stepwise_loop(spec, kw, monkeypatch) is True
+
+
+def test_tube_check_holds_off_ex61_on_mild_planes():
+    # 60 seeded mild planes, each started on its curve: the transverse
+    # deviation is measured against the curve's own C2, C3 coefficients,
+    # which differ from (g13, g23) once <B3, C2> != 0
+    rng = np.random.RandomState(0)
+    failed = []
+    for i in range(60):
+        spec = random_type2_spec(rng)
+        t0 = curve_probe_t(spec, 0.5, 0.05)
+        if not tube_check(spec, t0, 0.0, 0.0, steps=300, eps=1.0):
+            failed.append((i, spec.c))
+    assert not failed
 
 
 def _patched_steps(monkeypatch, edits=None, raise_at=None):
@@ -665,3 +693,15 @@ def test_tube_check_bracket_is_fitted_on_the_first_half(monkeypatch, at,
     stepwise, block, _ = _both_outcomes(monkeypatch, kw,
                                         {at: _move_along_c1(-1e-7)})
     assert stepwise == block == want
+
+
+@pytest.mark.parametrize("kw, edits", [
+    (dict(t0=0.1, eps=1.0), None),
+    (dict(t0=0.1, eps=1e-3), None),
+    (dict(t0=0.0, eps=1.0), None),
+    (dict(t0=0.1, eps=1.0), {5: _raise_p1(1e-3)}),
+], ids=["holds", "transverse-fails", "fixed-point", "t-rises"])
+def test_tube_check_returns_a_plain_bool(kw, edits, monkeypatch):
+    _patched_steps(monkeypatch, edits)
+    out = tube_check(SPEC61, beta=0.0, gamma=0.0, steps=300, **kw)
+    assert type(out) is bool

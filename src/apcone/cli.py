@@ -7,13 +7,15 @@ Subcommands:
 
 ``example`` and ``run`` resolve their input to a ``catalog.ExampleInstance``
 and share one run-and-report path.  Trace output is CSV with header
-``k,dist,psd_rank,inv2,inv6`` where inv_p = dist^-p; the summary follows
-it, in lines that start with '#' (so a trace printed to stdout still
-parses): ``# <id> (<variant>): iterations=N stop=R``, then ``# singularity
-degree: d`` for a type2 instance or plane object, then the instance's rate
-fit.  Exit codes: 0 success, 1 failed check or run, or stdout
-closed by its reader before the output was written, 2 usage error or any
-other I/O error (a closed pipe behind ``--out`` included).
+``k,dist,psd_rank,inv2,inv6`` where inv_p = dist^-p, formatted and written
+``_CSV_BLOCK`` rows at a time, so the text held at once does not grow with
+the run.  The summary follows it, in lines that start with '#' (so a trace
+printed to stdout still parses): ``# <id> (<variant>): iterations=N
+stop=R``, then ``# singularity degree: d`` for a type2 instance or plane
+object, then the instance's rate fit.  Exit codes: 0 success, 1 failed
+check or run, or stdout closed by its reader before the output was
+written, 2 usage error or any other I/O error (a closed pipe behind
+``--out`` included).
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
 """
 
@@ -23,6 +25,8 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +40,9 @@ from .verify import SUITES, run_suite
 log = logging.getLogger("apcone")
 
 _NOISE_FLOOR = float(np.sqrt(np.finfo(float).eps))
+# trace rows formatted and written at a time: about 65 kB of CSV text is
+# held at once, whatever the run's length
+_CSV_BLOCK = 1024
 
 CONFIG_KEYS = frozenset(("plane", "variant", "start", "max_iter", "tol",
                          "out"))
@@ -66,11 +73,14 @@ def _inverse_powers(dists, p):
     return out
 
 
-def trace_csv(trace):
+def trace_csv(trace, k0=0):
+    """The CSV rows of ``trace`` (all of its rows), numbered from ``k0``,
+    and the header before them when ``k0`` is 0; the CSV of a whole run is
+    these texts of consecutive blocks, joined."""
     dists = trace.dists.tolist()
-    rows = zip(range(len(dists)), dists, trace.psd_ranks.tolist(),
+    rows = zip(range(k0, k0 + len(dists)), dists, trace.psd_ranks.tolist(),
                _inverse_powers(dists, -2.0), _inverse_powers(dists, -6.0))
-    return "k,dist,psd_rank,inv2,inv6\n" + "".join(
+    return ("" if k0 else "k,dist,psd_rank,inv2,inv6\n") + "".join(
         map("%d,%.17g,%d,%.17g,%.17g\n".__mod__, rows))
 
 
@@ -90,13 +100,17 @@ def _out(text="", flush=False):
         raise _StdoutClosed from exc
 
 
-def _emit(csv_text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(csv_text)
-        log.info("trace written to %s", out)
-    else:
-        _out(csv_text)
+@contextmanager
+def _trace_writer(out):
+    """The function that writes the trace CSV: ``write`` of the file
+    ``out``, opened for the ``with`` block, or ``_out`` (stdout) when
+    ``out`` is empty."""
+    if not out:
+        yield _out
+        return
+    with open(out, "w") as fh:
+        yield fh.write
+    log.info("trace written to %s", out)
 
 
 def _fit_window(trace, k_min, floor=0.0):
@@ -163,14 +177,18 @@ def _parse_start(text, spec, plane):
 
 def _run_and_report(inst, start, iters, tol, out):
     """Run AP on the instance from ``start``, write the trace CSV to ``out``
-    (stdout when None) and print the summary; the one run path of both
-    ``example`` and ``run``."""
+    (stdout when None) a block of rows at a time and print the summary;
+    the one run path of both ``example`` and ``run``."""
     if not np.isfinite(start).all():
         raise ValueError("start coefficients must be finite")
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
              iters)
     trace = run_ap(inst.plane, start, max_iter=iters, tol=tol)
-    _emit(trace_csv(trace), out)
+    with _trace_writer(out) as write:
+        for k in range(0, len(trace), _CSV_BLOCK):
+            block = slice(k, k + _CSV_BLOCK)
+            write(trace_csv(replace(trace, dists=trace.dists[block],
+                                    psd_ranks=trace.psd_ranks[block]), k))
     _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
          f"stop={trace.stop_reason}\n")
     if inst.spec is not None:

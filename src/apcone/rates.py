@@ -13,6 +13,8 @@ from itertools import repeat
 import numpy as np
 
 _NOISE_MODES = ("plus", "minus", "alternating")
+# characters of trace CSV text parsed at a time, about 1000 CLI rows
+_PARSE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,44 @@ def slow_rate_constant(spec):
                  ** (1.0 / 6.0))
 
 
+def _line_blocks(text):
+    """The lines of ``text`` (``str.splitlines``) stripped of surrounding
+    whitespace, without blank and '#' lines, in lists that each come from
+    about ``_PARSE_BLOCK`` characters of text cut at a line end."""
+    pos = 0
+    while pos < len(text):
+        cut = pos + _PARSE_BLOCK
+        # the last line end before the cut, else the first one after it
+        end = len(text) if cut >= len(text) else (
+            text.rfind("\n", pos, cut) + 1 or text.find("\n", cut) + 1
+            or len(text))
+        yield [line for line in map(str.strip, text[pos:end].splitlines())
+               if line and line[0] != "#"]
+        pos = end
+
+
 def parse_trace_csv(text):
-    """Parse the CLI trace CSV (header k,dist,psd_rank,inv2,inv6; '#'
-    comment lines ignored) into a dict of column arrays."""
-    rows = []
-    header = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
+    """Parse the CLI trace CSV (header k,dist,psd_rank,inv2,inv6; blank and
+    '#' comment lines ignored) into a dict of column arrays.
+
+    The body is parsed a block of lines at a time by ``np.loadtxt``, so
+    besides the text the parse holds the columns (twice while the blocks
+    are joined) and one block's lines, however many rows there are.  A
+    row whose field count differs from the header's raises
+    ``ValueError``."""
+    header, blocks = None, []
+    for lines in _line_blocks(text):
+        if header is None and lines:
+            header = lines[0].split(",")
+            lines = lines[1:]
+        if lines:
+            # '#' lines are gone already; a '#' inside a row stays an error
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if block.shape[1] != len(header):
+                raise ValueError(f"rows have {block.shape[1]} fields, the "
+                                 f"header {len(header)}")
+            blocks.append(block)
     if header is None:
         raise ValueError("no header found")
-    data = np.array(rows) if rows else np.empty((0, len(header)))
+    data = np.concatenate(blocks) if blocks else np.empty((0, len(header)))
     return {name: data[:, i] for i, name in enumerate(header)}

@@ -2,8 +2,10 @@
 
 Two parametric templates cover every such plane (up to the rotation block
 P~): "type1" planes have singularity degree 1; "type2" planes have degree 2
-exactly when c4 != 0.  The module also computes Pluecker coordinates of a
-3-plane inside the 6-dimensional space S^3.
+exactly when c4 != 0.  The constraint matrices and the type2 basis are each
+one float64 array literal, conjugated only by a rotation block that is not
+the identity.  The module also computes Pluecker
+coordinates of a 3-plane inside the 6-dimensional space S^3.
 """
 
 import functools
@@ -91,35 +93,48 @@ def rotation_matrix(theta, reflect=False):
     return P
 
 
+def _sym_stack(entries):
+    """A stack of matrices, each written out symmetric, as one float64
+    array; adding 0.0 turns a -0.0 entry into +0.0, as ``sym_matrix`` does."""
+    return np.array(entries, dtype=float) + 0.0
+
+
 def conjugate(P, M):
-    """P M P^T, re-symmetrized so rounding cannot break exact symmetry."""
+    """P M P^T of one matrix M or of each in a stack, re-symmetrized so
+    rounding cannot break exact symmetry."""
     out = P @ M @ P.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _rotated(spec, M):
+    """M (one matrix or a stack) conjugated by the spec's rotation block;
+    M itself when there is none (theta = 0, no reflection)."""
+    if spec.theta == 0.0 and not spec.reflect:
+        return M
+    return conjugate(rotation_matrix(spec.theta, spec.reflect), M)
 
 
 def constraint_matrices(spec):
     """The three constraint matrices (A1, A2, A3) of the plane."""
-    P = rotation_matrix(spec.theta, spec.reflect)
     if spec.kind == "type1":
         c1, c2, c3, c4, c5, c6, c7, c8 = spec.c
-        A1 = sym_matrix([[1, c1, c2], [c1, c3, c4], [c2, c4, 0]])
-        A2 = sym_matrix([[0, c5, c6], [c5, c7, c8], [c6, c8, 0]])
-        A3 = np.diag([0.0, spec.mu, 1.0])
+        A = _sym_stack([[[1, c1, c2], [c1, c3, c4], [c2, c4, 0]],
+                        [[0, c5, c6], [c5, c7, c8], [c6, c8, 0]],
+                        [[0, 0, 0], [0, spec.mu, 0], [0, 0, 1]]])
     else:
         c1, c2, c3, c4, c5 = spec.c
-        A1 = sym_matrix([[1, c1, c2], [c1, 0, c3], [c2, c3, 0]])
-        A2 = sym_matrix([[0, 0, c4], [0, 1, c5], [c4, c5, 0]])
-        A3 = np.diag([0.0, 0.0, 1.0])
-    return tuple(conjugate(P, A) for A in (A1, A2, A3))
+        A = _sym_stack([[[1, c1, c2], [c1, 0, c3], [c2, c3, 0]],
+                        [[0, 0, c4], [0, 1, c5], [c4, c5, 0]],
+                        [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
+    return tuple(_rotated(spec, A))
 
 
 def type2_basis(c):
     """Direction basis of a canonical type2 plane (not orthogonal in general)."""
     c1, c2, c3, c4, c5 = c
-    B1 = sym_matrix([[-2 * c1, 1, 0], [1, 0, 0], [0, 0, 0]])
-    B2 = sym_matrix([[2 * c2, 0, -1], [0, 2 * c4, 0], [-1, 0, 0]])
-    B3 = sym_matrix([[-2 * c3, 0, 0], [0, -2 * c5, 1], [0, 1, 0]])
-    return np.array([B1, B2, B3])
+    return _sym_stack([[[-2 * c1, 1, 0], [1, 0, 0], [0, 0, 0]],
+                       [[2 * c2, 0, -1], [0, 2 * c4, 0], [-1, 0, 0]],
+                       [[-2 * c3, 0, 0], [0, -2 * c5, 1], [0, 1, 0]]])
 
 
 def type2_b1_products(c):
@@ -148,10 +163,7 @@ def build_plane(spec):
         basis = type2_basis(spec.c)
     else:
         basis = _type1_basis(spec)
-    P = rotation_matrix(spec.theta, spec.reflect)
-    if spec.theta != 0.0 or spec.reflect:
-        basis = np.array([conjugate(P, B) for B in basis])
-    E = AffineSubspace.from_basis(U_STAR, basis)
+    E = AffineSubspace.from_basis(U_STAR, _rotated(spec, basis))
     return E, constraint_matrices(spec)
 
 

@@ -1,6 +1,10 @@
 """Degree-capped univariate power series and the curve expansions built on
 them.
 
+A product is one ``np.convolve`` of the two coefficient arrays, cut at the
+cap: every product a_j b_(d-j) enters coefficient d, so a 0 * inf term
+makes it NaN whichever factor holds the inf.
+
 The curve expansions run the slowest curve's own rational formulas
 (``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
 instead of a float, so the series certify the low-degree structure of
@@ -75,14 +79,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        n = self.cap + 1
-        out = np.zeros(n)
-        for d in range(n):
-            a = self.coeffs[d]
-            if a == 0.0:
-                continue
-            out[d:] += a * other.coeffs[:n - d]
-        return TruncSeries(out)
+        prod = np.convolve(self.coeffs, other.coeffs)
+        return TruncSeries(prod[:self.cap + 1])
 
     __rmul__ = __mul__
 

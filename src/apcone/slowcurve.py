@@ -19,10 +19,9 @@ import numpy as np
 
 from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
                        m_matrix, psi)
-from .planes import (build_plane, conjugate, rotation_matrix,
-                     type2_b1_products)
-from .symcore import (EigenSolverError, _eigh, frob_inner, frob_norm,
-                      orthogonalize)
+from .planes import _rotated, build_plane, type2_b1_products
+from .symcore import (EigenSolverError, _eigh, _gram_schmidt, frob_inner,
+                      frob_norm, orthogonalize)
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
@@ -151,9 +150,7 @@ def curve_point(spec, t):
     formulas."""
     w, g13, g23, h = _curve_scalars(spec, t)
     G = np.array(_canonical_matrix(spec.c, float(t), g13, g23))
-    if spec.theta != 0.0 or spec.reflect:
-        P = rotation_matrix(spec.theta, spec.reflect)
-        G = conjugate(P, G)
+    G = _rotated(spec, G)
     return CurvePoint(t=float(t), w=w, g13=g13, g23=g23, h=h, G=G)
 
 
@@ -174,11 +171,7 @@ def psd_projection_formula(spec, t):
     D = np.array([[0.0, m21, m31],
                   [m21, m22, m32],
                   [m31, m32, m33]])
-    out = cp.G + D
-    if spec.theta != 0.0 or spec.reflect:
-        P = rotation_matrix(spec.theta, spec.reflect)
-        out = conjugate(P, out)
-    return out
+    return _rotated(spec, cp.G + D)
 
 
 def _ap_shift(c, t):
@@ -366,8 +359,7 @@ def perturb_gain(spec):
     every type2 plane with c4 != 0.
     """
     _require_type2_curve(spec)
-    E, _ = build_plane(spec.canonical())
-    C = orthogonalize(E).basis
+    C = _gram_schmidt(build_plane(spec.canonical())[0])
     tilde = []
     for M in C[1:]:
         T = np.array(M)

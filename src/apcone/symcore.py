@@ -11,7 +11,7 @@ symmetric, Frobenius-orthonormal), R^-1 and two affine maps of a flat
 coefficients of P_E(V) are ``v Q R^-T - R^-1 Q^T vec(anchor)``.  The
 private ``AffineSubspace._project`` and ``_coefficients`` apply them, one
 matrix-vector product each, for ``coefficients``, ``project_affine`` and
-the AP step in ``apengine``; ``orthogonalize`` reads its Gram-Schmidt
+the AP step in ``apengine``; ``_gram_schmidt`` reads the Gram-Schmidt
 basis off Q and R.
 
 Every eigendecomposition in the package goes through the private
@@ -282,12 +282,19 @@ def project_affine(E, X):
             E._coefficients(v))
 
 
-def orthogonalize(E):
-    """Gram-Schmidt the basis in order (first element kept verbatim).
+def _gram_schmidt(E):
+    """E's basis Gram-Schmidted in order (first element kept verbatim), as a
+    new C-ordered (m, n, n) array, laid out as ``from_basis`` stores a basis
+    so that sums over its entries run in the same order.
 
     Element i is B_i less its projection onto span{B_0, ..., B_{i-1}}, read
     off the stored QR factors as R_ii mat(Q_i), with R_ii = 1 / (R^-1)_ii.
     """
-    C = (E.Q / np.diag(E.R_inv)).T.reshape(E.dim, E.n, E.n)
+    C = (E.Q / np.diag(E.R_inv)).T.reshape(E.dim, E.n, E.n).copy()
     C[0] = E.basis[0]
-    return AffineSubspace.from_basis(E.anchor, C)
+    return C
+
+
+def orthogonalize(E):
+    """E with its basis Gram-Schmidted in order (``_gram_schmidt``)."""
+    return AffineSubspace.from_basis(E.anchor, _gram_schmidt(E))

@@ -107,13 +107,14 @@ def suite_thm41(seed=0):
 def _order_suite(label, oracle_of_spec, formula, seed):
     rng = np.random.RandomState(seed)
     results = []
-    specs = [("ex6.1", PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0)))]
+    ex61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
+    specs = [("ex6.1", ex61, curve_probe_t(ex61))]
     while len(specs) < 11:
         spec = random_type2_spec(rng)
-        if curve_probe_t(spec) >= 0.02:
-            specs.append((f"random #{len(specs)}", spec))
-    for name, spec in specs:
         cap = curve_probe_t(spec)
+        if cap >= 0.02:
+            specs.append((f"random #{len(specs)}", spec, cap))
+    for name, spec, cap in specs:
         order, t0, halvings = residual_order_certified(
             oracle_of_spec(spec), lambda t, s=spec: formula(s, t),
             t0=1e-2, halvings=3, t_cap=cap)

@@ -1,8 +1,10 @@
 """Every affine projection in apcone goes through ``AffineSubspace._project``
 and every coefficient read-out through ``AffineSubspace._coefficients``: no
-other function may read the stored projector or coefficient map (read from
-the source with ``ast``, so a second projection fails here rather than
-drifting unnoticed)."""
+other function may read the stored projector or coefficient map.  Likewise
+R^-1 is made once, by ``AffineSubspace.from_basis``, and read back only by
+the one Gram-Schmidt, ``symcore._gram_schmidt``.  (Read from the source with
+``ast``, so a second projection or Gram-Schmidt fails here rather than
+drifting unnoticed.)"""
 
 import ast
 from pathlib import Path
@@ -14,11 +16,13 @@ READERS = {"aug": "symcore.AffineSubspace._project",
 
 
 class _Reads(ast.NodeVisitor):
-    """(attribute, qualified function) for every attribute read of a name in
-    ``READERS``; module level reads as ``<module>``."""
+    """(name, qualified function) for every attribute read of a name in
+    ``names`` and, with ``bare``, every read of it as a variable; module
+    level reads as ``<module>``."""
 
-    def __init__(self, module):
+    def __init__(self, module, names, bare=False):
         self.scope = [module]
+        self.names, self.bare = names, bare
         self.found = set()
 
     def _enter(self, node):
@@ -28,18 +32,36 @@ class _Reads(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
+    def _add(self, name):
+        where = self.scope if len(self.scope) > 1 else [*self.scope,
+                                                        "<module>"]
+        self.found.add((name, ".".join(where)))
+
     def visit_Attribute(self, node):
-        if node.attr in READERS:
-            where = self.scope if len(self.scope) > 1 else [*self.scope,
-                                                            "<module>"]
-            self.found.add((node.attr, ".".join(where)))
+        if node.attr in self.names:
+            self._add(node.attr)
         self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if (self.bare and node.id in self.names
+                and isinstance(node.ctx, ast.Load)):
+            self._add(node.id)
+
+
+def _reads(names, bare=False):
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        reads = _Reads(path.stem, names, bare)
+        reads.visit(ast.parse(path.read_text()))
+        found |= reads.found
+    return found
 
 
 def test_stored_projector_and_coefficient_map_have_one_reader_each():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        reads = _Reads(path.stem)
-        reads.visit(ast.parse(path.read_text()))
-        found |= reads.found
-    assert found == set(READERS.items())
+    assert _reads(set(READERS)) == set(READERS.items())
+
+
+def test_inverse_r_factor_is_read_by_from_basis_and_gram_schmidt_only():
+    assert _reads({"R_inv"}, bare=True) == {
+        ("R_inv", "symcore.AffineSubspace.from_basis"),
+        ("R_inv", "symcore._gram_schmidt")}

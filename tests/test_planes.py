@@ -1,17 +1,19 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from apcone.planes import (PLUCKER_INDEX_TRIPLES, PlaneSpec, U_STAR,
-                           build_plane, conjugate, coords_to_sym,
-                           plucker_coords, plucker_relation_defect,
-                           rotation_matrix, singularity_degree,
-                           sym_to_coords, type2_b1_products, type2_basis)
+                           build_plane, conjugate, constraint_matrices,
+                           coords_to_sym, plucker_coords,
+                           plucker_relation_defect, rotation_matrix,
+                           singularity_degree, sym_to_coords,
+                           type2_b1_products, type2_basis)
 from apcone.symcore import (AffineSubspace, _standard_sym_basis, eig_sym,
-                            frob_inner, frob_norm)
+                            frob_inner, frob_norm, sym_matrix)
+from apcone.verify import random_type2_spec
 
 
 def test_type2_basis_matches_template():
@@ -290,3 +292,90 @@ def test_constraints_match_golden_text_block():
     assert len(got) == 3
     for W, G in zip(want, got):
         assert np.array_equal(np.array(W, dtype=float), G)
+
+
+# --- array literals against the sym_matrix construction ----------------------
+
+def _conjugate_reference(P, M):
+    out = P @ M @ P.T
+    return 0.5 * (out + out.T)
+
+
+def _constraint_matrices_reference(spec):
+    """The former construction: one ``sym_matrix`` per matrix, every matrix
+    conjugated by the rotation block, identity included."""
+    P = rotation_matrix(spec.theta, spec.reflect)
+    if spec.kind == "type1":
+        c1, c2, c3, c4, c5, c6, c7, c8 = spec.c
+        A1 = sym_matrix([[1, c1, c2], [c1, c3, c4], [c2, c4, 0]])
+        A2 = sym_matrix([[0, c5, c6], [c5, c7, c8], [c6, c8, 0]])
+        A3 = np.diag([0.0, spec.mu, 1.0])
+    else:
+        c1, c2, c3, c4, c5 = spec.c
+        A1 = sym_matrix([[1, c1, c2], [c1, 0, c3], [c2, c3, 0]])
+        A2 = sym_matrix([[0, 0, c4], [0, 1, c5], [c4, c5, 0]])
+        A3 = np.diag([0.0, 0.0, 1.0])
+    return tuple(_conjugate_reference(P, A) for A in (A1, A2, A3))
+
+
+def _type2_basis_reference(c):
+    c1, c2, c3, c4, c5 = c
+    B1 = sym_matrix([[-2 * c1, 1, 0], [1, 0, 0], [0, 0, 0]])
+    B2 = sym_matrix([[2 * c2, 0, -1], [0, 2 * c4, 0], [-1, 0, 0]])
+    B3 = sym_matrix([[-2 * c3, 0, 0], [0, -2 * c5, 1], [0, 1, 0]])
+    return np.array([B1, B2, B3])
+
+
+def _build_plane_reference(spec):
+    if spec.kind == "type2":
+        basis = _type2_basis_reference(spec.c)
+    else:
+        rows = np.array([sym_to_coords(A) for A in
+                         _constraint_matrices_reference(spec.canonical())])
+        basis = np.array([coords_to_sym(v)
+                          for v in np.linalg.svd(rows)[2][3:]])
+    P = rotation_matrix(spec.theta, spec.reflect)
+    if spec.theta != 0.0 or spec.reflect:
+        basis = np.array([_conjugate_reference(P, B) for B in basis])
+    return (AffineSubspace.from_basis(U_STAR, basis),
+            _constraint_matrices_reference(spec))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _seeded_specs():
+    """ex6.1 (zero parameters), a spec with -0.0 parameters, and seeded
+    type2 and type1 draws, each canonical, rotated, reflected, and rotated
+    and reflected."""
+    rng = np.random.RandomState(20)
+    specs = [PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0)),
+             PlaneSpec("type2", (-0.0, 0.5, -0.0, -1.0, -0.0))]
+    for _ in range(4):
+        specs.append(random_type2_spec(rng, mild=False))
+        specs.append(PlaneSpec("type1", tuple(rng.uniform(-1.0, 1.0, 8)),
+                               mu=float(rng.uniform(0.2, 2.0))))
+    out = []
+    for spec in specs:
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        for th, ref in ((0.0, False), (theta, False), (0.0, True),
+                        (theta, True)):
+            out.append(PlaneSpec(spec.kind, spec.c, th, ref, spec.mu))
+    return out
+
+
+@pytest.mark.parametrize("spec", _seeded_specs())
+def test_plane_arrays_match_the_sym_matrix_construction_bit_for_bit(spec):
+    want_E, want_A = _build_plane_reference(spec)
+    got_E, got_A = build_plane(spec)
+    for f in fields(AffineSubspace):
+        assert _same_bits(getattr(got_E, f.name), getattr(want_E, f.name)), \
+            f.name
+    assert len(got_A) == 3
+    for got in (got_A, constraint_matrices(spec)):
+        assert all(_same_bits(G, W) for G, W in zip(got, want_A))
+    if spec.kind == "type2":
+        assert _same_bits(type2_basis(spec.c), _type2_basis_reference(spec.c))

@@ -57,6 +57,64 @@ def test_ring_axioms(ca, cb, cc):
     assert np.abs(comm).max() < 1e-12 * scale
 
 
+def _loop_product(a, b):
+    """The former ``TruncSeries.__mul__``: one shifted row per nonzero
+    coefficient of ``a``."""
+    n = len(a)
+    out = np.zeros(n)
+    for d in range(n):
+        if a[d] == 0.0:
+            continue
+        out[d:] += a[d] * b[:n - d]
+    return out
+
+
+def _random_coeffs(rng, cap):
+    return rng.standard_normal(cap + 1) * 10.0 ** rng.uniform(-3, 3, cap + 1)
+
+
+def test_product_matches_the_former_loop_at_cap_1():
+    # two terms at most per coefficient: the sum has one rounding either way
+    rng = np.random.RandomState(5)
+    for _ in range(500):
+        a, b = _random_coeffs(rng, 1), _random_coeffs(rng, 1)
+        got = (TruncSeries(a) * TruncSeries(b)).coeffs
+        assert got.tobytes() == _loop_product(a, b).tobytes()
+
+
+@pytest.mark.parametrize("cap", [8, 12, 14])
+def test_product_within_rounding_of_the_former_loop(cap):
+    """Both sums of the d + 1 <= cap + 1 products are within
+    gamma_(cap+1) sum_j |a_j b_(d-j)| of the exact value, so they differ by
+    at most (cap + 2) eps times that sum, coefficient by coefficient."""
+    rng = np.random.RandomState(cap)
+    w, g13, g23 = expand_curve(PlaneSpec("type2", (0.4, -0.3, 0.7, 1.1,
+                                                   -0.2)), cap)
+    pairs = [(w.coeffs, g13.coeffs), (g13.coeffs, g23.coeffs)]
+    pairs += [(_random_coeffs(rng, cap), _random_coeffs(rng, cap))
+              for _ in range(200)]
+    eps = np.finfo(float).eps
+    for a, b in pairs:
+        got = (TruncSeries(a) * TruncSeries(b)).coeffs
+        bound = (cap + 2) * eps * np.convolve(np.abs(a), np.abs(b))[:cap + 1]
+        assert np.all(np.abs(got - _loop_product(a, b)) <= bound)
+
+
+def test_product_with_an_inf_coefficient():
+    """Every product a_j b_(d-j) enters coefficient d, zeros included, so a
+    0 * inf term makes it NaN in either order of the factors.  (The former
+    loop skipped the zero coefficients of its left factor only: it gave
+    [inf, 0, 0] for one order and [inf, nan, nan] for the other.)"""
+    one, inf = ts([1.0], 2), ts([np.inf], 2)
+    for prod in (one * inf, inf * one):
+        assert np.array_equal(prod.coeffs, [np.inf, np.nan, np.nan],
+                              equal_nan=True)
+    # no 0 * inf term: the inf reaches only the coefficients it multiplies
+    a, b = ts([1.0, 2.0], 2), ts([0.0, np.inf, 1.0], 2)
+    assert np.array_equal((a * b).coeffs, [0.0, np.inf, np.inf])
+    assert np.array_equal((a * b).coeffs, _loop_product(a.coeffs, b.coeffs))
+
+
 def test_power_is_repeated_multiplication():
     a = ts([0.7, -1.3, 0.4, 2.1])
     want = a

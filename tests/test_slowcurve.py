@@ -348,6 +348,31 @@ def test_perturb_gain_symmetric_and_contractive():
         assert gain.spectral_norm < 1.0
 
 
+def _perturb_gain_matrix_reference(spec):
+    """The gain matrix from the basis of a second, orthogonalized subspace."""
+    C = orthogonalize(build_plane(spec.canonical())[0]).basis
+    tilde = []
+    for M in C[1:]:
+        T = np.array(M)
+        T[0, :] = 0.0
+        T[:, 0] = 0.0
+        tilde.append(T)
+    n2sq, n3sq = frob_inner(C[1], C[1]), frob_inner(C[2], C[2])
+    cross = frob_inner(tilde[0], tilde[1]) / np.sqrt(n2sq * n3sq)
+    return np.array([
+        [1.0 - frob_inner(tilde[0], tilde[0]) / n2sq, -cross],
+        [-cross, 1.0 - frob_inner(tilde[1], tilde[1]) / n3sq]])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_perturb_gain_matches_the_orthogonalized_plane_bit_for_bit(seed):
+    rng = np.random.RandomState(seed)   # lemma75's draws
+    for _ in range(100):
+        spec = random_type2_spec(rng, mild=False)
+        got = perturb_gain(spec).matrix
+        assert got.tobytes() == _perturb_gain_matrix_reference(spec).tobytes()
+
+
 # --- tube check -------------------------------------------------------------------
 
 def test_tube_check_on_curve():

@@ -4,10 +4,10 @@
 block of ``_BLOCK`` preallocated flat iterates at a time, each step one
 ``_eigh``, ``S S^T`` written into a row ``[vec P | 1]`` and one product
 with the plane's augmented projector into the next row, and settles the
-distances and stop rules once per block; on 3x3 iterates that takes about
-7.5 us a step (fastest of interleaved runs on a 2-core x86-64 VM, numpy
-2.4, where a loop of one step at a time took 9.4 us).  The rest of the
-module verifies the parameter-space descriptions of one AP step:
+distances and stop rules once per block, so each step is only the
+``_eigh`` and the two products; on 3x3 iterates that takes about 7.5 us a
+step (fastest of interleaved runs on a 2-core x86-64 VM, numpy 2.4).  The
+rest of the module verifies the parameter-space descriptions of one AP step:
 the eigenvalue formula on an orthogonal basis, whose derivative is taken
 exactly from one eigendecomposition, and the rank-1 chart relation
 M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are

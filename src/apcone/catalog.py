@@ -8,13 +8,12 @@ singularity degree.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .planes import PlaneSpec, U_STAR, build_plane, singularity_degree
 from .symcore import AffineSubspace, sym_matrix
-
-BUILTIN_IDS = ("ex3.2", "ex3.3", "ex3.4", "ex4.4", "ex6.1")
 
 
 @dataclass(frozen=True)
@@ -40,34 +39,16 @@ _SPEC_44 = PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0))
 _SPEC_61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
 
 
-def _ex32(variant):
-    variant = variant or "pos"
-    E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_32]))
-    if variant == "pos":
-        return ExampleInstance("ex3.2", "pos", E, np.array([0.1]), 100000,
-                               2, None)
-    if variant == "neg":
-        return ExampleInstance("ex3.2", "neg", E, np.array([-0.05]), 40,
-                               None, None)
-    raise ValueError("ex3.2 variants: pos, neg")
+def _line(anchor, direction, start, iters, power, ident, variant):
+    """The line instance anchor + s ``direction``, started at s = ``start``:
+    fitted as dist^-power against k, or geometrically when ``power`` is
+    None."""
+    E = AffineSubspace.from_basis(anchor, np.array([direction]))
+    return ExampleInstance(ident, variant, E, np.array([start]), iters, power,
+                           None)
 
 
-def _ex33(variant):
-    variant = variant or "neg"
-    if variant == "neg":
-        E = AffineSubspace.from_basis(U_STAR, np.array([_LINE_33]))
-        return ExampleInstance("ex3.3", "neg", E, np.array([-0.1]), 40,
-                               None, None)
-    if variant == "pos":
-        # anchor at the far endpoint of the intersection segment
-        anchor = sym_matrix(U_STAR + _LINE_33)
-        E = AffineSubspace.from_basis(anchor, np.array([_LINE_33]))
-        return ExampleInstance("ex3.3", "pos", E, np.array([0.5]), 60,
-                               None, None)
-    raise ValueError("ex3.3 variants: pos, neg")
-
-
-def _ex34():
+def _ex34(ident, variant):
     anchor = np.zeros((4, 4))
     anchor[0, 0] = 1.0
     B1 = np.zeros((4, 4))
@@ -76,8 +57,8 @@ def _ex34():
     B2[0, 3] = B2[3, 0] = B2[1, 3] = B2[3, 1] = 1.0
     E = AffineSubspace.from_basis(sym_matrix(anchor),
                                   np.array([sym_matrix(B1), sym_matrix(B2)]))
-    return ExampleInstance("ex3.4", "default", E, np.array([0.1, 0.0]), 40,
-                           None, None)
+    return ExampleInstance(ident, variant, E, np.array([0.1, 0.0]), 40, None,
+                           None)
 
 
 def plane_instance(spec):
@@ -90,29 +71,44 @@ def plane_instance(spec):
     return ExampleInstance("plane", spec.kind, E, None, None, power, spec)
 
 
-def _type2_instance(ident, spec, start_t, iters):
+def _type2_instance(spec, start_t, iters, ident, variant):
     from .slowcurve import curve_point
 
     inst = plane_instance(spec)
     start = inst.plane.coefficients(curve_point(spec, start_t).G)
-    return replace(inst, ident=ident, variant="default", start=start,
+    return replace(inst, ident=ident, variant=variant, start=start,
                    default_iters=iters)
+
+
+# id -> {variant: builder(ident, variant)}; an id's first variant is its
+# default
+_CATALOG = {
+    "ex3.2": {"pos": partial(_line, U_STAR, _LINE_32, 0.1, 100000, 2),
+              "neg": partial(_line, U_STAR, _LINE_32, -0.05, 40, None)},
+    # the pos variant is anchored at the far endpoint of the intersection
+    # segment
+    "ex3.3": {"neg": partial(_line, U_STAR, _LINE_33, -0.1, 40, None),
+              "pos": partial(_line, sym_matrix(U_STAR + _LINE_33), _LINE_33,
+                             0.5, 60, None)},
+    "ex3.4": {"default": _ex34},
+    "ex4.4": {"default": partial(_type2_instance, _SPEC_44, 0.05, 10000)},
+    "ex6.1": {"default": partial(_type2_instance, _SPEC_61, 0.1, 100000)},
+}
+BUILTIN_IDS = tuple(_CATALOG)
 
 
 def get_example(ident, variant=None):
     """Look up a built-in instance; raises KeyError for unknown ids and
     ValueError for a variant the id does not have."""
-    if ident == "ex3.2":
-        return _ex32(variant)
-    if ident == "ex3.3":
-        return _ex33(variant)
-    if ident not in BUILTIN_IDS:
+    builders = _CATALOG.get(ident)
+    if builders is None:
         raise KeyError(f"unknown example id {ident!r}; "
                        f"known: {', '.join(BUILTIN_IDS)}")
-    if variant not in (None, "default"):
-        raise ValueError(f"{ident} has one variant: default")
-    if ident == "ex3.4":
-        return _ex34()
-    if ident == "ex4.4":
-        return _type2_instance("ex4.4", _SPEC_44, 0.05, 10000)
-    return _type2_instance("ex6.1", _SPEC_61, 0.1, 100000)
+    if variant is None:
+        variant = next(iter(builders))
+    if variant not in builders:
+        # a line's two read "pos, neg" whichever is its default
+        names = ", ".join(sorted(builders, reverse=True))
+        raise ValueError(f"{ident} variants: {names}" if len(builders) > 1
+                         else f"{ident} has one variant: {names}")
+    return builders[variant](ident, variant)

@@ -7,26 +7,24 @@ Subcommands:
 
 ``example`` and ``run`` resolve their input to a ``catalog.ExampleInstance``
 and share one run-and-report path.  Trace output is CSV with header
-``k,dist,psd_rank,inv2,inv6`` where inv_p = dist^-p, formatted and written
-``_CSV_BLOCK`` rows at a time, so the text held at once does not grow with
-the run.  The summary follows it, in lines that start with '#' (so a trace
-printed to stdout still parses): ``# <id> (<variant>): iterations=N
-stop=R``, then ``# singularity degree: d`` for a type2 instance or plane
-object, then the instance's rate fit.  Exit codes: 0 success, 1 failed
-check or run, or stdout closed by its reader before the output was
-written, 2 usage error or any other I/O error (a closed pipe behind
-``--out`` included).
+``k,dist,psd_rank,inv2,inv6`` where inv_p = dist^-p, the same power the
+summary's 1/dist^p fit reads, formatted and written ``_CSV_BLOCK`` rows at
+a time, so the text held at once does not grow with the run.  The summary
+follows it, in lines that start with '#' (so a trace printed to stdout
+still parses): ``# <id> (<variant>): iterations=N stop=R``, then
+``# singularity degree: d`` for a type2 instance or plane object, then the
+instance's rate fit.  Exit codes: 0 success, 1 failed check or run, or
+stdout closed by its reader before the output was written, 2 usage error
+or any other I/O error (a closed pipe behind ``--out`` included).
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
 """
 
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .catalog import BUILTIN_IDS, get_example, plane_instance
 from .planes import PlaneSpec, singularity_degree
 from .rates import fit_geometric, fit_inverse_power
 from .slowcurve import curve_point
+from .symcore import _power
 from .verify import SUITES, run_suite
 
 log = logging.getLogger("apcone")
@@ -56,30 +55,18 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _inverse_powers(dists, p):
-    """d ** p for each distance d >= 0 and p < 0, or inf where d is 0 or
-    the power overflows (dist^-6 does once dist < ~1e-52; Python floats
-    raise there)."""
-    try:
-        return [d ** p for d in dists]
-    except (ZeroDivisionError, OverflowError):
-        pass
-    out = []
-    for d in dists:
-        try:
-            out.append(d ** p if d > 0 else math.inf)
-        except OverflowError:
-            out.append(math.inf)
-    return out
-
-
-def trace_csv(trace, k0=0):
-    """The CSV rows of ``trace`` (all of its rows), numbered from ``k0``,
-    and the header before them when ``k0`` is 0; the CSV of a whole run is
-    these texts of consecutive blocks, joined."""
-    dists = trace.dists.tolist()
-    rows = zip(range(k0, k0 + len(dists)), dists, trace.psd_ranks.tolist(),
-               _inverse_powers(dists, -2.0), _inverse_powers(dists, -6.0))
+def trace_csv(dists, ranks, k0=0):
+    """The CSV rows of the distances ``dists`` and PSD ranks ``ranks`` (a
+    trace's columns, or a block of them, as ndarrays), numbered from
+    ``k0``, and the header before them when ``k0`` is 0; the CSV of a whole
+    run is these texts of consecutive blocks, joined.  inv_p = dist^-p is
+    ``symcore._power``'s, the number ``rates.fit_inverse_power`` fits, and
+    inf where dist is 0 or the power overflows (dist^-6 does once dist <
+    ~1e-52)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv2, inv6 = _power(dists, -2.0), _power(dists, -6.0)
+    rows = zip(range(k0, k0 + len(dists)), dists.tolist(), ranks.tolist(),
+               inv2.tolist(), inv6.tolist())
     return ("" if k0 else "k,dist,psd_rank,inv2,inv6\n") + "".join(
         map("%d,%.17g,%d,%.17g,%.17g\n".__mod__, rows))
 
@@ -187,8 +174,7 @@ def _run_and_report(inst, start, iters, tol, out):
     with _trace_writer(out) as write:
         for k in range(0, len(trace), _CSV_BLOCK):
             block = slice(k, k + _CSV_BLOCK)
-            write(trace_csv(replace(trace, dists=trace.dists[block],
-                                    psd_ranks=trace.psd_ranks[block]), k))
+            write(trace_csv(trace.dists[block], trace.psd_ranks[block], k))
     _out(f"# {inst.ident} ({inst.variant}): iterations={len(trace) - 1} "
          f"stop={trace.stop_reason}\n")
     if inst.spec is not None:

@@ -12,6 +12,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .symcore import _power
+
 _NOISE_MODES = ("plus", "minus", "alternating")
 # characters of trace CSV text parsed at a time, about 1000 CLI rows
 _PARSE_BLOCK = 1 << 16
@@ -62,10 +64,12 @@ def _line_fit(x, y):
 
 
 def fit_inverse_power(trace, p, window):
-    """Fit dist_k^{-p} ~ intercept + slope * k on the window."""
+    """Fit dist_k^{-p} ~ intercept + slope * k on the window; dist_k^{-p}
+    is ``symcore._power``'s, the number the trace CSV's inv_p column
+    prints."""
     ks, d = _window_dists(trace, window)
     with np.errstate(over="ignore"):
-        y = d ** (-float(p))
+        y = _power(d, -float(p))
         if not np.isfinite(y @ y):    # so the fit's sums of squares are too
             raise ValueError(f"dist^-{p} or its square overflows on the "
                              "fit window")

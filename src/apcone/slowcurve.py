@@ -8,8 +8,9 @@ resulting matrices conjugated back, so they stay consistent with
 ``planes.build_plane`` for rotated specs.  The formulas are written once,
 in ``_curve_parts``, with the denominators a point is rejected for, and one
 predicate (``_vanished``) decides the rejection.  The same code runs on a
-float, on an ndarray of t (with the float's bits, entry by entry) and on a
-``TruncSeries`` in t.
+float, on an ndarray of t and on a ``TruncSeries`` in t.  An ndarray gets
+the float's bits entry by entry: its powers go through ``symcore._power``,
+the one power the rate fit and the trace CSV's inv columns use too.
 """
 
 import math
@@ -20,8 +21,8 @@ import numpy as np
 from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
                        m_matrix, psi)
 from .planes import _rotated, build_plane, type2_b1_products
-from .symcore import (EigenSolverError, _eigh, _gram_schmidt, frob_inner,
-                      frob_norm, orthogonalize)
+from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
+                      frob_inner, frob_norm, orthogonalize)
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
@@ -56,14 +57,6 @@ def _require_type2_curve(spec):
         raise ValueError("the slowest curve is defined for type2 planes")
     if spec.c[3] == 0.0:
         raise ValueError("the slowest curve requires c4 != 0")
-
-
-def _power(x, k):
-    """x ** k, entry by entry as the scalar ``**`` rounds it.  An ndarray
-    goes through ``np.float_power``, which calls the same libm ``pow``;
-    ``**`` on an ndarray may take a SIMD path that differs in the last bit,
-    and then the array and scalar curve formulas would disagree."""
-    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
 
 @dataclass(frozen=True)
@@ -399,27 +392,18 @@ def _recover_block(c, p1_row, slope, t_last, p1_last, pobs):
     """
     tol = 1e-13 * np.maximum(1.0, np.abs(pobs))
     t = t_last - (p1_last - pobs) / slope
-    p1, g13, g23 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    vanished = np.zeros(t.shape, dtype=bool)
-    todo = np.arange(t.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(60):
-            _, a, b, den4w, checked = _curve_parts(c, t[todo])
-            p = _coordinate(p1_row, t[todo], a, b)
-            gone = _vanished(den4w, checked)
-            r = p - pobs[todo]
-            done = (np.abs(r) < tol[todo]) & ~gone
-            hit = todo[done]
-            p1[hit], g13[hit], g23[hit] = p[done], a[done], b[done]
-            vanished[todo[gone]] = True
-            left = ~(done | gone)
-            todo = todo[left]
-            if not todo.size:
+            _, g13, g23, den4w, checked = _curve_parts(c, t)
+            p1 = _coordinate(p1_row, t, g13, g23)
+            vanished = _vanished(den4w, checked)
+            r = p1 - pobs
+            left = ~((np.abs(r) < tol) | vanished)
+            if not left.any():
                 break
-            t[todo] -= r[left] / slope
-    unresolved = np.zeros(t.shape, dtype=bool)
-    unresolved[todo] = True
-    return t, p1, g13, g23, vanished, unresolved
+            # a finished entry keeps its t, so it evaluates to the same bits
+            t = np.where(left, t - r / slope, t)
+    return t, p1, g13, g23, vanished, left
 
 
 def tube_check(spec, t0, beta, gamma, steps, eps):
@@ -513,8 +497,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
             raise failure
         dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
                        (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
-        transverse_ok &= not np.any(dev / tn ** 7 >= eps)
-        ratios = np.abs(tn - _ap_shift(c, tprev)) / tprev ** 8
+        transverse_ok &= not np.any(dev / _power(tn, 7) >= eps)
+        ratios = np.abs(tn - _ap_shift(c, tprev)) / _power(tprev, 8)
         split = min(max(half - first, 0), n)
         k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
         r_late = max(r_late, np.max(ratios[split:], initial=0.0))

@@ -27,6 +27,10 @@ which returns ``S S^T``, written into a caller's array when given one;
 NumPy evaluates that as a symmetric rank-k product, so the clip is exactly
 symmetric without a symmetrization pass.  ``psd_part``, ``_project`` and
 ``_coefficients`` check nothing.
+Every array raised to a power goes through ``_power`` (entry by entry the
+bits of the scalar ``**``): the curve formulas, the tube check, the rate
+fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
+prints.
 Input is checked (square, finite, exactly symmetric) once, where it enters
 a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
 affine subspace is checked the same way, size included, by the private
@@ -83,6 +87,14 @@ def frob_inner(a, b):
 
 def frob_norm(a):
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
+
+
+def _power(x, k):
+    """x ** k, entry by entry as the scalar ``**`` rounds it.  An ndarray
+    goes through ``np.float_power``, which calls the same libm ``pow``;
+    ``**`` on an ndarray may take a SIMD path that differs in the last bit.
+    A float or a ``TruncSeries`` uses its own ``**``."""
+    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ from .slowcurve import (ap_image_formula, curve_point, perturb_gain,
                         tube_check, valid_t_max)
 from .symcore import orthogonalize, project_psd
 
-SUITES = ("prop31", "thm41", "thm62", "thm63", "lemma64", "lemma67",
-          "lemma75", "prop76", "lemma77", "plucker")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     label: str
@@ -261,14 +257,18 @@ def suite_plucker(seed=0):
     return results
 
 
+# suite name -> suite, in the order the CLI lists them
+SUITES = {
+    "prop31": suite_prop31, "thm41": suite_thm41, "thm62": suite_thm62,
+    "thm63": suite_thm63, "lemma64": suite_lemma64,
+    "lemma67": suite_lemma67, "lemma75": suite_lemma75,
+    "prop76": suite_prop76, "lemma77": suite_lemma77,
+    "plucker": suite_plucker,
+}
+
+
 def run_suite(name, seed=0):
-    fn = {
-        "prop31": suite_prop31, "thm41": suite_thm41, "thm62": suite_thm62,
-        "thm63": suite_thm63, "lemma64": suite_lemma64,
-        "lemma67": suite_lemma67, "lemma75": suite_lemma75,
-        "prop76": suite_prop76, "lemma77": suite_lemma77,
-        "plucker": suite_plucker,
-    }.get(name)
+    fn = SUITES.get(name)
     if fn is None:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     return fn(seed)

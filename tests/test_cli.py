@@ -13,7 +13,7 @@ import apcone
 from apcone.apengine import run_ap
 from apcone.catalog import get_example
 from apcone.cli import _summarize, main, trace_csv
-from apcone.rates import parse_trace_csv
+from apcone.rates import _line_fit, fit_inverse_power, parse_trace_csv
 
 
 def run_cli(capsys, *argv):
@@ -113,11 +113,11 @@ def test_example_trace_csv_emits_no_overflow_warning(capsys, tmp_path):
     assert np.any((cols["dist"] > 0.0) & np.isinf(cols["inv6"]))
 
 
-def _numpy_trace_csv(trace):
+def _numpy_trace_csv(dists, ranks):
     # the CSV writer as it was over NumPy scalars: the byte reference
     lines = ["k,dist,psd_rank,inv2,inv6"]
     with np.errstate(over="ignore"):
-        for k, (d, r) in enumerate(zip(trace.dists, trace.psd_ranks)):
+        for k, (d, r) in enumerate(zip(dists, ranks)):
             inv2 = d ** -2.0 if d > 0 else float("inf")
             inv6 = d ** -6.0 if d > 0 else float("inf")
             lines.append(f"{k},{d:.17g},{int(r)},{inv2:.17g},{inv6:.17g}")
@@ -132,8 +132,8 @@ def test_trace_csv_bytes_match_numpy_scalar_writer(ident, iters):
                    target=inst.target)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = trace_csv(trace)
-    assert text == _numpy_trace_csv(trace)
+        text = trace_csv(trace.dists, trace.psd_ranks)
+    assert text == _numpy_trace_csv(trace.dists, trace.psd_ranks)
     if ident == "ex3.4":
         assert ",inf," in text and text.count("inf\n") > text.count(",inf,")
 
@@ -141,15 +141,31 @@ def test_trace_csv_bytes_match_numpy_scalar_writer(ident, iters):
 def test_trace_csv_bytes_on_zero_overflowing_and_ordinary_distances():
     # 0 and 1e-160 give inf in both power columns, 1e-60 only in inv6
     dists = np.array([0.5, 1e-3, 1e-60, 1e-160, 0.0, 3.0, 0.1])
-    trace = SimpleNamespace(dists=dists,
-                            psd_ranks=np.array([1, 2, 1, 0, 0, 3, 1]))
+    ranks = np.array([1, 2, 1, 0, 0, 3, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = trace_csv(trace)
-    assert text == _numpy_trace_csv(trace)
+        text = trace_csv(dists, ranks)
+    assert text == _numpy_trace_csv(dists, ranks)
     powers = [line.split(",")[3:] for line in text.splitlines()[1:]]
     assert [[x == "inf" for x in row] for row in powers[2:5]] == [
         [False, True], [True, True], [True, True]]
+
+
+def test_inverse_power_fit_reads_the_csv_inv6_column_bit_for_bit(
+        capsys, tmp_path):
+    # the summary's fit and the CSV column it summarizes take dist^-6 the
+    # same way, so a fit of the parsed column is the fit of the trace
+    out_file = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "example", "ex6.1", "--start",
+                         "slowest-curve:0.1", "--iters", "10000", "--out",
+                         str(out_file))
+    assert code == 0
+    inst = get_example("ex6.1")
+    trace = run_ap(inst.plane, inst.start, max_iter=10 ** 4, tol=0.0)
+    fit = fit_inverse_power(trace, 6, (1000, 10000))
+    inv6 = parse_trace_csv(out_file.read_text())["inv6"][1000:]
+    assert (fit.intercept, fit.slope, fit.rmse) == _line_fit(
+        np.arange(1000, 10001), inv6)
 
 
 @pytest.mark.parametrize("ident, variant, ratio, rel", [

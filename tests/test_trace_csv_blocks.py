@@ -7,7 +7,6 @@ those of the row-at-a-time parser kept here as the reference, and the
 memory of either side grows by a few dozen bytes a row, not by the text."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +39,8 @@ def _peak_bytes(run, n):
 
 def _assert_streamed_csv(capsys, tmp_path, dest, ident, iters):
     inst = get_example(ident)
-    want = trace_csv(run_ap(inst.plane, inst.start, max_iter=iters, tol=0.0))
+    trace = run_ap(inst.plane, inst.start, max_iter=iters, tol=0.0)
+    want = trace_csv(trace.dists, trace.psd_ranks)
     argv = [ident, "--iters", str(iters)]
     if dest == "stdout":
         out = _cli(capsys, *argv)
@@ -73,10 +73,9 @@ def test_streamed_csv_with_inf_cells_and_zero_distances(
 
 
 def test_trace_csv_numbers_rows_from_the_block_start():
-    trace = SimpleNamespace(dists=np.array([0.5, 0.0]),
-                            psd_ranks=np.array([1, 0]))
-    assert trace_csv(trace, 2048) == ("2048,0.5,1,4,64\n"
-                                      "2049,0,0,inf,inf\n")
+    dists, ranks = np.array([0.5, 0.0]), np.array([1, 0])
+    assert trace_csv(dists, ranks, 2048) == ("2048,0.5,1,4,64\n"
+                                             "2049,0,0,inf,inf\n")
 
 
 def test_cli_run_memory_grows_by_trace_and_fit_only(capsys, tmp_path):
@@ -156,8 +155,8 @@ def test_block_parser_header_only_missing_header_and_ragged_rows(
 def test_parse_memory_per_row():
     n = 10 ** 5
     k = np.arange(n)
-    text = trace_csv(SimpleNamespace(dists=0.1 * (1.0 + k) ** (-1.0 / 6.0),
-                                     psd_ranks=np.ones(n, dtype=np.int64)))
+    text = trace_csv(0.1 * (1.0 + k) ** (-1.0 / 6.0),
+                     np.ones(n, dtype=np.int64))
     parse_trace_csv(text[:text.index("\n", 10 ** 4) + 1])  # first-call costs
     peak = _peak_bytes(lambda _: parse_trace_csv(text), n)
     # the columns (40 B a row), the blocks they are joined from, and one

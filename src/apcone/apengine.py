@@ -5,8 +5,9 @@ block of ``_BLOCK`` preallocated flat iterates at a time, each step one
 ``_eigh``, ``S S^T`` written into a row ``[vec P | 1]`` and one product
 with the plane's augmented projector into the next row, and settles the
 distances and stop rules once per block, so each step is only the
-``_eigh`` and the two products; on 3x3 iterates that takes about 7.5 us a
-step (fastest of interleaved runs on a 2-core x86-64 VM, numpy 2.4).  The
+``_eigh`` and the two products; on 3x3 iterates that takes about 5.1 us a
+step (ex6.1, fastest of interleaved runs on a 2-core Intel Xeon VM,
+numpy 2.4.6).  The
 rest of the module verifies the parameter-space descriptions of one AP step:
 the eigenvalue formula on an orthogonal basis, whose derivative is taken
 exactly from one eigendecomposition, and the rank-1 chart relation

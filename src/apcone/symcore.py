@@ -19,8 +19,8 @@ Every eigendecomposition in the package goes through the private
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
 calls, so the results are the same bits, eigenvalues ascending.  The
 public wrapper's checks, ``np.errstate`` context and result wrapping cost
-about 5 us per 3x3 call; the gufunc itself takes about 3.6 us of the
-~7.5 us step of ``apengine.run_ap`` (2-core x86-64, numpy 2.4).  Failure
+about 2.8 us per 3x3 call; the gufunc itself takes about 1.7 us of the
+~5.1 us step of ``apengine.run_ap`` (2-core Intel Xeon VM, numpy 2.4.6).  Failure
 is detected instead from the output (NaN eigenvalues raise
 ``EigenSolverError``).  Every PSD projection goes through ``psd_part``,
 which returns ``S S^T``, written into a caller's array when given one;

@@ -3,9 +3,19 @@
 Each suite runs a batch of numerical checks of one analytic statement and
 returns CheckResult rows; the CLI prints one line per row and exits nonzero
 when anything fails.
+
+A suite's random draws are NumPy's legacy ``RandomState(seed)`` streams
+(frozen by NumPy's RNG policy), reproduced bit for bit by ``_Draws`` on the
+standard library's Mersenne Twister, so the suites never load
+``numpy.random``.  ``run_suite`` takes a seed in [0, 2**32 - 1], the range
+``RandomState`` takes, and rejects any other before a suite runs.
+``random_type2_spec`` takes any rng with ``uniform`` and ``choice``, a
+``RandomState`` included.
 """
 
 import math
+import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +38,64 @@ class CheckResult:
     detail: str
 
 
+def _check_seed(seed):
+    """The seed as an int; ValueError unless it is one in [0, 2**32 - 1]."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed <= 0xFFFFFFFF:
+        raise ValueError("Seed must be between 0 and 2**32 - 1")
+    return int(seed)
+
+
+class _Draws:
+    """NumPy's ``RandomState(seed)`` draws, bit for bit, for the calls the
+    suites make: ``uniform``, ``randint(high)`` and ``choice(seq)``.
+
+    Both are MT19937.  The state is ``init_genrand(seed)``, RandomState's
+    seeding of an int: 624 words, read from position 624.  ``random()`` is
+    the same 53-bit double as RandomState's, ``uniform`` is
+    ``low + (high - low) * random()`` and ``randint`` is RandomState's
+    masked rejection on 32-bit outputs (``high`` <= 2**32).
+    """
+
+    def __init__(self, seed):
+        key = [_check_seed(seed)]
+        for i in range(1, 624):
+            key.append((1812433253 * (key[-1] ^ (key[-1] >> 30)) + i)
+                       & 0xFFFFFFFF)
+        self._mt = random.Random()
+        self._mt.setstate((3, (*key, 624), None))
+
+    def uniform(self, low, high, size=None):
+        low = float(low)
+        span = float(high) - low
+        if size is None:
+            return low + span * self._mt.random()
+        return np.array([low + span * self._mt.random()
+                         for _ in range(size)])
+
+    def randint(self, high):
+        if not 1 <= high <= 1 << 32:
+            raise ValueError("randint takes a high in [1, 2**32]")
+        top = high - 1
+        if top == 0:
+            return 0  # RandomState draws nothing for a one-value range
+        mask = (1 << top.bit_length()) - 1
+        while True:
+            value = self._mt.getrandbits(32) & mask
+            if value <= top:
+                return value
+
+    def choice(self, seq):
+        return seq[self.randint(len(seq))]
+
+
 def random_type2_spec(rng, mild=True):
     """Draw a type2 spec with c4 bounded away from zero.
 
     The mild draw keeps |c1..c3, c5| <= 0.8 and |c4| in [0.7, 1.5], a range
     over which the curve domain comfortably contains the probe scales; the
-    wide draw allows |c_i| <= 2 with |c4| down to 1e-3.
+    wide draw allows |c_i| <= 2 with |c4| down to 1e-3.  ``rng`` is any
+    object with RandomState's ``uniform`` and ``choice``: the suites pass
+    a ``_Draws``, and ``RandomState(seed)`` gives the same spec.
     """
     if mild:
         c = rng.uniform(-0.8, 0.8, 5)
@@ -60,7 +122,7 @@ def formula_vs_direct_gap(E, p):
 def suite_prop31(seed=0):
     """Eigenvalue-formula steps match direct AP steps on 20 planes: the two
     catalog probes and one random probe on each of 18 random type2 planes."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     worst = 0.0
     for E, p in ((get_example("ex3.2").plane, np.array([0.06])),
                  (get_example("ex3.4").plane, np.array([0.07, 0.03]))):
@@ -80,7 +142,7 @@ def curve_probe_t(spec, frac=0.5, cap=0.1):
 
 def suite_thm41(seed=0):
     """Rank-1 chart relation has rounding-level residual on 20 planes."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     results = []
     worst = 0.0
     done = 0
@@ -101,7 +163,7 @@ def suite_thm41(seed=0):
 
 
 def _order_suite(label, oracle_of_spec, formula, seed):
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     results = []
     ex61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
     specs = [("ex6.1", ex61, curve_probe_t(ex61))]
@@ -140,7 +202,7 @@ def suite_thm63(seed=0):
 
 def suite_lemma64(seed=0):
     """w satisfies its own recursion through degree 5 (series check)."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     results = []
     for i in range(10):
         spec = random_type2_spec(rng)
@@ -155,7 +217,7 @@ def suite_lemma67(seed=0):
     """det G(t) = t^10/(32 c4^6) + O(t^11), via series; and the ex6.1 curve
     G(t)/(1 - 2t), at t = s/(1 + 2s), is the perturbed moment curve of
     (1, s, -s^2/2) through degree 7."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     results = []
     d = det_series(PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0)))
     results.append(CheckResult(
@@ -181,7 +243,7 @@ def suite_lemma67(seed=0):
 
 def suite_lemma75(seed=0):
     """Transverse gain norm < 1 on 100 wide-random c4 != 0 specs."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     worst = 0.0
     for _ in range(100):
         spec = random_type2_spec(rng, mild=False)
@@ -235,7 +297,7 @@ def suite_lemma77(seed=0):
 
 def suite_plucker(seed=0):
     """Grassmann quadratic relations vanish on random planes."""
-    rng = np.random.RandomState(seed)
+    rng = _Draws(seed)
     results = []
     worst = 0.0
     for i in range(10):
@@ -268,7 +330,9 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
+    """Run one suite; KeyError for an unknown name, ValueError for a seed
+    outside [0, 2**32 - 1], whether or not the suite draws."""
     fn = SUITES.get(name)
     if fn is None:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return fn(seed)
+    return fn(_check_seed(seed))

@@ -216,6 +216,22 @@ def test_verify_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
+# prop31 draws and prop76 does not: both refuse the seed before running
+@pytest.mark.parametrize("suite", ["prop31", "prop76"])
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_verify_seed_out_of_range_is_a_usage_error(capsys, suite, seed):
+    code, out, err = run_cli(capsys, "verify", suite, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Seed must be between 0 and 2**32 - 1\n"
+
+
+def test_verify_largest_seed_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "prop31", "--seed", "4294967295")
+    assert code == 0
+    assert out.endswith("# suite prop31: all checks passed\n")
+
+
 def test_run_config_type2(capsys, tmp_path):
     cfg = {"plane": {"kind": "type2", "c": [1.0, 0.0, 0.0, 1.0, 0.0],
                      "theta": 0.0, "reflect": False},

@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 
 from .planes import PlaneSpec, U_STAR, build_plane, singularity_degree
+from .slowcurve import curve_point
 from .symcore import AffineSubspace, sym_matrix
 
 
@@ -72,8 +73,6 @@ def plane_instance(spec):
 
 
 def _type2_instance(spec, start_t, iters, ident, variant):
-    from .slowcurve import curve_point
-
     inst = plane_instance(spec)
     start = inst.plane.coefficients(curve_point(spec, start_t).G)
     return replace(inst, ident=ident, variant=variant, start=start,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planes import PlaneSpec
+from .catalog import _SPEC_61
 from .slowcurve import _canonical_matrix, _curve_parts
 
 DEFAULT_CAP = 12
@@ -170,8 +170,7 @@ def moment_curve_defect():
     (3,2)=-s^3/2 + 3 s^7/16, (3,3)=0, all through degree 7.  Returns the max
     absolute coefficient gap.
     """
-    spec = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
-    g = curve_matrix_series(spec, _MOMENT_CAP)
+    g = curve_matrix_series(_SPEC_61, _MOMENT_CAP)
     t = TruncSeries.x(_MOMENT_CAP)
     scale = 1 - 2 * t
     s_of_t = t / (1 + 2 * t)  # inverse of s = t/(1-2t)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apengine import ap_step, eigenvalue_formula_step, rank_one_step_residual
-from .catalog import get_example
+from .catalog import _SPEC_61, get_example
 from .planes import PlaneSpec, build_plane, plucker_coords, \
     plucker_relation_defect
 from .rates import recursive_sequence
@@ -165,8 +165,7 @@ def suite_thm41(seed=0):
 def _order_suite(label, oracle_of_spec, formula, seed):
     rng = _Draws(seed)
     results = []
-    ex61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
-    specs = [("ex6.1", ex61, curve_probe_t(ex61))]
+    specs = [("ex6.1", _SPEC_61, curve_probe_t(_SPEC_61))]
     while len(specs) < 11:
         spec = random_type2_spec(rng)
         cap = curve_probe_t(spec)
@@ -219,7 +218,7 @@ def suite_lemma67(seed=0):
     (1, s, -s^2/2) through degree 7."""
     rng = _Draws(seed)
     results = []
-    d = det_series(PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0)))
+    d = det_series(_SPEC_61)
     results.append(CheckResult(
         "det-series coefficient 10, ex6.1", abs(d[10] - 0.03125) <= 1e-12,
         f"coeff10 {d[10]!r} expect 0.03125"))
@@ -254,8 +253,7 @@ def suite_lemma75(seed=0):
 
 def suite_prop76(seed=0):
     """AP iterates started on/near the slowest curve stay in its tube."""
-    spec = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
-    n2 = math.sqrt(6.0)  # ||C2|| for this spec
+    n2 = math.sqrt(6.0)  # ||C2|| on ex6.1's plane
     cases = [
         ("on-curve start, t0=0.1", dict(t0=0.1, beta=0.0, gamma=0.0,
                                         steps=2000, eps=1.0)),
@@ -266,7 +264,7 @@ def suite_prop76(seed=0):
         ("t0=0 fixed point", dict(t0=0.0, beta=0.0, gamma=0.0,
                                   steps=10, eps=1.0)),
     ]
-    return [CheckResult(label, tube_check(spec, **kw), str(kw))
+    return [CheckResult(label, tube_check(_SPEC_61, **kw), str(kw))
             for label, kw in cases]
 
 

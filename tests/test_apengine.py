@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +14,7 @@ from apcone.symcore import (AffineSubspace, EigenSolverError, frob_inner,
                             frob_norm, orthogonalize, project_affine,
                             project_psd, sym_matrix)
 from apcone.verify import formula_vs_direct_gap, random_type2_spec
+from probes import peak_bytes
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
 SPEC44 = PlaneSpec("type2", (0.0, 0.0, 1.0, 1.0, 0.0))
@@ -407,26 +407,16 @@ def test_run_ap_failure_of_a_step_taken_raises(monkeypatch):
             run_ap(E, p0, max_iter=10 ** 6, tol=tol)
 
 
-def _peak_bytes(run):
-    run()   # caches and lazy set-up outside the measurement
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_ap_memory_grows_with_steps_taken_only():
     E, _ = build_plane(SPEC61)
     p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
-    short, long = (_peak_bytes(lambda: run_ap(E, p0, n, 0.0))
+    short, long = (peak_bytes(lambda: run_ap(E, p0, n, 0.0), warm_up=True)
                    for n in (2 * 10 ** 3, 2 * 10 ** 4))
     # dists and psd_ranks: 16 B per step, with room for array growth
     assert long - short <= 20 * (2 * 10 ** 4 - 2 * 10 ** 3)
     neg = get_example("ex3.2", "neg")
-    huge, small = (_peak_bytes(lambda: run_ap(neg.plane, neg.start, n, 1e-3,
-                                              target=neg.target))
+    huge, small = (peak_bytes(lambda: run_ap(neg.plane, neg.start, n, 1e-3,
+                                             target=neg.target), warm_up=True)
                    for n in (10 ** 12, 10 ** 3))
     assert huge <= small
 

@@ -3,23 +3,16 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import apcone
 from apcone.apengine import run_ap
 from apcone.catalog import get_example
 from apcone.cli import _summarize, main, trace_csv
 from apcone.rates import _line_fit, fit_inverse_power, parse_trace_csv
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
+from probes import cli_env, run_cli
 
 
 @pytest.mark.parametrize("ident, variant", [
@@ -473,17 +466,11 @@ def test_run_degenerate_trace_still_succeeds(capsys, tmp_path):
     assert "fit unavailable" in out
 
 
-def _cli_env():
-    src = str(Path(apcone.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def _run_cli_warnings_as_errors(*argv):
     """``python -W error -m apcone.cli argv``: (exit code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "apcone.cli", *argv],
-        capture_output=True, text=True, env=_cli_env(), timeout=60)
+        capture_output=True, text=True, env=cli_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -520,7 +507,7 @@ def test_closed_stdout_pipe_exits_1_without_error_line():
     proc = subprocess.Popen(
         [sys.executable, "-m", "apcone.cli", "example", "ex6.1", "--iters",
          "3000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=_cli_env())
+        env=cli_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     code = proc.wait(timeout=60)

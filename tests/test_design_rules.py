@@ -1,0 +1,155 @@
+"""Design rules of apcone, read from the source with ``ast``: each operation
+has one implementation, so a second copy fails here rather than drifting in
+unnoticed.
+
+A rule is a node predicate plus the qualified functions allowed to match it
+(``module.Class.method``; module level reads as ``module.<module>``).  Every
+rule must match in exactly its allowed functions across ``src/apcone``, and
+each is shown a planted violation on a source string.  Adding a rule is one
+entry in ``RULES`` and one case in ``PLANTED``."""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "apcone"
+EIGENSOLVERS = {"eig", "eigh", "eigh_lo", "eigh_up", "eigvals", "eigvalsh"}
+POWERS = {"float_power", "power"}
+DENOMINATORS = {"d_inner", "d_mid", "d_q"}
+RUN_PATH = {"run_ap", "trace_csv", "_summarize"}
+
+
+def _attr(node, names):
+    return isinstance(node, ast.Attribute) and node.attr in names
+
+
+def _name(node, names, ctx=ast.expr_context):
+    return (isinstance(node, ast.Name) and node.id in names
+            and isinstance(node.ctx, ctx))
+
+
+def _imports_from(node, names, module=None):
+    """``from module import <one of names>``; any module when None."""
+    return (isinstance(node, ast.ImportFrom)
+            and module in (None, node.module)
+            and any(alias.name in names for alias in node.names))
+
+
+def _numpy_random(node):
+    """``np.random`` / ``numpy.random`` as an attribute or an import."""
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    return (_attr(node, {"random"}) and _name(node.value, {"np", "numpy"})
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("numpy.random")
+            or _imports_from(node, {"random"}, "numpy"))
+
+
+# rule: (predicate on a node, the functions allowed to match it)
+RULES = {
+    # PSD projection and every spectrum: one eigendecomposition, named as
+    # an attribute, a bare name or an import
+    "eigensolver": (
+        lambda n: (_attr(n, EIGENSOLVERS) or _name(n, EIGENSOLVERS)
+                   or _imports_from(n, EIGENSOLVERS)),
+        {"symcore._eigh"}),
+    # one array power; a bare ``power`` is a plain variable name
+    "power_ufunc": (
+        lambda n: _attr(n, POWERS) or _imports_from(n, POWERS, "numpy"),
+        {"symcore._power"}),
+    # the slowest curve's formulas: every store of a nested denominator of w
+    "curve_denominators": (
+        lambda n: _name(n, DENOMINATORS, ast.Store),
+        {"slowcurve._curve_parts"}),
+    # the stored affine maps have one reader each
+    "projector": (
+        lambda n: _attr(n, {"aug"}),
+        {"symcore.AffineSubspace._project"}),
+    "coefficient_map": (
+        lambda n: _attr(n, {"coef_map", "coef_offset"}),
+        {"symcore.AffineSubspace._coefficients"}),
+    # R^-1 is made by from_basis and read back by the one Gram-Schmidt
+    "inverse_r_factor": (
+        lambda n: _attr(n, {"R_inv"}) or _name(n, {"R_inv"}, ast.Load),
+        {"symcore.AffineSubspace.from_basis", "symcore._gram_schmidt"}),
+    # the verify suites draw through verify._Draws
+    "numpy_random": (_numpy_random, set()),
+    # ``apcone example`` and ``apcone run`` share one run-and-report path
+    "cli_run_path": (
+        lambda n: isinstance(n, ast.Call) and (_attr(n.func, RUN_PATH)
+                                               or _name(n.func, RUN_PATH)),
+        {"cli._run_and_report"}),
+}
+
+
+def _scan(source, module):
+    """{rule: qualified functions holding a node its predicate matches}."""
+    found = {rule: set() for rule in RULES}
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = (*scope, node.name)
+        where = ".".join(scope if len(scope) > 1 else (*scope, "<module>"))
+        for rule, (match, _) in RULES.items():
+            if match(node):
+                found[rule].add(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(source), (module,))
+    return found
+
+
+@functools.cache
+def _scan_apcone():
+    found = {rule: set() for rule in RULES}
+    for path in sorted(SRC.glob("*.py")):
+        for rule, where in _scan(path.read_text(), path.stem).items():
+            found[rule] |= where
+    return found
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rule_matches_its_allowed_functions_only(rule):
+    assert _scan_apcone()[rule] == RULES[rule][1]
+
+
+# (rule, source of module m, the functions the rule flags in it)
+PLANTED = [
+    ("eigensolver", "def f(a):\n    return np.linalg.eig(a)\n", {"m.f"}),
+    ("eigensolver", "class C:\n    solve = eigh\n", {"m.C"}),
+    ("eigensolver", "from scipy.linalg import eigvalsh\n", {"m.<module>"}),
+    ("power_ufunc", "def f(x):\n    return np.power(x, 3)\n", {"m.f"}),
+    ("power_ufunc", "from numpy import float_power\n", {"m.<module>"}),
+    ("power_ufunc", "def f(power):\n    return power\n", set()),
+    ("curve_denominators",
+     "def f(t):\n    d_q, x = t\n    for d_mid in t:\n        d_inner += 1\n"
+     "    return d_q\n", {"m.f"}),
+    ("curve_denominators",
+     "class C:\n    def g(t):\n        return (d_q := t)\n", {"m.C.g"}),
+    ("curve_denominators", "def f(t):\n    return d_q + d_mid\n", set()),
+    ("projector", "def f(E, v):\n    return E.aug @ v\n", {"m.f"}),
+    ("coefficient_map", "def f(E):\n    return E.coef_map\n", {"m.f"}),
+    ("inverse_r_factor", "R_inv = 1\ndef f(E):\n    return E.R_inv\n",
+     {"m.f"}),
+    ("inverse_r_factor", "def f(R_inv):\n    return R_inv\n", {"m.f"}),
+    ("numpy_random", "def f():\n    return np.random.RandomState(0)\n",
+     {"m.f"}),
+    ("numpy_random", "import numpy.random as npr\n", {"m.<module>"}),
+    ("numpy_random", "class C:\n    from numpy import random\n", {"m.C"}),
+    ("numpy_random", "from numpy.random import RandomState\n",
+     {"m.<module>"}),
+    ("numpy_random", "import random\nrandom.Random()\n", set()),
+    ("cli_run_path",
+     "def f(E):\n    run_ap(E)\ndef g(t):\n    cli.trace_csv(t)\n",
+     {"m.f", "m.g"}),
+]
+
+
+@pytest.mark.parametrize("rule, source, flagged", PLANTED, ids=[
+    f"{rule}-{i}" for i, (rule, *_) in enumerate(PLANTED)])
+def test_rule_flags_a_planted_violation(rule, source, flagged):
+    assert _scan(source, "m")[rule] == flagged

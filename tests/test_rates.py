@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from apcone.planes import PlaneSpec
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
                           recursive_sequence, slow_rate_constant)
+from probes import peak_bytes
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
 
@@ -138,12 +138,8 @@ def test_recursion_keeps_only_decade_checkpoints():
 
 def test_recursion_memory_does_not_grow_with_n():
     recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10)    # first-call costs
-    tracemalloc.start()
-    try:
-        recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1, 10 ** 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: recursive_sequence(1.0 / 3.0, 0.0, 2, 0.1,
+                                                 10 ** 5))
     assert peak < 64 * 1024
 
 

@@ -586,6 +586,7 @@ def _assert_matches_the_stepwise_loop(spec, kw, monkeypatch):
 
 
 N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
+N3_61 = math.sqrt(2.0)   # ||C3|| on ex6.1's plane
 
 
 @pytest.mark.parametrize("kw", [
@@ -595,8 +596,9 @@ N2_61 = math.sqrt(6.0)   # ||C2|| on ex6.1's plane
     dict(t0=0.1, beta=0.0, gamma=0.0, steps=600, eps=1e-6),
     dict(t0=0.15, beta=0.0, gamma=0.0, steps=600, eps=1.0),
     dict(t0=0.2, beta=0.0, gamma=0.0, steps=600, eps=1.0),
+    dict(t0=0.1, beta=0.3 / N2_61, gamma=0.5 / N3_61, steps=2000, eps=1.0),
 ], ids=["prop76-on-curve", "prop76-offset", "prop76-t0.05", "eps1e-6",
-        "t0.15", "t0.2"])
+        "t0.15", "t0.2", "c2-c3-offset"])
 def test_tube_check_matches_the_stepwise_loop(kw, monkeypatch):
     _assert_matches_the_stepwise_loop(SPEC61, kw, monkeypatch)
 

@@ -6,8 +6,6 @@ written are those of ``trace_csv`` on the whole trace, the columns read are
 those of the row-at-a-time parser kept here as the reference, and the
 memory of either side grows by a few dozen bytes a row, not by the text."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,22 +15,7 @@ from apcone.catalog import get_example
 from apcone.cli import _CSV_BLOCK as B
 from apcone.cli import trace_csv
 from apcone.rates import parse_trace_csv
-
-
-def _cli(capsys, *argv):
-    """stdout of ``apcone example argv``, which must exit 0."""
-    assert cli.main(["example", *argv]) == 0
-    return capsys.readouterr().out
-
-
-def _peak_bytes(run, n):
-    """tracemalloc's peak over ``run(n)``."""
-    tracemalloc.start()
-    try:
-        run(n)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from probes import peak_bytes, run_cli
 
 
 # --- writing -----------------------------------------------------------------
@@ -41,13 +24,15 @@ def _assert_streamed_csv(capsys, tmp_path, dest, ident, iters):
     inst = get_example(ident)
     trace = run_ap(inst.plane, inst.start, max_iter=iters, tol=0.0)
     want = trace_csv(trace.dists, trace.psd_ranks)
-    argv = [ident, "--iters", str(iters)]
+    argv = ["example", ident, "--iters", str(iters)]
     if dest == "stdout":
-        out = _cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv)
         csv, summary = out[:len(want)], out[len(want):]
     else:
-        summary = _cli(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+        code, summary, _ = run_cli(capsys, *argv, "--out",
+                                   str(tmp_path / "t.csv"))
         csv = (tmp_path / "t.csv").read_text()
+    assert code == 0
     assert csv == want
     assert summary.startswith(f"# {ident} (default): iterations=")
     assert all(line.startswith("# ") for line in summary.splitlines())
@@ -82,11 +67,12 @@ def test_cli_run_memory_grows_by_trace_and_fit_only(capsys, tmp_path):
     out = str(tmp_path / "t.csv")
 
     def run(n):
-        _cli(capsys, "ex6.1", "--start", "slowest-curve:0.1", "--iters",
-             str(n), "--out", out)
+        assert run_cli(capsys, "example", "ex6.1", "--start",
+                       "slowest-curve:0.1", "--iters", str(n), "--out",
+                       out)[0] == 0
 
     run(100)   # caches and lazy set-up outside the measurement
-    small, large = (_peak_bytes(run, n) for n in (10 ** 4, 10 ** 5))
+    small, large = (peak_bytes(lambda: run(n)) for n in (10 ** 4, 10 ** 5))
     # run_ap's trace holds 16 B a step and the summary's fit temporaries
     # about 35; the CSV text is one block's whatever the run's length
     assert large - small <= 80 * (10 ** 5 - 10 ** 4)
@@ -115,9 +101,10 @@ def _parse_rows(text):
 
 @pytest.mark.parametrize("block", [rates._PARSE_BLOCK, 50])
 def test_block_parser_columns_match_row_parser(capsys, monkeypatch, block):
-    ex61 = _cli(capsys, "ex6.1", "--start", "slowest-curve:0.1", "--iters",
-                "10000")
-    ex34 = _cli(capsys, "ex3.4", "--iters", "1000")
+    code61, ex61, _ = run_cli(capsys, "example", "ex6.1", "--start",
+                              "slowest-curve:0.1", "--iters", "10000")
+    code34, ex34, _ = run_cli(capsys, "example", "ex3.4", "--iters", "1000")
+    assert code61 == code34 == 0
     texts = {
         "ex6.1 CSV": ex61[:ex61.index("\n#") + 1],
         "ex6.1 stdout, blank lines": ex61.replace("\n", "\n\n", 500)
@@ -158,7 +145,7 @@ def test_parse_memory_per_row():
     text = trace_csv(0.1 * (1.0 + k) ** (-1.0 / 6.0),
                      np.ones(n, dtype=np.int64))
     parse_trace_csv(text[:text.index("\n", 10 ** 4) + 1])  # first-call costs
-    peak = _peak_bytes(lambda _: parse_trace_csv(text), n)
+    peak = peak_bytes(lambda: parse_trace_csv(text))
     # the columns (40 B a row), the blocks they are joined from, and one
     # block's lines
     assert peak <= 100 * n

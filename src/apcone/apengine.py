@@ -2,17 +2,17 @@
 
 ``run_ap`` runs the AP loop and returns an immutable trace.  It steps a
 block of ``_BLOCK`` preallocated flat iterates at a time, each step one
-``_eigh``, ``S S^T`` written into a row ``[vec P | 1]`` and one product
-with the plane's augmented projector into the next row, and settles the
-distances and stop rules once per block, so each step is only the
-``_eigh`` and the two products; on 3x3 iterates that takes about 5.1 us a
-step (ex6.1, fastest of interleaved runs on a 2-core Intel Xeon VM,
-numpy 2.4.6).  The
-rest of the module verifies the parameter-space descriptions of one AP step:
-the eigenvalue formula on an orthogonal basis, whose derivative is taken
-exactly from one eigendecomposition, and the rank-1 chart relation
-M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
-closed-form array products.
+``_psd_clip`` (``_eigh`` and ``S S^T`` through the calling thread's
+workspace, into a row ``[vec P | 1]``) and one product with the plane's
+augmented projector into the next row, and settles the distances and stop
+rules once per block, so each step is only the ``_eigh`` and the products,
+with no array allocated; on 3x3 iterates that takes about 6.6 us a step
+(ex6.1, fastest of 20 interleaved runs on a 2-vCPU Intel Xeon VM, numpy
+2.4.6).  The rest of the module verifies the parameter-space descriptions
+of one AP step: the eigenvalue formula on an orthogonal basis, whose
+derivative is taken exactly from one eigendecomposition, and the rank-1
+chart relation M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and
+gradient are closed-form array products.
 """
 
 import math
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, _eigh, check_finite_sym, check_sym,
-                      eig_sym, project_affine, project_psd, psd_part)
+from .symcore import (EigenSolverError, _psd_clip, _workspace,
+                      check_finite_sym, check_sym, eig_sym, project_affine,
+                      project_psd)
 
 # AP steps per block of run_ap: the once-per-block distances and row views
 # cost little next to 64 steps, and an early stop drops at most 63
@@ -68,10 +69,9 @@ def _ap_steps(E, steps, ranks):
     ``ranks`` as its step completes, so after an ``EigenSolverError`` the
     length of ``ranks`` counts the steps taken.
     """
-    project = E._project
+    ws, project = _workspace(E.n), E._project
     for u, p, r, w in steps:
-        lam, vecs = _eigh(u)
-        ranks.append(psd_part(lam, vecs, p)[1])
+        ranks.append(_psd_clip(ws, u, p))
         project(r, w)
 
 
@@ -88,9 +88,11 @@ def ap_step(E, U):
     needed.
     """
     U = E._check_point(U)
-    r = np.empty(U.size + 1)
+    size = U.size
+    row = np.empty(2 * size + 1)    # [vec P | 1 | vec W]
+    r, w = row[:size + 1], row[size + 1:]
     r[-1] = 1.0
-    p, w = r[:-1], np.empty(U.size)
+    p = r[:-1]
     ranks = []
     _ap_steps(E, ((U, p.reshape(U.shape), r, w),), ranks)
     return w.reshape(U.shape), ranks[0], E._coefficients(p)
@@ -107,11 +109,15 @@ def run_ap(E, p0, max_iter, tol, target=None):
 
     The steps are ``ap_step``'s, without its check, taken ``_BLOCK`` at a
     time through preallocated rows (``min(_BLOCK, max_iter + 1)`` of them,
-    so memory grows with the steps taken, not with ``max_iter``).  After
-    each block the distances are computed together and the stop rules are
-    applied step by step, in the order a step-by-step loop applies them;
-    steps past the stop are discarded, and an ``EigenSolverError`` in one
-    of them does not surface.  The sampled coefficients (k = 0: ``p0``) are
+    so memory grows with the steps taken, not with ``max_iter``).  A
+    block is shorter where the state at its start bounds the stop: it
+    takes no step past ``max_iter``, only the step ``psd_ranks[k]`` needs
+    when iterate k already meets ``tol``, and no more steps than a
+    stagnation run under way needs to reach its end.  After each block
+    the distances are computed together and the stop rules are applied
+    step by step, in the order a step-by-step loop applies them; steps
+    past the stop are discarded, and an ``EigenSolverError`` in one of
+    them does not surface.  The sampled coefficients (k = 0: ``p0``) are
     ``ap_step``'s expression.
     """
     if max_iter < 1:
@@ -150,9 +156,14 @@ def run_ap(E, p0, max_iter, tol, target=None):
     k = 0
     while True:
         base = k
+        # no step past a stop the state already fixes: only the step from
+        # iterate k when k meets tol, and no more steps than a stagnation
+        # run under way needs to reach its end
+        need = (1 if dist < tol
+                else _STAGNATION_RUN - stagnant + 1 if stagnant else rows)
         block_ranks = []
         try:
-            _ap_steps(E, steps[:max_iter - k + 1], block_ranks)
+            _ap_steps(E, steps[:min(need, max_iter - k + 1)], block_ranks)
         except EigenSolverError as exc:
             failure = exc
         else:
@@ -217,12 +228,14 @@ def eigenvalue_formula_step(E, p):
     1/2 sum_{lam<0} lam^2 = 1/2 ||U_-||^2 is C^1 in p, with partial
     derivative <U_-, B_i> = sum_{lam_j<0} lam_j u_j^T B_i u_j (Lewis 1996),
     taken exactly from one eigendecomposition of phi(p).  The eigenpairs
-    counted as negative are exactly those ``psd_part`` drops.  A wrong-length
+    counted as negative are exactly those ``_psd_clip`` drops.  A wrong-length
     ``p`` raises ``ValueError``, a non-finite one ``EigenSolverError``.
     """
     _require_orthogonal(E)
-    lam, vecs = _eigh(check_finite_sym(E.point(p)))
-    k = len(lam) - psd_part(lam, vecs)[1]   # psd_part drops lam[:k]
+    U = check_finite_sym(E.point(p))
+    ws = _workspace(E.n)
+    k = E.n - _psd_clip(ws, U, np.empty(U.shape))   # the clip drops lam[:k]
+    (lam, vecs), _ = ws
     neg = vecs[:, :k]
     U_minus = (neg * lam[:k]) @ neg.T
     grad = E.basis.reshape(E.dim, -1) @ U_minus.ravel()

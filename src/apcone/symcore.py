@@ -17,16 +17,23 @@ basis off Q and R.
 Every eigendecomposition in the package goes through the private
 ``_eigh``: one call of LAPACK's symmetric eigensolver through the gufunc
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
-calls, so the results are the same bits, eigenvalues ascending.  The
-public wrapper's checks, ``np.errstate`` context and result wrapping cost
-about 2.8 us per 3x3 call; the gufunc itself takes about 1.7 us of the
-~5.1 us step of ``apengine.run_ap`` (2-core Intel Xeon VM, numpy 2.4.6).  Failure
-is detected instead from the output (NaN eigenvalues raise
-``EigenSolverError``).  Every PSD projection goes through ``psd_part``,
-which returns ``S S^T``, written into a caller's array when given one;
-NumPy evaluates that as a symmetric rank-k product, so the clip is exactly
-symmetric without a symmetrization pass.  ``psd_part``, ``_project`` and
-``_coefficients`` check nothing.
+calls, so the results are the same bits, eigenvalues ascending, written
+into a caller's pair of arrays when given one.  The public wrapper's
+checks, ``np.errstate`` context and result wrapping cost about 4.5 us per
+3x3 call; the gufunc itself takes about 2.9 us of the ~6.6 us step of
+``apengine.run_ap`` (fastest of 20 interleaved runs on a 2-vCPU Intel Xeon
+VM, numpy 2.4.6).  Failure is detected instead from the output (NaN
+eigenvalues raise ``EigenSolverError``), on the list of eigenvalues that
+the rank cut then reads.  Every PSD projection goes through
+``_psd_clip``, which writes ``S S^T`` into a caller's array; NumPy
+evaluates that as a symmetric rank-k product, so the clip is exactly
+symmetric without a symmetrization pass.  The clip allocates no array: the
+eigendecomposition, the square roots and ``S`` go into the buffers and
+views of a workspace (``_workspace``) that each thread makes on its first
+clip of each size n and reuses for every later one, so ``run_ap``,
+``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
+rank cut, a step costs no array set-up, and no two threads share a
+buffer.  ``_psd_clip``, ``_project`` and ``_coefficients`` check nothing.
 Every array raised to a power goes through ``_power`` (entry by entry the
 bits of the scalar ``**``): the curve formulas, the tube check, the rate
 fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
@@ -37,9 +44,12 @@ affine subspace is checked the same way, size included, by the private
 ``AffineSubspace._check_point``.
 """
 
+import functools
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -64,10 +74,14 @@ def sym_matrix(entries):
     return u + np.triu(a, 1).T
 
 
-def check_sym(a):
-    a = np.asarray(a, dtype=float)
+def _check_square(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+
+
+def check_sym(a):
+    a = np.asarray(a, dtype=float)
+    _check_square(a)
     # same decision as np.array_equal for a square array (NaN != NaN,
     # -0.0 == 0.0: tolist makes a new float per entry, so no NaN is
     # compared with itself), at a third of the cost of (a == a.T).all()
@@ -105,59 +119,117 @@ class EigDecomp:
     eigenvectors: np.ndarray
 
 
-def _eigh(a):
+def _eigh(a, out=None):
     """Eigenvalues of a symmetric float64 matrix in ascending order, with
     matching orthonormal columns (LAPACK's own order).
 
     Calls the gufunc behind ``numpy.linalg.eigh`` directly, with the same
-    arguments, so the output is bit-identical to it.  Only the lower
-    triangle is read and the input is not checked: callers check that it
-    is finite, since for n <= 2 non-finite input can come back finite.
-    The gufunc reports a LAPACK failure as NaN output, which raises
-    ``EigenSolverError`` here, as does NaN from non-finite input.  A
+    arguments, so the output is bit-identical to it; ``out`` is None or
+    the pair of float64 arrays (n,) and (n, n) it writes into.  Returns
+    ``(lam, vecs, lams)``, where ``lams`` is ``lam`` as a list: the NaN
+    check needs it, and ``_psd_clip``'s rank cut reads the same list.
+    Only the lower triangle is read and the input is not checked: callers
+    check that it is finite, since for n <= 2 non-finite input can come
+    back finite.  The gufunc reports a LAPACK failure as NaN output, which
+    raises ``EigenSolverError`` here, as does NaN from non-finite input.  A
     failure also sets floating-point flags, which NumPy reports as
     ``np.errstate`` says (a ``RuntimeWarning`` by default).
     """
-    lam, vecs = _umath_linalg.eigh_lo(a, signature="d->dd")
+    lam, vecs = out or (np.empty(len(a)), np.empty(a.shape))
+    # out arrays passed by position: the gufunc's fast call path
+    _umath_linalg.eigh_lo(a, lam, vecs, signature="d->dd")
+    lams = lam.tolist()
     # sum() is NaN iff an eigenvalue is NaN, or both +inf and -inf occur
-    if math.isnan(sum(lam.tolist())):
+    if math.isnan(sum(lams)):
         raise EigenSolverError("LAPACK eigh failed: NaN eigenvalues")
-    return lam, vecs
+    return lam, vecs, lams
 
 
-def psd_part(lam, vecs, out=None):
-    """PSD projection from an ascending eigendecomposition (``_eigh``'s).
+_PER_THREAD = threading.local()
+
+
+def _workspace(n):
+    """The calling thread's buffers for ``_psd_clip`` on n x n matrices,
+    made on its first clip of that size and reused after.
+
+    Returns ``((lam, vecs), cuts)``: ``_eigh``'s output pair, and for each
+    rank cut ``lo`` (the clip drops ``lam[:lo]``) the tuple ``cuts[lo]`` of
+    the views ``lam[lo:]`` and ``vecs[:, lo:]``, a buffer for their
+    square roots, and ``S`` (n x (n - lo), C-ordered) with ``S.T``.  The
+    roots and the ``S`` of every cut are prefixes of one array each, so a
+    workspace holds 2 n^2 + 2 n floats.
+    """
+    try:
+        return _PER_THREAD.workspaces[n]
+    except AttributeError:      # the thread's first clip
+        _PER_THREAD.workspaces = {}
+    except KeyError:            # its first clip of this size
+        pass
+    lam, vecs, root, flat_S = (np.empty(n), np.empty((n, n)), np.empty(n),
+                               np.empty(n * n))
+    cuts = []
+    for lo in range(n + 1):
+        S = flat_S[:n * (n - lo)].reshape(n, n - lo)
+        cuts.append((lam[lo:], vecs[:, lo:], root[:n - lo], S, S.T))
+    ws = _PER_THREAD.workspaces[n] = ((lam, vecs), cuts)
+    return ws
+
+
+def _psd_clip(ws, a, out):
+    """PSD projection of the unchecked symmetric n x n ``a``, written into
+    ``out`` (C contiguous, n x n); returns its rank.  ``ws`` is the calling
+    thread's ``_workspace(n)``, passed in so that a loop of clips looks it
+    up once; afterwards it holds ``a``'s ascending eigendecomposition
+    ``(lam, vecs)``.
 
     Eigenvalues above tau = 1e-12 * max(1, lambda_max) are retained, a
-    suffix of ``lam``; returns ``(S S^T, rank)`` with ``S`` the retained
-    columns scaled by sqrt(lambda), ``S S^T`` written into ``out`` (C
-    contiguous, n x n) when it is given.  NumPy computes ``S.dot(S.T)`` as
-    a symmetric rank-k product, so the projection is exactly symmetric.
-    The products on the AP step use ``ndarray.dot``: it gives the bits
-    ``@`` gives and skips the matmul gufunc's dispatch, about 0.8 us a
-    call at these sizes.
+    suffix ``lam[lo:]``, and ``out`` receives ``S S^T`` with
+    ``S = vecs[:, lo:] * sqrt(lam[lo:])``, every step into the workspace's
+    buffers.  NumPy computes ``S.dot(S.T)`` as a symmetric rank-k product,
+    so the projection is exactly symmetric.  The product uses
+    ``ndarray.dot``: it gives the bits ``@`` gives and skips the matmul
+    gufunc's dispatch, about 0.8 us a call at these sizes.
     """
-    lams = lam.tolist()
+    pair, cuts = ws
+    lams = _eigh(a, pair)[2]
     lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
-    S = vecs[:, lo:] * np.sqrt(lam[lo:])
-    return S.dot(S.T, out=out), len(lams) - lo
+    kept, kept_vecs, root, S, S_T = cuts[lo]
+    np.sqrt(kept, root)
+    np.multiply(kept_vecs, root, S)
+    S.dot(S_T, out)
+    return len(lams) - lo
 
 
 def check_finite_sym(a):
     """``check_sym`` preceded by a finiteness check that raises
-    ``EigenSolverError``."""
+    ``EigenSolverError``, both decided from one list of the entries."""
     a = np.asarray(a, dtype=float)
+    flat = a.ravel().tolist()
     # a finite sum has finite terms; a sum that overflows is decided
     # entry by entry
-    if not (math.isfinite(sum(a.ravel().tolist())) or np.isfinite(a).all()):
+    if not (math.isfinite(sum(flat)) or np.isfinite(a).all()):
         raise EigenSolverError("matrix has non-finite entries")
-    return check_sym(a)
+    _check_square(a)
+    # every entry is finite, so tuple equality is check_sym's decision
+    if _transposer(len(a))(flat) != tuple(flat):
+        raise ValueError("matrix is not exactly symmetric")
+    return a
+
+
+@functools.cache
+def _transposer(n):
+    """Map the row-major entry list of an n x n matrix to the tuple of its
+    transpose's entries, row-major.  (``itemgetter`` of one index returns
+    the entry itself, so n < 2 maps through ``tuple``.)"""
+    if n < 2:
+        return tuple
+    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
 
 
 def eig_sym(a):
     """Symmetric eigendecomposition; the first component above 1e-12 in
     magnitude of every eigenvector is positive."""
-    lam, vecs = _eigh(check_finite_sym(a))
+    lam, vecs, _ = _eigh(check_finite_sym(a))
     lam, vecs = lam[::-1], vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
@@ -166,7 +238,9 @@ def eig_sym(a):
 
 def project_psd(a):
     """Project onto the PSD cone; returns (projection, retained rank)."""
-    return psd_part(*_eigh(check_finite_sym(a)))
+    a = check_finite_sym(a)
+    out = np.empty(a.shape)
+    return out, _psd_clip(_workspace(len(a)), a, out)
 
 
 def _standard_sym_basis(n):
@@ -276,7 +350,7 @@ class AffineSubspace:
     def _project(self, r, out):
         """vec of the orthogonal projection of V, written into the flat
         ``out`` and returned, from the unchecked row r = [vec V | 1]."""
-        return self.aug.dot(r, out=out)
+        return self.aug.dot(r, out)
 
     def _coefficients(self, v):
         """Basis coefficients of the projection of flat, unchecked v."""

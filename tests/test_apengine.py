@@ -1,9 +1,11 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from apcone import apengine
+from apcone import apengine, symcore
 from apcone.apengine import (RankOneError, ap_step, eigenvalue_formula_step,
                              extract_rank_one_param, grad_half_dist2_psi,
                              m_matrix, psi, rank_one_step_residual, run_ap)
@@ -91,6 +93,52 @@ def test_ap_step_nsd_and_pd_inputs(U, rank):
     composed, composed_coeffs = project_affine(E, V)
     assert np.array_equal(stepped, composed)
     assert np.array_equal(coeffs, composed_coeffs)
+
+
+def _psd_reference(U):
+    """The PSD clip from ``numpy.linalg.eigh``, each array allocated anew:
+    (projection, rank)."""
+    lam, vecs = np.linalg.eigh(U)
+    lo = int(np.searchsorted(lam, 1e-12 * max(1.0, lam[-1]), side="right"))
+    S = vecs[:, lo:] * np.sqrt(lam[lo:])
+    return S @ S.T, len(lam) - lo
+
+
+def _with_psd_rank(n, rank, rng):
+    """A symmetric n x n matrix whose PSD projection has the given rank:
+    -diag at rank 0, diag + 0.1 at rank n, a rotated diagonal between."""
+    d = np.arange(1.0, n + 1.0)
+    if rank == 0:
+        return -np.diag(d)
+    if rank == n:
+        return np.diag(d) + 0.1
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return sym_matrix((Q * np.concatenate([d[:rank], -d[rank:]])) @ Q.T)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_steps_of_every_rank_equal_the_two_projections(n):
+    # the clip writes into the thread's buffers for n x n input; each rank
+    # follows a step of another rank, so a buffer left from one cut that
+    # leaks into the next shows
+    rng = np.random.RandomState(n)
+    for rank in (n, 0, 1, 2, 0, n, 2, 1):
+        basis = [sym_matrix(rng.standard_normal((n, n))) for _ in range(2)]
+        E = AffineSubspace.from_basis(_with_psd_rank(n, rank, rng), basis)
+        U = E.point(np.zeros(E.dim))
+        V, got = project_psd(U)
+        ref_V, ref_rank = _psd_reference(U)
+        assert got == ref_rank == rank
+        assert np.array_equal(V, ref_V)
+        W, coeffs = project_affine(E, V)
+        stepped, step_rank, step_coeffs = ap_step(E, U)
+        assert step_rank == rank
+        assert np.array_equal(stepped, W)
+        assert np.array_equal(step_coeffs, coeffs)
+        trace = run_ap(E, np.zeros(E.dim), max_iter=1, tol=0.0)
+        assert trace.psd_ranks[0] == rank
+        assert np.array_equal(trace.sample_coeffs[1], coeffs)
+        assert trace.dists[1] == frob_norm(W - E.anchor)
 
 
 # --- run_ap -------------------------------------------------------------------
@@ -370,17 +418,19 @@ def test_run_ap_matches_serial_steps_in_other_dimensions(n):
 
 def _failing_after(monkeypatch, calls):
     """Make the eigensolver of the AP step fail from its ``calls + 1``-th
-    call on: that call gets a NaN matrix, so LAPACK returns NaN."""
-    eigh = apengine._eigh
+    call on: that call gets a NaN matrix, so LAPACK returns NaN.  The
+    step's PSD clip (``symcore._psd_clip``) reaches ``symcore._eigh``
+    through its module, with the workspace's output pair."""
+    eigh = symcore._eigh
     count = [0]
 
-    def eigh_then_nan(a):
+    def eigh_then_nan(a, out=None):
         count[0] += 1
         if count[0] > calls:
             a = np.full_like(a, np.nan)
-        return eigh(a)
+        return eigh(a, out)
 
-    monkeypatch.setattr(apengine, "_eigh", eigh_then_nan)
+    monkeypatch.setattr(symcore, "_eigh", eigh_then_nan)
 
 
 def test_run_ap_failure_past_the_stop_does_not_surface(monkeypatch):
@@ -405,6 +455,92 @@ def test_run_ap_failure_of_a_step_taken_raises(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(EigenSolverError):
             run_ap(E, p0, max_iter=10 ** 6, tol=tol)
+
+
+def _counting_calls(monkeypatch):
+    """Count the eigensolver calls (``symcore._eigh``, which the step's
+    clip reaches through its module) and run_ap's blocks (calls of
+    ``apengine._ap_steps``)."""
+    counts = {"eigh": 0, "blocks": 0}
+    eigh, ap_steps = symcore._eigh, apengine._ap_steps
+
+    def counting_eigh(a, out=None):
+        counts["eigh"] += 1
+        return eigh(a, out)
+
+    def counting_ap_steps(E, steps, ranks):
+        counts["blocks"] += 1
+        return ap_steps(E, steps, ranks)
+
+    monkeypatch.setattr(symcore, "_eigh", counting_eigh)
+    monkeypatch.setattr(apengine, "_ap_steps", counting_ap_steps)
+    return counts
+
+
+@pytest.mark.parametrize("case, max_iter, tol, stop, length, blocks", [
+    ("ex6.1 anchor", 50, 1e-12, "tol", 1, 1),
+    ("ex3.2 neg", 3000, 0.0, "stagnation", 422, 7),
+    ("ex3.4", 3000, 0.0, "stagnation", 661, 11),
+    ("ex6.1 curve", 500, 0.0, "max_iter", 501, 8),
+])
+def test_run_ap_takes_no_step_past_a_stop_it_can_see(
+        monkeypatch, case, max_iter, tol, stop, length, blocks):
+    # a start that meets tol takes the one step psd_ranks[0] needs, a
+    # stagnating run no step past its stop, and a run to max_iter the
+    # blocks of _BLOCK steps it always took
+    if case.startswith("ex6.1"):
+        E, _ = build_plane(SPEC61)
+        p0 = (np.zeros(3) if case == "ex6.1 anchor"
+              else E.coefficients(curve_point(SPEC61, 0.1).G))
+        target = None
+    else:
+        inst = get_example(*case.split())
+        E, p0, target = inst.plane, inst.start, inst.target
+    ref = _serial_run(E, p0, max_iter, tol, target)
+    counts = _counting_calls(monkeypatch)
+    trace = run_ap(E, p0, max_iter=max_iter, tol=tol, target=target)
+    _assert_same_run(trace, ref)
+    assert (trace.stop_reason, len(trace)) == (stop, length)
+    assert counts == {"eigh": length, "blocks": blocks}
+
+
+def test_run_ap_in_threads_equals_serial_runs():
+    # each thread clips into its own buffers: four threads (more than the
+    # cores of a small machine) step n = 3 (ex6.1) and n = 4 (ex3.4)
+    # iterates at the same time, half of them in the opposite order, with
+    # the interpreter switching threads as often as it can
+    insts = [get_example("ex6.1"), get_example("ex3.4")]
+    args = [(inst.plane, inst.start, 2000, 0.0, inst.target)
+            for inst in insts]
+    ref = [run_ap(*a) for a in args]
+    orders = [[t % 2, 1 - t % 2] * 2 for t in range(4)]
+    got = [[] for _ in orders]
+    barrier = threading.Barrier(len(orders))
+
+    def work(t):
+        barrier.wait(timeout=30)
+        for i in orders[t]:
+            got[t].append((i, run_ap(*args[i])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for order, runs in zip(orders, got):
+        assert [i for i, _ in runs] == order
+        for i, trace in runs:
+            assert trace.stop_reason == ref[i].stop_reason
+            for field in ("dists", "psd_ranks", "sample_ks", "sample_coeffs"):
+                assert np.array_equal(getattr(trace, field),
+                                      getattr(ref[i], field))
 
 
 def test_run_ap_memory_grows_with_steps_taken_only():

@@ -19,6 +19,7 @@ EIGENSOLVERS = {"eig", "eigh", "eigh_lo", "eigh_up", "eigvals", "eigvalsh"}
 POWERS = {"float_power", "power"}
 DENOMINATORS = {"d_inner", "d_mid", "d_q"}
 RUN_PATH = {"run_ap", "trace_csv", "_summarize"}
+RANK_CUTS = {"bisect", "bisect_left", "bisect_right", "searchsorted"}
 
 
 def _attr(node, names):
@@ -63,6 +64,10 @@ RULES = {
     "curve_denominators": (
         lambda n: _name(n, DENOMINATORS, ast.Store),
         {"slowcurve._curve_parts"}),
+    # the PSD clip's rank cut: one search of the ascending eigenvalues
+    "rank_cut": (
+        lambda n: _attr(n, RANK_CUTS) or _name(n, RANK_CUTS, ast.Load),
+        {"symcore._psd_clip"}),
     # the stored affine maps have one reader each
     "projector": (
         lambda n: _attr(n, {"aug"}),
@@ -146,6 +151,14 @@ PLANTED = [
     ("cli_run_path",
      "def f(E):\n    run_ap(E)\ndef g(t):\n    cli.trace_csv(t)\n",
      {"m.f", "m.g"}),
+    ("rank_cut", "def f(lams, tau):\n    return bisect_right(lams, tau)\n",
+     {"m.f"}),
+    ("rank_cut",
+     "class C:\n    def g(lam):\n        return lam.searchsorted(0.0)\n",
+     {"m.C.g"}),
+    ("rank_cut",
+     "from bisect import bisect_right\ndef f(a):\n    bisect.bisect(a)\n",
+     {"m.f"}),
 ]
 
 

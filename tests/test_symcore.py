@@ -73,10 +73,17 @@ def _eigh_cases(rng):
 def test_eigh_bit_identical_to_numpy():
     count = 0
     for M in _eigh_cases(np.random.default_rng(2024)):
-        lam, vecs = _eigh(M)
+        lam, vecs, lams = _eigh(M)
         ref_lam, ref_vecs = np.linalg.eigh(M)
         assert np.array_equal(lam, ref_lam)
         assert np.array_equal(vecs, ref_vecs)
+        assert lams == ref_lam.tolist()
+        # written into a caller's pair: the same bits, in those arrays
+        out = (np.empty(len(M)), np.empty(M.shape))
+        got = _eigh(M, out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert np.array_equal(out[0], ref_lam)
+        assert np.array_equal(out[1], ref_vecs)
         count += 1
     assert count > 1000
 

@@ -2,17 +2,19 @@
 
 ``run_ap`` runs the AP loop and returns an immutable trace.  It steps a
 block of ``_BLOCK`` preallocated flat iterates at a time, each step one
-``_psd_clip`` (``_eigh`` and ``S S^T`` through the calling thread's
-workspace, into a row ``[vec P | 1]``) and one product with the plane's
-augmented projector into the next row, and settles the distances and stop
-rules once per block, so each step is only the ``_eigh`` and the products,
-with no array allocated; on 3x3 iterates that takes about 6.6 us a step
-(ex6.1, fastest of 20 interleaved runs on a 2-vCPU Intel Xeon VM, numpy
-2.4.6).  The rest of the module verifies the parameter-space descriptions
-of one AP step: the eigenvalue formula on an orthogonal basis, whose
-derivative is taken exactly from one eigendecomposition, and the rank-1
-chart relation M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and
-gradient are closed-form array products.
+``_psd_clip`` (``_eigh``, then ``S = V D`` for the kept eigenvectors V
+and the diagonal D of their eigenvalues' square roots, and ``S S^T``,
+through the calling thread's workspace, into a row ``[vec P | 1]``) and
+one product with the plane's augmented projector into the next row, and
+settles the distances and stop rules once per block, so each step is only
+the ``_eigh`` and the products, with no array allocated; on 3x3 iterates
+that takes about 5.9 us a step (ex6.1, fastest of 20 interleaved runs on a
+2-vCPU Intel Xeon VM, numpy 2.4.6).  The rest of the module verifies the
+parameter-space descriptions of one AP step: the eigenvalue formula on an
+orthogonal basis, whose derivative is taken exactly from one
+eigendecomposition, and the rank-1 chart relation
+M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
+closed-form array products.
 """
 
 import math
@@ -104,8 +106,9 @@ def run_ap(E, p0, max_iter, tol, target=None):
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
-    ``max_iter < 1``, a negative or NaN ``tol`` and a start whose squared
-    distance to the target overflows raise ``ValueError``.
+    ``max_iter < 1``, a negative or NaN ``tol``, finite coefficients whose
+    matrix overflows and a start whose squared distance to the target
+    overflows raise ``ValueError``.
 
     The steps are ``ap_step``'s, without its check, taken ``_BLOCK`` at a
     time through preallocated rows (``min(_BLOCK, max_iter + 1)`` of them,
@@ -113,12 +116,17 @@ def run_ap(E, p0, max_iter, tol, target=None):
     block is shorter where the state at its start bounds the stop: it
     takes no step past ``max_iter``, only the step ``psd_ranks[k]`` needs
     when iterate k already meets ``tol``, and no more steps than a
-    stagnation run under way needs to reach its end.  After each block
-    the distances are computed together and the stop rules are applied
-    step by step, in the order a step-by-step loop applies them; steps
-    past the stop are discarded, and an ``EigenSolverError`` in one of
-    them does not surface.  The sampled coefficients (k = 0: ``p0``) are
-    ``ap_step``'s expression.
+    stagnation run under way needs to reach its end.  While ``tol > 0``
+    the first block is one step, and each later one takes
+    ``ceil(log(tol / dist) / r) + 1`` steps at most, r the mean
+    log-change of the distance per step over the last block.  After each
+    block the distances are computed together and the stop rules are
+    applied step by step, in the order a step-by-step loop applies them
+    (at once, when an array scan shows that no stop can fire, no
+    checkpoint falls and no step is stagnant); steps past the stop are
+    discarded, and an ``EigenSolverError`` in one of them does not
+    surface.  The sampled coefficients (k = 0: ``p0``) are ``ap_step``'s
+    expression.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -131,6 +139,8 @@ def run_ap(E, p0, max_iter, tol, target=None):
 
     u = E.point(p0).ravel()
     if not np.isfinite(u).all():
+        if np.isfinite(p0).all():
+            raise ValueError("the start is too large: its matrix overflows")
         raise EigenSolverError("starting point has non-finite entries")
     with np.errstate(over="ignore"):
         d = u - target
@@ -149,18 +159,33 @@ def run_ap(E, p0, max_iter, tol, target=None):
     steps = list(zip(U[:-1].reshape(rows, n, n),
                      R[1:, :-1].reshape(rows, n, n), R[1:], U[1:]))
 
+    trail = np.empty(rows + 1)    # a block's start distance, then its steps'
     dists, ranks = array("d", [dist]), array("q")
     sample_ks, sample_coeffs = [0], [p0]
     checkpoint = 1
     stagnant = 0
     k = 0
     while True:
-        base = k
         # no step past a stop the state already fixes: only the step from
         # iterate k when k meets tol, and no more steps than a stagnation
         # run under way needs to reach its end
-        need = (1 if dist < tol
-                else _STAGNATION_RUN - stagnant + 1 if stagnant else rows)
+        if dist < tol:
+            need = 1
+        else:
+            need = _STAGNATION_RUN - stagnant + 1 if stagnant else rows
+            if tol:
+                # and while tol is set, steps as far as the last block's
+                # mean log-decrease per step puts the first iterate below
+                # tol, plus the one its rank needs; the first block is a
+                # step
+                log_dist = math.log(dist)
+                rate = ((math.log(base_dist) - log_dist) / (k - base) if k
+                        else math.inf)
+                ahead = ((log_dist - math.log(tol)) / rate if rate > 0
+                         else math.inf)
+                if ahead < need:
+                    need = math.ceil(ahead) + 1
+        base, base_dist = k, dist
         block_ranks = []
         try:
             _ap_steps(E, steps[:min(need, max_iter - k + 1)], block_ranks)
@@ -170,8 +195,20 @@ def run_ap(E, p0, max_iter, tol, target=None):
             failure = None
         m = len(block_ranks)
         D = U[1:m + 1] - target
-        block_dists = np.sqrt(np.vecdot(D, D)).tolist()
-        for new in block_dists:   # the step from iterate k has been taken
+        prev, block = trail[:m], trail[1:m + 1]
+        trail[0] = dist
+        np.sqrt(np.vecdot(D, D), block)
+        block_dists = settle = block.tolist()
+        if (m and k + m <= max_iter and k + m < checkpoint
+                and stagnant < _STAGNATION_RUN
+                and not (tol and prev.min() < tol)
+                and (prev - block
+                     >= _STAGNATION_REL * np.maximum(prev, 1e-300)).all()):
+            # no stop can fire, no checkpoint falls and no step is
+            # stagnant: the loop below would only count the steps
+            k, dist, stagnant = k + m, block_dists[-1], 0
+            settle = ()
+        for new in settle:   # the step from iterate k has been taken
             if dist < tol or k == max_iter or stagnant >= _STAGNATION_RUN:
                 break
             k += 1

@@ -13,7 +13,8 @@ a time, so the text held at once does not grow with the run.  The summary
 follows it, in lines that start with '#' (so a trace printed to stdout
 still parses): ``# <id> (<variant>): iterations=N stop=R``, then
 ``# singularity degree: d`` for a type2 instance or plane object, then the
-instance's rate fit.  Exit codes: 0 success, 1 failed check or run, or
+instance's rate fit.  Exit codes: 0 success, 1 failed check or run (an
+``EigenSolverError`` during the run prints one ``error:`` line), or
 stdout closed by its reader before the output was written, 2 usage error
 or any other I/O error (a closed pipe behind ``--out`` included).
 The APCONE_LOG environment variable (quiet|info|debug) sets log verbosity.
@@ -33,7 +34,7 @@ from .catalog import BUILTIN_IDS, get_example, plane_instance
 from .planes import PlaneSpec, singularity_degree
 from .rates import fit_geometric, fit_inverse_power
 from .slowcurve import curve_point
-from .symcore import _power
+from .symcore import EigenSolverError, _power
 from .verify import SUITES, run_suite
 
 log = logging.getLogger("apcone")
@@ -302,6 +303,9 @@ def main(argv=None):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EigenSolverError as exc:     # a step of the run failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,18 +19,20 @@ Every eigendecomposition in the package goes through the private
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
 calls, so the results are the same bits, eigenvalues ascending, written
 into a caller's pair of arrays when given one.  The public wrapper's
-checks, ``np.errstate`` context and result wrapping cost about 4.5 us per
-3x3 call; the gufunc itself takes about 2.9 us of the ~6.6 us step of
+checks, ``np.errstate`` context and result wrapping cost about 4.4 us per
+3x3 call; the gufunc itself takes about 2.8 us of the ~5.9 us step of
 ``apengine.run_ap`` (fastest of 20 interleaved runs on a 2-vCPU Intel Xeon
 VM, numpy 2.4.6).  Failure is detected instead from the output (NaN
 eigenvalues raise ``EigenSolverError``), on the list of eigenvalues that
 the rank cut then reads.  Every PSD projection goes through
 ``_psd_clip``, which writes ``S S^T`` into a caller's array; NumPy
 evaluates that as a symmetric rank-k product, so the clip is exactly
-symmetric without a symmetrization pass.  The clip allocates no array: the
-eigendecomposition, the square roots and ``S`` go into the buffers and
-views of a workspace (``_workspace``) that each thread makes on its first
-clip of each size n and reuses for every later one, so ``run_ap``,
+symmetric without a symmetrization pass.  ``S`` is the kept eigenvectors
+times the diagonal matrix of the square roots of the kept eigenvalues, one
+BLAS product.  The clip allocates no array: the eigendecomposition, that
+diagonal matrix and ``S`` go into the buffers and views of a workspace
+(``_workspace``) that each thread makes on its first clip of each size n
+and reuses for every later one, so ``run_ap``,
 ``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
 rank cut, a step costs no array set-up, and no two threads share a
 buffer.  ``_psd_clip``, ``_project`` and ``_coefficients`` check nothing.
@@ -154,10 +156,14 @@ def _workspace(n):
 
     Returns ``((lam, vecs), cuts)``: ``_eigh``'s output pair, and for each
     rank cut ``lo`` (the clip drops ``lam[:lo]``) the tuple ``cuts[lo]`` of
-    the views ``lam[lo:]`` and ``vecs[:, lo:]``, a buffer for their
-    square roots, and ``S`` (n x (n - lo), C-ordered) with ``S.T``.  The
-    roots and the ``S`` of every cut are prefixes of one array each, so a
-    workspace holds 2 n^2 + 2 n floats.
+    the views ``lam[lo:]`` and ``vecs[:, lo:]``, a k x k diagonal matrix
+    ``D`` (k = n - lo) with the view of its diagonal, and ``S``
+    (n x k, C-ordered) with ``S.T``.  Each cut's ``D`` is its own
+    zero-filled array, since the clip writes only its diagonal and a
+    shared one would hold another cut's diagonal among its off-diagonal
+    zeros; the ``S`` of every cut are prefixes of one array.  A workspace
+    holds 2 n^2 + n floats and the sum of k^2 for k = 0, ..., n (35 in
+    all at n = 3).
     """
     try:
         return _PER_THREAD.workspaces[n]
@@ -165,12 +171,14 @@ def _workspace(n):
         _PER_THREAD.workspaces = {}
     except KeyError:            # its first clip of this size
         pass
-    lam, vecs, root, flat_S = (np.empty(n), np.empty((n, n)), np.empty(n),
-                               np.empty(n * n))
+    lam, vecs, flat_S = np.empty(n), np.empty((n, n)), np.empty(n * n)
     cuts = []
     for lo in range(n + 1):
-        S = flat_S[:n * (n - lo)].reshape(n, n - lo)
-        cuts.append((lam[lo:], vecs[:, lo:], root[:n - lo], S, S.T))
+        k = n - lo
+        D = np.zeros((k, k))
+        S = flat_S[:n * k].reshape(n, k)
+        cuts.append((lam[lo:], vecs[:, lo:], D, D.reshape(-1)[::k + 1], S,
+                     S.T))
     ws = _PER_THREAD.workspaces[n] = ((lam, vecs), cuts)
     return ws
 
@@ -184,18 +192,22 @@ def _psd_clip(ws, a, out):
 
     Eigenvalues above tau = 1e-12 * max(1, lambda_max) are retained, a
     suffix ``lam[lo:]``, and ``out`` receives ``S S^T`` with
-    ``S = vecs[:, lo:] * sqrt(lam[lo:])``, every step into the workspace's
-    buffers.  NumPy computes ``S.dot(S.T)`` as a symmetric rank-k product,
-    so the projection is exactly symmetric.  The product uses
-    ``ndarray.dot``: it gives the bits ``@`` gives and skips the matmul
-    gufunc's dispatch, about 0.8 us a call at these sizes.
+    ``S = vecs[:, lo:] D``, ``D = diag(sqrt(lam[lo:]))``, every step into
+    the workspace's buffers.  The scaling is one BLAS product, which skips
+    the broadcast multiply's general iterator; each entry of ``S`` is one
+    rounded product plus exact zeros, so it has the broadcast's bits (up
+    to the sign of a zero).  NumPy computes ``S.dot(S.T)`` as a symmetric
+    rank-k product, so the projection is exactly symmetric.  The products
+    use ``ndarray.dot``: it gives the bits ``@`` gives and skips the
+    matmul gufunc's dispatch, about 0.8 us a call at these sizes.
     """
     pair, cuts = ws
     lams = _eigh(a, pair)[2]
-    lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
-    kept, kept_vecs, root, S, S_T = cuts[lo]
-    np.sqrt(kept, root)
-    np.multiply(kept_vecs, root, S)
+    top = lams[-1]
+    lo = bisect_right(lams, 1e-12 * top if top > 1.0 else 1e-12)
+    kept, kept_vecs, D, diagonal, S, S_T = cuts[lo]
+    np.sqrt(kept, diagonal)
+    kept_vecs.dot(D, S)
     S.dot(S_T, out)
     return len(lams) - lo
 

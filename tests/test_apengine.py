@@ -116,13 +116,14 @@ def _with_psd_rank(n, rank, rng):
     return sym_matrix((Q * np.concatenate([d[:rank], -d[rank:]])) @ Q.T)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_steps_of_every_rank_equal_the_two_projections(n):
     # the clip writes into the thread's buffers for n x n input; each rank
-    # follows a step of another rank, so a buffer left from one cut that
-    # leaks into the next shows
+    # follows a step of a higher and of a lower one, so a buffer left from
+    # one cut that leaks into the next shows (each cut scales by its own
+    # diagonal matrix, whose zeros another cut must not overwrite)
     rng = np.random.RandomState(n)
-    for rank in (n, 0, 1, 2, 0, n, 2, 1):
+    for rank in (n, 0, *range(1, n + 1), *range(n - 1, -1, -1)):
         basis = [sym_matrix(rng.standard_normal((n, n))) for _ in range(2)]
         E = AffineSubspace.from_basis(_with_psd_rank(n, rank, rng), basis)
         U = E.point(np.zeros(E.dim))
@@ -315,6 +316,16 @@ def test_run_ap_non_finite_start_raises(bad):
         run_ap(E, np.array([0.1, bad, 0.0]), max_iter=10, tol=0.0)
 
 
+def test_run_ap_overflowing_start_point_raises():
+    # finite coefficients whose matrix overflows are a bad argument, not an
+    # eigensolver fault
+    E, _ = build_plane(SPEC61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="its matrix overflows"):
+            run_ap(E, [1e308] * 3, max_iter=10, tol=0.0)
+
+
 def test_run_ap_overflowing_start_distance_raises():
     E, _ = build_plane(SPEC61)
     with warnings.catch_warnings():
@@ -420,7 +431,8 @@ def _failing_after(monkeypatch, calls):
     """Make the eigensolver of the AP step fail from its ``calls + 1``-th
     call on: that call gets a NaN matrix, so LAPACK returns NaN.  The
     step's PSD clip (``symcore._psd_clip``) reaches ``symcore._eigh``
-    through its module, with the workspace's output pair."""
+    through its module, with the workspace's output pair.  Returns the
+    one-item list that counts the calls."""
     eigh = symcore._eigh
     count = [0]
 
@@ -431,6 +443,7 @@ def _failing_after(monkeypatch, calls):
         return eigh(a, out)
 
     monkeypatch.setattr(symcore, "_eigh", eigh_then_nan)
+    return count
 
 
 def test_run_ap_failure_past_the_stop_does_not_surface(monkeypatch):
@@ -441,10 +454,13 @@ def test_run_ap_failure_past_the_stop_does_not_surface(monkeypatch):
     tol = float(np.nextafter(_serial_run(E, p0, 5, 0.0)[0][5], 1.0))
     ref = _serial_run(E, p0, 10 ** 6, tol)
     assert ref[4] == "tol" and len(ref[0]) == 6
-    _failing_after(monkeypatch, 6)
+    count = _failing_after(monkeypatch, 6)
     with np.errstate(invalid="ignore"):
         trace = run_ap(E, p0, max_iter=10 ** 6, tol=tol)
     _assert_same_run(trace, ref)
+    # the block sized from the rate so far reaches one step past the
+    # stop, and that step is the one that failed
+    assert count[0] == 7
 
 
 def test_run_ap_failure_of_a_step_taken_raises(monkeypatch):
@@ -482,12 +498,20 @@ def _counting_calls(monkeypatch):
     ("ex3.2 neg", 3000, 0.0, "stagnation", 422, 7),
     ("ex3.4", 3000, 0.0, "stagnation", 661, 11),
     ("ex6.1 curve", 500, 0.0, "max_iter", 501, 8),
+    ("ex3.2 neg", 10 ** 6, 1e-3, "tol", 6, 2),
+    ("ex3.3 neg", 10 ** 6, 1e-9, "tol", 13, 2),
+    ("ex3.4", 10 ** 6, 1e-4, "tol", 27, 3),
+    ("ex3.4", 10 ** 6, 1e-8, "tol", 59, 3),
+    ("ex6.1 curve", 10 ** 6, 0.245, "tol", 9484, 150),
 ])
 def test_run_ap_takes_no_step_past_a_stop_it_can_see(
         monkeypatch, case, max_iter, tol, stop, length, blocks):
     # a start that meets tol takes the one step psd_ranks[0] needs, a
     # stagnating run no step past its stop, and a run to max_iter the
-    # blocks of _BLOCK steps it always took
+    # blocks of _BLOCK steps it always took; a run with tol > 0 sizes its
+    # blocks from the rate it has shown (the first is one step), so a
+    # linear run stops without a wasted step, and the sublinear ex6.1 run
+    # takes no extra step in 150 blocks (149 blocks of 64 steps before)
     if case.startswith("ex6.1"):
         E, _ = build_plane(SPEC61)
         p0 = (np.zeros(3) if case == "ex6.1 anchor"

@@ -482,6 +482,40 @@ def test_example_overflowing_start_distance_is_usage_error():
     assert "Warning" not in err
 
 
+def test_example_overflowing_start_point_is_usage_error():
+    code, out, err = _run_cli_warnings_as_errors(
+        "example", "ex6.1", "--iters", "3", "--start", "1e308,1e308,1e308")
+    assert (code, out) == (2, "")
+    assert err == "error: the start is too large: its matrix overflows\n"
+
+
+def test_run_overflowing_start_point_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plane": "ex6.1", "max_iter": 3,
+                                    "start": [1e308, 1e308, 1e308]}))
+    code, out, err = _run_cli_warnings_as_errors("run", str(cfg_path))
+    assert (code, out) == (2, "")
+    assert err == "error: the start is too large: its matrix overflows\n"
+
+
+def test_eigensolver_failure_mid_run_is_a_failed_run(capsys, monkeypatch):
+    # a step that fails after the run has started exits 1, the failed-run
+    # code, with one error line and no traceback
+    from apcone import symcore
+    eigh, calls = symcore._eigh, [0]
+
+    def eigh_then_nan(a, out=None):
+        calls[0] += 1
+        return eigh(np.full_like(a, np.nan) if calls[0] > 5 else a, out)
+
+    monkeypatch.setattr(symcore, "_eigh", eigh_then_nan)
+    with np.errstate(invalid="ignore"):
+        code, out, err = run_cli(capsys, "example", "ex6.1", "--iters", "20")
+    assert calls[0] == 6
+    assert (code, out) == (1, "")
+    assert err == "error: LAPACK eigh failed: NaN eigenvalues\n"
+
+
 def test_example_fit_overflow_is_reported_as_unavailable():
     code, out, err = _run_cli_warnings_as_errors(
         "example", "ex6.1", "--start", "slowest-curve:3e-60", "--iters", "3")

@@ -7,9 +7,9 @@ and the diagonal D of their eigenvalues' square roots, and ``S S^T``,
 through the calling thread's workspace, into a row ``[vec P | 1]``) and
 one product with the plane's augmented projector into the next row, and
 settles the distances and stop rules once per block, so each step is only
-the ``_eigh`` and the products, with no array allocated; on 3x3 iterates
-that takes about 5.9 us a step (ex6.1, fastest of 20 interleaved runs on a
-2-vCPU Intel Xeon VM, numpy 2.4.6).  The rest of the module verifies the
+the ``_eigh`` and the products, into arrays made before the loop; on 3x3
+iterates that takes about 5.7 us a step (ex6.1, fastest of 20 interleaved
+runs on a 2-vCPU Intel Xeon VM, numpy 2.4.6).  The rest of the module verifies the
 parameter-space descriptions of one AP step: the eigenvalue formula on an
 orthogonal basis, whose derivative is taken exactly from one
 eigendecomposition, and the rank-1 chart relation
@@ -121,12 +121,10 @@ def run_ap(E, p0, max_iter, tol, target=None):
     ``ceil(log(tol / dist) / r) + 1`` steps at most, r the mean
     log-change of the distance per step over the last block.  After each
     block the distances are computed together and the stop rules are
-    applied step by step, in the order a step-by-step loop applies them
-    (at once, when an array scan shows that no stop can fire, no
-    checkpoint falls and no step is stagnant); steps past the stop are
-    discarded, and an ``EigenSolverError`` in one of them does not
-    surface.  The sampled coefficients (k = 0: ``p0``) are ``ap_step``'s
-    expression.
+    applied step by step, in the order a step-by-step loop applies them;
+    steps past the stop are discarded, and an ``EigenSolverError`` in one
+    of them does not surface.  The sampled coefficients (k = 0: ``p0``)
+    are ``ap_step``'s expression.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -159,7 +157,6 @@ def run_ap(E, p0, max_iter, tol, target=None):
     steps = list(zip(U[:-1].reshape(rows, n, n),
                      R[1:, :-1].reshape(rows, n, n), R[1:], U[1:]))
 
-    trail = np.empty(rows + 1)    # a block's start distance, then its steps'
     dists, ranks = array("d", [dist]), array("q")
     sample_ks, sample_coeffs = [0], [p0]
     checkpoint = 1
@@ -184,7 +181,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
                 ahead = ((log_dist - math.log(tol)) / rate if rate > 0
                          else math.inf)
                 if ahead < need:
-                    need = math.ceil(ahead) + 1
+                    need = min(need, math.ceil(ahead) + 1)
         base, base_dist = k, dist
         block_ranks = []
         try:
@@ -195,20 +192,8 @@ def run_ap(E, p0, max_iter, tol, target=None):
             failure = None
         m = len(block_ranks)
         D = U[1:m + 1] - target
-        prev, block = trail[:m], trail[1:m + 1]
-        trail[0] = dist
-        np.sqrt(np.vecdot(D, D), block)
-        block_dists = settle = block.tolist()
-        if (m and k + m <= max_iter and k + m < checkpoint
-                and stagnant < _STAGNATION_RUN
-                and not (tol and prev.min() < tol)
-                and (prev - block
-                     >= _STAGNATION_REL * np.maximum(prev, 1e-300)).all()):
-            # no stop can fire, no checkpoint falls and no step is
-            # stagnant: the loop below would only count the steps
-            k, dist, stagnant = k + m, block_dists[-1], 0
-            settle = ()
-        for new in settle:   # the step from iterate k has been taken
+        block_dists = np.sqrt(np.vecdot(D, D)).tolist()
+        for new in block_dists:   # the step from iterate k has been taken
             if dist < tol or k == max_iter or stagnant >= _STAGNATION_RUN:
                 break
             k += 1

@@ -19,8 +19,8 @@ Every eigendecomposition in the package goes through the private
 ``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
 calls, so the results are the same bits, eigenvalues ascending, written
 into a caller's pair of arrays when given one.  The public wrapper's
-checks, ``np.errstate`` context and result wrapping cost about 4.4 us per
-3x3 call; the gufunc itself takes about 2.8 us of the ~5.9 us step of
+checks, ``np.errstate`` context and result wrapping cost about 4.0 us per
+3x3 call; the gufunc itself takes about 2.6 us of the ~5.7 us step of
 ``apengine.run_ap`` (fastest of 20 interleaved runs on a 2-vCPU Intel Xeon
 VM, numpy 2.4.6).  Failure is detected instead from the output (NaN
 eigenvalues raise ``EigenSolverError``), on the list of eigenvalues that
@@ -29,13 +29,15 @@ the rank cut then reads.  Every PSD projection goes through
 evaluates that as a symmetric rank-k product, so the clip is exactly
 symmetric without a symmetrization pass.  ``S`` is the kept eigenvectors
 times the diagonal matrix of the square roots of the kept eigenvalues, one
-BLAS product.  The clip allocates no array: the eigendecomposition, that
-diagonal matrix and ``S`` go into the buffers and views of a workspace
-(``_workspace``) that each thread makes on its first clip of each size n
-and reuses for every later one, so ``run_ap``,
+BLAS product.  The clip makes no array of its own: the
+eigendecomposition, that diagonal matrix and ``S`` go into the buffers and
+views of a workspace (``_workspace``) that each thread makes on its first
+clip of each size n and reuses for every later one, so ``run_ap``,
 ``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
 rank cut, a step costs no array set-up, and no two threads share a
-buffer.  ``_psd_clip``, ``_project`` and ``_coefficients`` check nothing.
+buffer.  Only at a rank strictly between 1 and n does ``ndarray.dot``
+copy the kept eigenvectors, a column slice that is not contiguous, before
+its BLAS call.  ``_psd_clip``, ``_project`` and ``_coefficients`` check nothing.
 Every array raised to a power goes through ``_power`` (entry by entry the
 bits of the scalar ``**``): the curve formulas, the tube check, the rate
 fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
@@ -159,11 +161,12 @@ def _workspace(n):
     the views ``lam[lo:]`` and ``vecs[:, lo:]``, a k x k diagonal matrix
     ``D`` (k = n - lo) with the view of its diagonal, and ``S``
     (n x k, C-ordered) with ``S.T``.  Each cut's ``D`` is its own
-    zero-filled array, since the clip writes only its diagonal and a
-    shared one would hold another cut's diagonal among its off-diagonal
-    zeros; the ``S`` of every cut are prefixes of one array.  A workspace
-    holds 2 n^2 + n floats and the sum of k^2 for k = 0, ..., n (35 in
-    all at n = 3).
+    zero-filled array: the clip writes only its diagonal, and a prefix of
+    one shared array would hold another cut's diagonal among its zeros,
+    while a view ``D[lo:, lo:]`` of one n x n matrix is not contiguous,
+    which ``ndarray.dot`` copies.  The ``S`` of every cut are prefixes of
+    one array.  A workspace holds 2 n^2 + n floats and the sum of k^2 for
+    k = 0, ..., n (35 in all at n = 3).
     """
     try:
         return _PER_THREAD.workspaces[n]
@@ -203,8 +206,7 @@ def _psd_clip(ws, a, out):
     """
     pair, cuts = ws
     lams = _eigh(a, pair)[2]
-    top = lams[-1]
-    lo = bisect_right(lams, 1e-12 * top if top > 1.0 else 1e-12)
+    lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
     kept, kept_vecs, D, diagonal, S, S_T = cuts[lo]
     np.sqrt(kept, diagonal)
     kept_vecs.dot(D, S)

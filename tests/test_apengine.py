@@ -503,6 +503,8 @@ def _counting_calls(monkeypatch):
     ("ex3.4", 10 ** 6, 1e-4, "tol", 27, 3),
     ("ex3.4", 10 ** 6, 1e-8, "tol", 59, 3),
     ("ex6.1 curve", 10 ** 6, 0.245, "tol", 9484, 150),
+    ("ex3.3 neg off-target", 10 ** 6, 0.0017320508075667435, "stagnation",
+     123, 12),
 ])
 def test_run_ap_takes_no_step_past_a_stop_it_can_see(
         monkeypatch, case, max_iter, tol, stop, length, blocks):
@@ -511,8 +513,16 @@ def test_run_ap_takes_no_step_past_a_stop_it_can_see(
     # blocks of _BLOCK steps it always took; a run with tol > 0 sizes its
     # blocks from the rate it has shown (the first is one step), so a
     # linear run stops without a wasted step, and the sublinear ex6.1 run
-    # takes no extra step in 150 blocks (149 blocks of 64 steps before)
-    if case.startswith("ex6.1"):
+    # takes no extra step in 150 blocks (149 blocks of 64 steps before);
+    # with the target 1e-3 I off the limit the distance stagnates just
+    # above tol, and with blocks of 128 the tol bound (a step more than the
+    # stagnation run needs) must not lengthen the block the run bounds
+    if case.endswith("off-target"):
+        inst = get_example(*case.split()[:2])
+        E, p0 = inst.plane, inst.start
+        target = inst.target + 1e-3 * np.eye(E.n)
+        monkeypatch.setattr(apengine, "_BLOCK", 128)
+    elif case.startswith("ex6.1"):
         E, _ = build_plane(SPEC61)
         p0 = (np.zeros(3) if case == "ex6.1 anchor"
               else E.coefficients(curve_point(SPEC61, 0.1).G))

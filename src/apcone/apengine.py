@@ -9,7 +9,13 @@ one product with the plane's augmented projector into the next row, and
 settles the distances and stop rules once per block, so each step is only
 the ``_eigh`` and the products, into arrays made before the loop; on 3x3
 iterates that takes about 5.7 us a step (ex6.1, fastest of 20 interleaved
-runs on a 2-vCPU Intel Xeon VM, numpy 2.4.6).  The rest of the module verifies the
+runs on a 2-vCPU Intel Xeon VM, numpy 2.4.6).  ``ap_step`` is the checked
+one-step API: it checks its input, then calls the same kernel on one fresh
+row, and the next iterate and its coefficients are one product each with
+that row.  On the same VM that takes 9.8 us a step: 5.2 us for the clip,
+0.5 us for the projection, 0.6 us for the coefficients, 1.3 us for the
+check and the rest for the row and the returned arrays (fastest of 21
+interleaved rounds).  The rest of the module verifies the
 parameter-space descriptions of one AP step: the eigenvalue formula on an
 orthogonal basis, whose derivative is taken exactly from one
 eigendecomposition, and the rank-1 chart relation
@@ -80,24 +86,22 @@ def _ap_steps(E, steps, ranks):
 def ap_step(E, U):
     """One alternating-projection step P_E(P_psd(U)).
 
-    ``U`` is checked once, here: a non-square or not exactly symmetric
-    matrix, or one of the wrong size, raises ``ValueError``, and non-finite
-    entries raise ``EigenSolverError``.  The step is the one ``run_ap``
-    iterates, on a one-row block.  Returns ``(W, rank, coeffs)``: the next
-    iterate, exactly symmetric; the rank of the intermediate PSD projection;
-    and the basis coefficients of W, from the same expressions
-    ``project_affine`` applies to the PSD projection, so no second solve is
-    needed.
+    ``U`` is checked on every call: non-finite entries raise
+    ``EigenSolverError``, then a non-square, a not exactly symmetric and a
+    wrong-size matrix raise ``ValueError``, in that order.  The step is
+    the kernel ``run_ap`` iterates, called directly: ``_psd_clip`` writes
+    P = P_psd(U) into one fresh row r = [vec P | 1], and ``E._project``
+    and ``E._coefficients`` each read r in one product.  Returns
+    ``(W, rank, coeffs)``: the next iterate, exactly symmetric; the rank of
+    P; and the basis coefficients of W, from the expression
+    ``project_affine`` applies to P, so no second solve is needed.
     """
     U = E._check_point(U)
-    size = U.size
-    row = np.empty(2 * size + 1)    # [vec P | 1 | vec W]
-    r, w = row[:size + 1], row[size + 1:]
+    n = len(U)
+    r = np.empty(n * n + 1)
     r[-1] = 1.0
-    p = r[:-1]
-    ranks = []
-    _ap_steps(E, ((U, p.reshape(U.shape), r, w),), ranks)
-    return w.reshape(U.shape), ranks[0], E._coefficients(p)
+    rank = _psd_clip(_workspace(n), U, r[:-1].reshape(n, n))
+    return E._project(r).reshape(n, n), rank, E._coefficients(r)
 
 
 def run_ap(E, p0, max_iter, tol, target=None):
@@ -117,9 +121,12 @@ def run_ap(E, p0, max_iter, tol, target=None):
     takes no step past ``max_iter``, only the step ``psd_ranks[k]`` needs
     when iterate k already meets ``tol``, and no more steps than a
     stagnation run under way needs to reach its end.  While ``tol > 0``
-    the first block is one step, and each later one takes
-    ``ceil(log(tol / dist) / r) + 1`` steps at most, r the mean
-    log-change of the distance per step over the last block.  After each
+    the first block is one step.  Each later one takes at most
+    ``ceil(a / 2)`` steps, with ``a = log(dist / tol) / r`` the steps to
+    the first iterate below tol at r, the mean log-decrease of the
+    distance per step over the last block; once ``a <= 1`` it takes the
+    ``ceil(a) + 1`` steps to that iterate and from it.  So a run whose
+    rate speeds up near tol wastes few steps.  After each
     block the distances are computed together and the stop rules are
     applied step by step, in the order a step-by-step loop applies them;
     steps past the stop are discarded, and an ``EigenSolverError`` in one
@@ -171,17 +178,20 @@ def run_ap(E, p0, max_iter, tol, target=None):
         else:
             need = _STAGNATION_RUN - stagnant + 1 if stagnant else rows
             if tol:
-                # and while tol is set, steps as far as the last block's
-                # mean log-decrease per step puts the first iterate below
-                # tol, plus the one its rank needs; the first block is a
-                # step
+                # and while tol is set, half the steps after which the last
+                # block's mean log-decrease per step puts an iterate below
+                # tol, so a rate that speeds up wastes few steps; once one
+                # step should do, that step and the one its rank needs.
+                # The first block is a step
                 log_dist = math.log(dist)
                 rate = ((math.log(base_dist) - log_dist) / (k - base) if k
                         else math.inf)
                 ahead = ((log_dist - math.log(tol)) / rate if rate > 0
                          else math.inf)
-                if ahead < need:
-                    need = min(need, math.ceil(ahead) + 1)
+                if ahead <= 1:    # 1 or 2 steps, never above need
+                    need = math.ceil(ahead) + 1
+                elif ahead < 2 * need:
+                    need = math.ceil(ahead / 2)
         base, base_dist = k, dist
         block_ranks = []
         try:
@@ -199,7 +209,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
             k += 1
             if k == checkpoint:
                 sample_ks.append(k)
-                sample_coeffs.append(E._coefficients(R[k - base, :-1]))
+                sample_coeffs.append(E._coefficients(R[k - base]))
                 checkpoint *= 10
             if dist - new < _STAGNATION_REL * max(dist, 1e-300):
                 stagnant += 1
@@ -221,7 +231,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
     dists.fromlist(block_dists[:i])
     if sample_ks[-1] != k:    # R[i] holds the P that U[i] was projected from
         sample_ks.append(k)
-        sample_coeffs.append(E._coefficients(R[i, :-1]))
+        sample_coeffs.append(E._coefficients(R[i]))
 
     def own(a):
         a.setflags(write=False)

@@ -423,11 +423,12 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     curve's transverse coefficients the iterate is compared with.
 
     Each step is one ``ap_step`` call, which checks the iterate and
-    returns it with its basis coefficients (the same R^-1 z expression as
-    ``coefficients``), so nothing is solved twice.  The steps stay one call
-    each because each iterate is the next step's input; what is batched is
-    the rest.  The coefficients of ``TUBE_BLOCK`` steps are stored, then t
-    is recovered for the whole block in one array pass: quasi-Newton on p1,
+    returns it with its basis coefficients (the product ``coefficients``
+    takes), so nothing is solved twice.  The steps stay one call each
+    because each iterate is the next step's input; what is batched is the
+    rest.  The coefficient rows of ``TUBE_BLOCK`` steps are collected in a
+    list and made one array, then t is recovered for the whole block in
+    one array pass: quasi-Newton on p1,
     every step started from the last recovered t, with the slope dp1/dt
     taken once, exactly, from p1 evaluated on the series t0 + s (over a run
     t moves by O(t^7) per step, so the slope barely changes and one
@@ -471,17 +472,16 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     half = max(1, steps // 2)
     k_fit = r_late = 0.0
     transverse_ok = True
-    coeffs = np.empty((min(TUBE_BLOCK, steps), Eo.dim))
     for first in range(0, steps, TUBE_BLOCK):
-        n, failure = min(TUBE_BLOCK, steps - first), None
-        for i in range(n):
-            try:
-                U, _rank, coeffs[i] = ap_step(Eo, U)
-            except (ValueError, EigenSolverError) as exc:
-                # surfaces once the steps before it have passed
-                n, failure = i, exc
-                break
-        pobs, p2, p3 = coeffs[:n].T
+        rows, failure = [], None
+        try:
+            for _ in range(min(TUBE_BLOCK, steps - first)):
+                U, _rank, row = ap_step(Eo, U)
+                rows.append(row)
+        except (ValueError, EigenSolverError) as exc:
+            failure = exc   # surfaces once the steps before it have passed
+        n = len(rows)
+        pobs, p2, p3 = np.array(rows).reshape(n, Eo.dim).T
         tn, p1, g13, g23, vanished, unresolved = _recover_block(
             c, T[0], slope, t, p1_last, pobs)
         tprev = np.concatenate(([t], tn))[:-1]

@@ -6,10 +6,12 @@ subspace carries its anchor, a (not necessarily orthogonal) basis of the
 direction space and its Gram matrix, and, from the one QR factorization
 ``B = Q R`` of the raveled basis made when it is built, Q (columns exactly
 symmetric, Frobenius-orthonormal), R^-1 and two affine maps of a flat
-``v = vec(V)``: the augmented projector ``aug = [Q Q^T | offset]``, with
-``vec(P_E(V)) = aug [v | 1]``, and the coefficient map, whose basis
-coefficients of P_E(V) are ``v Q R^-T - R^-1 Q^T vec(anchor)``.  The
-private ``AffineSubspace._project`` and ``_coefficients`` apply them, one
+``v = vec(V)``, both augmented so that they read the same row
+``[v | 1]``: the projector ``aug = [Q Q^T | offset]``, with
+``vec(P_E(V)) = aug [v | 1]``, and the coefficient map
+``coef_aug = [R^-1 Q^T | -R^-1 Q^T vec(anchor)]``, whose product with
+``[v | 1]`` is the basis coefficients of P_E(V).  The private
+``AffineSubspace._project`` and ``_coefficients`` apply them, one
 matrix-vector product each, for ``coefficients``, ``project_affine`` and
 the AP step in ``apengine``; ``_gram_schmidt`` reads the Gram-Schmidt
 basis off Q and R.
@@ -35,9 +37,10 @@ views of a workspace (``_workspace``) that each thread makes on its first
 clip of each size n and reuses for every later one, so ``run_ap``,
 ``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
 rank cut, a step costs no array set-up, and no two threads share a
-buffer.  Only at a rank strictly between 1 and n does ``ndarray.dot``
-copy the kept eigenvectors, a column slice that is not contiguous, before
-its BLAS call.  ``_psd_clip``, ``_project`` and ``_coefficients`` check nothing.
+buffer.  The eigenvectors go into a Fortran-ordered buffer, so the kept
+ones, a column slice, are contiguous at every rank and ``ndarray.dot``
+copies nothing before its BLAS call.  ``_psd_clip``, ``_project`` and
+``_coefficients`` check nothing.
 Every array raised to a power goes through ``_power`` (entry by entry the
 bits of the scalar ``**``): the curve formulas, the tube check, the rate
 fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
@@ -45,7 +48,10 @@ prints.
 Input is checked (square, finite, exactly symmetric) once, where it enters
 a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
 affine subspace is checked the same way, size included, by the private
-``AffineSubspace._check_point``.
+``AffineSubspace._check_point``.  Of several faults the first in the order
+non-finite, square, symmetric, size decides the error.
+``check_finite_sym`` decides finiteness and symmetry from one list of the
+entries, comparing those above the diagonal with their mirror images.
 """
 
 import functools
@@ -72,15 +78,18 @@ class DependentBasisError(ValueError):
 def sym_matrix(entries):
     """Build an exactly symmetric float64 matrix, upper triangle authoritative."""
     a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _check_square(a)
     u = np.triu(a)
     return u + np.triu(a, 1).T
 
 
 def _check_square(a):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    """The order n of the square array ``a``; any other shape raises
+    ``ValueError``."""
+    shape = a.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    return shape[0]
 
 
 def check_sym(a):
@@ -156,17 +165,18 @@ def _workspace(n):
     """The calling thread's buffers for ``_psd_clip`` on n x n matrices,
     made on its first clip of that size and reused after.
 
-    Returns ``((lam, vecs), cuts)``: ``_eigh``'s output pair, and for each
-    rank cut ``lo`` (the clip drops ``lam[:lo]``) the tuple ``cuts[lo]`` of
-    the views ``lam[lo:]`` and ``vecs[:, lo:]``, a k x k diagonal matrix
-    ``D`` (k = n - lo) with the view of its diagonal, and ``S``
-    (n x k, C-ordered) with ``S.T``.  Each cut's ``D`` is its own
-    zero-filled array: the clip writes only its diagonal, and a prefix of
-    one shared array would hold another cut's diagonal among its zeros,
-    while a view ``D[lo:, lo:]`` of one n x n matrix is not contiguous,
-    which ``ndarray.dot`` copies.  The ``S`` of every cut are prefixes of
-    one array.  A workspace holds 2 n^2 + n floats and the sum of k^2 for
-    k = 0, ..., n (35 in all at n = 3).
+    Returns ``((lam, vecs), cuts)``: ``_eigh``'s output pair, ``vecs``
+    Fortran-ordered, and for each rank cut ``lo`` (the clip drops
+    ``lam[:lo]``) the tuple ``cuts[lo]`` of the views ``lam[lo:]`` and
+    ``vecs[:, lo:]`` (contiguous at every ``lo``, since the columns are),
+    a k x k diagonal matrix ``D`` (k = n - lo) with the view of its
+    diagonal, and ``S`` (n x k, C-ordered) with ``S.T``.  Each cut's ``D``
+    is its own zero-filled array: the clip writes only its diagonal, and a
+    prefix of one shared array would hold another cut's diagonal among its
+    zeros, while a view ``D[lo:, lo:]`` of one n x n matrix is not
+    contiguous, which ``ndarray.dot`` copies.  The ``S`` of every cut are
+    prefixes of one array.  A workspace holds 2 n^2 + n floats and the sum
+    of k^2 for k = 0, ..., n (35 in all at n = 3).
     """
     try:
         return _PER_THREAD.workspaces[n]
@@ -174,7 +184,8 @@ def _workspace(n):
         _PER_THREAD.workspaces = {}
     except KeyError:            # its first clip of this size
         pass
-    lam, vecs, flat_S = np.empty(n), np.empty((n, n)), np.empty(n * n)
+    lam, flat_S = np.empty(n), np.empty(n * n)
+    vecs = np.empty((n, n), order="F")
     cuts = []
     for lo in range(n + 1):
         k = n - lo
@@ -223,21 +234,27 @@ def check_finite_sym(a):
     # entry by entry
     if not (math.isfinite(sum(flat)) or np.isfinite(a).all()):
         raise EigenSolverError("matrix has non-finite entries")
-    _check_square(a)
+    upper, lower = _triangles(_check_square(a))
     # every entry is finite, so tuple equality is check_sym's decision
-    if _transposer(len(a))(flat) != tuple(flat):
+    if upper(flat) != lower(flat):
         raise ValueError("matrix is not exactly symmetric")
     return a
 
 
+def _no_entries(flat):
+    return ()
+
+
 @functools.cache
-def _transposer(n):
-    """Map the row-major entry list of an n x n matrix to the tuple of its
-    transpose's entries, row-major.  (``itemgetter`` of one index returns
-    the entry itself, so n < 2 maps through ``tuple``.)"""
+def _triangles(n):
+    """The pair of maps from the row-major entry list of an n x n matrix
+    to its entries above the diagonal, row by row, and to their mirror
+    images below it, in the same order.  (``itemgetter`` of one index
+    returns the entry itself, which compares the same way.)"""
     if n < 2:
-        return tuple
-    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+        return _no_entries, _no_entries
+    pairs = [(i * n + j, j * n + i) for i in range(n) for j in range(i + 1, n)]
+    return tuple(itemgetter(*side) for side in zip(*pairs))
 
 
 def eig_sym(a):
@@ -286,9 +303,10 @@ class AffineSubspace:
     ``basis.reshape(m, n*n).T = Q R``; each column of Q, as an n x n
     matrix, is exactly symmetric.  A flat v projects to ``aug [v | 1]``
     with ``aug = [Q Q^T | offset]`` (rows (i, j) and (j, i) equal), with
-    basis coefficients ``v coef_map - coef_offset``
-    (``coef_map = Q R^-T``).  A basis whose R has a diagonal entry at most
-    ``DEPENDENT_BASIS_TOL`` times its largest is rejected as dependent.
+    basis coefficients ``coef_aug [v | 1]``, where
+    ``coef_aug = [R^-1 Q^T | -R^-1 Q^T vec(anchor)]``.  A basis whose R has
+    a diagonal entry at most ``DEPENDENT_BASIS_TOL`` times its largest is
+    rejected as dependent.
     """
 
     anchor: np.ndarray
@@ -297,8 +315,7 @@ class AffineSubspace:
     Q: np.ndarray = field(repr=False)
     R_inv: np.ndarray = field(repr=False)
     aug: np.ndarray = field(repr=False)          # (n*n, n*n + 1)
-    coef_map: np.ndarray = field(repr=False)
-    coef_offset: np.ndarray = field(repr=False)  # (m,)
+    coef_aug: np.ndarray = field(repr=False)     # (m, n*n + 1)
 
     @property
     def n(self):
@@ -331,8 +348,9 @@ class AffineSubspace:
         Q, R_inv, a = mirror(Q), np.linalg.inv(R), anchor.ravel()
         proj, coef_map = mirror(Q @ Q.T), Q @ R_inv.T
         aug = np.hstack([proj, mirror(a - proj @ a)])
+        coef_aug = np.hstack([coef_map.T, -(a @ coef_map)[:, None]])
         return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv, aug,
-                                  coef_map, a @ coef_map)))
+                                  coef_aug)))
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -350,36 +368,33 @@ class AffineSubspace:
     def coefficients(self, X):
         """Coefficients R^-1 Q^T vec(X - anchor) of the best approximation
         to X - anchor in span{basis}."""
-        return self._coefficients(self._check_point(X).ravel())
+        return self._coefficients(np.append(self._check_point(X), 1.0))
 
     def _check_point(self, X):
         """X as a finite, exactly symmetric n x n float array: a
         non-finite entry raises ``EigenSolverError``, any other fault
         ``ValueError``."""
         X = check_finite_sym(X)
-        if X.shape[0] != self.n:
+        if len(X) != len(self.anchor):
             raise ValueError("dimension mismatch")
         return X
 
-    def _project(self, r, out):
-        """vec of the orthogonal projection of V, written into the flat
-        ``out`` and returned, from the unchecked row r = [vec V | 1]."""
+    def _project(self, r, out=None):
+        """vec of the orthogonal projection of V from the unchecked row
+        r = [vec V | 1], written into the flat ``out`` when given one."""
         return self.aug.dot(r, out)
 
-    def _coefficients(self, v):
-        """Basis coefficients of the projection of flat, unchecked v."""
-        return v.dot(self.coef_map) - self.coef_offset
+    def _coefficients(self, r):
+        """Basis coefficients of the projection of V from the unchecked
+        row r = [vec V | 1], the row ``_project`` reads: one product."""
+        return self.coef_aug.dot(r)
 
 
 def project_affine(E, X):
     """Orthogonal projection onto E; returns (point, coefficients)."""
     X = E._check_point(X)
-    r = np.empty(X.size + 1)
-    r[-1] = 1.0
-    v = r[:-1]
-    v[:] = X.ravel()
-    return (E._project(r, np.empty(X.size)).reshape(X.shape),
-            E._coefficients(v))
+    r = np.append(X, 1.0)
+    return E._project(r).reshape(X.shape), E._coefficients(r)
 
 
 def _gram_schmidt(E):

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 import warnings
@@ -12,9 +13,9 @@ from apcone.apengine import (RankOneError, ap_step, eigenvalue_formula_step,
 from apcone.catalog import get_example
 from apcone.planes import PlaneSpec, build_plane
 from apcone.slowcurve import curve_point
-from apcone.symcore import (AffineSubspace, EigenSolverError, frob_inner,
-                            frob_norm, orthogonalize, project_affine,
-                            project_psd, sym_matrix)
+from apcone.symcore import (AffineSubspace, EigenSolverError, eig_sym,
+                            frob_inner, frob_norm, orthogonalize,
+                            project_affine, project_psd, sym_matrix)
 from apcone.verify import formula_vs_direct_gap, random_type2_spec
 from probes import peak_bytes
 
@@ -282,6 +283,77 @@ def test_ap_step_rejects_malformed_input():
         ap_step(E, np.eye(2))
 
 
+def _malformed(case):
+    """A bad input for a function on 3x3 matrices: the anchor of ex6.1's
+    plane spoiled as ``case`` says."""
+    U = np.array(build_plane(SPEC61)[0].anchor)
+    if case in ("nan", "inf", "-inf"):
+        U[1, 2] = U[2, 1] = float(case)
+    elif case == "finite, sum overflows":
+        U[0, 0] = U[1, 1] = 1.5e308
+    elif case == "nan, not square":
+        U = np.full((3, 2), np.nan)
+    elif case == "not square":
+        U = np.zeros((3, 2))
+    elif case == "one axis":
+        U = np.zeros(3)
+    elif case == "asymmetric":
+        U[0, 1] = 1e-300
+    elif case == "asymmetric, wrong size":
+        U = np.array([[1.0, 2.0], [3.0, 1.0]])
+    elif case == "wrong size":
+        U = np.eye(2)
+    else:
+        assert case == "nan, wrong size"
+        U = np.eye(2)
+        U[0, 0] = np.nan
+    return U
+
+
+_NON_FINITE = (EigenSolverError, "matrix has non-finite entries")
+_ASYMMETRIC = (ValueError, "matrix is not exactly symmetric")
+_SIZED = {"ap_step": ap_step, "project_affine": project_affine,
+          "coefficients": AffineSubspace.coefficients}
+_UNSIZED = {"project_psd": project_psd, "eig_sym": eig_sym}
+
+
+@pytest.mark.parametrize("func", [*_SIZED, *_UNSIZED])
+@pytest.mark.parametrize("case, error", [
+    ("nan", _NON_FINITE),
+    ("inf", _NON_FINITE),
+    ("-inf", _NON_FINITE),
+    ("nan, not square", _NON_FINITE),
+    ("not square", (ValueError, "expected a square matrix, got shape (3, 2)")),
+    ("one axis", (ValueError, "expected a square matrix, got shape (3,)")),
+    ("asymmetric", _ASYMMETRIC),
+    ("asymmetric, wrong size", _ASYMMETRIC),
+    ("wrong size", (ValueError, "dimension mismatch")),
+    ("nan, wrong size", _NON_FINITE),
+    ("finite, sum overflows", None),
+])
+def test_checked_input_errors_come_in_one_order(func, case, error):
+    # every checked entry point raises the same error for the same fault,
+    # and of several faults the first in the order non-finite, square,
+    # symmetric, size; a function on any n accepts the wrong size, and
+    # finite entries whose sum overflows are finite
+    X = _malformed(case)
+    if func in _UNSIZED:
+        call = _UNSIZED[func]
+        if case == "wrong size":
+            error = None
+    else:
+        E, _ = build_plane(SPEC61)
+        call = functools.partial(_SIZED[func], E)
+    if error is None:
+        call(X)
+        return
+    kind, message = error
+    with pytest.raises(kind) as raised:
+        call(X)
+    assert type(raised.value) is kind
+    assert str(raised.value) == message
+
+
 def test_run_ap_stagnation_stop():
     # tol=0 can never trigger; an exactly fixed start must stop as stagnation
     E, _ = build_plane(SPEC61)
@@ -447,20 +519,20 @@ def _failing_after(monkeypatch, calls):
 
 
 def test_run_ap_failure_past_the_stop_does_not_surface(monkeypatch):
-    # a tol stop at k = 5: the serial loop takes the steps from iterates
-    # 0..5 and never the one from iterate 6, which a block computes ahead
-    E, _ = build_plane(SPEC61)
-    p0 = E.coefficients(curve_point(SPEC61, 0.1).G)
-    tol = float(np.nextafter(_serial_run(E, p0, 5, 0.0)[0][5], 1.0))
-    ref = _serial_run(E, p0, 10 ** 6, tol)
-    assert ref[4] == "tol" and len(ref[0]) == 6
-    count = _failing_after(monkeypatch, 6)
+    # ex3.3 neg reaches distance 0 at k = 22, which no rate foresees: the
+    # serial loop takes the steps from iterates 0..22 and never the one
+    # from iterate 23, which the block sized from the first step's rate
+    # computes ahead
+    inst = get_example("ex3.3", "neg")
+    E, p0, target = inst.plane, inst.start, inst.target
+    ref = _serial_run(E, p0, 10 ** 6, 1e-300, target)
+    assert ref[4] == "tol" and len(ref[0]) == 23 and ref[0][-1] == 0.0
+    count = _failing_after(monkeypatch, 23)
     with np.errstate(invalid="ignore"):
-        trace = run_ap(E, p0, max_iter=10 ** 6, tol=tol)
+        trace = run_ap(E, p0, max_iter=10 ** 6, tol=1e-300, target=target)
     _assert_same_run(trace, ref)
-    # the block sized from the rate so far reaches one step past the
-    # stop, and that step is the one that failed
-    assert count[0] == 7
+    # the step past the stop is the one that failed
+    assert count[0] == 24
 
 
 def test_run_ap_failure_of_a_step_taken_raises(monkeypatch):
@@ -498,25 +570,30 @@ def _counting_calls(monkeypatch):
     ("ex3.2 neg", 3000, 0.0, "stagnation", 422, 7),
     ("ex3.4", 3000, 0.0, "stagnation", 661, 11),
     ("ex6.1 curve", 500, 0.0, "max_iter", 501, 8),
-    ("ex3.2 neg", 10 ** 6, 1e-3, "tol", 6, 2),
-    ("ex3.3 neg", 10 ** 6, 1e-9, "tol", 13, 2),
-    ("ex3.4", 10 ** 6, 1e-4, "tol", 27, 3),
-    ("ex3.4", 10 ** 6, 1e-8, "tol", 59, 3),
-    ("ex6.1 curve", 10 ** 6, 0.245, "tol", 9484, 150),
+    ("ex3.2 neg", 10 ** 6, 1e-3, "tol", 6, 4),
+    ("ex3.3 neg", 10 ** 6, 1e-9, "tol", 13, 5),
+    ("ex3.4", 10 ** 6, 1e-4, "tol", 27, 6),
+    ("ex3.4", 10 ** 6, 1e-8, "tol", 59, 8),
+    ("ex6.1 curve", 10 ** 6, 0.245, "tol", 9484, 155),
     ("ex3.3 neg off-target", 10 ** 6, 0.0017320508075667435, "stagnation",
-     123, 12),
+     123, 14),
+    ("ex3.4", 10 ** 6, ("dist", 94), "tol", 95, 5),
+    ("ex6.1 curve", 10 ** 6, ("dist", 5), "tol", 6, 4),
 ])
 def test_run_ap_takes_no_step_past_a_stop_it_can_see(
         monkeypatch, case, max_iter, tol, stop, length, blocks):
     # a start that meets tol takes the one step psd_ranks[0] needs, a
     # stagnating run no step past its stop, and a run to max_iter the
     # blocks of _BLOCK steps it always took; a run with tol > 0 sizes its
-    # blocks from the rate it has shown (the first is one step), so a
-    # linear run stops without a wasted step, and the sublinear ex6.1 run
-    # takes no extra step in 150 blocks (149 blocks of 64 steps before);
-    # with the target 1e-3 I off the limit the distance stagnates just
-    # above tol, and with blocks of 128 the tol bound (a step more than the
-    # stagnation run needs) must not lengthen the block the run bounds
+    # blocks from the rate it has shown (the first is one step, each later
+    # one half the steps the rate puts before tol), so a linear run stops
+    # without a wasted step, the sublinear ex6.1 run takes no extra step in
+    # 155 blocks, and neither do the runs whose rate speeds up just before
+    # tol: ex3.4's rate goes from 0.288 to 0.693 a step near k = 88, and
+    # ex6.1's first steps speed up too (one-block sizing took 104 and 7
+    # steps for the dist[94] and dist[5] cases); with the target 1e-3 I off
+    # the limit the distance stagnates just above tol, and with blocks of
+    # 128 the tol bound must not lengthen the block a stagnation run bounds
     if case.endswith("off-target"):
         inst = get_example(*case.split()[:2])
         E, p0 = inst.plane, inst.start
@@ -530,6 +607,9 @@ def test_run_ap_takes_no_step_past_a_stop_it_can_see(
     else:
         inst = get_example(*case.split())
         E, p0, target = inst.plane, inst.start, inst.target
+    if isinstance(tol, tuple):   # ("dist", K): just above the run's dist[K]
+        K = tol[1]
+        tol = float(np.nextafter(_serial_run(E, p0, K, 0.0, target)[0][K], 1))
     ref = _serial_run(E, p0, max_iter, tol, target)
     counts = _counting_calls(monkeypatch)
     trace = run_ap(E, p0, max_iter=max_iter, tol=tol, target=target)

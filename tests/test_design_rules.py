@@ -73,7 +73,7 @@ RULES = {
         lambda n: _attr(n, {"aug"}),
         {"symcore.AffineSubspace._project"}),
     "coefficient_map": (
-        lambda n: _attr(n, {"coef_map", "coef_offset"}),
+        lambda n: _attr(n, {"coef_aug"}),
         {"symcore.AffineSubspace._coefficients"}),
     # R^-1 is made by from_basis and read back by the one Gram-Schmidt
     "inverse_r_factor": (
@@ -137,7 +137,7 @@ PLANTED = [
      "class C:\n    def g(t):\n        return (d_q := t)\n", {"m.C.g"}),
     ("curve_denominators", "def f(t):\n    return d_q + d_mid\n", set()),
     ("projector", "def f(E, v):\n    return E.aug @ v\n", {"m.f"}),
-    ("coefficient_map", "def f(E):\n    return E.coef_map\n", {"m.f"}),
+    ("coefficient_map", "def f(E, r):\n    return E.coef_aug @ r\n", {"m.f"}),
     ("inverse_r_factor", "R_inv = 1\ndef f(E):\n    return E.R_inv\n",
      {"m.f"}),
     ("inverse_r_factor", "def f(R_inv):\n    return R_inv\n", {"m.f"}),

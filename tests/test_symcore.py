@@ -453,7 +453,6 @@ def test_orthogonalize_preserves_projections():
 
 
 def test_affine_subspace_arrays_are_frozen(plane_ex32):
-    for name in ("anchor", "basis", "gram", "Q", "R_inv", "aug", "coef_map",
-                 "coef_offset"):
+    for name in ("anchor", "basis", "gram", "Q", "R_inv", "aug", "coef_aug"):
         with pytest.raises(ValueError):
             getattr(plane_ex32, name).flat[0] = 1.0

@@ -213,8 +213,11 @@ def cmd_run(args):
     plane_field = _config_value(config, "plane",
                                 lambda v: isinstance(v, (str, dict)),
                                 "a built-in id or a plane object")
+    variant = _config_value(config, "variant",
+                            lambda v: v is None or isinstance(v, str),
+                            "a string")
     if isinstance(plane_field, str):
-        inst = get_example(plane_field, config.get("variant"))
+        inst = get_example(plane_field, variant)
     elif "variant" in config:
         raise ValueError("config key 'variant' applies to a built-in plane "
                          "id only")
@@ -301,7 +304,9 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its one argument, the message
+        print(f"error: {exc.args[0] if type(exc) is KeyError else exc}",
+              file=sys.stderr)
         return 2
     except EigenSolverError as exc:     # a step of the run failed
         print(f"error: {exc}", file=sys.stderr)

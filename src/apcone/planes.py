@@ -159,11 +159,12 @@ def build_plane(spec):
     For theta != 0 the canonical basis and constraints are conjugated by the
     rotation, so conjugation equivariance holds by construction.
     """
-    if spec.kind == "type2":
-        basis = type2_basis(spec.c)
-    else:
-        basis = _type1_basis(spec)
-    E = AffineSubspace.from_basis(U_STAR, _rotated(spec, basis))
+    # a c so large that the basis or its rotation overflows gives inf or
+    # NaN entries, which from_basis rejects: no warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _rotated(spec, type2_basis(spec.c) if spec.kind == "type2"
+                         else _type1_basis(spec))
+    E = AffineSubspace.from_basis(U_STAR, basis)
     return E, constraint_matrices(spec)
 
 

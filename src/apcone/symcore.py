@@ -45,13 +45,16 @@ Every array raised to a power goes through ``_power`` (entry by entry the
 bits of the scalar ``**``): the curve formulas, the tube check, the rate
 fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
 prints.
-Input is checked (square, finite, exactly symmetric) once, where it enters
-a public function, by ``check_sym`` or ``check_finite_sym``; a point of an
-affine subspace is checked the same way, size included, by the private
-``AffineSubspace._check_point``.  Of several faults the first in the order
-non-finite, square, symmetric, size decides the error.
-``check_finite_sym`` decides finiteness and symmetry from one list of the
-entries, comparing those above the diagonal with their mirror images.
+Input is checked (finite, square, exactly symmetric) once, where it enters
+a public function, by ``check_finite_sym`` or ``check_sym``, which differ
+only in the error a non-finite entry raises: ``EigenSolverError`` for an
+eigensolver's input, ``ValueError`` for an affine subspace's anchor and
+basis and a distance target.  A point of an affine subspace is checked the
+same way, size included, by the private ``AffineSubspace._check_point``.
+Of several faults the first in the order non-finite, square, symmetric,
+size decides the error.  ``check_finite_sym`` decides finiteness and
+symmetry from one list of the entries, comparing those above the diagonal
+with their mirror images.
 """
 
 import functools
@@ -93,14 +96,14 @@ def _check_square(a):
 
 
 def check_sym(a):
-    a = np.asarray(a, dtype=float)
-    _check_square(a)
-    # same decision as np.array_equal for a square array (NaN != NaN,
-    # -0.0 == 0.0: tolist makes a new float per entry, so no NaN is
-    # compared with itself), at a third of the cost of (a == a.T).all()
-    if a.tolist() != a.T.tolist():
-        raise ValueError("matrix is not exactly symmetric")
-    return a
+    """``check_finite_sym`` with non-finite entries reported as
+    ``ValueError``: ``a`` as a float array, checked finite, square and
+    exactly symmetric (-0.0 equals 0.0), the first fault in that order
+    deciding the error."""
+    try:
+        return check_finite_sym(a)
+    except EigenSolverError as exc:
+        raise ValueError(*exc.args) from None
 
 
 def frob_inner(a, b):
@@ -226,8 +229,10 @@ def _psd_clip(ws, a, out):
 
 
 def check_finite_sym(a):
-    """``check_sym`` preceded by a finiteness check that raises
-    ``EigenSolverError``, both decided from one list of the entries."""
+    """``a`` as a float array, checked for an eigensolver: non-finite
+    entries raise ``EigenSolverError``, a non-square shape or an entry
+    that differs from its mirror image ``ValueError``.  Finiteness and
+    symmetry are decided from one list of the entries."""
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
     # a finite sum has finite terms; a sum that overflows is decided
@@ -235,7 +240,7 @@ def check_finite_sym(a):
     if not (math.isfinite(sum(flat)) or np.isfinite(a).all()):
         raise EigenSolverError("matrix has non-finite entries")
     upper, lower = _triangles(_check_square(a))
-    # every entry is finite, so tuple equality is check_sym's decision
+    # every entry is finite, so tuple equality decides exact symmetry
     if upper(flat) != lower(flat):
         raise ValueError("matrix is not exactly symmetric")
     return a

@@ -2,6 +2,8 @@
 tracemalloc's peak over a call."""
 
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,10 +12,23 @@ from apcone.cli import main
 
 
 def run_cli(capsys, *argv):
-    """``apcone argv`` in-process: (exit code, stdout, stderr)."""
-    code = main(list(argv))
+    """``apcone argv`` in-process: (exit code, stdout, stderr).  When
+    argparse itself exits (a usage error it finds), the code is its
+    ``SystemExit``'s."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_warnings_as_errors(*argv):
+    """``python -W error -m apcone.cli argv``: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "apcone.cli", *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def cli_env():

@@ -262,33 +262,17 @@ def test_ap_step_returns_symmetric_iterate_and_its_coefficients():
             assert np.abs(coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_ap_step_non_finite_input_raises(bad):
-    E, _ = build_plane(SPEC61)
-    U = np.array(E.anchor)
-    U[1, 2] = U[2, 1] = bad
-    with pytest.raises(EigenSolverError):
-        ap_step(E, U)
-
-
-def test_ap_step_rejects_malformed_input():
-    E, _ = build_plane(SPEC61)
-    U = np.array(E.anchor)
-    U[0, 1] = 1e-300
-    with pytest.raises(ValueError, match="not exactly symmetric"):
-        ap_step(E, U)
-    with pytest.raises(ValueError, match="square"):
-        ap_step(E, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        ap_step(E, np.eye(2))
-
-
 def _malformed(case):
     """A bad input for a function on 3x3 matrices: the anchor of ex6.1's
     plane spoiled as ``case`` says."""
     U = np.array(build_plane(SPEC61)[0].anchor)
     if case in ("nan", "inf", "-inf"):
         U[1, 2] = U[2, 1] = float(case)
+    elif case == "-inf diagonal":
+        U[0, 0] = -np.inf
+    elif case == "inf, 2x2":
+        # for n <= 2 LAPACK can return finite output for non-finite input
+        U = np.array([[1.0, np.inf], [np.inf, 0.0]])
     elif case == "finite, sum overflows":
         U[0, 0] = U[1, 1] = 1.5e308
     elif case == "nan, not square":
@@ -330,12 +314,14 @@ _UNSIZED = {"project_psd": project_psd, "eig_sym": eig_sym}
     ("wrong size", (ValueError, "dimension mismatch")),
     ("nan, wrong size", _NON_FINITE),
     ("finite, sum overflows", None),
+    ("inf, 2x2", _NON_FINITE),
+    ("-inf diagonal", _NON_FINITE),
 ])
 def test_checked_input_errors_come_in_one_order(func, case, error):
     # every checked entry point raises the same error for the same fault,
     # and of several faults the first in the order non-finite, square,
     # symmetric, size; a function on any n accepts the wrong size, and
-    # finite entries whose sum overflows are finite
+    # finite entries whose sum overflows are finite.  No input warns.
     X = _malformed(case)
     if func in _UNSIZED:
         call = _UNSIZED[func]
@@ -344,14 +330,36 @@ def test_checked_input_errors_come_in_one_order(func, case, error):
     else:
         E, _ = build_plane(SPEC61)
         call = functools.partial(_SIZED[func], E)
-    if error is None:
-        call(X)
-        return
-    kind, message = error
-    with pytest.raises(kind) as raised:
-        call(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            call(X)
+            return
+        kind, message = error
+        with pytest.raises(kind) as raised:
+            call(X)
     assert type(raised.value) is kind
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["anchor", "basis", "target"])
+def test_non_finite_plane_or_target_is_rejected(where, bad):
+    # a plane or distance target with a non-finite entry is bad input, not
+    # a dependent basis, an asymmetric matrix or an overflowing distance
+    E, _ = build_plane(SPEC61)
+    X = np.array(E.anchor)
+    X[1, 1] = bad
+    call = {"anchor": lambda: AffineSubspace.from_basis(X, E.basis),
+            "basis": lambda: AffineSubspace.from_basis(E.anchor,
+                                                       [*E.basis[:2], X]),
+            "target": lambda: run_ap(E, np.zeros(3), 3, 0.0, target=X)}[where]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            call()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "matrix has non-finite entries"
 
 
 def test_run_ap_stagnation_stop():

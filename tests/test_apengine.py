@@ -262,17 +262,39 @@ def test_ap_step_returns_symmetric_iterate_and_its_coefficients():
             assert np.abs(coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ap_step_non_finite_input_raises(bad):
+    E, _ = build_plane(SPEC61)
+    U = np.array(E.anchor)
+    U[1, 2] = U[2, 1] = bad
+    with pytest.raises(EigenSolverError):
+        ap_step(E, U)
+
+
+def test_ap_step_rejects_malformed_input():
+    E, _ = build_plane(SPEC61)
+    U = np.array(E.anchor)
+    U[0, 1] = 1e-300
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        ap_step(E, U)
+    with pytest.raises(ValueError, match="square"):
+        ap_step(E, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ap_step(E, np.eye(2))
+
+
 def _malformed(case):
     """A bad input for a function on 3x3 matrices: the anchor of ex6.1's
     plane spoiled as ``case`` says."""
     U = np.array(build_plane(SPEC61)[0].anchor)
     if case in ("nan", "inf", "-inf"):
         U[1, 2] = U[2, 1] = float(case)
-    elif case == "-inf diagonal":
-        U[0, 0] = -np.inf
-    elif case == "inf, 2x2":
+    elif case in ("nan diagonal", "inf diagonal", "-inf diagonal"):
+        U[0, 0] = float(case.split()[0])
+    elif case in ("nan, 2x2", "inf, 2x2"):
         # for n <= 2 LAPACK can return finite output for non-finite input
-        U = np.array([[1.0, np.inf], [np.inf, 0.0]])
+        bad = float(case.split(",")[0])
+        U = np.array([[1.0, bad], [bad, 0.0]])
     elif case == "finite, sum overflows":
         U[0, 0] = U[1, 1] = 1.5e308
     elif case == "nan, not square":
@@ -316,6 +338,9 @@ _UNSIZED = {"project_psd": project_psd, "eig_sym": eig_sym}
     ("finite, sum overflows", None),
     ("inf, 2x2", _NON_FINITE),
     ("-inf diagonal", _NON_FINITE),
+    ("nan, 2x2", _NON_FINITE),
+    ("nan diagonal", _NON_FINITE),
+    ("inf diagonal", _NON_FINITE),
 ])
 def test_checked_input_errors_come_in_one_order(func, case, error):
     # every checked entry point raises the same error for the same fault,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (EigenSolverError, _psd_clip, _workspace,
+from .symcore import (EigenSolverError, _psd_clip, _workspace, check_count,
                       check_finite_sym, check_sym, eig_sym, project_affine,
                       project_psd)
 
@@ -110,9 +110,10 @@ def run_ap(E, p0, max_iter, tol, target=None):
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
-    ``max_iter < 1``, a negative or NaN ``tol``, finite coefficients whose
-    matrix overflows and a start whose squared distance to the target
-    overflows raise ``ValueError``.
+    a ``max_iter`` that is not an integer >= 1, a negative or NaN ``tol``,
+    a target of the wrong size, a start of the wrong length, finite
+    coefficients whose matrix overflows and a start whose squared distance
+    to the target overflows raise ``ValueError``.
 
     The steps are ``ap_step``'s, without its check, taken ``_BLOCK`` at a
     time through preallocated rows (``min(_BLOCK, max_iter + 1)`` of them,
@@ -133,15 +134,13 @@ def run_ap(E, p0, max_iter, tol, target=None):
     of them does not surface.  The sampled coefficients (k = 0: ``p0``)
     are ``ap_step``'s expression.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = check_count("max_iter", max_iter)
     if not tol >= 0:    # NaN included
         raise ValueError("tol must be >= 0")
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (E.dim,):
-        raise ValueError(f"expected {E.dim} starting coefficients")
-    target = (E.anchor if target is None else check_sym(target)).ravel()
+    target = (E.anchor if target is None
+              else E._check_point(check_sym(target))).ravel()
 
+    p0 = np.asarray(p0, dtype=float)
     u = E.point(p0).ravel()
     if not np.isfinite(u).all():
         if np.isfinite(p0).all():

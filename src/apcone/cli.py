@@ -140,27 +140,17 @@ def _summarize(trace, power):
 
 
 def _parse_start(text, spec, plane):
-    """Start forms: a float, a comma triple, or slowest-curve:t0."""
+    """Start forms: a comma list of coefficients, or slowest-curve:t0; the
+    library checks the curve, t0 and the number of coefficients."""
     if text.startswith("slowest-curve:"):
         t0 = float(text.split(":", 1)[1])
-        if not np.isfinite(t0):
-            raise ValueError("slowest-curve t0 must be finite")
-        if spec is None:
-            raise ValueError("slowest-curve starts need a type2 plane")
         try:
             G = curve_point(spec, t0).G
         except ArithmeticError:
             raise ValueError(f"slowest-curve t0={t0:g} is outside the "
                              "curve's domain") from None
         return plane.coefficients(G)
-    if "," in text:
-        return np.array([float(tok) for tok in text.split(",")])
-    value = float(text)
-    if plane.dim != 1:
-        raise ValueError(
-            f"plane has {plane.dim} coefficients; pass a comma triple or "
-            "slowest-curve:t0")
-    return np.array([value])
+    return np.array([float(tok) for tok in text.split(",")])
 
 
 def _run_and_report(inst, start, iters, tol, out):
@@ -270,7 +260,7 @@ def build_parser():
     p_ex.add_argument("--variant", default=None,
                       help="instance branch (e.g. pos/neg)")
     p_ex.add_argument("--start", default=None,
-                      help="t0, comma triple, or slowest-curve:t0")
+                      help="comma list of coefficients, or slowest-curve:t0")
     p_ex.add_argument("--iters", type=int, default=None)
     p_ex.add_argument("--tol", type=float, default=0.0)
     p_ex.add_argument("--out", default=None, help="trace CSV path")

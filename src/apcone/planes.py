@@ -43,11 +43,11 @@ class PlaneSpec:
             raise ValueError("plane field 'c' must list finite numbers")
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         if not _finite(self.theta):
-            raise ValueError("plane field 'theta' must be finite")
+            raise ValueError("plane field 'theta' must be a finite number")
         if not isinstance(self.reflect, bool):
             raise ValueError("plane field 'reflect' must be true or false")
         if self.mu is not None and not _finite(self.mu):
-            raise ValueError("plane field 'mu' must be finite")
+            raise ValueError("plane field 'mu' must be a finite number")
         if self.kind == "type1":
             if len(self.c) != 8:
                 raise ValueError("type1 takes parameters c1..c8")
@@ -170,9 +170,15 @@ def build_plane(spec):
 
 def singularity_degree(spec):
     """1 for type1; for type2, 2 exactly when c4 != 0, else 1."""
-    if spec.kind == "type1":
-        return 1
-    return 2 if spec.c[3] != 0.0 else 1
+    return 2 if spec.kind == "type2" and spec.c[3] != 0.0 else 1
+
+
+def require_slowest_curve(spec):
+    """``spec`` when its plane has a slowest curve, a ``PlaneSpec`` of
+    degree 2; anything else (None included) raises ``ValueError``."""
+    if not (isinstance(spec, PlaneSpec) and singularity_degree(spec) == 2):
+        raise ValueError("the slowest curve needs a type2 plane with c4 != 0")
+    return spec
 
 
 # --- Pluecker coordinates -------------------------------------------------

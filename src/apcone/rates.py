@@ -7,12 +7,14 @@ so it cannot be vectorised.  x is kept only at the decade checkpoints, so
 memory does not grow with the step count; for K = 0 the loop body between
 checkpoints is one step's arithmetic and nothing else."""
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .symcore import _power
+from .planes import require_slowest_curve
+from .symcore import _power, check_count
 
 _NOISE_MODES = ("plus", "minus", "alternating")
 # characters of trace CSV text parsed at a time, about 1000 CLI rows
@@ -113,20 +115,23 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
     ``RecursionRun``: x at the decade checkpoints and the limit product
     (q C)^(1/q) n^(1/q) x_n, which tends to 1.
     """
-    if x0 <= 0:
+    if not x0 > 0:    # NaN included, as below
         raise ValueError("x0 must be positive")
     if not q > 0:
         raise ValueError("q must be positive")
-    if C <= 0 or K < 0:
+    if not (C > 0 and K >= 0):
         raise ValueError("C must be positive and K nonnegative")
     if not (q + 1) * C - (q + 2) * K * x0 > 0:
         raise ValueError("hypothesis (q+1) C - (q+2) K x0 > 0 violated")
     if noise not in _NOISE_MODES:
         raise ValueError(f"noise must be one of {sorted(_NOISE_MODES)}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    C, K, q, x0, n = float(C), float(K), float(q), float(x0), int(n)
-    if not C * x0 ** q + K * x0 ** (q + 1) < 1.0:
+    n = check_count("n", n)
+    C, K, q, x0 = float(C), float(K), float(q), float(x0)
+    try:
+        first = C * x0 ** q + K * x0 ** (q + 1)
+    except OverflowError:   # x never grows, so no later power overflows
+        raise ValueError("x0^(q+1) overflows") from None
+    if not first < 1.0:
         raise ValueError("the first factor 1 - C x0^q - K x0^(q+1) must be "
                          "positive")
     ks, checkpoint = [0], 1
@@ -162,7 +167,12 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
                 sign *= flip
             xs.append(x)
             k = b
-    product = float((q * C) ** (1.0 / q) * n ** (1.0 / q) * x)
+    try:    # at a small q a factor can overflow, in a ** or in the product
+        product = (q * C) ** (1.0 / q) * n ** (1.0 / q) * x
+    except OverflowError:
+        product = math.inf
+    if not math.isfinite(product):
+        raise ValueError("the limit product (q C)^(1/q) n^(1/q) x_n overflows")
     ks, xs = np.array(ks, dtype=np.int64), np.array(xs)
     ks.setflags(write=False)
     xs.setflags(write=False)
@@ -172,11 +182,7 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
 def slow_rate_constant(spec):
     """The constant (3 / (32 c4^4 (2 c1^2 + 1)^4))^(1/6) of the limit law
     lim constant * k^(1/6) * dist_k = 1 along slowest-curve starts."""
-    if spec.kind != "type2":
-        raise ValueError("the slow-rate constant applies to type2 planes")
-    c1, c4 = spec.c[0], spec.c[3]
-    if c4 == 0.0:
-        raise ValueError("requires c4 != 0")
+    c1, _, _, c4, _ = require_slowest_curve(spec).c
     return float((3.0 / (32.0 * c4 ** 4 * (2.0 * c1 ** 2 + 1.0) ** 4))
                  ** (1.0 / 6.0))
 

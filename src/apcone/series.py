@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _SPEC_61
+from .planes import require_slowest_curve
 from .slowcurve import _canonical_matrix, _curve_parts
+from .symcore import check_count
 
 DEFAULT_CAP = 12
 _MOMENT_CAP = 8    # the moment pattern is compared through degree 7
@@ -104,11 +106,9 @@ class TruncSeries:
 
     def __pow__(self, exponent):
         """self * self * ... * self, multiplied left to right; ``exponent``
-        must be a positive integer."""
-        if not isinstance(exponent, (int, np.integer)) or exponent < 1:
-            raise ValueError("series powers need a positive integer exponent")
+        must be a positive integer (``symcore.check_count``)."""
         out = self
-        for _ in range(int(exponent) - 1):
+        for _ in range(check_count("exponent", exponent) - 1):
             out = out * self
         return out
 
@@ -130,9 +130,7 @@ def expand_curve(spec, cap=DEFAULT_CAP):
     """Series expansions (w, g13, g23) of the slowest curve in t, from the
     same formulas that evaluate it pointwise (``slowcurve._curve_parts``)
     applied to the series t."""
-    c = spec.canonical().c
-    if c[3] == 0.0:
-        raise ValueError("curve expansion requires c4 != 0")
+    c = require_slowest_curve(spec).canonical().c
     return _curve_parts(c, TruncSeries.x(cap))[:3]
 
 

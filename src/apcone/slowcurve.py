@@ -20,9 +20,10 @@ import numpy as np
 
 from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
                        m_matrix, psi)
-from .planes import _rotated, build_plane, type2_b1_products
+from .planes import (_rotated, build_plane, require_slowest_curve,
+                     type2_b1_products)
 from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
-                      frob_inner, frob_norm, orthogonalize)
+                      check_count, frob_inner, frob_norm, orthogonalize)
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
@@ -33,6 +34,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_JAC_STEP = 1e-7
 TUBE_K_SLACK = 1.5
 TUBE_BLOCK = 256
+_OVERFLOW = "the curve formulas overflow at this t"
 
 
 class VanishingDenominatorError(ZeroDivisionError):
@@ -50,13 +52,6 @@ class NewtonConvergenceError(RuntimeError):
 
 class ChartError(RuntimeError):
     """An iterate left the region where the curve decomposition is defined."""
-
-
-def _require_type2_curve(spec):
-    if spec.kind != "type2":
-        raise ValueError("the slowest curve is defined for type2 planes")
-    if spec.c[3] == 0.0:
-        raise ValueError("the slowest curve requires c4 != 0")
 
 
 @dataclass(frozen=True)
@@ -113,14 +108,19 @@ def _vanished(den4w, checked):
 
 
 def _curve_scalars(spec, t):
-    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
-    _require_type2_curve(spec)
+    """(w, g13, g23, h) of the curve point at t, in the canonical frame;
+    the one check of a curve parameter: t must be a finite number."""
+    require_slowest_curve(spec)
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("the curve parameter t must be finite")
     try:
         w, g13, g23, den4w, checked = _curve_parts(spec.c, t)
         h = 2.0 * t ** 6 / den4w
     except ZeroDivisionError:
         raise VanishingDenominatorError("a curve denominator is zero") from None
+    except OverflowError:   # a float ** past the largest float
+        raise OverflowError(_OVERFLOW) from None
     if _vanished(den4w, checked):
         raise VanishingDenominatorError("a curve denominator vanished")
     return w, g13, g23, h
@@ -149,8 +149,7 @@ def curve_point(spec, t):
 
 def psd_projection_formula(spec, t):
     """Rational model of P_psd(G(t)), accurate to O(t^8)."""
-    _require_type2_curve(spec)
-    c1, c2, c3, c4, c5 = spec.c
+    c1, c2, c3, c4, c5 = require_slowest_curve(spec).c
     nb1, ip21, ip31 = type2_b1_products(spec.c)
     cp = curve_point(spec.canonical(), t)
     w, g13, h = cp.w, cp.g13, cp.h
@@ -176,8 +175,12 @@ def _ap_shift(c, t):
 def ap_image_formula(spec, t):
     """Rational model of one AP step applied to G(t): the curve point at
     ``_ap_shift``'s t - t^7 / (4 c4^4 ||B1||^2), accurate to O(t^8)."""
-    _require_type2_curve(spec)
-    return curve_point(spec, _ap_shift(spec.c, t)).G
+    require_slowest_curve(spec)
+    try:
+        shifted = _ap_shift(spec.c, t)
+    except OverflowError:
+        raise OverflowError(_OVERFLOW) from None
+    return curve_point(spec, shifted).G
 
 
 # --- curve domain ------------------------------------------------------------
@@ -209,8 +212,7 @@ def valid_t_max(spec):
     bisection steps between it and the last passing grid point (0 if none)
     refine the answer, each testing one point with the same predicate.
     """
-    _require_type2_curve(spec)
-    c = spec.c
+    c = require_slowest_curve(spec).c
     ts = np.linspace(T_CAP / DOMAIN_GRID, T_CAP, DOMAIN_GRID)
     ok = _domain_ok(c, ts)
     if ok.all():
@@ -241,7 +243,7 @@ def residual_order_certified(f, g, t0, halvings, t_cap):
     deepest point is accepted).  Each point of the final ladder is
     evaluated once.  Returns ``(order, t0_used, halvings_used)``.
     """
-    if t0 <= 0:
+    if not t0 > 0:    # NaN included
         raise ValueError("t0 must be positive")
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
@@ -351,8 +353,7 @@ def perturb_gain(spec):
     zeroed first row and column; its spectral norm is strictly below one for
     every type2 plane with c4 != 0.
     """
-    _require_type2_curve(spec)
-    C = _gram_schmidt(build_plane(spec.canonical())[0])
+    C = _gram_schmidt(build_plane(require_slowest_curve(spec).canonical())[0])
     tilde = []
     for M in C[1:]:
         T = np.array(M)
@@ -445,8 +446,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     """
     from .series import TruncSeries  # series imports this module
 
-    _require_type2_curve(spec)
-    spec = spec.canonical()
+    spec = require_slowest_curve(spec).canonical()
+    steps = check_count("steps", steps)
     c = spec.c
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
@@ -455,13 +456,11 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
          for Ci in C]
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
 
-    if math.hypot(beta * n2, gamma * n3) >= eps:
+    if not math.hypot(beta * n2, gamma * n3) < eps:    # NaN included
         raise ValueError("initial transverse offset must satisfy "
                          "||beta C2 + gamma C3|| < eps")
     if t0 == 0.0:
         return True
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
 
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
     ts = TruncSeries.from_coeffs([t0, 1.0], 1)
@@ -495,10 +494,12 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
             return False
         if failure is not None:
             raise failure
-        dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
-                       (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
-        transverse_ok &= not np.any(dev / _power(tn, 7) >= eps)
-        ratios = np.abs(tn - _ap_shift(c, tprev)) / _power(tprev, 8)
+        # far from 0 < t << 1 a power over- or underflows: the ratio fails
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
+                           (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
+            transverse_ok &= not np.any(dev / _power(tn, 7) >= eps)
+            ratios = np.abs(tn - _ap_shift(c, tprev)) / _power(tprev, 8)
         split = min(max(half - first, 0), n)
         k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
         r_late = max(r_late, np.max(ratios[split:], initial=0.0))

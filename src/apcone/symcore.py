@@ -52,7 +52,8 @@ eigensolver's input, ``ValueError`` for an affine subspace's anchor and
 basis and a distance target.  A point of an affine subspace is checked the
 same way, size included, by the private ``AffineSubspace._check_point``.
 Of several faults the first in the order non-finite, square, symmetric,
-size decides the error.  ``check_finite_sym`` decides finiteness and
+size decides the error.  A step or iteration count is checked by
+``check_count``.  ``check_finite_sym`` decides finiteness and
 symmetry from one list of the entries, comparing those above the diagonal
 with their mirror images.
 """
@@ -62,6 +63,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -104,6 +106,14 @@ def check_sym(a):
         return check_finite_sym(a)
     except EigenSolverError as exc:
         raise ValueError(*exc.args) from None
+
+
+def check_count(name, value):
+    """``value`` as an int when it is an integer >= 1 (a bool is not one);
+    anything else raises ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return int(value)
 
 
 def frob_inner(a, b):

@@ -395,50 +395,6 @@ def test_run_ap_stagnation_stop():
     assert len(trace) < 200
 
 
-def test_run_ap_argument_validation():
-    E, _ = build_plane(SPEC61)
-    with pytest.raises(ValueError):
-        run_ap(E, np.zeros(3), max_iter=0, tol=0.0)
-    with pytest.raises(ValueError):
-        run_ap(E, np.zeros(3), max_iter=10, tol=-1.0)
-    with pytest.raises(ValueError):
-        run_ap(E, np.zeros(2), max_iter=10, tol=0.0)
-
-
-def test_run_ap_nan_tol_raises():
-    # NaN < 0 is false, so a NaN tol would otherwise run to max_iter
-    E, _ = build_plane(SPEC61)
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        run_ap(E, np.zeros(3), max_iter=10, tol=np.nan)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_run_ap_non_finite_start_raises(bad):
-    # LAPACK may return NaN eigenvalues without an error; the clip would then
-    # send the iterate to the anchor, so the start is checked before the loop
-    E, _ = build_plane(SPEC61)
-    with pytest.raises(EigenSolverError):
-        run_ap(E, np.array([0.1, bad, 0.0]), max_iter=10, tol=0.0)
-
-
-def test_run_ap_overflowing_start_point_raises():
-    # finite coefficients whose matrix overflows are a bad argument, not an
-    # eigensolver fault
-    E, _ = build_plane(SPEC61)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="its matrix overflows"):
-            run_ap(E, [1e308] * 3, max_iter=10, tol=0.0)
-
-
-def test_run_ap_overflowing_start_distance_raises():
-    E, _ = build_plane(SPEC61)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="squared distance overflows"):
-            run_ap(E, np.array([1e160, 0.0, 0.0]), max_iter=10, tol=0.0)
-
-
 # --- run_ap blocks ------------------------------------------------------------
 
 def _serial_run(E, p0, max_iter, tol, target=None):
@@ -742,25 +698,6 @@ def test_formula_step_random_type2_agrees_with_direct():
     assert worst < 1e-12
 
 
-def test_formula_step_requires_orthogonal_basis():
-    E, _ = build_plane(PlaneSpec("type2", (0.5, 0.3, -0.2, 1.0, 0.4)))
-    with pytest.raises(ValueError, match="orthogonal"):
-        eigenvalue_formula_step(E, np.zeros(3))
-
-
-def test_formula_step_rejects_bad_p():
-    E = orthogonalize(build_plane(SPEC61)[0])
-    with pytest.raises(ValueError, match="expected 3 coefficients"):
-        eigenvalue_formula_step(E, np.zeros(2))
-    with pytest.raises(EigenSolverError):
-        eigenvalue_formula_step(E, np.array([0.1, np.nan, 0.0]))
-    # an infinite coefficient is rejected without a floating-point warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EigenSolverError):
-            eigenvalue_formula_step(E, np.array([np.inf, 0.0, 0.0]))
-
-
 # --- rank-1 chart ------------------------------------------------------------------
 
 def psi_partial(x, k):
@@ -781,12 +718,6 @@ def test_psi_basics():
     assert np.array_equal(psi([2.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0]))
     assert np.array_equal(psi_partial([2.0, 0.0, 0.0], 0),
                           np.diag([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        psi([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="x must be a 3-vector"):
-        psi([1.0, 0.2])
-    with pytest.raises(ValueError, match="x1 != 0"):
-        psi([0.0, 0.2, -0.3])
 
 
 def test_psi_scaling_invariance_and_rank():
@@ -894,18 +825,3 @@ def test_rank_one_residual_random_planes():
         res = rank_one_step_residual(E, p)
         assert res <= 1e-9 * (1.0 + float(np.linalg.norm(p)))
         done += 1
-
-
-def test_rank_one_residual_rejects_infinite_p():
-    E = orthogonalize(build_plane(SPEC61)[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EigenSolverError):
-            rank_one_step_residual(E, np.array([np.inf, 0.0, 0.0]))
-
-
-def test_rank_one_residual_rejects_rank2():
-    E = orthogonalize(build_plane(SPEC61)[0])
-    # far from the anchor the projection keeps two positive eigenvalues
-    with pytest.raises(RankOneError):
-        rank_one_step_residual(E, np.array([2.5, 1.0, 1.5]))

@@ -77,6 +77,7 @@ _MUST = {"plane": "a built-in id or a plane object", "max_iter": "an integer",
          "out": "a string", "variant": "a string"}
 _PLANE_KEYS = "known: c, kind, mu, reflect, theta"
 _OVERFLOWS = "the start is too large: its matrix overflows"
+_NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
 
 # (argv, exit code, message): the message of the one error line, or on
 # exit 0 the summary's first line; a new bad input is one more row
@@ -85,13 +86,14 @@ CONTRACT = [
      f"argument id: invalid choice: 'ex9.9' (choose from {_IDS})"),
     (("example", "ex6.1", "--iters", "x"), 2,
      "argument --iters: invalid int value: 'x'"),
-    (("example", "ex3.4", "--start", "0.3"), 2,
-     "plane has 2 coefficients; pass a comma triple or slowest-curve:t0"),
+    (("example", "ex3.4", "--start", "0.3"), 2, "expected 2 coefficients"),
+    (("example", "ex3.2", "--start", "slowest-curve:0.1"), 2, _NO_CURVE),
     # w's inner denominator 1 - 2t vanishes at t = 0.5 for ex6.1
     (("example", "ex6.1", "--iters", "5", "--start", "slowest-curve:0.5"), 2,
      "slowest-curve t0=0.5 is outside the curve's domain"),
     *[(("example", "ex6.1", "--start", f"slowest-curve:{t0}"), 2,
-       "slowest-curve t0 must be finite") for t0 in ("nan", "inf", "-inf")],
+       "the curve parameter t must be finite")
+      for t0 in ("nan", "inf", "-inf")],
     (("example", "ex3.2", "--variant", "neg", "--tol", "nan"), 2,
      "tol must be >= 0"),
     *[(("example", ident, "--variant", "bogus"), 2,
@@ -121,7 +123,7 @@ CONTRACT = [
     (("run", "{not json"), 2, "Expecting property name enclosed in double "
      "quotes: line 1 column 2 (char 1)"),
     (("run", {"plane": "ex3.4", "start": [0.1, 0.0], "max_iter": 0}), 2,
-     "max_iter must be >= 1"),
+     "max_iter must be an integer >= 1"),
     *[(("run", {"plane": _SPEC61_PLANE, "start": [bad, 0, 0], "max_iter": 10}),
        2, "start coefficients must be finite") for bad in (_NAN, _INF, -_INF)],
     (("run", {"plane": "ex6.1", "start": "slowest-curve:0.5", "max_iter": 5}),
@@ -137,7 +139,8 @@ CONTRACT = [
         ("variant", {"a": 1}), ("variant", 1)]],
     *[(("run", {"plane": {**_SPEC61_PLANE, **field}, "start": "0,0,0"}), 2,
        message) for field, message in [
-        ({"theta": _NAN}, "plane field 'theta' must be finite"),
+        ({"theta": _NAN}, "plane field 'theta' must be a finite number"),
+        ({"theta": True}, "plane field 'theta' must be a finite number"),
         ({"c": 5}, "plane field 'c' must list finite numbers"),
         ({"reflect": "false"}, "plane field 'reflect' must be true or false"),
         ({"thetta": 0.3, "reflected": True},
@@ -149,6 +152,9 @@ CONTRACT = [
      "plane key 'c' is required"),
     (("run", {"plane": _SPEC61_PLANE}), 2,
      "config key 'start' is required with a plane object"),
+    (("run", {"plane": {"kind": "type1", "c": [1, 0, 0, 0, 1, 0, 0, 2],
+                        "mu": 0.5}, "start": "slowest-curve:0.1"}), 2,
+     _NO_CURVE),
     (("run", {"plane": "ex6.1", "variant": "bogus", "max_iter": 5}), 2,
      "ex6.1 has one variant: default"),
     (("run", {"plane": _SPEC61_PLANE, "variant": "bogus", "max_iter": 5}), 2,

@@ -48,6 +48,20 @@ def _numpy_random(node):
             or _imports_from(node, {"random"}, "numpy"))
 
 
+def _c4_zero_test(node):
+    """A comparison of c4 (a name ``c4``, or ``c[3]`` of a name or an
+    attribute ``c``) with the number 0."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(_name(o, {"c4"}) or isinstance(o, ast.Subscript)
+               and (_name(o.value, {"c"}) or _attr(o.value, {"c"}))
+               and isinstance(o.slice, ast.Constant) and o.slice.value == 3
+               for o in operands) and any(
+        isinstance(o, ast.Constant) and type(o.value) in (int, float)
+        and o.value == 0 for o in operands)
+
+
 # rule: (predicate on a node, the functions allowed to match it)
 RULES = {
     # PSD projection and every spectrum: one eigendecomposition, named as
@@ -81,6 +95,9 @@ RULES = {
         {"symcore.AffineSubspace.from_basis", "symcore._gram_schmidt"}),
     # the verify suites draw through verify._Draws
     "numpy_random": (_numpy_random, set()),
+    # a plane has a slowest curve exactly when c4 != 0: one test of that,
+    # which planes.require_slowest_curve asks
+    "c4_zero_test": (_c4_zero_test, {"planes.singularity_degree"}),
     # ``apcone example`` and ``apcone run`` share one run-and-report path
     "cli_run_path": (
         lambda n: isinstance(n, ast.Call) and (_attr(n.func, RUN_PATH)
@@ -159,6 +176,12 @@ PLANTED = [
     ("rank_cut",
      "from bisect import bisect_right\ndef f(a):\n    bisect.bisect(a)\n",
      {"m.f"}),
+    ("c4_zero_test", "def f(spec):\n    return spec.c[3] == 0.0\n", {"m.f"}),
+    ("c4_zero_test", "def f(c1, c4):\n    if 0 != c4:\n        return c1\n",
+     {"m.f"}),
+    ("c4_zero_test",
+     "def f(c, c4):\n    return c[3] > 1.0 or c[2] == 0 or c4 < c[3]\n",
+     set()),
 ]
 
 

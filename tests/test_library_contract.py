@@ -1,0 +1,286 @@
+"""The library's input contract: ``LIBRARY_CONTRACT`` holds one row per bad
+input (id, function, arguments, exact exception type, whole message), each
+run with warnings as errors.  On generated arguments every call returns
+finite output or raises an error that a row lists, with its message."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apcone.apengine import (RankOneError, eigenvalue_formula_step, psi,
+                             rank_one_step_residual, run_ap)
+from apcone.planes import PlaneSpec, U_STAR, build_plane, plucker_coords
+from apcone.rates import (fit_geometric, fit_inverse_power,
+                          recursive_sequence, slow_rate_constant)
+from apcone.series import (TruncSeries, ZeroConstantTermError, det_series,
+                           expand_curve)
+from apcone.slowcurve import (ChartError, ResidualNoiseError,
+                              VanishingDenominatorError, ap_image_formula,
+                              curve_point, perturb_gain,
+                              psd_projection_formula,
+                              residual_order_certified, tube_check,
+                              valid_t_max)
+from apcone.symcore import AffineSubspace, EigenSolverError, orthogonalize
+
+C61, C1 = (1, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0, 2)
+SPEC61 = PlaneSpec("type2", C61)
+DEGREE1 = PlaneSpec("type2", (1, 0, 0, 0, 1))    # c4 = 0
+TYPE1 = PlaneSpec("type1", C1, mu=0.5)
+E61 = build_plane(SPEC61)[0]
+E61_ORTHO = orthogonalize(E61)
+NAN, INF = math.nan, math.inf
+Z3 = np.zeros(3)
+X12 = TruncSeries.x(12)
+NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
+FINITE_T = "the curve parameter t must be finite"
+FIRST_FACTOR = "the first factor 1 - C x0^q - K x0^(q+1) must be positive"
+CURVE_FUNCS = (curve_point, psd_projection_formula, ap_image_formula)
+# f, g for residual_order_certified: |f - g| = 1e-18 t sqrt(3)
+NOISE = (lambda t: np.eye(3), lambda t: np.eye(3) * (1.0 + 1e-18 * t))
+
+# (id, function, arguments, exception type, message)
+LIBRARY_CONTRACT = [
+    # counts: max_iter, steps, n and a series power must be integers >= 1
+    *[(f"run_ap max_iter={v!r}", run_ap, (E61, Z3, v, 0.0), ValueError,
+       "max_iter must be an integer >= 1") for v in (0, 2.5, NAN, True)],
+    *[(f"tube_check t0={t0} steps=0", tube_check, (SPEC61, t0, 0, 0, 0, 1.0),
+       ValueError, "steps must be an integer >= 1") for t0 in (0.0, 0.1)],
+    *[(f"recursive_sequence n={n!r}", recursive_sequence, (0.1, 0, 2, 0.5, n),
+       ValueError, "n must be an integer >= 1") for n in (0, 2.5)],
+    *[(f"TruncSeries power {k!r}", X12.__pow__, (k,), ValueError,
+       "exponent must be an integer >= 1") for k in (0, 2.5)],
+    # run_ap's other arguments
+    *[(f"run_ap tol={v!r}", run_ap, (E61, Z3, 10, v), ValueError,
+       "tol must be >= 0") for v in (-1.0, NAN)],
+    ("run_ap start of 2", run_ap, (E61, np.zeros(2), 10, 0.0), ValueError,
+     "expected 3 coefficients"),
+    *[(f"run_ap start {bad}", run_ap, (E61, [0.1, bad, 0.0], 10, 0.0),
+       EigenSolverError, "starting point has non-finite entries")
+      for bad in (NAN, INF, -INF)],
+    ("run_ap start 1e308", run_ap, (E61, [1e308] * 3, 10, 0.0), ValueError,
+     "the start is too large: its matrix overflows"),
+    ("run_ap start 1e160", run_ap, (E61, [1e160, 0, 0], 10, 0.0), ValueError,
+     "the start is too far from the target: its squared distance overflows"),
+    ("run_ap target 2x2", run_ap, (E61, Z3, 3, 0.0, np.eye(2)), ValueError,
+     "dimension mismatch"),
+    # the parameter-space formulas
+    ("eigenvalue_formula_step basis not orthogonal", eigenvalue_formula_step,
+     (build_plane(PlaneSpec("type2", (0.5, 0.3, -0.2, 1, 0.4)))[0], Z3),
+     ValueError, "operation needs a pairwise-orthogonal basis; call "
+     "symcore.orthogonalize first"),
+    ("eigenvalue_formula_step p of 2", eigenvalue_formula_step,
+     (E61_ORTHO, np.zeros(2)), ValueError, "expected 3 coefficients"),
+    *[(f"eigenvalue_formula_step p {p}", eigenvalue_formula_step,
+       (E61_ORTHO, p), EigenSolverError, "matrix has non-finite entries")
+      for p in ([0.1, NAN, 0.0], [INF, 0.0, 0.0])],
+    ("rank_one_step_residual p inf", rank_one_step_residual,
+     (E61_ORTHO, [INF, 0, 0]), EigenSolverError,
+     "matrix has non-finite entries"),
+    ("rank_one_step_residual rank 2", rank_one_step_residual,
+     (E61_ORTHO, [2.5, 1.0, 1.5]), RankOneError,
+     "PSD projection has rank 2, expected 1"),
+    *[(f"psi {x}", psi, (x,), ValueError, message) for x, message in [
+        ([0.0, 1.0, 0.0], "psi requires x1 != 0"),
+        ([0.0, 0.2, -0.3], "psi requires x1 != 0"),
+        ([1.0, 0.2], "x must be a 3-vector")]],
+    # plane specs: (kind, c, theta, reflect, mu)
+    *[(f"PlaneSpec {name}", PlaneSpec, args, ValueError, message)
+      for name, args, message in [
+          ("type2 c of 3", ("type2", (1, 2, 3)),
+           "type2 takes parameters c1..c5"),
+          ("type1 c of 5", ("type1", C61, 0, False, 0.5),
+           "type1 takes parameters c1..c8"),
+          ("type1 A2 = 0", ("type1", (0,) * 8, 0, False, 1.0),
+           "type1 requires a nonzero second constraint"),
+          ("type1 mu=-1.0", ("type1", C1, 0, False, -1.0),
+           "type1 requires mu > 0"),
+          ("type1 mu=None", ("type1", C1), "type1 requires mu > 0"),
+          ("type2 mu=1", ("type2", C61, 0, False, 1.0),
+           "mu is a type1 parameter"),
+          ("type3", ("type3", (1, 2, 3, 4, 5)), "unknown plane kind 'type3'"),
+          *[(f"c={c!r}", ("type2", c), "plane field 'c' must list finite "
+             "numbers") for c in (5, "10010", [1, 0, "x", 1, 0],
+                                  [1, 0, NAN, 1, 0], [1, 0, True, 1, 0])],
+          *[(f"theta={v!r}", ("type2", C61, v), "plane field 'theta' must be "
+             "a finite number") for v in (NAN, -INF, "0", True)],
+          *[(f"mu={v!r}", ("type1", C1, 0, False, v), "plane field 'mu' must "
+             "be a finite number") for v in ("x", INF, "1")],
+          *[(f"reflect={v!r}", ("type2", C61, 0, v), "plane field 'reflect' "
+             "must be true or false") for v in ("false", 1)]]],
+    ("plucker_coords of a 2-plane", plucker_coords,
+     (AffineSubspace.from_basis(U_STAR, E61.basis[:2]),), ValueError,
+     "Pluecker coordinates need a 3-plane in S^3"),
+    # the slowest curve exists on type2 planes with c4 != 0 only
+    *[(f"{func.__name__} {case}", func, (spec, *args), ValueError, NO_CURVE)
+      for func, args in [*((f, (0.01,)) for f in CURVE_FUNCS),
+                         (tube_check, (0.1, 0.0, 0.0, 5, 1.0)),
+                         (slow_rate_constant, ()), (expand_curve, ()),
+                         (valid_t_max, ()), (perturb_gain, ())]
+      for case, spec in [("type1", TYPE1), ("c4=0", DEGREE1),
+                         ("no spec", None)]],
+    # the curve parameter t
+    *[(f"{func.__name__} t={t}", func, (SPEC61, t), ValueError, FINITE_T)
+      for func in CURVE_FUNCS for t in (NAN, INF, -INF)],
+    ("tube_check t0=nan", tube_check, (SPEC61, NAN, 0, 0, 5, 1.0), ValueError,
+     FINITE_T),
+    *[(f"{func.__name__} t=1e300", func, (SPEC61, 1e300), OverflowError,
+       "the curve formulas overflow at this t") for func in CURVE_FUNCS],
+    # ex6.1's w = 1 - 2t: its denominators vanish at t = 0.5
+    ("curve_point t=0.5", curve_point, (SPEC61, 0.5),
+     VanishingDenominatorError, "a curve denominator is zero"),
+    ("curve_point t=0.5+1e-13", curve_point, (SPEC61, 0.5 + 1e-13),
+     VanishingDenominatorError, "a curve denominator vanished"),
+    ("tube_check t0=1e8", tube_check, (SPEC61, 1e8, 0, 0, 5, 1.0), ChartError,
+     "could not recover the curve parameter"),
+    *[(f"tube_check {name}", tube_check, (SPEC61, 0.1, *args, 10, eps),
+       ValueError, "initial transverse offset must satisfy ||beta C2 + "
+       "gamma C3|| < eps") for name, args, eps in [
+           ("beta=1", (1.0, 0.0), 1e-3), ("beta=nan", (NAN, 0.0), 1e-3),
+           ("eps=nan", (0.0, 0.0), NAN)]],
+    *[(f"residual_order_certified t0={t0}", residual_order_certified,
+       (*NOISE, t0, 3, 0.1), ValueError, "t0 must be positive")
+      for t0 in (0.0, NAN)],
+    # 2e-19 at t0 = 0.1 is noise, and t0 cannot be enlarged past t_cap
+    ("residual_order_certified noise", residual_order_certified,
+     (*NOISE, 0.1, 3, 0.1), ResidualNoiseError,
+     "difference is below the noise floor over the whole admissible range"),
+    # series
+    ("det_series cap=10", det_series, (SPEC61, 10), ValueError,
+     "det_series needs cap >= 11"),
+    ("TruncSeries division by t", (1.0 + 0 * X12).__truediv__, (X12,),
+     ZeroConstantTermError, "division by a series with zero constant term"),
+    ("TruncSeries compose 0.5 + t", (1.0 + X12).compose, (0.5 + X12,),
+     ValueError, "composition needs zero inner constant term"),
+    # rate fits and the slow-rate recursion: (C, K, q, x0, n, noise)
+    *[(f"fit_geometric window {w}", fit_geometric,
+       (np.linspace(1.0, 0.5, 10), w), ValueError,
+       f"window {w} outside trace of length 10") for w in ((5, 20), (7, 3))],
+    ("fit_geometric zero distance", fit_geometric,
+     ([1.0, 0.5, 0.0, 0.25], (0, 3)), ValueError,
+     "distances must be positive on the fit window"),
+    # dist^-6 overflows at 1e-60 and its square at 1e-30
+    *[(f"fit_inverse_power dist={tiny}", fit_inverse_power,
+       ([1.0, tiny, tiny / 2], 6, (0, 2)), ValueError,
+       "dist^-6 or its square overflows on the fit window")
+      for tiny in (1e-60, 1e-30)],
+    *[(f"recursive_sequence {name}", recursive_sequence, args, ValueError,
+       message) for name, args, message in [
+        ("K=10", (0.1, 10.0, 2, 0.5, 10),
+         "hypothesis (q+1) C - (q+2) K x0 > 0 violated"),
+        *[(f"x0={x0}", (0.1, 0, 2, x0, 10), "x0 must be positive")
+          for x0 in (-0.5, NAN)],
+        *[(f"q={q}", (0.5, 0, q, 0.5, 10), "q must be positive")
+          for q in (0, -0.5, NAN)],
+        *[(f"C={C} K={K}", (C, K, 2, 0.5, 10),
+           "C must be positive and K nonnegative")
+          for C, K in ((0.0, 0.0), (NAN, 0.0), (0.1, -1.0))],
+        ("noise=bogus", (0.1, 0, 2, 0.5, 10, "bogus"),
+         "noise must be one of ['alternating', 'minus', 'plus']"),
+        ("x0=1e160", (0.99999, 0, 1.4, 1e160, 3), "x0^(q+1) overflows"),
+        # (q C)^(1/q) underflows to 0 and n^(1/q) overflows
+        ("q=1/512", (0.5, 0, 1 / 512, 1.0, 4),
+         "the limit product (q C)^(1/q) n^(1/q) x_n overflows"),
+        *[(f"first factor C={C} K={K} x0={x0} n={n}", (C, K, 2, x0, n),
+           FIRST_FACTOR)
+          for C, K, x0 in ((1.0, 0.0, 2.0), (1.0, 0.0, 1.0), (0.5, 0.2, 1.2))
+          for n in (5, 10 ** 4)]]],
+]
+
+
+@pytest.mark.parametrize("func, args, kind, message",
+                         [row[1:] for row in LIBRARY_CONTRACT],
+                         ids=[row[0] for row in LIBRARY_CONTRACT])
+def test_library_contract(func, args, kind, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as raised:
+            func(*args)
+    assert type(raised.value) is kind
+    assert str(raised.value) == message
+
+
+# --- the contract on generated input ---------------------------------------------
+
+_LISTED = {(kind, message) for *_, kind, message in LIBRARY_CONTRACT}
+_ODD = st.floats() | st.sampled_from(
+    [1e308, -1e308, 1e160, 1e44, 1e16, 1e-320, 5e-324, -0.0, 0, -2, 2.5,
+     True])
+_COUNTS = st.integers(1, 12)
+_SPECS = st.sampled_from([SPEC61, PlaneSpec("type2", (0, 0, 1, 1, 0)),
+                          PlaneSpec("type2", C61, 0.7, True), DEGREE1, TYPE1])
+_NOT_NUMBERS = st.sampled_from([None, "1", "x", [1.0], True, False])
+
+
+def _one_odd(*valid):
+    """Arguments drawn from the strategies ``valid``, one of them (or
+    none) replaced by an odd number, so that odd values reach the work as
+    well as the checks before it."""
+    return st.tuples(st.tuples(*valid), st.integers(0, len(valid)),
+                     _ODD).map(lambda a: tuple(
+                         a[2] if i == a[1] else v for i, v in enumerate(a[0])))
+
+
+def _curve_matrix(spec, t):
+    return curve_point(spec, t).G
+
+
+def _dists(*args):
+    return run_ap(E61, *args).dists
+
+
+def _recursion(*args):
+    run = recursive_sequence(*args)
+    return [*run.xs, run.product]
+
+
+def _spec_numbers(fields):
+    spec = PlaneSpec(**fields)
+    return [*spec.c, spec.theta]
+
+
+_CURVE_ARGS = _one_odd(_SPECS, st.floats(-0.3, 0.3))
+# (function, strategy of its argument tuple); each returns the numbers
+# that must be finite
+_GENERATED = [
+    (_curve_matrix, _CURVE_ARGS),
+    (psd_projection_formula, _CURVE_ARGS),
+    (ap_image_formula, _CURVE_ARGS),
+    (tube_check, _one_odd(st.just(SPEC61), st.floats(0.0, 0.15),
+                          st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
+                          _COUNTS, st.floats(0.5, 2.0))),
+    (_dists, _one_odd(
+        st.lists(st.floats(-0.5, 0.5) | _ODD, min_size=3, max_size=3)
+        | st.lists(st.floats(-0.5, 0.5), max_size=4),
+        _COUNTS, st.floats(0.0, 1e-3))),
+    (_recursion, _one_odd(
+        st.floats(0.01, 1.0), st.floats(0.0, 0.1), st.floats(0.5, 6.0),
+        st.floats(0.01, 0.5), _COUNTS,
+        st.sampled_from(["plus", "minus", "alternating"]))),
+    (_spec_numbers, st.tuples(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["type1", "type2", "type2", "type3"]),
+         "c": st.lists(st.floats(-2.0, 2.0) | _ODD, min_size=5, max_size=5)
+         | st.lists(st.floats(-2.0, 2.0) | _ODD, min_size=8, max_size=8)
+         | st.sampled_from([5, "10010", [1, 0, "x", 1, 0], [1, 0, 0]])},
+        optional={"theta": st.floats(-3.0, 3.0) | _ODD | _NOT_NUMBERS,
+                  "mu": st.floats(0.1, 2.0) | _ODD | _NOT_NUMBERS,
+                  "reflect": st.booleans() | _NOT_NUMBERS}))),
+]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(call=st.one_of(st.tuples(st.just(func), args)
+                      for func, args in _GENERATED))
+def test_library_contract_on_generated_input(call):
+    func, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = func(*args)
+        except Exception as exc:
+            assert (type(exc), str(exc)) in _LISTED, repr(exc)
+            return
+    assert np.isfinite(np.asarray(out, dtype=float)).all()

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,24 +57,6 @@ def test_fit_lacks_the_other_models_parameters():
             getattr(geometric, name)
     assert geometric.ratio == pytest.approx(0.5, rel=1e-12)
     assert power.window == geometric.window == (0, 19)
-
-
-def test_fit_window_validation():
-    trace = FakeTrace(np.linspace(1.0, 0.5, 10))
-    with pytest.raises(ValueError):
-        fit_geometric(trace, (5, 20))
-    with pytest.raises(ValueError):
-        fit_geometric(trace, (7, 3))
-    trace = FakeTrace([1.0, 0.5, 0.0, 0.25])
-    with pytest.raises(ValueError):
-        fit_geometric(trace, (0, 3))
-    # dist^-6 overflows at 1e-60 and its square at 1e-30: no warning, and
-    # no nan fit
-    for tiny in (1e-60, 1e-30):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows on the fit"):
-                fit_inverse_power(FakeTrace([1.0, tiny, tiny / 2]), 6, (0, 2))
 
 
 def test_fit_accepts_plain_arrays():
@@ -205,30 +185,6 @@ def test_recursion_checkpoints_and_decrease_match_reference(
                               _reference_recurrence(C, K, q, x0, n, mode))
 
 
-def test_recursion_hypothesis_validation():
-    with pytest.raises(ValueError):
-        recursive_sequence(C=0.1, K=10.0, q=2, x0=0.5, n=10)
-    with pytest.raises(ValueError):
-        recursive_sequence(C=0.1, K=0.0, q=2, x0=-0.5, n=10)
-    with pytest.raises(ValueError):
-        recursive_sequence(C=0.1, K=0.0, q=2, x0=0.5, n=10, noise="bogus")
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        recursive_sequence(C=0.1, K=0.0, q=2, x0=0.5, n=0)
-    for q in (0, -0.5):
-        with pytest.raises(ValueError, match="q must be positive"):
-            recursive_sequence(C=0.5, K=0.0, q=q, x0=0.5, n=10)
-
-
-@pytest.mark.parametrize("C,K,q,x0", [(1.0, 0.0, 2, 2.0),
-                                      (1.0, 0.0, 2, 1.0),
-                                      (0.5, 0.2, 2, 1.2)])
-def test_recursion_rejects_a_start_with_nonpositive_first_factor(C, K, q, x0):
-    with pytest.raises(ValueError, match="first factor"):
-        recursive_sequence(C, K, q, x0, 5)
-    with pytest.raises(ValueError, match="first factor"):
-        recursive_sequence(C, K, q, x0, 10 ** 4)
-
-
 # --- limit-law constant ----------------------------------------------------------
 
 def test_slow_rate_constant_moment_instance():
@@ -248,8 +204,6 @@ def test_slow_rate_constant_ignores_other_parameters():
     base = slow_rate_constant(SPEC61)
     other = slow_rate_constant(PlaneSpec("type2", (1.0, -0.7, 0.4, 1.0, 0.9)))
     assert other == base
-    with pytest.raises(ValueError):
-        slow_rate_constant(PlaneSpec("type2", (1.0, 0.0, 0.0, 0.0, 0.0)))
 
 
 # --- CSV ---------------------------------------------------------------------

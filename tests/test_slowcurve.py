@@ -9,7 +9,7 @@ from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
                            rotation_matrix, type2_basis)
 import apcone.slowcurve as slowcurve
 from apcone.series import TruncSeries
-from apcone.slowcurve import (TUBE_BLOCK, ChartError, ResidualNoiseError,
+from apcone.slowcurve import (TUBE_BLOCK, ChartError,
                               VanishingDenominatorError, _coordinate,
                               _curve_parts, _curve_scalars, _vanished,
                               ap_image_formula, curve_point,
@@ -36,18 +36,6 @@ def test_w_moment_instance_exact():
 def test_w_at_zero_is_one():
     spec = PlaneSpec("type2", (0.3, -0.7, 0.5, 1.2, -0.4))
     assert curve_point(spec, 0.0).w == 1.0
-
-
-def test_w_requires_c4():
-    with pytest.raises(ValueError):
-        curve_point(PlaneSpec("type2", (1, 0, 0, 0, 1)), 0.01)
-
-
-def test_w_vanishing_denominator():
-    # inner denominator c4 (1 - 2 c1 t) + c5 t hits zero at t = 0.5
-    spec = PlaneSpec("type2", (1.0, 1.0, 0.0, 1.0, 0.0))
-    with pytest.raises(VanishingDenominatorError):
-        curve_point(spec, 0.5)
 
 
 def test_w_recursion_pointwise_halving_order():
@@ -272,20 +260,6 @@ def test_residual_order_exact_monomial():
     assert sorted(g_at) == [0.5 / 2 ** j for j in range(4, -1, -1)]
 
 
-def test_residual_order_noise_signal():
-    M = np.eye(3)
-
-    def f(t):
-        return M
-
-    def g(t):
-        return M + 1e-18 * t * M
-
-    # 1e-19 at t0 = 0.1 is noise, and t0 cannot be enlarged past t_cap
-    with pytest.raises(ResidualNoiseError):
-        residual_order_certified(f, g, 0.1, 3, t_cap=0.1)
-
-
 def test_residual_order_certified_escalates():
     M = np.eye(3)
 
@@ -412,16 +386,6 @@ def test_tube_check_tight_eps_fails():
                           eps=1e-3)
 
 
-def test_tube_check_offset_precondition():
-    with pytest.raises(ValueError):
-        tube_check(SPEC61, t0=0.1, beta=1.0, gamma=0.0, steps=10, eps=1e-3)
-
-
-def test_tube_check_needs_a_step():
-    with pytest.raises(ValueError):
-        tube_check(SPEC61, t0=0.1, beta=0.0, gamma=0.0, steps=0, eps=1.0)
-
-
 # --- block recovery of the curve parameter ------------------------------------
 
 def _basis_change(spec):
@@ -436,7 +400,10 @@ def _basis_change(spec):
 
 def _p1_of_t(spec, row, t):
     """The scalar first-coordinate map, row 0 of the basis change, with
-    the g13, g23 it was built from."""
+    the g13, g23 it was built from; NaN at a t the curve rejects as not
+    finite, so that no recovery accepts it."""
+    if not math.isfinite(t):
+        return math.nan, math.nan, math.nan
     _, g13, g23, _ = _curve_scalars(spec, t)
     return row[0] * t + row[1] * g13 + row[2] * g23, g13, g23
 

@@ -10,12 +10,14 @@ settles the distances and stop rules once per block, so each step is only
 the ``_eigh`` and the products, into arrays made before the loop; on 3x3
 iterates that takes about 5.7 us a step (ex6.1, fastest of 20 interleaved
 runs on a 2-vCPU Intel Xeon VM, numpy 2.4.6).  ``ap_step`` is the checked
-one-step API: it checks its input, then calls the same kernel on one fresh
-row, and the next iterate and its coefficients are one product each with
-that row.  On the same VM that takes 9.8 us a step: 5.2 us for the clip,
-0.5 us for the projection, 0.6 us for the coefficients, 1.3 us for the
-check and the rest for the row and the returned arrays (fastest of 21
-interleaved rounds).  The rest of the module verifies the
+one-step API: it checks its input, then calls the same kernel on the row
+the calling thread's workspace keeps for it, and the next iterate and its
+coefficients are one product each with that row.  On the same VM that
+took 9.8 us a step with a row made per call: 5.2 us for the clip, 0.5 us
+for the projection, 0.6 us for the coefficients, 1.3 us for the check and
+the rest for the row and the returned arrays (fastest of 21 interleaved
+rounds); the kept row saves about 6% of that.  The rest of the module
+verifies the
 parameter-space descriptions of one AP step: the eigenvalue formula on an
 orthogonal basis, whose derivative is taken exactly from one
 eigendecomposition, and the rank-1 chart relation
@@ -26,6 +28,7 @@ closed-form array products.
 import math
 from array import array
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -90,17 +93,18 @@ def ap_step(E, U):
     ``EigenSolverError``, then a non-square, a not exactly symmetric and a
     wrong-size matrix raise ``ValueError``, in that order.  The step is
     the kernel ``run_ap`` iterates, called directly: ``_psd_clip`` writes
-    P = P_psd(U) into one fresh row r = [vec P | 1], and ``E._project``
-    and ``E._coefficients`` each read r in one product.  Returns
+    P = P_psd(U) into the row r = [vec P | 1] of the calling thread's
+    ``_workspace(n)``, and ``E._project`` and ``E._coefficients`` each
+    read r in one product into a fresh array.  Returns
     ``(W, rank, coeffs)``: the next iterate, exactly symmetric; the rank of
     P; and the basis coefficients of W, from the expression
     ``project_affine`` applies to P, so no second solve is needed.
     """
     U = E._check_point(U)
     n = len(U)
-    r = np.empty(n * n + 1)
-    r[-1] = 1.0
-    rank = _psd_clip(_workspace(n), U, r[:-1].reshape(n, n))
+    ws = _workspace(n)
+    r, P = ws[2]
+    rank = _psd_clip(ws, U, P)
     return E._project(r).reshape(n, n), rank, E._coefficients(r)
 
 
@@ -110,7 +114,8 @@ def run_ap(E, p0, max_iter, tol, target=None):
     Stops on dist < tol, on max_iter, or once the distance stagnates (less
     than 1e-16 relative decrease for 100 consecutive steps).  A start with
     non-finite entries raises ``EigenSolverError`` before the first step;
-    a ``max_iter`` that is not an integer >= 1, a negative or NaN ``tol``,
+    a ``max_iter`` that is not an integer >= 1, a ``tol`` that is not a
+    number (a bool is not one), a negative or NaN ``tol``,
     a target of the wrong size, a start of the wrong length, finite
     coefficients whose matrix overflows and a start whose squared distance
     to the target overflows raise ``ValueError``.
@@ -135,6 +140,8 @@ def run_ap(E, p0, max_iter, tol, target=None):
     are ``ap_step``'s expression.
     """
     max_iter = check_count("max_iter", max_iter)
+    if isinstance(tol, bool) or not isinstance(tol, Real):
+        raise ValueError("tol must be a number >= 0")
     if not tol >= 0:    # NaN included
         raise ValueError("tol must be >= 0")
     target = (E.anchor if target is None
@@ -266,7 +273,7 @@ def eigenvalue_formula_step(E, p):
     U = check_finite_sym(E.point(p))
     ws = _workspace(E.n)
     k = E.n - _psd_clip(ws, U, np.empty(U.shape))   # the clip drops lam[:k]
-    (lam, vecs), _ = ws
+    (lam, vecs), _, _ = ws
     neg = vecs[:, :k]
     U_minus = (neg * lam[:k]) @ neg.T
     grad = E.basis.reshape(E.dim, -1) @ U_minus.ravel()

@@ -3,22 +3,31 @@ fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1)),
 and the closed-form constant of the k^(-1/6) limit law.
 
 The recursion is a plain Python loop: each step depends on the previous x,
-so it cannot be vectorised.  x is kept only at the decade checkpoints, so
-memory does not grow with the step count; for K = 0 the loop body between
-checkpoints is one step's arithmetic and nothing else."""
+so it cannot be vectorised.  After the first step, taken from the exact
+x0, the loop iterates the scaled variable y = C^(1/q) x, in which the
+K = 0 step is y - y^(q+1): two float operations, where
+x (1 - C x^q) takes four.  x = y / C^(1/q) is kept only at the decade
+checkpoints, so memory does not grow with the step count; for K = 0 the
+loop body between checkpoints is one step's arithmetic and nothing
+else."""
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .planes import require_slowest_curve
-from .symcore import _power, check_count
+from .symcore import _power, check_count, is_integer
 
 _NOISE_MODES = ("plus", "minus", "alternating")
 # characters of trace CSV text parsed at a time, about 1000 CLI rows
 _PARSE_BLOCK = 1 << 16
+# below q = 1/16 the scaled variable could reach the subnormal floats while
+# its steps still move it (a step moves y only while y^q > 2^-55)
+_Q_MIN = 1.0 / 16.0
+_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,10 @@ class GeometricFit(RateFit):
 
 
 def _window_dists(trace, window):
+    """The window as a pair of ints, its ks and its distances."""
     dists = np.asarray(getattr(trace, "dists", trace), dtype=float)
+    if not (is_integer(window[0]) and is_integer(window[1])):
+        raise ValueError(f"window {window} must be a pair of integers")
     k_min, k_max = int(window[0]), int(window[1])
     if not 0 <= k_min < k_max <= len(dists) - 1:
         raise ValueError(f"window {window} outside trace of length {len(dists)}")
@@ -55,7 +67,7 @@ def _window_dists(trace, window):
     d = dists[k_min:k_max + 1]
     if np.any(d <= 0.0):
         raise ValueError("distances must be positive on the fit window")
-    return ks, d
+    return (k_min, k_max), ks, d
 
 
 def _line_fit(x, y):
@@ -69,23 +81,22 @@ def fit_inverse_power(trace, p, window):
     """Fit dist_k^{-p} ~ intercept + slope * k on the window; dist_k^{-p}
     is ``symcore._power``'s, the number the trace CSV's inv_p column
     prints."""
-    ks, d = _window_dists(trace, window)
+    window, ks, d = _window_dists(trace, window)
     with np.errstate(over="ignore"):
         y = _power(d, -float(p))
         if not np.isfinite(y @ y):    # so the fit's sums of squares are too
             raise ValueError(f"dist^-{p} or its square overflows on the "
                              "fit window")
     intercept, slope, rmse = _line_fit(ks, y)
-    return InversePowerFit((int(window[0]), int(window[1])), rmse, intercept,
-                           slope)
+    return InversePowerFit(window, rmse, intercept, slope)
 
 
 def fit_geometric(trace, window):
     """Fit log dist_k ~ log amplitude + k log ratio on the window."""
-    ks, d = _window_dists(trace, window)
+    window, ks, d = _window_dists(trace, window)
     logc, logr, rmse = _line_fit(ks, np.log(d))
-    return GeometricFit((int(window[0]), int(window[1])), rmse,
-                        float(np.exp(logc)), float(np.exp(logr)))
+    return GeometricFit(window, rmse, float(np.exp(logc)),
+                        float(np.exp(logr)))
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,14 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
     positive first factor, C x0^q + K x0^(q+1) < 1.  Returns a
     ``RecursionRun``: x at the decade checkpoints and the limit product
     (q C)^(1/q) n^(1/q) x_n, which tends to 1.
+
+    The first step is taken in x from the exact x0.  The loop then runs in
+    the scaled variable y = C^(1/q) x, where the step is
+    y <- y - y^(q+1) +/- kappa y^(q+2) with kappa = K / C^((q+1)/q), two
+    float operations for K = 0, and the product is (q n)^(1/q) y_n.  That
+    needs q >= 1/16 and normal floats C^(1/q) and C^(1/q) x_1, else
+    ``ValueError``: then y stays a normal float for as long as a step can
+    move it.
     """
     if not x0 > 0:    # NaN included, as below
         raise ValueError("x0 must be positive")
@@ -134,49 +153,67 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
     if not first < 1.0:
         raise ValueError("the first factor 1 - C x0^q - K x0^(q+1) must be "
                          "positive")
+    inv_q, q1 = 1.0 / q, q + 1.0
+    try:    # the product is root y_n with y_n < 1: finite where root is
+        root = q ** inv_q * n ** inv_q
+    except OverflowError:
+        root = math.inf
+    if not root < math.inf:
+        raise ValueError("the limit product (q C)^(1/q) n^(1/q) x_n overflows")
+    try:
+        scale = C ** inv_q
+        # the rounded exponent 1/q leaves scale up to |ln scale| / 2 ulps
+        # off; scaling by the root of C / scale^q brings it within ~1 ulp
+        scale *= (C / scale ** q) ** inv_q
+    except (OverflowError, ZeroDivisionError):  # scale^q overflows or is 0
+        scale = 0.0
+    # a rounded y_0 = scale x0 would enter y_0^q with q times its error, so
+    # the first step is taken in x, from the exact x0
+    sign = -1.0 if noise == "minus" else 1.0
+    xq = x0 ** q
+    x = x0 * (1.0 - C * xq + sign * K * xq * x0)
+    y = scale * x
+    if not (q >= _Q_MIN and _NORMAL <= scale < math.inf and y >= _NORMAL):
+        raise ValueError("the scaled recursion needs q >= 1/16 and normal "
+                         "floats C^(1/q) and C^(1/q) x_1")
     ks, checkpoint = [0], 1
     while checkpoint < n:
         ks.append(checkpoint)
         checkpoint *= 10
     ks.append(n)
-    xs = [x0]
-    x, k = x0, 0
+    xs = [x0, x]
+    k = 1
     if K == 0.0:
-        # the K term is +0.0 or -0.0, which leaves 1 - C x^q unchanged.
-        # Each factor lies in (0, 1], so x never increases, and a step that
-        # leaves x unchanged leaves it fixed for good: the last step
-        # decreases x iff every step does.
-        for b in ks[1:]:
+        # y^(q+1) >= 0, so y never increases, and a step that leaves y
+        # unchanged leaves it fixed for good: the last step decreases y iff
+        # every step of the loop does
+        prev = math.inf     # n = 1: the first step decides alone
+        for b in ks[2:]:
             for _ in repeat(None, b - k - 1):
-                x = x * (1.0 - C * x ** q)
-            prev, x = x, x * (1.0 - C * x ** q)
-            xs.append(x)
+                y = y - y ** q1
+            prev, y = y, y - y ** q1
+            xs.append(y / scale)
             k = b
-        decreasing = x < prev
+        decreasing = x < x0 and y < prev
     else:
-        # the sign is fixed before the loop and flipped per step, so the
-        # loop does not branch
-        sign = -1.0 if noise == "minus" else 1.0
+        # kappa y < 1, since K / C < 1 / x0 by the decrease hypothesis.
+        # The signed kappa of the second step is fixed before the loop and
+        # flipped per step, so the loop does not branch
         flip = -1.0 if noise == "alternating" else 1.0
-        decreasing = True
-        for b in ks[1:]:
+        signed = sign * flip * (K / C / scale)
+        decreasing = x < x0
+        for b in ks[2:]:
             for _ in repeat(None, b - k):
-                xq = x ** q
-                prev, x = x, x * (1.0 - C * xq + sign * K * xq * x)
-                decreasing &= x < prev
-                sign *= flip
-            xs.append(x)
+                yq1 = y ** q1
+                prev, y = y, y - yq1 + signed * yq1 * y
+                decreasing &= y < prev
+                signed *= flip
+            xs.append(y / scale)
             k = b
-    try:    # at a small q a factor can overflow, in a ** or in the product
-        product = (q * C) ** (1.0 / q) * n ** (1.0 / q) * x
-    except OverflowError:
-        product = math.inf
-    if not math.isfinite(product):
-        raise ValueError("the limit product (q C)^(1/q) n^(1/q) x_n overflows")
     ks, xs = np.array(ks, dtype=np.int64), np.array(xs)
     ks.setflags(write=False)
     xs.setflags(write=False)
-    return RecursionRun(ks, xs, product, bool(decreasing))
+    return RecursionRun(ks, xs, root * y, bool(decreasing))
 
 
 def slow_rate_constant(spec):

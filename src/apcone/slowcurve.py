@@ -245,8 +245,7 @@ def residual_order_certified(f, g, t0, halvings, t_cap):
     """
     if not t0 > 0:    # NaN included
         raise ValueError("t0 must be positive")
-    if halvings < 2:
-        raise ValueError("halvings must be >= 2")
+    halvings = check_count("halvings", halvings, 2)
     t0 = min(t0, t_cap)
 
     def diff(t):

@@ -33,8 +33,9 @@ symmetric without a symmetrization pass.  ``S`` is the kept eigenvectors
 times the diagonal matrix of the square roots of the kept eigenvalues, one
 BLAS product.  The clip makes no array of its own: the
 eigendecomposition, that diagonal matrix and ``S`` go into the buffers and
-views of a workspace (``_workspace``) that each thread makes on its first
-clip of each size n and reuses for every later one, so ``run_ap``,
+views of a workspace (``_workspace``, which also holds ``ap_step``'s row
+``[vec P | 1]``) that each thread makes on its first clip of each size n
+and reuses for every later one, so ``run_ap``,
 ``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
 rank cut, a step costs no array set-up, and no two threads share a
 buffer.  The eigenvectors go into a Fortran-ordered buffer, so the kept
@@ -108,11 +109,16 @@ def check_sym(a):
         raise ValueError(*exc.args) from None
 
 
-def check_count(name, value):
-    """``value`` as an int when it is an integer >= 1 (a bool is not one);
-    anything else raises ``ValueError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def is_integer(value):
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_count(name, value, least=1):
+    """``value`` as an int when it is an integer >= ``least`` (a bool is
+    not one); anything else raises ``ValueError`` naming it."""
+    if not (is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
 
 
@@ -178,8 +184,8 @@ def _workspace(n):
     """The calling thread's buffers for ``_psd_clip`` on n x n matrices,
     made on its first clip of that size and reused after.
 
-    Returns ``((lam, vecs), cuts)``: ``_eigh``'s output pair, ``vecs``
-    Fortran-ordered, and for each rank cut ``lo`` (the clip drops
+    Returns ``((lam, vecs), cuts, (row, P))``: ``_eigh``'s output pair,
+    ``vecs`` Fortran-ordered, and for each rank cut ``lo`` (the clip drops
     ``lam[:lo]``) the tuple ``cuts[lo]`` of the views ``lam[lo:]`` and
     ``vecs[:, lo:]`` (contiguous at every ``lo``, since the columns are),
     a k x k diagonal matrix ``D`` (k = n - lo) with the view of its
@@ -188,8 +194,10 @@ def _workspace(n):
     prefix of one shared array would hold another cut's diagonal among its
     zeros, while a view ``D[lo:, lo:]`` of one n x n matrix is not
     contiguous, which ``ndarray.dot`` copies.  The ``S`` of every cut are
-    prefixes of one array.  A workspace holds 2 n^2 + n floats and the sum
-    of k^2 for k = 0, ..., n (35 in all at n = 3).
+    prefixes of one array.  ``row`` is ``ap_step``'s ``[vec P | 1]``, its
+    last entry 1 for good, and ``P`` the n x n view the clip writes P into.
+    A workspace holds 3 n^2 + n + 1 floats and the sum of k^2 for
+    k = 0, ..., n (45 in all at n = 3).
     """
     try:
         return _PER_THREAD.workspaces[n]
@@ -206,7 +214,9 @@ def _workspace(n):
         S = flat_S[:n * k].reshape(n, k)
         cuts.append((lam[lo:], vecs[:, lo:], D, D.reshape(-1)[::k + 1], S,
                      S.T))
-    ws = _PER_THREAD.workspaces[n] = ((lam, vecs), cuts)
+    row = np.ones(n * n + 1)
+    ws = _PER_THREAD.workspaces[n] = ((lam, vecs), cuts,
+                                      (row, row[:-1].reshape(n, n)))
     return ws
 
 
@@ -228,7 +238,7 @@ def _psd_clip(ws, a, out):
     use ``ndarray.dot``: it gives the bits ``@`` gives and skips the
     matmul gufunc's dispatch, about 0.8 us a call at these sizes.
     """
-    pair, cuts = ws
+    pair, cuts, _ = ws
     lams = _eigh(a, pair)[2]
     lo = bisect_right(lams, 1e-12 * max(1.0, lams[-1]))
     kept, kept_vecs, D, diagonal, S, S_T = cuts[lo]

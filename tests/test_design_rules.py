@@ -6,7 +6,8 @@ A rule is a node predicate plus the qualified functions allowed to match it
 (``module.Class.method``; module level reads as ``module.<module>``).  Every
 rule must match in exactly its allowed functions across ``src/apcone``, and
 each is shown a planted violation on a source string.  Adding a rule is one
-entry in ``RULES`` and one case in ``PLANTED``."""
+entry in ``RULES`` and one case in ``PLANTED``.  One more rule reads the
+tests themselves: every hypothesis test draws a fixed set of examples."""
 
 import ast
 import functools
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "apcone"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "apcone"
 EIGENSOLVERS = {"eig", "eigh", "eigh_lo", "eigh_up", "eigvals", "eigvalsh"}
 POWERS = {"float_power", "power"}
 DENOMINATORS = {"d_inner", "d_mid", "d_q"}
@@ -189,3 +191,45 @@ PLANTED = [
     f"{rule}-{i}" for i, (rule, *_) in enumerate(PLANTED)])
 def test_rule_flags_a_planted_violation(rule, source, flagged):
     assert _scan(source, "m")[rule] == flagged
+
+
+# --- hypothesis draws the same examples on every run --------------------------
+
+def _calls(node, names):
+    """A call of one of ``names``, as a bare name or an attribute."""
+    return isinstance(node, ast.Call) and (_name(node.func, names)
+                                           or _attr(node.func, names))
+
+
+def _random_draws(source):
+    """Line numbers of the ``settings(...)`` calls without
+    ``derandomize=True`` and of the ``@given`` tests with no ``settings``
+    decorator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if _calls(node, {"settings"}) and not any(
+                k.arg == "derandomize" and isinstance(k.value, ast.Constant)
+                and k.value.value is True for k in node.keywords):
+            lines.append(node.lineno)
+        if isinstance(node, ast.FunctionDef) and (
+                any(_calls(d, {"given"}) for d in node.decorator_list)
+                and not any(_calls(d, {"settings"})
+                            for d in node.decorator_list)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_hypothesis_tests_are_derandomized():
+    found = {str(path.relative_to(TESTS)): lines
+             for path in sorted(TESTS.rglob("*.py"))
+             if (lines := _random_draws(path.read_text()))}
+    assert found == {}
+
+
+def test_random_draws_flags_a_planted_test():
+    source = ("@settings(max_examples=5)\n@given(st.none())\ndef f(x): pass\n"
+              "@hypothesis.settings(derandomize=False)\ndef g(): pass\n"
+              "@given(st.none())\ndef h(x): pass\n"
+              "@settings(derandomize=True, max_examples=5)\n"
+              "@hypothesis.given(st.none())\ndef k(x): pass\n")
+    assert _random_draws(source) == [1, 4, 7]

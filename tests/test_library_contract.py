@@ -56,6 +56,8 @@ LIBRARY_CONTRACT = [
     # run_ap's other arguments
     *[(f"run_ap tol={v!r}", run_ap, (E61, Z3, 10, v), ValueError,
        "tol must be >= 0") for v in (-1.0, NAN)],
+    *[(f"run_ap tol={v!r}", run_ap, (E61, Z3, 10, v), ValueError,
+       "tol must be a number >= 0") for v in ("x", None, True, [0.0])],
     ("run_ap start of 2", run_ap, (E61, np.zeros(2), 10, 0.0), ValueError,
      "expected 3 coefficients"),
     *[(f"run_ap start {bad}", run_ap, (E61, [0.1, bad, 0.0], 10, 0.0),
@@ -144,6 +146,9 @@ LIBRARY_CONTRACT = [
     *[(f"residual_order_certified t0={t0}", residual_order_certified,
        (*NOISE, t0, 3, 0.1), ValueError, "t0 must be positive")
       for t0 in (0.0, NAN)],
+    *[(f"residual_order_certified halvings={h!r}", residual_order_certified,
+       (*NOISE, 0.1, h, 0.1), ValueError, "halvings must be an integer >= 2")
+      for h in (1, 2.5, NAN, True)],
     # 2e-19 at t0 = 0.1 is noise, and t0 cannot be enlarged past t_cap
     ("residual_order_certified noise", residual_order_certified,
      (*NOISE, 0.1, 3, 0.1), ResidualNoiseError,
@@ -159,6 +164,10 @@ LIBRARY_CONTRACT = [
     *[(f"fit_geometric window {w}", fit_geometric,
        (np.linspace(1.0, 0.5, 10), w), ValueError,
        f"window {w} outside trace of length 10") for w in ((5, 20), (7, 3))],
+    *[(f"{fit.__name__} window {w}", fit, (np.linspace(1.0, 0.5, 10), *p, w),
+       ValueError, f"window {w} must be a pair of integers")
+      for fit, p in ((fit_geometric, ()), (fit_inverse_power, (2,)))
+      for w in ((0.5, 3.7), (0, 3.0), (True, 3))],
     ("fit_geometric zero distance", fit_geometric,
      ([1.0, 0.5, 0.0, 0.25], (0, 3)), ValueError,
      "distances must be positive on the fit window"),
@@ -187,7 +196,14 @@ LIBRARY_CONTRACT = [
         *[(f"first factor C={C} K={K} x0={x0} n={n}", (C, K, 2, x0, n),
            FIRST_FACTOR)
           for C, K, x0 in ((1.0, 0.0, 2.0), (1.0, 0.0, 1.0), (0.5, 0.2, 1.2))
-          for n in (5, 10 ** 4)]]],
+          for n in (5, 10 ** 4)],
+        # the loop runs in y = C^(1/q) x: C^(1/q) subnormal; C^(1/q) = 1e320
+        # overflows; C^(1/q) = 1 but C^(1/q) x_1 subnormal; q below 1/16
+        *[(f"scaled C={C} q={q} x0={x0}", (C, 0, q, x0, 3),
+           "the scaled recursion needs q >= 1/16 and normal floats "
+           "C^(1/q) and C^(1/q) x_1")
+          for C, q, x0 in ((1e-320, 1, 0.5), (1e160, 0.5, 5e-324),
+                           (1.0, 2, 1e-310), (0.5, 0.05, 0.5))]]],
 ]
 
 

@@ -7,7 +7,8 @@ from .apengine import (APTrace, ap_step, eigenvalue_formula_step,
                        rank_one_step_residual, run_ap)
 from .catalog import BUILTIN_IDS, get_example
 from .planes import (PlaneSpec, build_plane, plucker_coords,
-                     plucker_relation_defect, singularity_degree)
+                     plucker_relation_defect, singularity_degree,
+                     slow_step_constant)
 from .rates import (RateFit, RecursionRun, fit_geometric, fit_inverse_power,
                     recursive_sequence, slow_rate_constant)
 from .series import (TruncSeries, det_series, expand_curve,
@@ -37,6 +38,6 @@ __all__ = [
     "plucker_relation_defect", "project_affine", "project_psd",
     "psd_projection_formula", "psi", "rank_one_step_residual",
     "recursive_sequence", "residual_order_certified", "run_ap",
-    "singularity_degree", "slow_rate_constant", "sym_matrix", "tube_check",
-    "valid_t_max", "w_recursion_defect",
+    "singularity_degree", "slow_rate_constant", "slow_step_constant",
+    "sym_matrix", "tube_check", "valid_t_max", "w_recursion_defect",
 ]

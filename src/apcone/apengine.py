@@ -7,20 +7,14 @@ and the diagonal D of their eigenvalues' square roots, and ``S S^T``,
 through the calling thread's workspace, into a row ``[vec P | 1]``) and
 one product with the plane's augmented projector into the next row, and
 settles the distances and stop rules once per block, so each step is only
-the ``_eigh`` and the products, into arrays made before the loop; on 3x3
-iterates that takes about 5.7 us a step (ex6.1, fastest of 20 interleaved
-runs on a 2-vCPU Intel Xeon VM, numpy 2.4.6).  ``ap_step`` is the checked
-one-step API: it checks its input, then calls the same kernel on the row
-the calling thread's workspace keeps for it, and the next iterate and its
-coefficients are one product each with that row.  On the same VM that
-took 9.8 us a step with a row made per call: 5.2 us for the clip, 0.5 us
-for the projection, 0.6 us for the coefficients, 1.3 us for the check and
-the rest for the row and the returned arrays (fastest of 21 interleaved
-rounds); the kept row saves about 6% of that.  The rest of the module
-verifies the
-parameter-space descriptions of one AP step: the eigenvalue formula on an
-orthogonal basis, whose derivative is taken exactly from one
-eigendecomposition, and the rank-1 chart relation
+the ``_eigh`` and the products, into arrays made before the loop.
+``ap_step`` is the checked one-step API: it checks its input, then calls
+the same kernel on the row the calling thread's workspace keeps for it,
+and the next iterate and its coefficients are one product each with that
+row.  README gives the time of each layer of a step.  The rest of the
+module verifies the parameter-space descriptions of one AP step: the
+eigenvalue formula on an orthogonal basis, whose derivative is taken
+exactly from one eigendecomposition, and the rank-1 chart relation
 M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
 closed-form array products.
 """
@@ -28,13 +22,12 @@ closed-form array products.
 import math
 from array import array
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .symcore import (EigenSolverError, _psd_clip, _workspace, check_count,
-                      check_finite_sym, check_sym, eig_sym, project_affine,
-                      project_psd)
+                      check_finite_sym, check_sym, eig_sym, is_number,
+                      project_affine, project_psd)
 
 # AP steps per block of run_ap: the once-per-block distances and row views
 # cost little next to 64 steps, and an early stop drops at most 63
@@ -140,7 +133,7 @@ def run_ap(E, p0, max_iter, tol, target=None):
     are ``ap_step``'s expression.
     """
     max_iter = check_count("max_iter", max_iter)
-    if isinstance(tol, bool) or not isinstance(tol, Real):
+    if not is_number(tol):
         raise ValueError("tol must be a number >= 0")
     if not tol >= 0:    # NaN included
         raise ValueError("tol must be >= 0")

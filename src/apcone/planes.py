@@ -12,19 +12,18 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Real
 
 import numpy as np
 
 from .symcore import (AffineSubspace, DependentBasisError,
-                      _standard_sym_basis, sym_matrix)
+                      _standard_sym_basis, is_number, sym_matrix)
 
 U_STAR = sym_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 U_STAR.setflags(write=False)
 
 
 def _finite(v):
-    return not isinstance(v, bool) and isinstance(v, Real) and math.isfinite(v)
+    return is_number(v) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,14 @@ def type2_b1_products(c):
     """(||B1||^2, <B2, B1>, <B3, B1>) of ``type2_basis(c)`` in closed form."""
     c1, c2, c3 = c[0], c[1], c[2]
     return 4.0 * c1 * c1 + 2.0, -4.0 * c1 * c2, 4.0 * c1 * c3
+
+
+def slow_step_constant(spec):
+    """The step constant c = 1 / (4 c4^4 ||B1||^2) of the slowest curve:
+    one AP step maps G(t) to G(t - c t^7 + O(t^8)), so t_k ~ (6 c k)^(-1/6)
+    (1/24 on ex6.1).  ``spec`` must have a slowest curve."""
+    c4 = require_slowest_curve(spec).c[3]
+    return 1.0 / (4.0 * c4 ** 4 * type2_b1_products(spec.c)[0])
 
 
 def _type1_basis(spec):

@@ -1,15 +1,16 @@
 """Convergence-rate estimation: inverse-power and geometric least-squares
-fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1)),
-and the closed-form constant of the k^(-1/6) limit law.
+fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1))
+with its limit products, and the constant of the k^(-1/6) limit law, built
+on the step constant ``planes.slow_step_constant``.
 
 The recursion is a plain Python loop: each step depends on the previous x,
 so it cannot be vectorised.  After the first step, taken from the exact
 x0, the loop iterates the scaled variable y = C^(1/q) x, in which the
-K = 0 step is y - y^(q+1): two float operations, where
-x (1 - C x^q) takes four.  x = y / C^(1/q) is kept only at the decade
-checkpoints, so memory does not grow with the step count; for K = 0 the
-loop body between checkpoints is one step's arithmetic and nothing
-else."""
+K = 0 step is y - y^(q+1), two float operations.  Only y at the decade
+checkpoints is kept; x = y / C^(1/q) and the limit product
+(q k)^(1/q) y_k are formed from it after the loop.  So memory does not
+grow with the step count, and for K = 0 the loop body between checkpoints
+is one step's arithmetic and nothing else."""
 
 import math
 import sys
@@ -18,8 +19,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .planes import require_slowest_curve
-from .symcore import _power, check_count, is_integer
+from .planes import slow_step_constant, type2_b1_products
+from .symcore import _power, check_count, is_integer, is_number
 
 _NOISE_MODES = ("plus", "minus", "alternating")
 # characters of trace CSV text parsed at a time, about 1000 CLI rows
@@ -81,6 +82,8 @@ def fit_inverse_power(trace, p, window):
     """Fit dist_k^{-p} ~ intercept + slope * k on the window; dist_k^{-p}
     is ``symcore._power``'s, the number the trace CSV's inv_p column
     prints."""
+    if not (is_number(p) and math.isfinite(p)):
+        raise ValueError("p must be a finite number")
     window, ks, d = _window_dists(trace, window)
     with np.errstate(over="ignore"):
         y = _power(d, -float(p))
@@ -104,15 +107,20 @@ class RecursionRun:
     """The slow-rate recursion at its decade checkpoints.
 
     ``xs[i]`` is x at step ``ks[i]``, with ``ks`` = 0, 1, 10, 100, ... and
-    the last step n (``run_ap``'s sampling rule); both arrays are read-only.
-    ``product`` is (q C)^(1/q) n^(1/q) x_n and ``decreasing`` says whether
-    every one of the n steps decreased x strictly.
+    the last step n (``run_ap``'s sampling rule), and ``products[i]`` the
+    limit product (q C)^(1/q) k^(1/q) x_k at k = ``ks[i]``; the arrays are
+    read-only.  ``product`` is the last of them, at n, and ``decreasing``
+    says whether every one of the n steps decreased x strictly.
     """
 
     ks: np.ndarray
     xs: np.ndarray
-    product: float
+    products: np.ndarray
     decreasing: bool
+
+    @property
+    def product(self):
+        return float(self.products[-1])
 
 
 def recursive_sequence(C, K, q, x0, n, noise="plus"):
@@ -122,23 +130,24 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
     "alternating" (starting with +).
 
     Requires x0 > 0, q > 0, the decrease hypothesis (q+1) C - (q+2) K x0 > 0 and a
-    positive first factor, C x0^q + K x0^(q+1) < 1.  Returns a
-    ``RecursionRun``: x at the decade checkpoints and the limit product
-    (q C)^(1/q) n^(1/q) x_n, which tends to 1.
+    positive first factor, C x0^q + K x0^(q+1) < 1; C, K, q and x0 must be
+    numbers (a bool is not one).  Returns a ``RecursionRun``: x and the
+    limit product (q C)^(1/q) k^(1/q) x_k, which tends to 1, at the decade
+    checkpoints k.
 
     The first step is taken in x from the exact x0.  The loop then runs in
     the scaled variable y = C^(1/q) x, where the step is
     y <- y - y^(q+1) +/- kappa y^(q+2) with kappa = K / C^((q+1)/q), two
-    float operations for K = 0, and the product is (q n)^(1/q) y_n.  That
+    float operations for K = 0, and the product is (q k)^(1/q) y_k.  That
     needs q >= 1/16 and normal floats C^(1/q) and C^(1/q) x_1, else
     ``ValueError``: then y stays a normal float for as long as a step can
     move it.
     """
-    if not x0 > 0:    # NaN included, as below
+    if not (is_number(x0) and x0 > 0):    # NaN included, as below
         raise ValueError("x0 must be positive")
-    if not q > 0:
+    if not (is_number(q) and q > 0):
         raise ValueError("q must be positive")
-    if not (C > 0 and K >= 0):
+    if not (is_number(C) and is_number(K) and C > 0 and K >= 0):
         raise ValueError("C must be positive and K nonnegative")
     if not (q + 1) * C - (q + 2) * K * x0 > 0:
         raise ValueError("hypothesis (q+1) C - (q+2) K x0 > 0 violated")
@@ -154,11 +163,15 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
         raise ValueError("the first factor 1 - C x0^q - K x0^(q+1) must be "
                          "positive")
     inv_q, q1 = 1.0 / q, q + 1.0
-    try:    # the product is root y_n with y_n < 1: finite where root is
-        root = q ** inv_q * n ** inv_q
+
+    def root(k):    # (q k)^(1/q), largest at k = n
+        return q ** inv_q * k ** inv_q
+
+    try:    # a product is root(k) y_k with y_k < 1: finite where root(n) is
+        finite = root(n) < math.inf
     except OverflowError:
-        root = math.inf
-    if not root < math.inf:
+        finite = False
+    if not finite:
         raise ValueError("the limit product (q C)^(1/q) n^(1/q) x_n overflows")
     try:
         scale = C ** inv_q
@@ -181,7 +194,7 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
         ks.append(checkpoint)
         checkpoint *= 10
     ks.append(n)
-    xs = [x0, x]
+    ys = [y]    # y at ks[1:]
     k = 1
     if K == 0.0:
         # y^(q+1) >= 0, so y never increases, and a step that leaves y
@@ -192,7 +205,7 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
             for _ in repeat(None, b - k - 1):
                 y = y - y ** q1
             prev, y = y, y - y ** q1
-            xs.append(y / scale)
+            ys.append(y)
             k = b
         decreasing = x < x0 and y < prev
     else:
@@ -208,20 +221,24 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
                 prev, y = y, y - yq1 + signed * yq1 * y
                 decreasing &= y < prev
                 signed *= flip
-            xs.append(y / scale)
+            ys.append(y)
             k = b
-    ks, xs = np.array(ks, dtype=np.int64), np.array(xs)
-    ks.setflags(write=False)
-    xs.setflags(write=False)
-    return RecursionRun(ks, xs, root * y, bool(decreasing))
+    run = RecursionRun(np.array(ks, dtype=np.int64),
+                       np.array([x0, x, *(y / scale for y in ys[1:])]),
+                       np.array([0.0, *map(root, ks[1:])]) * [1.0, *ys],
+                       bool(decreasing))
+    for a in (run.ks, run.xs, run.products):
+        a.setflags(write=False)
+    return run
 
 
 def slow_rate_constant(spec):
-    """The constant (3 / (32 c4^4 (2 c1^2 + 1)^4))^(1/6) of the limit law
-    lim constant * k^(1/6) * dist_k = 1 along slowest-curve starts."""
-    c1, _, _, c4, _ = require_slowest_curve(spec).c
-    return float((3.0 / (32.0 * c4 ** 4 * (2.0 * c1 ** 2 + 1.0) ** 4))
-                 ** (1.0 / 6.0))
+    """The constant (6 c / ||B1||^6)^(1/6) of the limit law
+    lim constant * k^(1/6) * dist_k = 1 along slowest-curve starts, with c
+    the ``planes.slow_step_constant``: t_k ~ (6 c k)^(-1/6) and
+    dist_k ~ ||B1|| t_k."""
+    c, nb1 = slow_step_constant(spec), type2_b1_products(spec.c)[0]
+    return float((6.0 * c / nb1 ** 3) ** (1.0 / 6.0))
 
 
 def _line_blocks(text):

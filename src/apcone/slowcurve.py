@@ -20,10 +20,11 @@ import numpy as np
 
 from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
                        m_matrix, psi)
-from .planes import (_rotated, build_plane, require_slowest_curve,
-                     type2_b1_products)
+from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
+                     slow_step_constant, type2_b1_products)
 from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
-                      check_count, frob_inner, frob_norm, orthogonalize)
+                      check_count, frob_inner, frob_norm, is_number,
+                      orthogonalize)
 
 _EPS = np.finfo(float).eps
 T_CAP = 0.2
@@ -107,13 +108,18 @@ def _vanished(den4w, checked):
     return out
 
 
-def _curve_scalars(spec, t):
-    """(w, g13, g23, h) of the curve point at t, in the canonical frame;
-    the one check of a curve parameter: t must be a finite number."""
-    require_slowest_curve(spec)
-    t = float(t)
-    if not math.isfinite(t):
+def _curve_parameter(t):
+    """The one check of a curve parameter: ``t`` as a float when it is a
+    finite number, else ``ValueError``."""
+    if not (is_number(t) and math.isfinite(t)):
         raise ValueError("the curve parameter t must be finite")
+    return float(t)
+
+
+def _curve_scalars(spec, t):
+    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
+    require_slowest_curve(spec)
+    t = _curve_parameter(t)
     try:
         w, g13, g23, den4w, checked = _curve_parts(spec.c, t)
         h = 2.0 * t ** 6 / den4w
@@ -149,16 +155,16 @@ def curve_point(spec, t):
 
 def psd_projection_formula(spec, t):
     """Rational model of P_psd(G(t)), accurate to O(t^8)."""
-    c1, c2, c3, c4, c5 = require_slowest_curve(spec).c
-    nb1, ip21, ip31 = type2_b1_products(spec.c)
+    c4, c5 = require_slowest_curve(spec).c[3:]
+    _, ip21, ip31 = type2_b1_products(spec.c)
     cp = curve_point(spec.canonical(), t)
     w, g13, h = cp.w, cp.g13, cp.h
+    half = slow_step_constant(spec) * t ** 7 / 2.0    # c t^7 / 2
 
     m21 = -t ** 7 / (8.0 * c4 ** 4)
-    m22 = h - ip21 * t ** 7 / (8.0 * c4 ** 5 * nb1)
+    m22 = h - ip21 * half / c4
     m31 = c4 * h
-    m32 = (c5 * h - c5 * ip21 * t ** 7 / (8.0 * c4 ** 5 * nb1)
-           - ip31 * t ** 7 / (8.0 * c4 ** 4 * nb1))
+    m32 = c5 * m22 - ip31 * half
     m33 = g13 * g13 / w
     D = np.array([[0.0, m21, m31],
                   [m21, m22, m32],
@@ -167,17 +173,17 @@ def psd_projection_formula(spec, t):
 
 
 def _ap_shift(c, t):
-    """Curve parameter of one AP step from G(t), to O(t^8):
-    t - t^7 / (4 c4^4 ||B1||^2).  ``t`` is a float or an ndarray."""
-    return t - _power(t, 7) / (4.0 * c[3] ** 4 * type2_b1_products(c)[0])
+    """Curve parameter of one AP step from G(t), to O(t^8): t - c t^7, with
+    c the ``planes.slow_step_constant``.  ``t`` is a float or an ndarray."""
+    return t - c * _power(t, 7)
 
 
 def ap_image_formula(spec, t):
     """Rational model of one AP step applied to G(t): the curve point at
-    ``_ap_shift``'s t - t^7 / (4 c4^4 ||B1||^2), accurate to O(t^8)."""
-    require_slowest_curve(spec)
+    ``_ap_shift``'s t - c t^7, accurate to O(t^8)."""
+    c = slow_step_constant(spec)
     try:
-        shifted = _ap_shift(spec.c, t)
+        shifted = _ap_shift(c, _curve_parameter(t))
     except OverflowError:
         raise OverflowError(_OVERFLOW) from None
     return curve_point(spec, shifted).G
@@ -243,9 +249,11 @@ def residual_order_certified(f, g, t0, halvings, t_cap):
     deepest point is accepted).  Each point of the final ladder is
     evaluated once.  Returns ``(order, t0_used, halvings_used)``.
     """
-    if not t0 > 0:    # NaN included
+    if not (is_number(t0) and t0 > 0):    # NaN included
         raise ValueError("t0 must be positive")
     halvings = check_count("halvings", halvings, 2)
+    if not (is_number(t_cap) and 0 < t_cap < math.inf):    # NaN included
+        raise ValueError("t_cap must be positive and finite")
     t0 = min(t0, t_cap)
 
     def diff(t):
@@ -414,7 +422,9 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     part stays below ``eps`` in the beta/gamma norm, and demand t decreases
     inside the bracket t - c t^7 -/+ K t^8 (``_ap_shift``) with K fitted on
     the first half of the run and allowed TUBE_K_SLACK times over on the
-    second.
+    second.  At t0 = 0 the start is U*, a fixed point of the map: the
+    check takes its ``steps`` steps and passes when every iterate is U*.
+    t0, beta, gamma and eps must be numbers (a bool is not one).
 
     The curve is read over the Gram-Schmidt basis C through one 3x3 matrix
     T whose column j holds the coefficients <B_j, C_i> / ||C_i||^2 of B_j
@@ -447,7 +457,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
 
     spec = require_slowest_curve(spec).canonical()
     steps = check_count("steps", steps)
-    c = spec.c
+    t0 = _curve_parameter(t0)
+    c, c_step = spec.c, slow_step_constant(spec)
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
     C = Eo.basis
@@ -455,11 +466,13 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
          for Ci in C]
     n2, n3 = frob_norm(C[1]), frob_norm(C[2])
 
-    if not math.hypot(beta * n2, gamma * n3) < eps:    # NaN included
+    if not (all(map(is_number, (beta, gamma, eps)))
+            and math.hypot(beta * n2, gamma * n3) < eps):    # NaN included
         raise ValueError("initial transverse offset must satisfy "
                          "||beta C2 + gamma C3|| < eps")
-    if t0 == 0.0:
-        return True
+    if t0 == 0.0:   # while the iterates stay U*, each step is from U*
+        return all(np.array_equal(ap_step(Eo, U_STAR)[0], U_STAR)
+                   for _ in range(steps))
 
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
     ts = TruncSeries.from_coeffs([t0, 1.0], 1)
@@ -498,7 +511,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
             dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
                            (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
             transverse_ok &= not np.any(dev / _power(tn, 7) >= eps)
-            ratios = np.abs(tn - _ap_shift(c, tprev)) / _power(tprev, 8)
+            ratios = np.abs(tn - _ap_shift(c_step, tprev)) / _power(tprev, 8)
         split = min(max(half - first, 0), n)
         k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
         r_late = max(r_late, np.max(ratios[split:], initial=0.0))

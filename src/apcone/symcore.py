@@ -17,46 +17,36 @@ the AP step in ``apengine``; ``_gram_schmidt`` reads the Gram-Schmidt
 basis off Q and R.
 
 Every eigendecomposition in the package goes through the private
-``_eigh``: one call of LAPACK's symmetric eigensolver through the gufunc
-``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` itself
-calls, so the results are the same bits, eigenvalues ascending, written
-into a caller's pair of arrays when given one.  The public wrapper's
-checks, ``np.errstate`` context and result wrapping cost about 4.0 us per
-3x3 call; the gufunc itself takes about 2.6 us of the ~5.7 us step of
-``apengine.run_ap`` (fastest of 20 interleaved runs on a 2-vCPU Intel Xeon
-VM, numpy 2.4.6).  Failure is detected instead from the output (NaN
-eigenvalues raise ``EigenSolverError``), on the list of eigenvalues that
-the rank cut then reads.  Every PSD projection goes through
-``_psd_clip``, which writes ``S S^T`` into a caller's array; NumPy
-evaluates that as a symmetric rank-k product, so the clip is exactly
-symmetric without a symmetrization pass.  ``S`` is the kept eigenvectors
-times the diagonal matrix of the square roots of the kept eigenvalues, one
-BLAS product.  The clip makes no array of its own: the
-eigendecomposition, that diagonal matrix and ``S`` go into the buffers and
-views of a workspace (``_workspace``, which also holds ``ap_step``'s row
-``[vec P | 1]``) that each thread makes on its first clip of each size n
-and reuses for every later one, so ``run_ap``,
-``ap_step``, ``project_psd`` and ``eigenvalue_formula_step`` share one
-rank cut, a step costs no array set-up, and no two threads share a
-buffer.  The eigenvectors go into a Fortran-ordered buffer, so the kept
-ones, a column slice, are contiguous at every rank and ``ndarray.dot``
-copies nothing before its BLAS call.  ``_psd_clip``, ``_project`` and
-``_coefficients`` check nothing.
+``_eigh``: one call of the gufunc ``numpy.linalg._umath_linalg.eigh_lo``
+that ``numpy.linalg.eigh`` itself calls (LAPACK's symmetric eigensolver),
+so the results are the same bits, eigenvalues ascending, without the
+public wrapper's checks and result wrapping.  Failure is detected from
+the output: NaN eigenvalues raise ``EigenSolverError``.  Every PSD
+projection goes through ``_psd_clip``, which writes ``S S^T`` into a
+caller's array, ``S`` being the kept eigenvectors times the diagonal
+matrix of the square roots of the kept eigenvalues (one BLAS product);
+NumPy evaluates ``S S^T`` as a symmetric rank-k product, so the clip is
+exactly symmetric.  The clip makes no array of its own: it writes into
+the buffers of the calling thread's workspace (``_workspace``, one per
+matrix size n, which also holds ``ap_step``'s row ``[vec P | 1]``), so
+``run_ap``, ``ap_step``, ``project_psd`` and ``eigenvalue_formula_step``
+share one rank cut and no two threads share a buffer.  ``_psd_clip``,
+``_project`` and ``_coefficients`` check nothing.
 Every array raised to a power goes through ``_power`` (entry by entry the
 bits of the scalar ``**``): the curve formulas, the tube check, the rate
 fit and the trace CSV's inv columns, so a fit reads the numbers the CSV
 prints.
-Input is checked (finite, square, exactly symmetric) once, where it enters
-a public function, by ``check_finite_sym`` or ``check_sym``, which differ
-only in the error a non-finite entry raises: ``EigenSolverError`` for an
-eigensolver's input, ``ValueError`` for an affine subspace's anchor and
-basis and a distance target.  A point of an affine subspace is checked the
-same way, size included, by the private ``AffineSubspace._check_point``.
-Of several faults the first in the order non-finite, square, symmetric,
-size decides the error.  A step or iteration count is checked by
-``check_count``.  ``check_finite_sym`` decides finiteness and
-symmetry from one list of the entries, comparing those above the diagonal
-with their mirror images.
+Input is checked once, where it enters a public function.  A matrix
+(finite, square, exactly symmetric) is checked by ``check_finite_sym`` or
+``check_sym``, which differ only in the error a non-finite entry raises:
+``EigenSolverError`` for an eigensolver's input, ``ValueError`` for an
+affine subspace's anchor and basis and a distance target.  A point of an
+affine subspace is checked the same way, size included, by the private
+``AffineSubspace._check_point``.  Of several faults the first in the
+order non-finite, square, symmetric, size decides the error.  A step or
+iteration count is checked by ``check_count``; whether a scalar argument
+is an integer or a real number at all is decided by ``is_integer`` and
+``is_number``, for which a bool is neither.
 """
 
 import functools
@@ -64,7 +54,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from operator import itemgetter
 
 import numpy as np
@@ -112,6 +102,12 @@ def check_sym(a):
 def is_integer(value):
     """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value):
+    """Whether ``value`` is a real number (``numbers.Real``: a Python or
+    NumPy float or integer, NaN and inf included); a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def check_count(name, value, least=1):

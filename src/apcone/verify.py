@@ -14,7 +14,6 @@ standard library's Mersenne Twister, so the suites never load
 """
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
@@ -22,14 +21,14 @@ import numpy as np
 
 from .apengine import ap_step, eigenvalue_formula_step, rank_one_step_residual
 from .catalog import _SPEC_61, get_example
-from .planes import PlaneSpec, build_plane, plucker_coords, \
-    plucker_relation_defect
+from .planes import (PlaneSpec, build_plane, plucker_coords,
+                     plucker_relation_defect, slow_step_constant)
 from .rates import recursive_sequence
 from .series import det_series, moment_curve_defect, w_recursion_defect
 from .slowcurve import (ap_image_formula, curve_point, perturb_gain,
                         psd_projection_formula, residual_order_certified,
                         tube_check, valid_t_max)
-from .symcore import orthogonalize, project_psd
+from .symcore import is_integer, orthogonalize, project_psd
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -40,7 +39,7 @@ class CheckResult:
 
 def _check_seed(seed):
     """The seed as an int; ValueError unless it is one in [0, 2**32 - 1]."""
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed <= 0xFFFFFFFF:
+    if not (is_integer(seed) and 0 <= seed <= 0xFFFFFFFF):
         raise ValueError("Seed must be between 0 and 2**32 - 1")
     return int(seed)
 
@@ -143,7 +142,6 @@ def curve_probe_t(spec, frac=0.5, cap=0.1):
 def suite_thm41(seed=0):
     """Rank-1 chart relation has rounding-level residual on 20 planes."""
     rng = _Draws(seed)
-    results = []
     worst = 0.0
     done = 0
     while done < 20:
@@ -156,10 +154,8 @@ def suite_thm41(seed=0):
         res = rank_one_step_residual(E, p)
         worst = max(worst, res / (1.0 + float(np.linalg.norm(p))))
         done += 1
-    results.append(CheckResult(
-        "rank-1 step relation on 20 planes", worst < 1e-9,
-        f"max residual {worst:.3e} (tol 1e-9)"))
-    return results
+    return [CheckResult("rank-1 step relation on 20 planes", worst < 1e-9,
+                        f"max residual {worst:.3e} (tol 1e-9)")]
 
 
 def _order_suite(label, oracle_of_spec, formula, seed):
@@ -202,14 +198,15 @@ def suite_thm63(seed=0):
 def suite_lemma64(seed=0):
     """w satisfies its own recursion through degree 5 (series check)."""
     rng = _Draws(seed)
-    results = []
-    for i in range(10):
-        spec = random_type2_spec(rng)
-        defect = w_recursion_defect(spec)
-        results.append(CheckResult(
-            f"w recursion degrees 0..5, spec #{i}", defect <= 1e-10,
-            f"max coefficient gap {defect:.3e}"))
-    return results
+    defects = [w_recursion_defect(random_type2_spec(rng)) for _ in range(10)]
+    return [CheckResult(f"w recursion degrees 0..5, spec #{i}",
+                        defect <= 1e-10, f"max coefficient gap {defect:.3e}")
+            for i, defect in enumerate(defects)]
+
+
+def _det_lead(spec):
+    """The leading coefficient 1 / (32 c4^6) of det G(t), at t^10."""
+    return 1.0 / (32.0 * spec.c[3] ** 6)
 
 
 def suite_lemma67(seed=0):
@@ -218,19 +215,17 @@ def suite_lemma67(seed=0):
     (1, s, -s^2/2) through degree 7."""
     rng = _Draws(seed)
     results = []
-    d = det_series(_SPEC_61)
+    d, lead = det_series(_SPEC_61), _det_lead(_SPEC_61)
     results.append(CheckResult(
-        "det-series coefficient 10, ex6.1", abs(d[10] - 0.03125) <= 1e-12,
-        f"coeff10 {d[10]!r} expect 0.03125"))
+        "det-series coefficient 10, ex6.1", abs(d[10] - lead) <= 1e-12,
+        f"coeff10 {d[10]!r} expect {lead!r}"))
     defect = moment_curve_defect()
     results.append(CheckResult(
         "perturbed moment-curve pattern, ex6.1", defect <= 1e-10,
         f"max coefficient gap {defect:.3e} (tol 1e-10)"))
     for i in range(10):
         spec = random_type2_spec(rng)
-        c4 = spec.c[3]
-        d = det_series(spec)
-        lead = 1.0 / (32.0 * c4 ** 6)
+        d, lead = det_series(spec), _det_lead(spec)
         low = float(np.max(np.abs(d.coeffs[:10]))) / max(1.0, abs(lead))
         ok = low <= 1e-10 and abs(d[10] - lead) <= 1e-8 * abs(lead)
         results.append(CheckResult(
@@ -270,33 +265,28 @@ def suite_prop76(seed=0):
 
 def suite_lemma77(seed=0):
     """Slow-rate recursion products approach 1 (fast for q=2, slow for q=6)."""
-    results = []
     run = recursive_sequence(C=1.0 / 3.0, K=0.0, q=2, x0=0.1, n=10 ** 6)
-    results.append(CheckResult(
-        "q=2 product at n=1e6", abs(run.product - 1.0) <= 0.01,
-        f"product {run.product:.6f}"))
-    results.append(CheckResult(
-        "q=2 monotone decrease", run.decreasing,
-        "x strictly decreasing on all 1e6 steps"))
-    run = recursive_sequence(C=1.0 / 24.0, K=0.0, q=6, x0=0.2, n=10 ** 6)
-    results.append(CheckResult(
-        "q=6 product at n=1e6", abs(run.product - 1.0) <= 0.10,
-        f"product {run.product:.6f}"))
-    x_at = dict(zip(run.ks.tolist(), run.xs.tolist()))
-    decades = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-    prods = [(6.0 / 24.0) ** (1 / 6) * n ** (1 / 6) * x_at[n] for n in decades]
+    results = [
+        CheckResult("q=2 product at n=1e6", abs(run.product - 1.0) <= 0.01,
+                    f"product {run.product:.6f}"),
+        CheckResult("q=2 monotone decrease", run.decreasing,
+                    f"x {'' if run.decreasing else 'not '}strictly "
+                    "decreasing on all 1e6 steps")]
+    c = slow_step_constant(_SPEC_61)    # an AP step maps G(t) to G(t - c t^7)
+    run = recursive_sequence(C=c, K=0.0, q=6, x0=0.2, n=10 ** 6)
+    prods = run.products[run.ks >= 10 ** 3].tolist()
     gaps = [abs(p - 1.0) for p in prods]
-    results.append(CheckResult(
-        "q=6 monotone approach over decades",
-        bool(np.all(np.diff(gaps) < 0.0)),
-        "products " + ", ".join(f"{p:.4f}" for p in prods)))
-    return results
+    return results + [
+        CheckResult("q=6 product at n=1e6", abs(run.product - 1.0) <= 0.10,
+                    f"product {run.product:.6f}"),
+        CheckResult("q=6 monotone approach over decades",
+                    bool(np.all(np.diff(gaps) < 0.0)),
+                    "products " + ", ".join(f"{p:.4f}" for p in prods))]
 
 
 def suite_plucker(seed=0):
     """Grassmann quadratic relations vanish on random planes."""
     rng = _Draws(seed)
-    results = []
     worst = 0.0
     for i in range(10):
         if i % 2 == 0:
@@ -311,10 +301,8 @@ def suite_plucker(seed=0):
         coords = plucker_coords(E)
         scale = float(np.max(np.abs(coords))) ** 2
         worst = max(worst, plucker_relation_defect(coords) / max(1.0, scale))
-    results.append(CheckResult(
-        "quadratic relations on 10 random planes", worst < 1e-10,
-        f"max normalized defect {worst:.3e}"))
-    return results
+    return [CheckResult("quadratic relations on 10 random planes",
+                        worst < 1e-10, f"max normalized defect {worst:.3e}")]
 
 
 # suite name -> suite, in the order the CLI lists them

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from apcone.apengine import (RankOneError, eigenvalue_formula_step, psi,
                              rank_one_step_residual, run_ap)
-from apcone.planes import PlaneSpec, U_STAR, build_plane, plucker_coords
+from apcone.planes import (PlaneSpec, U_STAR, build_plane, plucker_coords,
+                           slow_step_constant)
 from apcone.rates import (fit_geometric, fit_inverse_power,
                           recursive_sequence, slow_rate_constant)
 from apcone.series import (TruncSeries, ZeroConstantTermError, det_series,
@@ -25,6 +26,7 @@ from apcone.slowcurve import (ChartError, ResidualNoiseError,
                               residual_order_certified, tube_check,
                               valid_t_max)
 from apcone.symcore import AffineSubspace, EigenSolverError, orthogonalize
+from apcone.verify import run_suite
 
 C61, C1 = (1, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0, 2)
 SPEC61 = PlaneSpec("type2", C61)
@@ -38,6 +40,7 @@ X12 = TruncSeries.x(12)
 NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
 FINITE_T = "the curve parameter t must be finite"
 FIRST_FACTOR = "the first factor 1 - C x0^q - K x0^(q+1) must be positive"
+OFFSET = "initial transverse offset must satisfy ||beta C2 + gamma C3|| < eps"
 CURVE_FUNCS = (curve_point, psd_projection_formula, ap_image_formula)
 # f, g for residual_order_certified: |f - g| = 1e-18 t sqrt(3)
 NOISE = (lambda t: np.eye(3), lambda t: np.eye(3) * (1.0 + 1e-18 * t))
@@ -120,15 +123,16 @@ LIBRARY_CONTRACT = [
     *[(f"{func.__name__} {case}", func, (spec, *args), ValueError, NO_CURVE)
       for func, args in [*((f, (0.01,)) for f in CURVE_FUNCS),
                          (tube_check, (0.1, 0.0, 0.0, 5, 1.0)),
-                         (slow_rate_constant, ()), (expand_curve, ()),
+                         (slow_rate_constant, ()), (slow_step_constant, ()),
+                         (expand_curve, ()),
                          (valid_t_max, ()), (perturb_gain, ())]
       for case, spec in [("type1", TYPE1), ("c4=0", DEGREE1),
                          ("no spec", None)]],
     # the curve parameter t
-    *[(f"{func.__name__} t={t}", func, (SPEC61, t), ValueError, FINITE_T)
-      for func in CURVE_FUNCS for t in (NAN, INF, -INF)],
-    ("tube_check t0=nan", tube_check, (SPEC61, NAN, 0, 0, 5, 1.0), ValueError,
-     FINITE_T),
+    *[(f"{func.__name__} t={t!r}", func, (SPEC61, t), ValueError, FINITE_T)
+      for func in CURVE_FUNCS for t in (NAN, INF, -INF, "0.1", True, None)],
+    *[(f"tube_check t0={t0!r}", tube_check, (SPEC61, t0, 0, 0, 5, 1.0),
+       ValueError, FINITE_T) for t0 in (NAN, "0.1", False)],
     *[(f"{func.__name__} t=1e300", func, (SPEC61, 1e300), OverflowError,
        "the curve formulas overflow at this t") for func in CURVE_FUNCS],
     # ex6.1's w = 1 - 2t: its denominators vanish at t = 0.5
@@ -139,13 +143,16 @@ LIBRARY_CONTRACT = [
     ("tube_check t0=1e8", tube_check, (SPEC61, 1e8, 0, 0, 5, 1.0), ChartError,
      "could not recover the curve parameter"),
     *[(f"tube_check {name}", tube_check, (SPEC61, 0.1, *args, 10, eps),
-       ValueError, "initial transverse offset must satisfy ||beta C2 + "
-       "gamma C3|| < eps") for name, args, eps in [
+       ValueError, OFFSET) for name, args, eps in [
            ("beta=1", (1.0, 0.0), 1e-3), ("beta=nan", (NAN, 0.0), 1e-3),
-           ("eps=nan", (0.0, 0.0), NAN)]],
-    *[(f"residual_order_certified t0={t0}", residual_order_certified,
+           ("eps=nan", (0.0, 0.0), NAN), ("beta='0'", ("0", 0.0), 1.0),
+           ("gamma=None", (0.0, None), 1.0), ("eps=True", (0.0, 0.0), True)]],
+    *[(f"residual_order_certified t0={t0!r}", residual_order_certified,
        (*NOISE, t0, 3, 0.1), ValueError, "t0 must be positive")
-      for t0 in (0.0, NAN)],
+      for t0 in (0.0, NAN, "x")],
+    *[(f"residual_order_certified t_cap={cap!r}", residual_order_certified,
+       (*NOISE, 0.1, 3, cap), ValueError, "t_cap must be positive and finite")
+      for cap in (NAN, INF, 0.0, "0.1")],
     *[(f"residual_order_certified halvings={h!r}", residual_order_certified,
        (*NOISE, 0.1, h, 0.1), ValueError, "halvings must be an integer >= 2")
       for h in (1, 2.5, NAN, True)],
@@ -164,6 +171,9 @@ LIBRARY_CONTRACT = [
     *[(f"fit_geometric window {w}", fit_geometric,
        (np.linspace(1.0, 0.5, 10), w), ValueError,
        f"window {w} outside trace of length 10") for w in ((5, 20), (7, 3))],
+    *[(f"fit_inverse_power p={p!r}", fit_inverse_power,
+       (np.linspace(1.0, 0.5, 10), p, (0, 3)), ValueError,
+       "p must be a finite number") for p in ("6", NAN, INF, True)],
     *[(f"{fit.__name__} window {w}", fit, (np.linspace(1.0, 0.5, 10), *p, w),
        ValueError, f"window {w} must be a pair of integers")
       for fit, p in ((fit_geometric, ()), (fit_inverse_power, (2,)))
@@ -180,13 +190,14 @@ LIBRARY_CONTRACT = [
        message) for name, args, message in [
         ("K=10", (0.1, 10.0, 2, 0.5, 10),
          "hypothesis (q+1) C - (q+2) K x0 > 0 violated"),
-        *[(f"x0={x0}", (0.1, 0, 2, x0, 10), "x0 must be positive")
-          for x0 in (-0.5, NAN)],
-        *[(f"q={q}", (0.5, 0, q, 0.5, 10), "q must be positive")
-          for q in (0, -0.5, NAN)],
-        *[(f"C={C} K={K}", (C, K, 2, 0.5, 10),
+        *[(f"x0={x0!r}", (0.1, 0, 2, x0, 10), "x0 must be positive")
+          for x0 in (-0.5, NAN, None, "0.5")],
+        *[(f"q={q!r}", (0.5, 0, q, 0.5, 10), "q must be positive")
+          for q in (0, -0.5, NAN, "2", True)],
+        *[(f"C={C!r} K={K!r}", (C, K, 2, 0.5, 10),
            "C must be positive and K nonnegative")
-          for C, K in ((0.0, 0.0), (NAN, 0.0), (0.1, -1.0))],
+          for C, K in ((0.0, 0.0), (NAN, 0.0), (0.1, -1.0), ("1", 0.0),
+                       (True, 0.0), (0.1, "0"), (0.1, None))],
         ("noise=bogus", (0.1, 0, 2, 0.5, 10, "bogus"),
          "noise must be one of ['alternating', 'minus', 'plus']"),
         ("x0=1e160", (0.99999, 0, 1.4, 1e160, 3), "x0^(q+1) overflows"),
@@ -204,6 +215,9 @@ LIBRARY_CONTRACT = [
            "C^(1/q) and C^(1/q) x_1")
           for C, q, x0 in ((1e-320, 1, 0.5), (1e160, 0.5, 5e-324),
                            (1.0, 2, 1e-310), (0.5, 0.05, 0.5))]]],
+    # a verify suite's seed: an integer in [0, 2**32 - 1], a bool is none
+    *[(f"run_suite seed={seed!r}", run_suite, ("lemma77", seed), ValueError,
+       "Seed must be between 0 and 2**32 - 1") for seed in (True, 1.0, -1)],
 ]
 
 
@@ -231,12 +245,12 @@ _SPECS = st.sampled_from([SPEC61, PlaneSpec("type2", (0, 0, 1, 1, 0)),
 _NOT_NUMBERS = st.sampled_from([None, "1", "x", [1.0], True, False])
 
 
-def _one_odd(*valid):
+def _one_odd(*valid, odd=_ODD):
     """Arguments drawn from the strategies ``valid``, one of them (or
-    none) replaced by an odd number, so that odd values reach the work as
-    well as the checks before it."""
+    none) replaced by a draw of ``odd``, an odd number by default, so that
+    odd values reach the work as well as the checks before it."""
     return st.tuples(st.tuples(*valid), st.integers(0, len(valid)),
-                     _ODD).map(lambda a: tuple(
+                     odd).map(lambda a: tuple(
                          a[2] if i == a[1] else v for i, v in enumerate(a[0])))
 
 
@@ -258,7 +272,8 @@ def _spec_numbers(fields):
     return [*spec.c, spec.theta]
 
 
-_CURVE_ARGS = _one_odd(_SPECS, st.floats(-0.3, 0.3))
+_ODD_OR_NOT_NUMBER = _ODD | _NOT_NUMBERS
+_CURVE_ARGS = _one_odd(_SPECS, st.floats(-0.3, 0.3), odd=_ODD_OR_NOT_NUMBER)
 # (function, strategy of its argument tuple); each returns the numbers
 # that must be finite
 _GENERATED = [
@@ -267,7 +282,8 @@ _GENERATED = [
     (ap_image_formula, _CURVE_ARGS),
     (tube_check, _one_odd(st.just(SPEC61), st.floats(0.0, 0.15),
                           st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
-                          _COUNTS, st.floats(0.5, 2.0))),
+                          _COUNTS, st.floats(0.5, 2.0),
+                          odd=_ODD_OR_NOT_NUMBER)),
     (_dists, _one_odd(
         st.lists(st.floats(-0.5, 0.5) | _ODD, min_size=3, max_size=3)
         | st.lists(st.floats(-0.5, 0.5), max_size=4),
@@ -275,7 +291,8 @@ _GENERATED = [
     (_recursion, _one_odd(
         st.floats(0.01, 1.0), st.floats(0.0, 0.1), st.floats(0.5, 6.0),
         st.floats(0.01, 0.5), _COUNTS,
-        st.sampled_from(["plus", "minus", "alternating"]))),
+        st.sampled_from(["plus", "minus", "alternating"]),
+        odd=_ODD_OR_NOT_NUMBER)),
     (_spec_numbers, st.tuples(st.fixed_dictionaries(
         {"kind": st.sampled_from(["type1", "type2", "type2", "type3"]),
          "c": st.lists(st.floats(-2.0, 2.0) | _ODD, min_size=5, max_size=5)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcone.planes import PlaneSpec
+from apcone.catalog import get_example
+from apcone.planes import PlaneSpec, slow_step_constant, type2_b1_products
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
                           recursive_sequence, slow_rate_constant)
+from apcone.verify import _Draws, random_type2_spec
 from probes import peak_bytes
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
@@ -281,6 +283,30 @@ def test_slow_rate_constant_ignores_other_parameters():
     base = slow_rate_constant(SPEC61)
     other = slow_rate_constant(PlaneSpec("type2", (1.0, -0.7, 0.4, 1.0, 0.9)))
     assert other == base
+
+
+_LAW_SPECS = st.sampled_from([SPEC61, get_example("ex4.4").spec]) | st.builds(
+    lambda seed, mild: random_type2_spec(_Draws(seed), mild),
+    st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spec=_LAW_SPECS, start=st.floats(0.05, 0.9), K=st.floats(0.0, 0.1),
+       n=st.integers(1, 3000))
+def test_the_pieces_of_the_slow_rate_law_agree(spec, start, K, n):
+    # the step constant c, the limit-law constant and the recursion's
+    # products are one law: t_k ~ (6 c k)^(-1/6) and dist_k ~ ||B1|| t_k
+    c, nb1 = slow_step_constant(spec), type2_b1_products(spec.c)[0]
+    assert slow_rate_constant(spec) ** 6 * nb1 ** 3 == pytest.approx(
+        6.0 * c, rel=1e-14, abs=0.0)
+    # a start with c x0^6 = start^6 < 1 and a K small enough for the
+    # decrease hypothesis, whatever the size of c
+    x0 = start * c ** (-1.0 / 6.0)
+    run = recursive_sequence(c, K * c / x0, 6, x0, n)
+    assert run.product == run.products[-1]
+    law = [(6.0 * c) ** (1.0 / 6.0) * k ** (1.0 / 6.0) * x
+           for k, x in zip(run.ks.tolist(), run.xs.tolist())]
+    assert run.products.tolist() == pytest.approx(law, rel=1e-14, abs=0.0)
 
 
 # --- CSV ---------------------------------------------------------------------

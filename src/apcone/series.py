@@ -1,16 +1,20 @@
 """Degree-capped univariate power series and the curve expansions built on
 them.
 
-A product is one ``np.convolve`` of the two coefficient arrays, cut at the
-cap: every product a_j b_(d-j) enters coefficient d, so a 0 * inf term
-makes it NaN whichever factor holds the inf.
+A product of two series is one ``np.convolve`` of the coefficient arrays,
+cut at the cap: every product a_j b_(d-j) enters coefficient d, so a
+0 * inf term makes it NaN whichever factor holds the inf.  A number times a
+series scales each coefficient.
 
 The curve expansions run the slowest curve's own rational formulas
 (``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
 instead of a float, so the series certify the low-degree structure of
 exactly the code that evaluates the curve pointwise: the recursion
 satisfied by w, the t^10 leading coefficient of det G(t), and the perturbed
-moment-curve pattern of the c1 = c4 = 1 instance.
+moment-curve pattern of the c1 = c4 = 1 instance.  The rational models of
+P_psd(G(t)) and of one AP step run on the series t too, and are set
+against the rank-1 kernel ``_rank_one_projection``, which expands
+P_psd(G(t)) = lam v v^T / (v^T v) degree by degree.
 """
 
 from dataclasses import dataclass
@@ -18,12 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _SPEC_61
-from .planes import require_slowest_curve
-from .slowcurve import _canonical_matrix, _curve_parts
-from .symcore import check_count
+from .planes import require_slowest_curve, slow_step_constant
+from .slowcurve import (_ap_shift, _canonical_matrix, _curve_parts, _h_term,
+                        _psd_correction)
+from .symcore import _eigh, check_count
 
 DEFAULT_CAP = 12
-_MOMENT_CAP = 8    # the moment pattern is compared through degree 7
+
+
+def _product(a, b):
+    """Coefficients of the product of two series of one cap: one
+    ``np.convolve`` of the coefficient arrays, cut at the cap."""
+    return np.convolve(a, b)[:len(a)]
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -43,14 +53,12 @@ class TruncSeries:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_coeffs(cls, coeffs, cap):
-        c = np.zeros(cap + 1)
-        coeffs = np.asarray(coeffs, dtype=float)
-        c[:min(len(coeffs), cap + 1)] = coeffs[:cap + 1]
-        return cls(c)
+        coeffs = np.asarray(coeffs, dtype=float)[:cap + 1]
+        return cls(np.concatenate([coeffs, np.zeros(cap + 1 - len(coeffs))]))
 
     @classmethod
     def constant(cls, value, cap):
-        return cls.from_coeffs([value], cap)
+        return cls(np.array([float(value)] + [0.0] * cap))
 
     @classmethod
     def x(cls, cap):
@@ -59,14 +67,13 @@ class TruncSeries:
     # -- ring operations ----------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
-            if other.cap != self.cap:
+            if len(other.coeffs) != len(self.coeffs):
                 raise ValueError("cap mismatch")
             return other
         return TruncSeries.constant(float(other), self.cap)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return TruncSeries(self.coeffs + other.coeffs)
+        return TruncSeries(self.coeffs + self._coerce(other).coeffs)
 
     __radd__ = __add__
 
@@ -74,53 +81,55 @@ class TruncSeries:
         return TruncSeries(-self.coeffs)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return TruncSeries(self.coeffs - self._coerce(other).coeffs)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return TruncSeries(self._coerce(other).coeffs - self.coeffs)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        prod = np.convolve(self.coeffs, other.coeffs)
-        return TruncSeries(prod[:self.cap + 1])
+        if not isinstance(other, TruncSeries):  # a number scales each term
+            k = float(other)
+            return TruncSeries(np.array([a * k for a in self.coeffs.tolist()]))
+        return TruncSeries(_product(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        b0 = other.coeffs[0]
-        if abs(b0) <= 1e-300:
+        """The quotient degree by degree, q_d = (a_d - sum_j b_j q_(d-j))
+        / b_0, the sum taken in order of j on Python floats."""
+        b = self._coerce(other).coeffs.tolist()
+        if abs(b[0]) <= 1e-300:
             raise ZeroConstantTermError(
                 "division by a series with zero constant term")
-        n = self.cap + 1
-        q = np.zeros(n)
-        for d in range(n):
-            acc = self.coeffs[d]
+        q = []
+        for d, acc in enumerate(self.coeffs.tolist()):
             for j in range(1, d + 1):
-                acc -= other.coeffs[j] * q[d - j]
-            q[d] = acc / b0
-        return TruncSeries(q)
+                acc -= b[j] * q[d - j]
+            q.append(acc / b[0])
+        return TruncSeries(np.array(q))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __pow__(self, exponent):
-        """self * self * ... * self, multiplied left to right; ``exponent``
-        must be a positive integer (``symcore.check_count``)."""
-        out = self
+        """self * self * ... * self, multiplied left to right by ``_product``
+        on the coefficient arrays; ``exponent`` must be a positive integer
+        (``symcore.check_count``)."""
+        c = out = self.coeffs
         for _ in range(check_count("exponent", exponent) - 1):
-            out = out * self
-        return out
+            out = _product(out, c)
+        return TruncSeries(out)
 
     def compose(self, inner):
         """self(inner(t)); the inner series must have zero constant term."""
         inner = self._coerce(inner)
         if inner.coeffs[0] != 0.0:
             raise ValueError("composition needs zero inner constant term")
-        out = TruncSeries.constant(self.coeffs[self.cap], self.cap)
-        for d in range(self.cap - 1, -1, -1):  # Horner over series
-            out = out * inner + self.coeffs[d]
-        return out
+        out = TruncSeries.constant(self.coeffs[-1], self.cap).coeffs
+        for c in self.coeffs[-2::-1]:  # Horner over series
+            out = _product(out, inner.coeffs)
+            out[0] += c
+        return TruncSeries(out)
 
     def __getitem__(self, d):
         return float(self.coeffs[d])
@@ -139,6 +148,80 @@ def curve_matrix_series(spec, cap):
     ``slowcurve._canonical_matrix`` on the series t."""
     _, g13, g23 = expand_curve(spec, cap)
     return _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)
+
+
+def _stack(rows):
+    """The coefficients of a 3x3 matrix of series, degree first: an array
+    of shape (cap + 1, 3, 3)."""
+    return np.array([[e.coeffs for e in row] for row in rows]).transpose(
+        2, 0, 1)
+
+
+def _first_degree(coeffs, tol):
+    """``(d, below, at)`` of a coefficient stack: the first degree d whose
+    coefficient exceeds ``tol`` in modulus (cap + 1 when none), the largest
+    modulus below d and the one at d (inf when none)."""
+    size = np.append(np.abs(coeffs).max(axis=(1, 2)), np.inf)
+    d = int(np.argmax(size > tol))
+    return d, float(size[:d].max(initial=0.0)), float(size[d])
+
+
+def _rank_one_projection(g, tol):
+    """P = lam v v^T / (v^T v) of the 3x3 series matrix G whose constant
+    term is E11, both as coefficient stacks ``g`` and P (``_stack``).
+
+    (lam, v) is the eigenpair of G through (1, e1) at t = 0, normalised by
+    v[0] = 1.  Degree d of G v = lam v reads r_d = v_d + lam_d e1, with
+    r_d = sum_{j=1..d} G_j v_(d-j) - sum_{j=1..d-1} lam_j v_(d-j), so each
+    degree is explicit: lam_d = r_d[0] and v_d[1:] = r_d[1:].  P is
+    P_psd(G) when G's other two eigenvalues are at most 0: G - P must be
+    negative semidefinite at its first degree above ``tol`` (no eigenvalue
+    above ``tol``), else ValueError.
+    """
+    lam, v = np.zeros(len(g)), np.zeros((len(g), 3))
+    lam[0] = v[0, 0] = 1.0
+    for d in range(1, len(g)):
+        r = (np.einsum("jab,jb->a", g[1:d + 1], v[d - 1::-1])
+             - lam[1:d] @ v[d - 1:0:-1])
+        lam[d], v[d, 1:] = r[0], r[1:]
+    v1, v2 = (TruncSeries(col) for col in v.T[1:])    # v[0] is 1
+    p00 = TruncSeries(lam) / (1.0 + v1 * v1 + v2 * v2)
+    p01, p02 = p00 * v1, p00 * v2
+    P = _stack([[p00, p01, p02], [p01, p01 * v1, p01 * v2],
+                [p02, p01 * v2, p02 * v2]])
+    d = _first_degree(g - P, tol)[0]
+    if d < len(g) and _eigh(g[d] - P[d])[2][-1] > tol:
+        raise ValueError("P_psd of the series matrix has rank above 1")
+    return P
+
+
+def _psd_projection_series(spec, cap, tol):
+    """``(P, model)`` in the canonical frame, as coefficient stacks: P_psd
+    of G(t) by ``_rank_one_projection`` (with ``tol``), and the model
+    G + D of ``psd_projection_formula`` run on the series t."""
+    t = TruncSeries.x(cap)
+    w, g13, g23, den4w, _ = _curve_parts(require_slowest_curve(spec).c, t)
+    g = _stack(_canonical_matrix(spec.c, t, g13, g23))
+    D = _psd_correction(spec, t, w, g13, _h_term(t, den4w))
+    return _rank_one_projection(g, tol), g + _stack(D)
+
+
+def _ap_image_series(E, spec, cap, tol):
+    """``(W, model)`` in the canonical frame, as coefficient stacks: one AP
+    step onto the plane E from G(t), the projection ``E._project`` of the
+    rows [vec P_d | d == 0] of ``_rank_one_projection``'s P (with
+    ``tol``), and the model of ``ap_image_formula`` run on the series t:
+    G at s = t - c t^7, its g13 and g23 the curve's series composed with
+    s.  E is the plane of the canonical ``spec``."""
+    t = TruncSeries.x(cap)
+    _, g13, g23, _, _ = _curve_parts(require_slowest_curve(spec).c, t)
+    P = _rank_one_projection(_stack(_canonical_matrix(spec.c, t, g13, g23)),
+                             tol)
+    rows = np.hstack([P.reshape(cap + 1, 9), np.eye(cap + 1, 1)])
+    W = E._project(rows.T).T.reshape(P.shape)
+    s = _ap_shift(slow_step_constant(spec), t)
+    return W, _stack(_canonical_matrix(spec.c, s, g13.compose(s),
+                                       g23.compose(s)))
 
 
 def w_recursion_defect(spec):
@@ -168,29 +251,15 @@ def moment_curve_defect():
     (3,2)=-s^3/2 + 3 s^7/16, (3,3)=0, all through degree 7.  Returns the max
     absolute coefficient gap.
     """
-    g = curve_matrix_series(_SPEC_61, _MOMENT_CAP)
-    t = TruncSeries.x(_MOMENT_CAP)
-    scale = 1 - 2 * t
-    s_of_t = t / (1 + 2 * t)  # inverse of s = t/(1-2t)
-
-    def sub(entry):
-        return (entry / scale).compose(s_of_t)
-
-    s = TruncSeries.x(_MOMENT_CAP)
-    s2, s3 = s * s, s * s * s
-    s6 = s3 * s3
-    s7 = s6 * s
-    target = {
-        (0, 0): TruncSeries.constant(1.0, _MOMENT_CAP),
-        (1, 0): s,
-        (2, 0): -s2 / 2 + s6 / 16,
-        (1, 1): s2 - s6 / 8,
-        (2, 1): -s3 / 2 + 3 * s7 / 16,
-        (2, 2): TruncSeries.constant(0.0, _MOMENT_CAP),
-    }
-    worst = 0.0
-    for (i, j), want in target.items():
-        got = sub(g[i][j])
-        worst = max(worst, float(np.max(np.abs(
-            got.coeffs[:8] - want.coeffs[:8]))))
-    return worst
+    g = curve_matrix_series(_SPEC_61, 8)
+    t = TruncSeries.x(8)
+    scale, s_of_t = 1 - 2 * t, t / (1 + 2 * t)  # s = t/(1-2t), inverted
+    # each entry's pattern: its coefficients in s through degree 7
+    target = {(0, 0): [1], (1, 0): [0, 1], (2, 2): [0],
+              (2, 0): [0, 0, -0.5, 0, 0, 0, 1 / 16],
+              (1, 1): [0, 0, 1, 0, 0, 0, -1 / 8],
+              (2, 1): [0, 0, 0, -0.5, 0, 0, 0, 3 / 16]}
+    return max(float(np.max(np.abs(
+        (g[i][j] / scale).compose(s_of_t).coeffs[:8]
+        - TruncSeries.from_coeffs(want, 7).coeffs)))
+        for (i, j), want in target.items())

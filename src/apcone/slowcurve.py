@@ -26,7 +26,6 @@ from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
                       check_count, frob_inner, frob_norm, is_number,
                       orthogonalize)
 
-_EPS = np.finfo(float).eps
 T_CAP = 0.2
 DOMAIN_GRID = 200
 DENOM_FLOOR = 0.1
@@ -43,8 +42,8 @@ class VanishingDenominatorError(ZeroDivisionError):
 
 
 class ResidualNoiseError(ArithmeticError):
-    """Residual at t0 sits below the float noise floor; shrink the halving
-    count or enlarge t0."""
+    """The deepest point of a residual ladder sits below the float noise
+    floor."""
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -71,7 +70,7 @@ def _curve_parts(c, t):
     """``(w, g13, g23, den4w, checked)`` of the curve point at t in the
     canonical frame, evaluated exactly as written: the nested rational w(t),
     the coefficients g13, g23, den4w = den^4 w with den = 2 c4 w + 2 c5 t
-    (h = 2 t^6 / den4w is left to ``_curve_scalars``), and the denominators
+    (h = 2 t^6 / den4w is left to ``_h_term``), and the denominators
     a point is rejected for, ``checked = (d_inner, d_mid, d_q, q, den)``.
     ``t`` is a float, an ndarray or a ``TruncSeries``; nothing is checked
     here."""
@@ -95,6 +94,12 @@ def _curve_parts(c, t):
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
     return w, g13, g23, den4w, (d_inner, d_mid, d_q, q, den)
+
+
+def _h_term(t, den4w):
+    """h = 2 t^6 / (den^4 w) of the curve point at t, from ``_curve_parts``'s
+    den4w; ``t`` is a float or a ``TruncSeries``."""
+    return 2.0 * _power(t, 6) / den4w
 
 
 def _vanished(den4w, checked):
@@ -122,7 +127,7 @@ def _curve_scalars(spec, t):
     t = _curve_parameter(t)
     try:
         w, g13, g23, den4w, checked = _curve_parts(spec.c, t)
-        h = 2.0 * t ** 6 / den4w
+        h = _h_term(t, den4w)
     except ZeroDivisionError:
         raise VanishingDenominatorError("a curve denominator is zero") from None
     except OverflowError:   # a float ** past the largest float
@@ -153,23 +158,24 @@ def curve_point(spec, t):
     return CurvePoint(t=float(t), w=w, g13=g13, g23=g23, h=h, G=G)
 
 
-def psd_projection_formula(spec, t):
-    """Rational model of P_psd(G(t)), accurate to O(t^8)."""
-    c4, c5 = require_slowest_curve(spec).c[3:]
-    _, ip21, ip31 = type2_b1_products(spec.c)
-    cp = curve_point(spec.canonical(), t)
-    w, g13, h = cp.w, cp.g13, cp.h
-    half = slow_step_constant(spec) * t ** 7 / 2.0    # c t^7 / 2
-
-    m21 = -t ** 7 / (8.0 * c4 ** 4)
+def _psd_correction(spec, t, w, g13, h):
+    """Rows of D = P_psd(G(t)) - G(t) to O(t^8) in the canonical frame, from
+    the curve point's t, w, g13 and h: floats or ``TruncSeries``."""
+    c4, c5 = spec.c[3:]
+    nb1, ip21, ip31 = type2_b1_products(spec.c)
+    half = 0.5 * slow_step_constant(spec) * _power(t, 7)    # c t^7 / 2
+    m21 = -nb1 * half
     m22 = h - ip21 * half / c4
-    m31 = c4 * h
     m32 = c5 * m22 - ip31 * half
-    m33 = g13 * g13 / w
-    D = np.array([[0.0, m21, m31],
-                  [m21, m22, m32],
-                  [m31, m32, m33]])
-    return _rotated(spec, cp.G + D)
+    return [[0.0 * t, m21, c4 * h], [m21, m22, m32],
+            [c4 * h, m32, g13 * g13 / w]]
+
+
+def psd_projection_formula(spec, t):
+    """Rational model G(t) + D of P_psd(G(t)), accurate to O(t^8)."""
+    cp = curve_point(require_slowest_curve(spec).canonical(), t)
+    D = _psd_correction(spec, cp.t, cp.w, cp.g13, cp.h)
+    return _rotated(spec, cp.G + np.array(D))
 
 
 def _ap_shift(c, t):
@@ -237,53 +243,30 @@ def valid_t_max(spec):
 
 # --- residual-order estimation ----------------------------------------------
 
-def residual_order_certified(f, g, t0, halvings, t_cap):
+def residual_order_certified(f, g, t0, halvings):
     """Mean of log2(|f - g|(t_j) / |f - g|(t_{j+1})) over the ladder
-    t_j = t0 / 2^j, j = 0..halvings, once the ladder is clear of rounding.
+    t_j = t0 / 2^j, j = 0..halvings, each point evaluated once.
 
-    A difference at t0 below 100 machine epsilons (relative to |f| at the
-    first t0) is buried in rounding, and a deepest ladder point below 1e3 of
-    them makes the estimate meaningless; either way t0 is enlarged, up to
-    ``t_cap``.  At ``t_cap`` the first raises ResidualNoiseError, and the
-    second reduces the halving count (never below 2, where a marginal
-    deepest point is accepted).  Each point of the final ladder is
-    evaluated once.  Returns ``(order, t0_used, halvings_used)``.
+    The ladder is the one given.  A difference that is not finite at a
+    ladder point raises ValueError, and a deepest point below 1e3 machine
+    epsilons (relative to max(1, |f(t0)|)) raises ResidualNoiseError:
+    rounding would decide the estimate.
     """
     if not (is_number(t0) and t0 > 0):    # NaN included
         raise ValueError("t0 must be positive")
     halvings = check_count("halvings", halvings, 2)
-    if not (is_number(t_cap) and 0 < t_cap < math.inf):    # NaN included
-        raise ValueError("t_cap must be positive and finite")
-    t0 = min(t0, t_cap)
-
-    def diff(t):
-        return float(np.linalg.norm(np.asarray(f(t)) - np.asarray(g(t))))
-
-    scale = max(1.0, float(np.linalg.norm(np.asarray(f(t0)))))
-    top = diff(t0)
-    while True:
-        if top < 100.0 * _EPS * scale:          # top of the ladder is noise
-            if not t0 < t_cap:
-                raise ResidualNoiseError(
-                    "difference is below the noise floor over the whole "
-                    "admissible range")
-            t0 = min(2.0 * t0, t_cap)
-            top = diff(t0)
-            continue
-        deep = diff(t0 / 2 ** halvings)
-        if deep >= 1e3 * _EPS * scale:
-            break                               # whole ladder is clean
-        if t0 < t_cap:
-            t0 = min(2.0 * t0, t_cap)
-            top = diff(t0)
-        elif halvings > 2:
-            halvings -= 1
-        else:
-            break                               # accept a marginal deep point
-    diffs = [top, *(diff(t0 / 2 ** j) for j in range(1, halvings)), deep]
-    order = float(np.mean([np.log2(diffs[j] / diffs[j + 1])
-                           for j in range(halvings)]))
-    return order, t0, halvings
+    ts = [t0 / 2 ** j for j in range(halvings + 1)]
+    fs = [np.asarray(f(t)) for t in ts]
+    diffs = [float(np.linalg.norm(F - np.asarray(g(t))))
+             for F, t in zip(fs, ts)]
+    if not all(map(math.isfinite, diffs)):
+        raise ValueError("f - g is not finite at a ladder point")
+    scale = max(1.0, float(np.linalg.norm(fs[0])))
+    if diffs[-1] < 1e3 * np.finfo(float).eps * scale:
+        raise ResidualNoiseError(
+            "the deepest ladder point is below the noise floor")
+    return float(np.mean([np.log2(diffs[j] / diffs[j + 1])
+                          for j in range(halvings)]))
 
 
 # --- Newton continuation ------------------------------------------------------

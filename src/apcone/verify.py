@@ -24,10 +24,9 @@ from .catalog import _SPEC_61, get_example
 from .planes import (PlaneSpec, build_plane, plucker_coords,
                      plucker_relation_defect, slow_step_constant)
 from .rates import recursive_sequence
-from .series import det_series, moment_curve_defect, w_recursion_defect
-from .slowcurve import (ap_image_formula, curve_point, perturb_gain,
-                        psd_projection_formula, residual_order_certified,
-                        tube_check, valid_t_max)
+from .series import (_ap_image_series, _first_degree, _psd_projection_series,
+                     det_series, moment_curve_defect, w_recursion_defect)
+from .slowcurve import curve_point, perturb_gain, tube_check, valid_t_max
 from .symcore import is_integer, orthogonalize, project_psd
 
 @dataclass(frozen=True)
@@ -158,41 +157,45 @@ def suite_thm41(seed=0):
                         f"max residual {worst:.3e} (tol 1e-9)")]
 
 
-def _order_suite(label, oracle_of_spec, formula, seed):
+def _series_suite(label, check, seed):
+    """One row per plane, on ex6.1 and ten random planes.  ``check(spec,
+    cap, tol, G)`` returns the kernel's series and the formula's, as
+    coefficient stacks through degree ``cap`` = 8 (the kernel's rank test
+    at ``tol`` = 1e-8), and the float matrix the kernel's series, truncated,
+    must give at t = 1e-2 from G = G(1e-2).  A row passes when the
+    difference of the series is first above 1e-8 at degree 8 and the
+    truncated series is within 1e-13 of the float matrix."""
     rng = _Draws(seed)
-    results = []
-    specs = [("ex6.1", _SPEC_61, curve_probe_t(_SPEC_61))]
-    while len(specs) < 11:
-        spec = random_type2_spec(rng)
-        cap = curve_probe_t(spec)
-        if cap >= 0.02:
-            specs.append((f"random #{len(specs)}", spec, cap))
-    for name, spec, cap in specs:
-        order, t0, halvings = residual_order_certified(
-            oracle_of_spec(spec), lambda t, s=spec: formula(s, t),
-            t0=1e-2, halvings=3, t_cap=cap)
-        results.append(CheckResult(
-            f"{label} order, {name}", order >= 7.5,
-            f"order {order:.2f} at t0={t0:g}, {halvings} halvings"))
-    return results
+
+    def row(name, spec):
+        kernel, model, want = check(spec, 8, 1e-8, curve_point(spec, 1e-2).G)
+        degree, below, at = _first_degree(kernel - model, 1e-8)
+        at_tie = np.einsum("d,dij->ij", 1e-2 ** np.arange(9), kernel)
+        tie = float(np.max(np.abs(at_tie - want)))
+        return CheckResult(
+            f"{label} order, {name}", degree == 8 and tie <= 1e-13,
+            f"order {degree} (tol 1e-8): max coefficient {below:.1e} below "
+            f"it, {at:.3g} at it; float tie {tie:.1e} at t=1e-2")
+
+    return [row("ex6.1", _SPEC_61)] + [
+        row(f"random #{i}", random_type2_spec(rng)) for i in range(1, 11)]
 
 
 def suite_thm62(seed=0):
-    """PSD-projection formula residual vanishes at order >= 7.5."""
-    def oracle(spec):
-        return lambda t: project_psd(curve_point(spec, t).G)[0]
+    """P_psd(G(t)) minus the PSD-projection formula starts at t^8."""
+    def check(spec, cap, tol, G):
+        return (*_psd_projection_series(spec, cap, tol), project_psd(G)[0])
 
-    return _order_suite("psd-projection formula", oracle,
-                        psd_projection_formula, seed)
+    return _series_suite("psd-projection formula", check, seed)
 
 
 def suite_thm63(seed=0):
-    """AP-image formula residual vanishes at order >= 7.5."""
-    def oracle(spec):
-        E, _ = build_plane(spec)
-        return lambda t: ap_step(E, curve_point(spec, t).G)[0]
+    """One AP step from G(t) minus the AP-image formula starts at t^8."""
+    def check(spec, cap, tol, G):
+        E = build_plane(spec)[0]
+        return (*_ap_image_series(E, spec, cap, tol), ap_step(E, G)[0])
 
-    return _order_suite("ap-image formula", oracle, ap_image_formula, seed)
+    return _series_suite("ap-image formula", check, seed)
 
 
 def suite_lemma64(seed=0):

@@ -104,14 +104,14 @@ def test_criterion_04_quartic_plane_ratio():
 
 def test_criterion_05_projection_formula_orders():
     # thm62 and thm63 at seed 0: ex6.1 and ten random planes (|c_i| <= 2 by
-    # construction); probe scales start at the stated 1e-2 and follow the
-    # estimator's own noise-floor remediation (enlarge t0, then shrink
-    # halvings, >= 2)
+    # construction); each row reads the first degree above 1e-8 of the
+    # rank-1 kernel's series minus the formula's (cap 8), which must be 8,
+    # and ties the truncated kernel to the float projection at t = 1e-2
     t_start = time.perf_counter()
     rows = run_suite("thm62", SEEDS[0]) + run_suite("thm63", SEEDS[0])
     elapsed = time.perf_counter() - t_start
     ok = all(r.passed for r in rows)
-    # a row's detail reads "order <value> at t0=..., <n> halvings"
+    # a row's detail reads "order <degree> (tol 1e-8): ..."
     low = min(rows, key=lambda r: float(r.detail.split()[1]))
     report(5, ok and elapsed < 1.0,
            f"min {low.label}: {low.detail}; {len(rows)} rows, "
@@ -260,8 +260,8 @@ def test_criterion_13_property_suites(seed):
         _, p = newton_slowest_point(Eo, t)
         return Eo.point(p)
 
-    order, _, _ = residual_order_certified(
-        newton_matrix, lambda t: curve_point(SPEC44, t).G, 0.1, 2, t_cap=0.1)
+    order = residual_order_certified(
+        newton_matrix, lambda t: curve_point(SPEC44, t).G, 0.1, 2)
     assert order >= 6.5
     report(13, True, f"seed {seed}: projections, Fejer, relations, "
                      f"newton order {order:.2f}")

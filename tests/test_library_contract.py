@@ -148,18 +148,18 @@ LIBRARY_CONTRACT = [
            ("eps=nan", (0.0, 0.0), NAN), ("beta='0'", ("0", 0.0), 1.0),
            ("gamma=None", (0.0, None), 1.0), ("eps=True", (0.0, 0.0), True)]],
     *[(f"residual_order_certified t0={t0!r}", residual_order_certified,
-       (*NOISE, t0, 3, 0.1), ValueError, "t0 must be positive")
+       (*NOISE, t0, 3), ValueError, "t0 must be positive")
       for t0 in (0.0, NAN, "x")],
-    *[(f"residual_order_certified t_cap={cap!r}", residual_order_certified,
-       (*NOISE, 0.1, 3, cap), ValueError, "t_cap must be positive and finite")
-      for cap in (NAN, INF, 0.0, "0.1")],
     *[(f"residual_order_certified halvings={h!r}", residual_order_certified,
-       (*NOISE, 0.1, h, 0.1), ValueError, "halvings must be an integer >= 2")
+       (*NOISE, 0.1, h), ValueError, "halvings must be an integer >= 2")
       for h in (1, 2.5, NAN, True)],
-    # 2e-19 at t0 = 0.1 is noise, and t0 cannot be enlarged past t_cap
+    # 2e-19 at t0 / 8 = 0.0125 is noise
     ("residual_order_certified noise", residual_order_certified,
-     (*NOISE, 0.1, 3, 0.1), ResidualNoiseError,
-     "difference is below the noise floor over the whole admissible range"),
+     (*NOISE, 0.1, 3), ResidualNoiseError,
+     "the deepest ladder point is below the noise floor"),
+    *[(f"residual_order_certified f={v!r}", residual_order_certified,
+       (lambda t, v=v: np.full((3, 3), v), NOISE[0], 0.1, 2), ValueError,
+       "f - g is not finite at a ladder point") for v in (NAN, INF)],
     # series
     ("det_series cap=10", det_series, (SPEC61, 10), ValueError,
      "det_series needs cap >= 11"),

@@ -114,6 +114,40 @@ def test_product_with_an_inf_coefficient():
     assert np.array_equal((a * b).coeffs, _loop_product(a.coeffs, b.coeffs))
 
 
+def test_number_times_series_scales_each_coefficient():
+    """A number multiplies each coefficient once: the same value as the
+    product with the constant series when every coefficient is finite,
+    and no 0 * inf term from the constant's zeros when one is not."""
+    rng = np.random.RandomState(3)
+    for _ in range(200):
+        a, k = _random_coeffs(rng, 8), float(rng.standard_normal())
+        want = (TruncSeries(a) * TruncSeries.constant(k, 8)).coeffs
+        assert np.array_equal((k * TruncSeries(a)).coeffs, want)
+        assert np.array_equal((TruncSeries(a) * k).coeffs, want)
+    assert np.array_equal((ts([np.inf, 1.0], 2) * 2.0).coeffs,
+                          [np.inf, 2.0, 0.0])
+
+
+def _loop_quotient(a, b):
+    """The former ``TruncSeries.__truediv__``, on NumPy scalars."""
+    q = np.zeros(len(a))
+    for d in range(len(a)):
+        acc = a[d]
+        for j in range(1, d + 1):
+            acc -= b[j] * q[d - j]
+        q[d] = acc / b[0]
+    return q
+
+
+def test_quotient_matches_the_former_loop():
+    # the same sums in the same order, on Python floats instead
+    rng = np.random.RandomState(4)
+    for _ in range(200):
+        a, b = _random_coeffs(rng, 8), _random_coeffs(rng, 8)
+        got = (TruncSeries(a) / TruncSeries(b)).coeffs
+        assert got.tobytes() == _loop_quotient(a, b).tobytes()
+
+
 def test_power_is_repeated_multiplication():
     a = ts([0.7, -1.3, 0.4, 2.1])
     want = a

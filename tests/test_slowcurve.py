@@ -6,9 +6,13 @@ import pytest
 
 from apcone.apengine import ap_step
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
-                           rotation_matrix, type2_basis)
+                           rotation_matrix, slow_step_constant, type2_basis)
 import apcone.slowcurve as slowcurve
-from apcone.series import TruncSeries
+import apcone.series as series
+from apcone.catalog import get_example
+from apcone.series import (TruncSeries, _ap_image_series, _first_degree,
+                           _psd_projection_series, _rank_one_projection,
+                           _stack, det_series)
 from apcone.slowcurve import (TUBE_BLOCK, ChartError,
                               VanishingDenominatorError, _coordinate,
                               _curve_parts, _curve_scalars, _vanished,
@@ -17,7 +21,6 @@ from apcone.slowcurve import (TUBE_BLOCK, ChartError,
                               psd_projection_formula,
                               residual_order_certified, tube_check,
                               valid_t_max)
-from apcone.series import det_series
 from apcone.symcore import (EigenSolverError, frob_inner, frob_norm,
                             orthogonalize, project_psd)
 from apcone.verify import curve_probe_t, random_type2_spec
@@ -50,9 +53,7 @@ def test_w_recursion_pointwise_halving_order():
         c1, c2, c3 = spec.c[:3]
         return 1.0 - 2.0 * c1 * t + 2.0 * c2 * cp.g13 - 2.0 * c3 * cp.g23
 
-    order, t0, halvings = residual_order_certified(lhs, rhs, 1e-2, 3,
-                                                   t_cap=0.08)
-    assert order >= 5.5
+    assert residual_order_certified(lhs, rhs, 0.08, 3) >= 5.5
 
 
 # --- curve point ----------------------------------------------------------------
@@ -225,18 +226,49 @@ def test_ap_image_formula_fixed_point_at_zero():
     assert np.allclose(ap_image_formula(SPEC61, 0.0), U_STAR, atol=1e-15)
 
 
-@pytest.mark.parametrize("formula,oracle_builder", [
-    (psd_projection_formula,
-     lambda spec, E: (lambda t: project_psd(curve_point(spec, t).G)[0])),
-    (ap_image_formula,
-     lambda spec, E: (lambda t: ap_step(E, curve_point(spec, t).G)[0])),
-])
-def test_formula_residual_orders(formula, oracle_builder):
-    E, _ = build_plane(SPEC61)
-    oracle = oracle_builder(SPEC61, E)
-    order, t0, halvings = residual_order_certified(
-        oracle, lambda t: formula(SPEC61, t), t0=1e-2, halvings=3, t_cap=0.1)
-    assert order >= 7.5
+def _first_degrees(spec):
+    """The first degree above 1e-8 of the kernel's series minus each
+    formula's, psd projection then AP image, at cap 8."""
+    E = build_plane(spec)[0]
+    return [_first_degree(got - want, 1e-8)[0]
+            for got, want in (_psd_projection_series(spec, 8, 1e-8),
+                              _ap_image_series(E, spec, 8, 1e-8))]
+
+
+def test_formula_residuals_start_at_degree_8():
+    assert _first_degrees(SPEC61) == [8, 8]
+
+
+def test_wrong_step_constant_shows_at_degree_7(monkeypatch):
+    # 1.1 c puts a wrong t^7 term in both formulas: m21 and m22 of the
+    # projection's correction, and the shift t - c t^7 of the AP image
+    c = slow_step_constant(SPEC61)
+    for module in (slowcurve, series):
+        monkeypatch.setattr(module, "slow_step_constant",
+                            lambda spec: 1.1 * c)
+    assert _first_degrees(SPEC61) == [7, 7]
+
+
+def test_kernel_matches_project_psd_on_the_curve():
+    P = _psd_projection_series(SPEC61, 8, 1e-8)[0]
+    for t in (1e-3, 1e-2):
+        want = project_psd(curve_point(SPEC61, t).G)[0]
+        assert np.abs(polyval(t, P) - want).max() <= 1e-13
+
+
+def test_kernel_rejects_a_rank_two_projection():
+    # ex3.2's line X(s) = U* + s L has the eigenvalue 2 s > 0 besides the
+    # top one, so P_psd(X(s)) has rank 2 and G - P is 2 s E22 at degree 1
+    L = get_example("ex3.2").plane.basis[0]
+    s = TruncSeries.x(8)
+    X = [[U_STAR[i, j] + L[i, j] * s for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="rank above 1"):
+        _rank_one_projection(_stack(X), 1e-8)
+    # the same line with -s: one positive eigenvalue, P_psd is rank 1
+    minus = [[U_STAR[i, j] - L[i, j] * s for j in range(3)] for i in range(3)]
+    P = _rank_one_projection(_stack(minus), 1e-8)
+    want = project_psd(U_STAR - 1e-2 * L)[0]
+    assert np.abs(polyval(1e-2, P) - want).max() <= 1e-14
 
 
 # --- residual order estimator -------------------------------------------------
@@ -252,27 +284,11 @@ def test_residual_order_exact_monomial():
         g_at.append(t)
         return 0.0 * M
 
-    # the deepest point (1/32)^8 |M| is clear of rounding: nothing escalates
-    order, t0, halvings = residual_order_certified(f, g, 0.5, 4, t_cap=0.5)
+    # the deepest point (1/32)^8 |M| is clear of rounding
+    order = residual_order_certified(f, g, 0.5, 4)
     assert order == pytest.approx(8.0, abs=1e-9)
-    assert (t0, halvings) == (0.5, 4)
     # each of the five ladder points is evaluated once
     assert sorted(g_at) == [0.5 / 2 ** j for j in range(4, -1, -1)]
-
-
-def test_residual_order_certified_escalates():
-    M = np.eye(3)
-
-    def f(t):
-        return t ** 8 * M
-
-    def g(t):
-        return 0.0 * M
-
-    # at t0 = 1e-3 the difference is ~1e-24; certification walks t0 up
-    order, t0, halvings = residual_order_certified(f, g, 1e-3, 3, t_cap=0.5)
-    assert order == pytest.approx(8.0, abs=1e-6)
-    assert t0 > 1e-3
 
 
 # --- Newton continuation ---------------------------------------------------------
@@ -300,9 +316,8 @@ def test_newton_curve_agreement_order():
         _, p = newton_slowest_point(E, t)
         return E.point(p)
 
-    order, t0, halvings = residual_order_certified(
-        newton_matrix, lambda t: curve_point(SPEC44, t).G,
-        t0=0.1, halvings=2, t_cap=0.1)
+    order = residual_order_certified(
+        newton_matrix, lambda t: curve_point(SPEC44, t).G, t0=0.1, halvings=2)
     assert order >= 6.5
 
 

@@ -16,7 +16,8 @@ module verifies the parameter-space descriptions of one AP step: the
 eigenvalue formula on an orthogonal basis, whose derivative is taken
 exactly from one eigendecomposition, and the rank-1 chart relation
 M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
-closed-form array products.
+closed-form array products, as are the pairings with psi's second
+partials that the slowest-curve Newton solve differentiates them with.
 """
 
 import math
@@ -297,6 +298,14 @@ def _pair_with_psi_partials(A, x):
     out = 2.0 * Ax / x[0]
     out[..., 0] -= Ax @ x / x[0] ** 2
     return out
+
+
+def _pair_with_psi_second_partials(A, x):
+    """<d_j d_k psi(x), A> = (2/x1) (L A L^T)_jk with L = I - e1 x^T/x1, for
+    a symmetric 3x3 A: the second partials of <psi(x), A> in x."""
+    L = np.eye(3)
+    L[0] -= x / x[0]
+    return 2.0 / x[0] * (L @ A @ L.T)
 
 
 def m_matrix(E, x):

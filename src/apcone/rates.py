@@ -6,8 +6,10 @@ on the step constant ``planes.slow_step_constant``.
 The recursion is a plain Python loop: each step depends on the previous x,
 so it cannot be vectorised.  After the first step, taken from the exact
 x0, the loop iterates the scaled variable y = C^(1/q) x, in which the
-K = 0 step is y - y^(q+1), two float operations.  Only y at the decade
-checkpoints is kept; x = y / C^(1/q) and the limit product
+K = 0 step is y - y^(q+1).  The power's form is picked once per run, from
+q: for q = 2 every step is y - y * y * y, about 1.4x faster than y ** 3.0;
+every other q, and the K != 0 loop, use y ** (q + 1).  Only y at the
+decade checkpoints is kept; x = y / C^(1/q) and the limit product
 (q k)^(1/q) y_k are formed from it after the loop.  So memory does not
 grow with the step count, and for K = 0 the loop body between checkpoints
 is one step's arithmetic and nothing else."""
@@ -137,8 +139,9 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
 
     The first step is taken in x from the exact x0.  The loop then runs in
     the scaled variable y = C^(1/q) x, where the step is
-    y <- y - y^(q+1) +/- kappa y^(q+2) with kappa = K / C^((q+1)/q), two
-    float operations for K = 0, and the product is (q k)^(1/q) y_k.  That
+    y <- y - y^(q+1) +/- kappa y^(q+2) with kappa = K / C^((q+1)/q), for
+    K = 0 y - y ** (q + 1), or y - y * y * y at every step when q = 2, and
+    the product is (q k)^(1/q) y_k.  That
     needs q >= 1/16 and normal floats C^(1/q) and C^(1/q) x_1, else
     ``ValueError``: then y stays a normal float for as long as a step can
     move it.
@@ -197,14 +200,20 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
     ys = [y]    # y at ks[1:]
     k = 1
     if K == 0.0:
-        # y^(q+1) >= 0, so y never increases, and a step that leaves y
-        # unchanged leaves it fixed for good: the last step decreases y iff
-        # every step of the loop does
+        # y^(q+1) >= 0, so y never increases, and with one form of the step
+        # for the whole run a step that leaves y unchanged leaves it fixed
+        # for good: the last step decreases y iff every step of the loop does
         prev = math.inf     # n = 1: the first step decides alone
+        cube = q == 2.0     # y * y * y: about 1.4x faster a step than y ** 3.0
         for b in ks[2:]:
-            for _ in repeat(None, b - k - 1):
-                y = y - y ** q1
-            prev, y = y, y - y ** q1
+            if cube:
+                for _ in repeat(None, b - k - 1):
+                    y = y - y * y * y
+                prev, y = y, y - y * y * y
+            else:
+                for _ in repeat(None, b - k - 1):
+                    y = y - y ** q1
+                prev, y = y, y - y ** q1
             ys.append(y)
             k = b
         decreasing = x < x0 and y < prev

@@ -3,8 +3,11 @@ them.
 
 A product of two series is one ``np.convolve`` of the coefficient arrays,
 cut at the cap: every product a_j b_(d-j) enters coefficient d, so a
-0 * inf term makes it NaN whichever factor holds the inf.  A number times a
-series scales each coefficient.
+0 * inf term makes it NaN whichever factor holds the inf.  A number
+operand stays a number: it shifts the constant term in + and -, and scales
+or divides each coefficient in * and /, with the bits of the operation with
+the constant series on finite coefficients and no 0 * inf term from its
+zeros.  Only a number divided by a series runs the degree-by-degree loop.
 
 The curve expansions run the slowest curve's own rational formulas
 (``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
@@ -34,6 +37,13 @@ def _product(a, b):
     """Coefficients of the product of two series of one cap: one
     ``np.convolve`` of the coefficient arrays, cut at the cap."""
     return np.convolve(a, b)[:len(a)]
+
+
+def _shifted(coeffs, k):
+    """The series of ``coeffs``, a fresh array, with the number k added to
+    its constant term in place."""
+    coeffs[0] += float(k)
+    return TruncSeries(coeffs)
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -73,7 +83,9 @@ class TruncSeries:
         return TruncSeries.constant(float(other), self.cap)
 
     def __add__(self, other):
-        return TruncSeries(self.coeffs + self._coerce(other).coeffs)
+        if isinstance(other, TruncSeries):
+            return TruncSeries(self.coeffs + self._coerce(other).coeffs)
+        return _shifted(self.coeffs.copy(), other)
 
     __radd__ = __add__
 
@@ -81,26 +93,31 @@ class TruncSeries:
         return TruncSeries(-self.coeffs)
 
     def __sub__(self, other):
-        return TruncSeries(self.coeffs - self._coerce(other).coeffs)
+        if isinstance(other, TruncSeries):
+            return TruncSeries(self.coeffs - self._coerce(other).coeffs)
+        return _shifted(self.coeffs.copy(), -float(other))
 
     def __rsub__(self, other):
-        return TruncSeries(self._coerce(other).coeffs - self.coeffs)
+        return _shifted(-self.coeffs, other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):  # a number scales each term
-            k = float(other)
-            return TruncSeries(np.array([a * k for a in self.coeffs.tolist()]))
+            return TruncSeries(self.coeffs * float(other))
         return TruncSeries(_product(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """The quotient degree by degree, q_d = (a_d - sum_j b_j q_(d-j))
-        / b_0, the sum taken in order of j on Python floats."""
-        b = self._coerce(other).coeffs.tolist()
+        """A number divides each coefficient.  By a series, the quotient
+        degree by degree, q_d = (a_d - sum_j b_j q_(d-j)) / b_0, the sum
+        taken in order of j on Python floats."""
+        number = not isinstance(other, TruncSeries)
+        b = [float(other)] if number else self._coerce(other).coeffs.tolist()
         if abs(b[0]) <= 1e-300:
             raise ZeroConstantTermError(
                 "division by a series with zero constant term")
+        if number:
+            return TruncSeries(self.coeffs / b[0])
         q = []
         for d, acc in enumerate(self.coeffs.tolist()):
             for j in range(1, d + 1):

@@ -18,20 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apengine import (_require_orthogonal, ap_step, grad_half_dist2_psi,
-                       m_matrix, psi)
+from .apengine import (_pair_with_psi_partials,
+                       _pair_with_psi_second_partials, _require_orthogonal,
+                       ap_step, m_matrix, psi)
 from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
                      slow_step_constant, type2_b1_products)
 from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
                       check_count, frob_inner, frob_norm, is_number,
-                      orthogonalize)
+                      orthogonalize, project_affine)
 
 T_CAP = 0.2
 DOMAIN_GRID = 200
 DENOM_FLOOR = 0.1
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-NEWTON_JAC_STEP = 1e-7
 TUBE_K_SLACK = 1.5
 TUBE_BLOCK = 256
 _OVERFLOW = "the curve formulas overflow at this t"
@@ -271,59 +271,67 @@ def residual_order_certified(f, g, t0, halvings):
 
 # --- Newton continuation ------------------------------------------------------
 
+def _newton_system(E, x):
+    """``(F, dF)`` at the chart point x: F = M(x)^-1 g(x), with g the
+    gradient of 1/2 d^2(psi(x), E), and its Jacobian dF[:, j] = dF/dx_j in
+    closed form, M^-1 (dg - dM F).  Entry (k, j) of dg - dM F is
+    <d_j d_k psi, R - S> + <d_k psi, (I - Pi) d_j psi>, with R = psi(x) -
+    P_E(psi(x)), S = sum_i F_i B_i, Pi = Q Q^T the projection onto
+    span{B_i}, and d_k psi = e_k y^T + y e_k^T - [k = 1] y y^T, y = x / x1.
+    A singular M raises ``NewtonConvergenceError``."""
+    V = psi(x)
+    R = V - project_affine(E, V)[0]
+    M = m_matrix(E, x)
+    y, eye = x / x[0], np.eye(3)
+    dpsi = (eye[:, :, None] * y + eye[:, None, :] * y[:, None]).reshape(3, 9)
+    dpsi[0] -= np.outer(y, y).ravel()
+    lin = dpsi @ E.Q
+    try:
+        F = np.linalg.solve(M, _pair_with_psi_partials(R, x))
+        S = np.tensordot(F, E.basis, 1)
+        dg = (_pair_with_psi_second_partials(R - S, x)
+              + dpsi @ dpsi.T - lin @ lin.T)
+        return F, np.linalg.solve(M, dg)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonConvergenceError("singular coupling matrix") from exc
+
+
 def newton_slowest_point(E, t):
     """Solve components 2 and 3 of F(x) = M(x)^{-1} grad 1/2 d^2(psi(x), E)
-    for (x1, x3) with x2 = t held fixed, by damped Newton with a
-    finite-difference Jacobian, from x = (1, t, -t^2 / (B_2)_22).
+    for (x1, x3) with x2 = t held fixed, by damped Newton on the
+    closed-form Jacobian of ``_newton_system``, from
+    x = (1, t, -t^2 / (B_2)_22).
 
     Returns ``(x, p)`` where p are the curve coefficients
     <B_i, psi(x) - U*>/||B_i||^2 + F(x) in the (orthogonal) basis of E.
     """
     _require_orthogonal(E)
-
-    def f23(x):
-        M = m_matrix(E, x)
-        try:
-            F = np.linalg.solve(M, grad_half_dist2_psi(E, x))
-        except np.linalg.LinAlgError as exc:
-            raise NewtonConvergenceError("singular coupling matrix") from exc
-        return F[1:]
-
     c4_proxy = 0.5 * E.basis[1][1, 1]
     x3 = -t * t / (2.0 * c4_proxy) if c4_proxy != 0.0 else 0.0
     x = np.array([1.0, t, x3], dtype=float)
 
-    res = f23(x)
+    F, dF = _newton_system(E, x)
     for _ in range(NEWTON_MAX_ITER):
-        if np.linalg.norm(res) < NEWTON_TOL:
+        res = np.linalg.norm(F[1:])
+        if res < NEWTON_TOL:
             break
-        J = np.empty((2, 2))
-        for col, idx in enumerate((0, 2)):
-            xp = x.copy(); xp[idx] += NEWTON_JAC_STEP
-            xm = x.copy(); xm[idx] -= NEWTON_JAC_STEP
-            J[:, col] = (f23(xp) - f23(xm)) / (2.0 * NEWTON_JAC_STEP)
-        try:
-            step = np.linalg.solve(J, -res)
+        try:    # the unknowns are x1 and x3
+            step = np.linalg.solve(dF[1:, ::2], -F[1:])
         except np.linalg.LinAlgError as exc:
             raise NewtonConvergenceError("singular Newton Jacobian") from exc
         lam = 1.0
         while True:
             xn = x.copy()
-            xn[0] += lam * step[0]
-            xn[2] += lam * step[1]
-            rn = f23(xn)
-            if np.linalg.norm(rn) < np.linalg.norm(res) or lam < 1e-8:
-                x, res = xn, rn
+            xn[::2] += lam * step
+            Fn, dFn = _newton_system(E, xn)
+            if np.linalg.norm(Fn[1:]) < res or lam < 1e-8:
+                x, F, dF = xn, Fn, dFn
                 break
             lam *= 0.5
-    if not np.linalg.norm(res) < NEWTON_TOL:
+    if not np.linalg.norm(F[1:]) < NEWTON_TOL:
         raise NewtonConvergenceError(
             f"Newton did not reach {NEWTON_TOL:g} in {NEWTON_MAX_ITER} steps")
-
-    M = m_matrix(E, x)
-    F = np.linalg.solve(M, grad_half_dist2_psi(E, x))
-    p = E.coefficients(psi(x)) + F
-    return x, p
+    return x, E.coefficients(psi(x)) + F
 
 
 # --- transverse gain and tube check -------------------------------------------

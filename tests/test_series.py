@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcone.planes import PlaneSpec
-from apcone.series import (TruncSeries, det_series, expand_curve,
-                           moment_curve_defect, w_recursion_defect)
+from apcone.series import (TruncSeries, ZeroConstantTermError, det_series,
+                           expand_curve, moment_curve_defect,
+                           w_recursion_defect)
 from apcone.slowcurve import curve_point
 
 SPEC61 = PlaneSpec("type2", (1.0, 0.0, 0.0, 1.0, 0.0))
@@ -126,6 +127,29 @@ def test_number_times_series_scales_each_coefficient():
         assert np.array_equal((TruncSeries(a) * k).coeffs, want)
     assert np.array_equal((ts([np.inf, 1.0], 2) * 2.0).coeffs,
                           [np.inf, 2.0, 0.0])
+
+
+def test_number_operands_match_the_constant_series():
+    """A number shifts the constant term in + and - and divides each
+    coefficient in /: the bits of the operation with the constant series
+    when every coefficient is finite, without its 0 * inf terms when one is
+    not, and a number at most 1e-300 in modulus is still no divisor."""
+    rng = np.random.RandomState(5)
+    for _ in range(200):
+        s = TruncSeries(_random_coeffs(rng, 8))
+        k = float(rng.standard_normal())
+        const = TruncSeries.constant(k, 8)
+        for got, want in ((s + k, s + const), (k + s, const + s),
+                          (s - k, s - const), (k - s, const - s),
+                          (s / k, s / const)):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert np.array_equal((ts([np.inf, 1.0], 2) / 2.0).coeffs,
+                          [np.inf, 0.5, 0.0])
+    assert np.array_equal((ts([1.0, np.inf], 2) - 2.0).coeffs,
+                          [-1.0, np.inf, 0.0])
+    for k in (0.0, -0.0, 1e-300, -1e-300):
+        with pytest.raises(ZeroConstantTermError):
+            ts([1.0, 2.0], 2) / k
 
 
 def _loop_quotient(a, b):

@@ -321,6 +321,23 @@ def test_newton_curve_agreement_order():
     assert order >= 6.5
 
 
+def test_newton_jacobian_matches_a_difference_quotient():
+    """The closed-form Jacobian of F = M^-1 g against the fourth-order
+    central difference of F (step 1e-4, error about 1e-12 here), at chart
+    points near (1, 0, 0) on seeded planes."""
+    rng = np.random.RandomState(11)
+    for _ in range(10):
+        E = orthogonalize(build_plane(random_type2_spec(rng))[0])
+        x = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.2, 0.2, 3)
+        _, dF = slowcurve._newton_system(E, x)
+        h, diff = 1e-4, np.empty((3, 3))
+        for j in range(3):
+            F = [slowcurve._newton_system(E, x + s * h * np.eye(3)[j])[0]
+                 for s in (-2, -1, 1, 2)]
+            diff[:, j] = (F[0] - 8.0 * F[1] + 8.0 * F[2] - F[3]) / (12.0 * h)
+        assert np.abs(diff - dF).max() <= 1e-9 * np.abs(dF).max()
+
+
 # --- transverse gain ----------------------------------------------------------
 
 def test_perturb_gain_moment_instance():

@@ -16,8 +16,10 @@ module verifies the parameter-space descriptions of one AP step: the
 eigenvalue formula on an orthogonal basis, whose derivative is taken
 exactly from one eigendecomposition, and the rank-1 chart relation
 M(x)(p~ - p) + grad 1/2 d^2(psi(x), E) = 0, whose M(x) and gradient are
-closed-form array products, as are the pairings with psi's second
-partials that the slowest-curve Newton solve differentiates them with.
+products with the one array of psi's partials, ``_psi_partials``.  The
+slowest-curve Newton solve reads that array too, with the pairing with
+psi's second partials that it differentiates them with, and the chart's
+plane check, ``_require_chart_plane``.
 """
 
 import math
@@ -291,13 +293,13 @@ def psi(x):
     return np.outer(x, x) / x[0]
 
 
-def _pair_with_psi_partials(A, x):
-    """<d_k psi(x), A> = 2 (A x)_k/x1 - delta_k0 x^T A x/x1^2 for symmetric
-    A of shape (..., 3, 3); k runs along the last axis."""
-    Ax = A @ x
-    out = 2.0 * Ax / x[0]
-    out[..., 0] -= Ax @ x / x[0] ** 2
-    return out
+def _psi_partials(x):
+    """The partials d_k psi(x) = e_k y^T + y e_k^T - [k = 1] y y^T, with
+    y = x / x1, as the rows vec(d_k psi(x)) of a 3x9 array; x unchecked."""
+    y, eye = x / x[0], np.eye(3)
+    dpsi = (eye[:, :, None] * y + eye[:, None, :] * y[:, None]).reshape(3, 9)
+    dpsi[0] -= np.outer(y, y).ravel()
+    return dpsi
 
 
 def _pair_with_psi_second_partials(A, x):
@@ -308,11 +310,17 @@ def _pair_with_psi_second_partials(A, x):
     return 2.0 / x[0] * (L @ A @ L.T)
 
 
+def _require_chart_plane(E):
+    """The check of a plane the rank-1 chart couples to: a 3-plane in S^3,
+    else ``ValueError``."""
+    if E.n != 3 or E.dim != 3:
+        raise ValueError("the rank-1 chart needs a 3-plane in S^3")
+
+
 def m_matrix(E, x):
     """Coupling matrix M(x) with entries M[k, i] = <d_k psi(x), B_i>."""
-    if E.n != 3 or E.dim != 3:
-        raise ValueError("m_matrix needs a 3-plane in S^3")
-    return _pair_with_psi_partials(E.basis, _check_chart_point(x)).T
+    _require_chart_plane(E)
+    return _psi_partials(_check_chart_point(x)) @ E.basis.reshape(3, 9).T
 
 
 def grad_half_dist2_psi(E, x):
@@ -320,7 +328,7 @@ def grad_half_dist2_psi(E, x):
     projection residual psi(x) - P_E(psi(x))."""
     x = _check_chart_point(x)
     P = psi(x)
-    return _pair_with_psi_partials(P - project_affine(E, P)[0], x)
+    return _psi_partials(x) @ (P - project_affine(E, P)[0]).ravel()
 
 
 def extract_rank_one_param(V):

@@ -4,26 +4,22 @@ Two parametric templates cover every such plane (up to the rotation block
 P~): "type1" planes have singularity degree 1; "type2" planes have degree 2
 exactly when c4 != 0.  The constraint matrices and the type2 basis are each
 one float64 array literal, conjugated only by a rotation block that is not
-the identity.  The module also computes Pluecker
+the identity.  A spec's numeric fields must pass
+``symcore.is_finite_number``.  The module also computes Pluecker
 coordinates of a 3-plane inside the 6-dimensional space S^3.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .symcore import (AffineSubspace, DependentBasisError,
-                      _standard_sym_basis, is_number, sym_matrix)
+                      _standard_sym_basis, is_finite_number, sym_matrix)
 
 U_STAR = sym_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 U_STAR.setflags(write=False)
-
-
-def _finite(v):
-    return is_number(v) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -38,14 +34,14 @@ class PlaneSpec:
 
     def __post_init__(self):
         if not (isinstance(self.c, (list, tuple, np.ndarray))
-                and all(map(_finite, self.c))):
+                and all(map(is_finite_number, self.c))):
             raise ValueError("plane field 'c' must list finite numbers")
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        if not _finite(self.theta):
+        if not is_finite_number(self.theta):
             raise ValueError("plane field 'theta' must be a finite number")
         if not isinstance(self.reflect, bool):
             raise ValueError("plane field 'reflect' must be true or false")
-        if self.mu is not None and not _finite(self.mu):
+        if self.mu is not None and not is_finite_number(self.mu):
             raise ValueError("plane field 'mu' must be a finite number")
         if self.kind == "type1":
             if len(self.c) != 8:

@@ -12,9 +12,15 @@ every other q, and the K != 0 loop, use y ** (q + 1).  Only y at the
 decade checkpoints is kept; x = y / C^(1/q) and the limit product
 (q k)^(1/q) y_k are formed from it after the loop.  So memory does not
 grow with the step count, and for K = 0 the loop body between checkpoints
-is one step's arithmetic and nothing else."""
+is one step's arithmetic and nothing else.
+
+Whether an argument is a number, or a finite one, is decided by
+``symcore.is_number`` and ``symcore.is_finite_number``.  The trace CSV is
+parsed a block of lines at a time, each block cut at a line end, LF or
+CR."""
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -22,7 +28,8 @@ from itertools import repeat
 import numpy as np
 
 from .planes import slow_step_constant, type2_b1_products
-from .symcore import _power, check_count, is_integer, is_number
+from .symcore import (_power, check_count, is_finite_number, is_integer,
+                      is_number)
 
 _NOISE_MODES = ("plus", "minus", "alternating")
 # characters of trace CSV text parsed at a time, about 1000 CLI rows
@@ -84,7 +91,7 @@ def fit_inverse_power(trace, p, window):
     """Fit dist_k^{-p} ~ intercept + slope * k on the window; dist_k^{-p}
     is ``symcore._power``'s, the number the trace CSV's inv_p column
     prints."""
-    if not (is_number(p) and math.isfinite(p)):
+    if not is_finite_number(p):
         raise ValueError("p must be a finite number")
     window, ks, d = _window_dists(trace, window)
     with np.errstate(over="ignore"):
@@ -253,14 +260,16 @@ def slow_rate_constant(spec):
 def _line_blocks(text):
     """The lines of ``text`` (``str.splitlines``) stripped of surrounding
     whitespace, without blank and '#' lines, in lists that each come from
-    about ``_PARSE_BLOCK`` characters of text cut at a line end."""
+    about ``_PARSE_BLOCK`` characters of text cut at a line end, LF or CR,
+    so that LF, CRLF and CR-only text are all cut into blocks."""
     pos = 0
     while pos < len(text):
         cut = pos + _PARSE_BLOCK
-        # the last line end before the cut, else the first one after it
-        end = len(text) if cut >= len(text) else (
-            text.rfind("\n", pos, cut) + 1 or text.find("\n", cut) + 1
-            or len(text))
+        # the last line end before the cut, else the first one after it or
+        # the end of the text, which also ends a text shorter than a block
+        end = max(text.rfind("\n", pos, cut), text.rfind("\r", pos, cut)) + 1
+        if cut >= len(text) or not end:
+            end = re.compile(r"[\n\r]|\Z").search(text, cut).end()
         yield [line for line in map(str.strip, text[pos:end].splitlines())
                if line and line[0] != "#"]
         pos = end

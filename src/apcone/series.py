@@ -11,7 +11,8 @@ zeros.  Only a number divided by a series runs the degree-by-degree loop.
 
 The curve expansions run the slowest curve's own rational formulas
 (``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
-instead of a float, so the series certify the low-degree structure of
+instead of a float, in one place, ``_curve_series``, which every series of
+the curve in t reads, so the series certify the low-degree structure of
 exactly the code that evaluates the curve pointwise: the recursion
 satisfied by w, the t^10 leading coefficient of det G(t), and the perturbed
 moment-curve pattern of the c1 = c4 = 1 instance.  The rational models of
@@ -152,19 +153,27 @@ class TruncSeries:
         return float(self.coeffs[d])
 
 
+def _curve_series(spec, cap):
+    """The slowest curve on the series t = ``TruncSeries.x(cap)``:
+    ``(t, w, g13, g23, den4w, G)``, the parts of ``slowcurve._curve_parts``
+    and the rows G of ``slowcurve._canonical_matrix``, in the canonical
+    frame.  Every series of the curve in t is read from here."""
+    t = TruncSeries.x(cap)
+    w, g13, g23, den4w, _ = _curve_parts(require_slowest_curve(spec).c, t)
+    return t, w, g13, g23, den4w, _canonical_matrix(spec.c, t, g13, g23)
+
+
 def expand_curve(spec, cap=DEFAULT_CAP):
     """Series expansions (w, g13, g23) of the slowest curve in t, from the
     same formulas that evaluate it pointwise (``slowcurve._curve_parts``)
     applied to the series t."""
-    c = require_slowest_curve(spec).canonical().c
-    return _curve_parts(c, TruncSeries.x(cap))[:3]
+    return _curve_series(spec, cap)[1:4]
 
 
 def curve_matrix_series(spec, cap):
     """Rows of TruncSeries giving the entries of G(t), assembled by
     ``slowcurve._canonical_matrix`` on the series t."""
-    _, g13, g23 = expand_curve(spec, cap)
-    return _canonical_matrix(spec.c, TruncSeries.x(cap), g13, g23)
+    return _curve_series(spec, cap)[5]
 
 
 def _stack(rows):
@@ -216,9 +225,8 @@ def _psd_projection_series(spec, cap, tol):
     """``(P, model)`` in the canonical frame, as coefficient stacks: P_psd
     of G(t) by ``_rank_one_projection`` (with ``tol``), and the model
     G + D of ``psd_projection_formula`` run on the series t."""
-    t = TruncSeries.x(cap)
-    w, g13, g23, den4w, _ = _curve_parts(require_slowest_curve(spec).c, t)
-    g = _stack(_canonical_matrix(spec.c, t, g13, g23))
+    t, w, g13, _, den4w, G = _curve_series(spec, cap)
+    g = _stack(G)
     D = _psd_correction(spec, t, w, g13, _h_term(t, den4w))
     return _rank_one_projection(g, tol), g + _stack(D)
 
@@ -230,10 +238,8 @@ def _ap_image_series(E, spec, cap, tol):
     ``tol``), and the model of ``ap_image_formula`` run on the series t:
     G at s = t - c t^7, its g13 and g23 the curve's series composed with
     s.  E is the plane of the canonical ``spec``."""
-    t = TruncSeries.x(cap)
-    _, g13, g23, _, _ = _curve_parts(require_slowest_curve(spec).c, t)
-    P = _rank_one_projection(_stack(_canonical_matrix(spec.c, t, g13, g23)),
-                             tol)
+    t, _, g13, g23, _, G = _curve_series(spec, cap)
+    P = _rank_one_projection(_stack(G), tol)
     rows = np.hstack([P.reshape(cap + 1, 9), np.eye(cap + 1, 1)])
     W = E._project(rows.T).T.reshape(P.shape)
     s = _ap_shift(slow_step_constant(spec), t)
@@ -244,9 +250,8 @@ def _ap_image_series(E, spec, cap, tol):
 def w_recursion_defect(spec):
     """Max |coefficient| gap, degree 0..5, of w minus its own recursion
     G_11 = 1 - 2 c1 t + 2 c2 g13 - 2 c3 g23 (they agree below degree 6)."""
-    w, g13, g23 = expand_curve(spec)
-    g11 = _canonical_matrix(spec.c, TruncSeries.x(w.cap), g13, g23)[0][0]
-    return float(np.max(np.abs(w.coeffs[:6] - g11.coeffs[:6])))
+    _, w, _, _, _, G = _curve_series(spec, DEFAULT_CAP)
+    return float(np.max(np.abs(w.coeffs[:6] - G[0][0].coeffs[:6])))
 
 
 def det_series(spec, cap=DEFAULT_CAP):

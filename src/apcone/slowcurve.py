@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apengine import (_pair_with_psi_partials,
-                       _pair_with_psi_second_partials, _require_orthogonal,
-                       ap_step, m_matrix, psi)
+from .apengine import (_pair_with_psi_second_partials, _psi_partials,
+                       _require_chart_plane, _require_orthogonal, ap_step,
+                       psi)
 from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
                      slow_step_constant, type2_b1_products)
 from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
-                      check_count, frob_inner, frob_norm, is_number,
-                      orthogonalize, project_affine)
+                      check_count, frob_inner, frob_norm, is_finite_number,
+                      is_number, orthogonalize, project_affine)
 
 T_CAP = 0.2
 DOMAIN_GRID = 200
@@ -116,7 +116,7 @@ def _vanished(den4w, checked):
 def _curve_parameter(t):
     """The one check of a curve parameter: ``t`` as a float when it is a
     finite number, else ``ValueError``."""
-    if not (is_number(t) and math.isfinite(t)):
+    if not is_finite_number(t):
         raise ValueError("the curve parameter t must be finite")
     return float(t)
 
@@ -274,20 +274,18 @@ def residual_order_certified(f, g, t0, halvings):
 def _newton_system(E, x):
     """``(F, dF)`` at the chart point x: F = M(x)^-1 g(x), with g the
     gradient of 1/2 d^2(psi(x), E), and its Jacobian dF[:, j] = dF/dx_j in
-    closed form, M^-1 (dg - dM F).  Entry (k, j) of dg - dM F is
-    <d_j d_k psi, R - S> + <d_k psi, (I - Pi) d_j psi>, with R = psi(x) -
-    P_E(psi(x)), S = sum_i F_i B_i, Pi = Q Q^T the projection onto
-    span{B_i}, and d_k psi = e_k y^T + y e_k^T - [k = 1] y y^T, y = x / x1.
-    A singular M raises ``NewtonConvergenceError``."""
+    closed form, M^-1 (dg - dM F).  M, g and the second term of dg all
+    pair with the rows vec(d_k psi) of ``apengine._psi_partials``: entry
+    (k, j) of dg - dM F is <d_j d_k psi, R - S> + <d_k psi, (I - Pi) d_j psi>,
+    with R = psi(x) - P_E(psi(x)), S = sum_i F_i B_i and Pi = Q Q^T the
+    projection onto span{B_i}.  E is unchecked; a singular M raises
+    ``NewtonConvergenceError``."""
     V = psi(x)
     R = V - project_affine(E, V)[0]
-    M = m_matrix(E, x)
-    y, eye = x / x[0], np.eye(3)
-    dpsi = (eye[:, :, None] * y + eye[:, None, :] * y[:, None]).reshape(3, 9)
-    dpsi[0] -= np.outer(y, y).ravel()
-    lin = dpsi @ E.Q
+    dpsi = _psi_partials(x)
+    M, lin = dpsi @ E.basis.reshape(3, 9).T, dpsi @ E.Q
     try:
-        F = np.linalg.solve(M, _pair_with_psi_partials(R, x))
+        F = np.linalg.solve(M, dpsi @ R.ravel())
         S = np.tensordot(F, E.basis, 1)
         dg = (_pair_with_psi_second_partials(R - S, x)
               + dpsi @ dpsi.T - lin @ lin.T)
@@ -300,11 +298,13 @@ def newton_slowest_point(E, t):
     """Solve components 2 and 3 of F(x) = M(x)^{-1} grad 1/2 d^2(psi(x), E)
     for (x1, x3) with x2 = t held fixed, by damped Newton on the
     closed-form Jacobian of ``_newton_system``, from
-    x = (1, t, -t^2 / (B_2)_22).
+    x = (1, t, -t^2 / (B_2)_22).  E must be a 3-plane in S^3 (else
+    ``ValueError``) with an orthogonal basis.
 
     Returns ``(x, p)`` where p are the curve coefficients
     <B_i, psi(x) - U*>/||B_i||^2 + F(x) in the (orthogonal) basis of E.
     """
+    _require_chart_plane(E)
     _require_orthogonal(E)
     c4_proxy = 0.5 * E.basis[1][1, 1]
     x3 = -t * t / (2.0 * c4_proxy) if c4_proxy != 0.0 else 0.0

@@ -46,7 +46,8 @@ affine subspace is checked the same way, size included, by the private
 order non-finite, square, symmetric, size decides the error.  A step or
 iteration count is checked by ``check_count``; whether a scalar argument
 is an integer or a real number at all is decided by ``is_integer`` and
-``is_number``, for which a bool is neither.
+``is_number``, for which a bool is neither, and whether it is a finite
+number by ``is_finite_number``.
 """
 
 import functools
@@ -108,6 +109,12 @@ def is_number(value):
     """Whether ``value`` is a real number (``numbers.Real``: a Python or
     NumPy float or integer, NaN and inf included); a bool is not one."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_finite_number(value):
+    """Whether ``value`` is a finite real number: ``is_number`` and
+    neither NaN nor inf."""
+    return is_number(value) and math.isfinite(value)
 
 
 def check_count(name, value, least=1):

@@ -10,7 +10,8 @@ standard library's Mersenne Twister, so the suites never load
 ``numpy.random``.  ``run_suite`` takes a seed in [0, 2**32 - 1], the range
 ``RandomState`` takes, and rejects any other before a suite runs.
 ``random_type2_spec`` takes any rng with ``uniform`` and ``choice``, a
-``RandomState`` included.
+``RandomState`` included.  A suite composes the package's operations and
+writes none of its own: prop31's direct AP step is ``ap_step``'s.
 """
 
 import math
@@ -111,9 +112,10 @@ def _orth_plane(spec):
 
 
 def formula_vs_direct_gap(E, p):
-    """|eigenvalue-formula step - direct AP step| (max over coordinates)."""
+    """|eigenvalue-formula step - direct AP step| (max over coordinates),
+    the direct step's coefficients read from ``ap_step``."""
     stepped = eigenvalue_formula_step(E, p)
-    direct = E.coefficients(project_psd(E.point(np.asarray(p, float)))[0])
+    direct = ap_step(E, E.point(p))[2]
     return float(np.max(np.abs(stepped - direct)))
 
 

@@ -64,6 +64,26 @@ def _c4_zero_test(node):
         and o.value == 0 for o in operands)
 
 
+def _calls(node, names):
+    """A call of one of ``names``, as a bare name or an attribute."""
+    return isinstance(node, ast.Call) and (_name(node.func, names)
+                                           or _attr(node.func, names))
+
+
+def _finite_number_test(node):
+    """An ``and`` of an ``is_number(...)`` call and an ``isfinite(...)``
+    call."""
+    return (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
+            and any(_calls(v, {"is_number"}) for v in node.values)
+            and any(_calls(v, {"isfinite"}) for v in node.values))
+
+
+def _series_t(node):
+    """A call ``TruncSeries.x(...)``: the series t."""
+    return (isinstance(node, ast.Call) and _attr(node.func, {"x"})
+            and _name(node.func.value, {"TruncSeries"}))
+
+
 # rule: (predicate on a node, the functions allowed to match it)
 RULES = {
     # PSD projection and every spectrum: one eigendecomposition, named as
@@ -105,6 +125,15 @@ RULES = {
         lambda n: isinstance(n, ast.Call) and (_attr(n.func, RUN_PATH)
                                                or _name(n.func, RUN_PATH)),
         {"cli._run_and_report"}),
+    # psi(x) = x x^T / x1 and its partials are the only outer products
+    "outer_product": (
+        lambda n: _attr(n, {"outer"}) or _imports_from(n, {"outer"}, "numpy"),
+        {"apengine.psi", "apengine._psi_partials"}),
+    # a finite number is one test, next to is_number
+    "finite_number_test": (_finite_number_test, {"symcore.is_finite_number"}),
+    # every series of the curve in t starts from one series t
+    "series_t": (_series_t, {"series._curve_series",
+                             "series.moment_curve_defect"}),
 }
 
 
@@ -184,6 +213,22 @@ PLANTED = [
     ("c4_zero_test",
      "def f(c, c4):\n    return c[3] > 1.0 or c[2] == 0 or c4 < c[3]\n",
      set()),
+    ("outer_product", "def f(y):\n    return np.outer(y, y).ravel()\n",
+     {"m.f"}),
+    ("outer_product", "from numpy import outer\n", {"m.<module>"}),
+    ("outer_product", "def f(outer):\n    return outer @ outer\n", set()),
+    ("finite_number_test",
+     "def f(t):\n    if not (is_number(t) and math.isfinite(t)):\n"
+     "        raise ValueError\n", {"m.f"}),
+    ("finite_number_test",
+     "class C:\n    ok = staticmethod(lambda v: is_number(v) and v > 0 "
+     "and isfinite(v))\n", {"m.C"}),
+    ("finite_number_test",
+     "def f(v):\n    return is_number(v) or math.isfinite(v)\n", set()),
+    ("series_t", "def f(cap):\n    return TruncSeries.x(cap) * 2\n",
+     {"m.f"}),
+    ("series_t", "def f(cap):\n    return TruncSeries.from_coeffs([0, 1], "
+     "cap), x(cap)\n", set()),
 ]
 
 
@@ -194,12 +239,6 @@ def test_rule_flags_a_planted_violation(rule, source, flagged):
 
 
 # --- hypothesis draws the same examples on every run --------------------------
-
-def _calls(node, names):
-    """A call of one of ``names``, as a bare name or an attribute."""
-    return isinstance(node, ast.Call) and (_name(node.func, names)
-                                           or _attr(node.func, names))
-
 
 def _random_draws(source):
     """Line numbers of the ``settings(...)`` calls without

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcone.apengine import (RankOneError, eigenvalue_formula_step, psi,
-                             rank_one_step_residual, run_ap)
+from apcone.apengine import (RankOneError, eigenvalue_formula_step, m_matrix,
+                             psi, rank_one_step_residual, run_ap)
+from apcone.catalog import get_example
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, plucker_coords,
                            slow_step_constant)
 from apcone.rates import (fit_geometric, fit_inverse_power,
@@ -21,8 +22,8 @@ from apcone.series import (TruncSeries, ZeroConstantTermError, det_series,
                            expand_curve)
 from apcone.slowcurve import (ChartError, ResidualNoiseError,
                               VanishingDenominatorError, ap_image_formula,
-                              curve_point, perturb_gain,
-                              psd_projection_formula,
+                              curve_point, newton_slowest_point,
+                              perturb_gain, psd_projection_formula,
                               residual_order_certified, tube_check,
                               valid_t_max)
 from apcone.symcore import AffineSubspace, EigenSolverError, orthogonalize
@@ -41,6 +42,8 @@ NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
 FINITE_T = "the curve parameter t must be finite"
 FIRST_FACTOR = "the first factor 1 - C x0^q - K x0^(q+1) must be positive"
 OFFSET = "initial transverse offset must satisfy ||beta C2 + gamma C3|| < eps"
+CHART_PLANE = "the rank-1 chart needs a 3-plane in S^3"
+LINE32, PLANE34 = (get_example(ex).plane for ex in ("ex3.2", "ex3.4"))
 CURVE_FUNCS = (curve_point, psd_projection_formula, ap_image_formula)
 # f, g for residual_order_certified: |f - g| = 1e-18 t sqrt(3)
 NOISE = (lambda t: np.eye(3), lambda t: np.eye(3) * (1.0 + 1e-18 * t))
@@ -88,6 +91,13 @@ LIBRARY_CONTRACT = [
     ("rank_one_step_residual rank 2", rank_one_step_residual,
      (E61_ORTHO, [2.5, 1.0, 1.5]), RankOneError,
      "PSD projection has rank 2, expected 1"),
+    # the rank-1 chart couples to 3-planes in S^3 only: ex3.2 is a line in
+    # S^3, ex3.4 a 2-plane in S^4
+    ("m_matrix on ex3.2", m_matrix, (LINE32, [1.0, 0.0, 0.0]), ValueError,
+     CHART_PLANE),
+    *[(f"newton_slowest_point on {name}", newton_slowest_point, (E, 0.05),
+       ValueError, CHART_PLANE)
+      for name, E in (("ex3.2", LINE32), ("ex3.4", PLANE34))],
     *[(f"psi {x}", psi, (x,), ValueError, message) for x, message in [
         ([0.0, 1.0, 0.0], "psi requires x1 != 0"),
         ([0.0, 0.2, -0.3], "psi requires x1 != 0"),
@@ -119,6 +129,9 @@ LIBRARY_CONTRACT = [
     ("plucker_coords of a 2-plane", plucker_coords,
      (AffineSubspace.from_basis(U_STAR, E61.basis[:2]),), ValueError,
      "Pluecker coordinates need a 3-plane in S^3"),
+    ("AffineSubspace 2x2 basis at a 3x3 anchor", AffineSubspace.from_basis,
+     (U_STAR, [np.eye(2)]), ValueError, "basis dimension does not match "
+     "anchor"),
     # the slowest curve exists on type2 planes with c4 != 0 only
     *[(f"{func.__name__} {case}", func, (spec, *args), ValueError, NO_CURVE)
       for func, args in [*((f, (0.01,)) for f in CURVE_FUNCS),
@@ -167,6 +180,8 @@ LIBRARY_CONTRACT = [
      ZeroConstantTermError, "division by a series with zero constant term"),
     ("TruncSeries compose 0.5 + t", (1.0 + X12).compose, (0.5 + X12,),
      ValueError, "composition needs zero inner constant term"),
+    ("TruncSeries sum of caps 12 and 8", X12.__add__, (TruncSeries.x(8),),
+     ValueError, "cap mismatch"),
     # rate fits and the slow-rate recursion: (C, K, q, x0, n, noise)
     *[(f"fit_geometric window {w}", fit_geometric,
        (np.linspace(1.0, 0.5, 10), w), ValueError,
@@ -218,6 +233,10 @@ LIBRARY_CONTRACT = [
     # a verify suite's seed: an integer in [0, 2**32 - 1], a bool is none
     *[(f"run_suite seed={seed!r}", run_suite, ("lemma77", seed), ValueError,
        "Seed must be between 0 and 2**32 - 1") for seed in (True, 1.0, -1)],
+    # str() of a KeyError is the repr of its message
+    ("run_suite unknown name", run_suite, ("thm99",), KeyError,
+     "\"unknown suite 'thm99'; known: prop31, thm41, thm62, thm63, lemma64, "
+     "lemma67, lemma75, prop76, lemma77, plucker\""),
 ]
 
 

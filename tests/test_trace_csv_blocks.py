@@ -139,12 +139,25 @@ def test_block_parser_header_only_missing_header_and_ragged_rows(
         parse_trace_csv("k,dist\n0,1\n2\n3\n")
 
 
-def test_parse_memory_per_row():
+def test_line_blocks_cut_cr_and_crlf_text_as_lf_text():
+    text = "".join(f"{k},{k / 7}\n" for k in range(10 ** 4))
+    lf = list(rates._line_blocks(text))
+    assert len(lf) > 1
+    # CR-only text has LF text's characters, so its blocks are LF text's
+    assert list(rates._line_blocks(text.replace("\n", "\r"))) == lf
+    crlf = list(rates._line_blocks(text.replace("\n", "\r\n")))
+    assert len(crlf) > 1 and sum(crlf, []) == sum(lf, [])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                         ids=["LF", "CRLF", "CR"])
+def test_parse_memory_per_row(newline):
     n = 10 ** 5
     k = np.arange(n)
     text = trace_csv(0.1 * (1.0 + k) ** (-1.0 / 6.0),
                      np.ones(n, dtype=np.int64))
     parse_trace_csv(text[:text.index("\n", 10 ** 4) + 1])  # first-call costs
+    text = text.replace("\n", newline)
     peak = peak_bytes(lambda: parse_trace_csv(text))
     # the columns (40 B a row), the blocks they are joined from, and one
     # block's lines

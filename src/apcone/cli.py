@@ -139,24 +139,28 @@ def _summarize(trace, power):
         return f"fit unavailable ({exc})"
 
 
-def _parse_start(text, spec, plane):
-    """Start forms: a comma list of coefficients, or slowest-curve:t0; the
-    library checks the curve, t0 and the number of coefficients."""
+def _parse_start(text, spec):
+    """Start forms: a comma list of coefficients, or slowest-curve:t0,
+    returned as the curve point's matrix, which needs the spec and not its
+    plane; the library checks the curve, t0 and the number of
+    coefficients."""
     if text.startswith("slowest-curve:"):
         t0 = float(text.split(":", 1)[1])
         try:
-            G = curve_point(spec, t0).G
+            return curve_point(spec, t0).G
         except ArithmeticError:
             raise ValueError(f"slowest-curve t0={t0:g} is outside the "
                              "curve's domain") from None
-        return plane.coefficients(G)
     return np.array([float(tok) for tok in text.split(",")])
 
 
 def _run_and_report(inst, start, iters, tol, out):
     """Run AP on the instance from ``start``, write the trace CSV to ``out``
     (stdout when None) a block of rows at a time and print the summary;
-    the one run path of both ``example`` and ``run``."""
+    the one run path of both ``example`` and ``run``.  A start matrix is
+    read as its basis coefficients."""
+    if np.ndim(start) == 2:
+        start = inst.plane.coefficients(start)
     if not np.isfinite(start).all():
         raise ValueError("start coefficients must be finite")
     log.info("running %s (%s) for %d iterations", inst.ident, inst.variant,
@@ -178,7 +182,7 @@ def cmd_example(args):
     inst = get_example(args.ident, args.variant)
     iters = args.iters if args.iters is not None else inst.default_iters
     start = inst.start if args.start is None else _parse_start(
-        args.start, inst.spec, inst.plane)
+        args.start, inst.spec)
     return _run_and_report(inst, start, iters, args.tol, args.out)
 
 
@@ -208,11 +212,12 @@ def cmd_run(args):
                             "a string")
     if isinstance(plane_field, str):
         inst = get_example(plane_field, variant)
+        spec = inst.spec
     elif "variant" in config:
         raise ValueError("config key 'variant' applies to a built-in plane "
                          "id only")
-    else:
-        inst = plane_instance(PlaneSpec.from_json(plane_field))
+    else:   # its plane is built once the start, maybe a curve point, is read
+        inst, spec = None, PlaneSpec.from_json(plane_field)
     # JSON numbers decode to exactly int or float (true and false to bool)
     if "start" in config:
         start_field = _config_value(
@@ -221,11 +226,12 @@ def cmd_run(args):
             "a number, a list of numbers or a string")
         start = (np.array(start_field, dtype=float)
                  if type(start_field) is list
-                 else _parse_start(str(start_field), inst.spec, inst.plane))
-    elif inst.start is not None:
+                 else _parse_start(str(start_field), spec))
+    elif inst is not None:
         start = inst.start
     else:
         raise ValueError("config key 'start' is required with a plane object")
+    inst = inst or plane_instance(spec)
 
     max_iter = _config_value(config, "max_iter", lambda v: type(v) is int,
                              "an integer", 1000)

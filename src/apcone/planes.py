@@ -5,11 +5,14 @@ P~): "type1" planes have singularity degree 1; "type2" planes have degree 2
 exactly when c4 != 0.  The constraint matrices and the type2 basis are each
 one float64 array literal, conjugated only by a rotation block that is not
 the identity.  A spec's numeric fields must pass
-``symcore.is_finite_number``.  The module also computes Pluecker
+``symcore.is_finite_number``.  ``require_slowest_curve`` is the one gate
+of the slowest curve: a type2 plane with c4 != 0 whose curve constants are
+floats the formulas can divide by.  The module also computes Pluecker
 coordinates of a 3-plane inside the 6-dimensional space S^3.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -178,9 +181,23 @@ def singularity_degree(spec):
 
 def require_slowest_curve(spec):
     """``spec`` when its plane has a slowest curve, a ``PlaneSpec`` of
-    degree 2; anything else (None included) raises ``ValueError``."""
+    degree 2; anything else (None included) raises ``ValueError``.  So
+    does a plane whose curve constants do not fit in a float: the powers
+    c4^3 .. c4^6 and their products with ||B1||^2, which the curve
+    formulas and the step constant divide by, and ||B1||^6 must be finite
+    and nonzero, and c5^2 finite.  They are multiplied out in plain
+    floats, where an overflow gives inf and raises nothing."""
     if not (isinstance(spec, PlaneSpec) and singularity_degree(spec) == 2):
         raise ValueError("the slowest curve needs a type2 plane with c4 != 0")
+    c4, c5, nb1 = spec.c[3], spec.c[4], type2_b1_products(spec.c)[0]
+    power, sizes = c4 * c4, [nb1 * nb1 * nb1]
+    for _ in range(4):
+        power *= c4
+        sizes += [abs(power), abs(power * nb1)]
+    if not (0.0 < min(sizes) and max(sizes) < math.inf
+            and c5 * c5 < math.inf):
+        raise ValueError("the slowest curve's constants are not finite "
+                         "nonzero floats on this plane")
     return spec
 
 

@@ -10,10 +10,13 @@ the constant series on finite coefficients and no 0 * inf term from its
 zeros.  Only a number divided by a series runs the degree-by-degree loop.
 
 The curve expansions run the slowest curve's own rational formulas
-(``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series t
-instead of a float, in one place, ``_curve_series``, which every series of
-the curve in t reads, so the series certify the low-degree structure of
-exactly the code that evaluates the curve pointwise: the recursion
+(``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series
+t = t0 + s instead of a float, in one place, ``_curve_series``, which
+every series of the curve reads (t0 = 0, but for the slope of the tube
+check's first coordinate) and which judges its result by the curve's one
+rejection rule, ``slowcurve._reject``.  So the series certify the
+low-degree structure of exactly the code that evaluates the curve
+pointwise: the recursion
 satisfied by w, the t^10 leading coefficient of det G(t), and the perturbed
 moment-curve pattern of the c1 = c4 = 1 instance.  The rational models of
 P_psd(G(t)) and of one AP step run on the series t too, and are set
@@ -28,7 +31,7 @@ import numpy as np
 from .catalog import _SPEC_61
 from .planes import require_slowest_curve, slow_step_constant
 from .slowcurve import (_ap_shift, _canonical_matrix, _curve_parts, _h_term,
-                        _psd_correction)
+                        _psd_correction, _reject)
 from .symcore import _eigh, check_count
 
 DEFAULT_CAP = 12
@@ -153,14 +156,23 @@ class TruncSeries:
         return float(self.coeffs[d])
 
 
-def _curve_series(spec, cap):
-    """The slowest curve on the series t = ``TruncSeries.x(cap)``:
-    ``(t, w, g13, g23, den4w, G)``, the parts of ``slowcurve._curve_parts``
-    and the rows G of ``slowcurve._canonical_matrix``, in the canonical
-    frame.  Every series of the curve in t is read from here."""
-    t = TruncSeries.x(cap)
-    w, g13, g23, den4w, _ = _curve_parts(require_slowest_curve(spec).c, t)
-    return t, w, g13, g23, den4w, _canonical_matrix(spec.c, t, g13, g23)
+def _curve_series(spec, cap, base=0.0):
+    """The slowest curve on the series t = base + s in s, to degree
+    ``cap``: ``(t, w, g13, g23, den4w, G)``, the parts of
+    ``slowcurve._curve_parts`` and the rows G of
+    ``slowcurve._canonical_matrix``, in the canonical frame.  Every series
+    of the curve in t is read from here.  The point rule
+    ``slowcurve._reject`` decides the series: the constant terms, the
+    point at ``base``, for a vanished denominator, and every coefficient
+    of w, den4w and G for one that is not finite."""
+    c = require_slowest_curve(spec).c
+    t = TruncSeries.from_coeffs([base, 1.0], cap)
+    with np.errstate(all="ignore"):
+        w, g13, g23, den4w, checked = _curve_parts(c, t)
+        G = _canonical_matrix(c, t, g13, g23)
+    _reject(den4w[0], [d[0] for d in checked],
+            [e.coeffs for e in (w, den4w, *G[0], *G[1], *G[2])])
+    return t, w, g13, g23, den4w, G
 
 
 def expand_curve(spec, cap=DEFAULT_CAP):

@@ -6,11 +6,17 @@ check of AP iterates started near the curve.
 All curve formulas are evaluated in the canonical (theta = 0) frame and the
 resulting matrices conjugated back, so they stay consistent with
 ``planes.build_plane`` for rotated specs.  The formulas are written once,
-in ``_curve_parts``, with the denominators a point is rejected for, and one
-predicate (``_vanished``) decides the rejection.  The same code runs on a
-float, on an ndarray of t and on a ``TruncSeries`` in t.  An ndarray gets
-the float's bits entry by entry: its powers go through ``symcore._power``,
-the one power the rate fit and the trace CSV's inv columns use too.
+in ``_curve_parts``, with the denominators a point is rejected for.  The
+same code runs on a float, on an ndarray of t and on a ``TruncSeries`` in
+t, always under ``np.errstate``: a float t is evaluated as an
+``np.float64``, so an overflow or a division by zero gives inf or NaN and
+raises nothing, and one rule (``_reject``) then decides a point and a
+series alike: a vanished denominator raises
+``VanishingDenominatorError``, a value that is not finite
+``OverflowError``.  An ndarray gets the float's bits entry by entry: its
+powers go through ``symcore._power``, the one power the rate fit and the
+trace CSV's inv columns use too.  Whether the plane's constants fit in a
+float is decided before, once, by ``planes.require_slowest_curve``.
 """
 
 import math
@@ -34,7 +40,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 TUBE_K_SLACK = 1.5
 TUBE_BLOCK = 256
-_OVERFLOW = "the curve formulas overflow at this t"
 
 
 class VanishingDenominatorError(ZeroDivisionError):
@@ -103,14 +108,25 @@ def _h_term(t, den4w):
 
 
 def _vanished(den4w, checked):
-    """Whether a curve point whose formulas ran without a division by zero
-    is rejected all the same: den^4 w is zero or a checked denominator is
-    at most 1e-12 in modulus.  Elementwise on arrays, where a division by
-    zero gives inf or nan instead of raising and lands here too."""
+    """Whether a curve point is rejected for a denominator: den^4 w is
+    zero or a checked denominator is at most 1e-12 in modulus.  A division
+    by zero gives inf or NaN after the zero it divides by, which is
+    checked itself.  Elementwise on arrays."""
     out = den4w == 0.0
     for d in checked:
         out = out | (abs(d) <= 1e-12)
     return out
+
+
+def _reject(den4w, checked, values):
+    """The one rejection rule of the curve formulas' output, at a point or
+    on a series: a vanished denominator (``_vanished``) raises
+    ``VanishingDenominatorError``, else an entry of ``values`` that is not
+    finite raises ``OverflowError``."""
+    if _vanished(den4w, checked):
+        raise VanishingDenominatorError("a curve denominator vanished")
+    if not np.isfinite(values).all():
+        raise OverflowError("the curve formulas overflow at this t")
 
 
 def _curve_parameter(t):
@@ -122,19 +138,18 @@ def _curve_parameter(t):
 
 
 def _curve_scalars(spec, t):
-    """(w, g13, g23, h) of the curve point at t, in the canonical frame."""
-    require_slowest_curve(spec)
-    t = _curve_parameter(t)
-    try:
-        w, g13, g23, den4w, checked = _curve_parts(spec.c, t)
+    """``(w, g13, g23, h, G)`` of the curve point at the float t, with G
+    the matrix in the canonical frame, after ``_reject`` on them; ``spec``
+    has passed ``require_slowest_curve``.  t runs as an ``np.float64``; a
+    non-finite t (a shift past the largest float) fails the rule as an
+    overflow."""
+    t, c = np.float64(t), spec.c
+    with np.errstate(all="ignore"):
+        w, g13, g23, den4w, checked = _curve_parts(c, t)
         h = _h_term(t, den4w)
-    except ZeroDivisionError:
-        raise VanishingDenominatorError("a curve denominator is zero") from None
-    except OverflowError:   # a float ** past the largest float
-        raise OverflowError(_OVERFLOW) from None
-    if _vanished(den4w, checked):
-        raise VanishingDenominatorError("a curve denominator vanished")
-    return w, g13, g23, h
+        G = np.array(_canonical_matrix(c, t, g13, g23))
+    _reject(den4w, checked, [w, h, *G.flat])
+    return float(w), float(g13), float(g23), float(h), G
 
 
 def _canonical_matrix(c, t, g13, g23):
@@ -152,10 +167,10 @@ def _canonical_matrix(c, t, g13, g23):
 def curve_point(spec, t):
     """Assemble G(t) = U* + t B1 + g13 B2 + g23 B3 from the rational
     formulas."""
-    w, g13, g23, h = _curve_scalars(spec, t)
-    G = np.array(_canonical_matrix(spec.c, float(t), g13, g23))
-    G = _rotated(spec, G)
-    return CurvePoint(t=float(t), w=w, g13=g13, g23=g23, h=h, G=G)
+    require_slowest_curve(spec)
+    t = _curve_parameter(t)
+    w, g13, g23, h, G = _curve_scalars(spec, t)
+    return CurvePoint(t=t, w=w, g13=g13, g23=g23, h=h, G=_rotated(spec, G))
 
 
 def _psd_correction(spec, t, w, g13, h):
@@ -175,7 +190,10 @@ def psd_projection_formula(spec, t):
     """Rational model G(t) + D of P_psd(G(t)), accurate to O(t^8)."""
     cp = curve_point(require_slowest_curve(spec).canonical(), t)
     D = _psd_correction(spec, cp.t, cp.w, cp.g13, cp.h)
-    return _rotated(spec, cp.G + np.array(D))
+    with np.errstate(all="ignore"):
+        model = cp.G + np.array(D)
+    _reject(1.0, (), model)     # D divides by no curve denominator of its own
+    return _rotated(spec, model)
 
 
 def _ap_shift(c, t):
@@ -187,12 +205,10 @@ def _ap_shift(c, t):
 def ap_image_formula(spec, t):
     """Rational model of one AP step applied to G(t): the curve point at
     ``_ap_shift``'s t - c t^7, accurate to O(t^8)."""
-    c = slow_step_constant(spec)
-    try:
-        shifted = _ap_shift(c, _curve_parameter(t))
-    except OverflowError:
-        raise OverflowError(_OVERFLOW) from None
-    return curve_point(spec, shifted).G
+    with np.errstate(all="ignore"):
+        shifted = _ap_shift(slow_step_constant(spec),
+                            np.float64(_curve_parameter(t)))
+    return _rotated(spec, _curve_scalars(spec, shifted)[4])
 
 
 # --- curve domain ------------------------------------------------------------
@@ -294,6 +310,8 @@ def _newton_system(E, x):
         raise NewtonConvergenceError("singular coupling matrix") from exc
 
 
+# far from the curve psi(x) overflows to inf, which project_affine rejects
+@np.errstate(over="ignore", invalid="ignore")
 def newton_slowest_point(E, t):
     """Solve components 2 and 3 of F(x) = M(x)^{-1} grad 1/2 d^2(psi(x), E)
     for (x1, x3) with x2 = t held fixed, by damped Newton on the
@@ -306,6 +324,7 @@ def newton_slowest_point(E, t):
     """
     _require_chart_plane(E)
     _require_orthogonal(E)
+    t = _curve_parameter(t)
     c4_proxy = 0.5 * E.basis[1][1, 1]
     x3 = -t * t / (2.0 * c4_proxy) if c4_proxy != 0.0 else 0.0
     x = np.array([1.0, t, x3], dtype=float)
@@ -338,7 +357,8 @@ def newton_slowest_point(E, t):
 
 @dataclass(frozen=True)
 class PerturbGain:
-    """2x2 transverse gain matrix R and its spectral norm (< 1 always)."""
+    """2x2 transverse gain matrix R and its spectral norm (below 1 in exact
+    arithmetic, Lemma 7.5)."""
 
     matrix: np.ndarray
     spectral_norm: float
@@ -349,7 +369,9 @@ def perturb_gain(spec):
 
     Built from the Gram-Schmidt basis C1, C2, C3 and the matrices C~ with
     zeroed first row and column; its spectral norm is strictly below one for
-    every type2 plane with c4 != 0.
+    every type2 plane with c4 != 0 (Lemma 7.5), which verify's lemma75
+    suite checks.  The norm is 1 - O(c4^2), so in floats it rounds to 1.0
+    once c4 is below about 1e-8.
     """
     C = _gram_schmidt(build_plane(require_slowest_curve(spec).canonical())[0])
     tilde = []
@@ -364,9 +386,6 @@ def perturb_gain(spec):
         [1.0 - frob_inner(tilde[0], tilde[0]) / n2sq, -cross],
         [-cross, 1.0 - frob_inner(tilde[1], tilde[1]) / n3sq]])
     norm = float(np.max(np.abs(_eigh(R)[0])))
-    if not norm < 1.0:
-        raise AssertionError(
-            f"transverse gain {norm} is not < 1; degenerate basis?")
     return PerturbGain(matrix=R, spectral_norm=norm)
 
 
@@ -444,7 +463,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     every earlier step passed.  After a False the rest of its block has
     already been stepped: at most ``TUBE_BLOCK - 1`` extra ``ap_step`` calls.
     """
-    from .series import TruncSeries  # series imports this module
+    from .series import _curve_series  # series imports this module
 
     spec = require_slowest_curve(spec).canonical()
     steps = check_count("steps", steps)
@@ -466,8 +485,8 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
                    for _ in range(steps))
 
     U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
-    ts = TruncSeries.from_coeffs([t0, 1.0], 1)
-    p1_series = _coordinate(T[0], ts, *_curve_parts(c, ts)[1:3])
+    ts, _, g13, g23, _, _ = _curve_series(spec, 1, t0)
+    p1_series = _coordinate(T[0], ts, g13, g23)
     t, p1_last, slope = t0, p1_series[0], p1_series[1]
     if slope == 0.0:
         raise ChartError("flat first-coordinate map")

@@ -14,7 +14,6 @@ standard library's Mersenne Twister, so the suites never load
 writes none of its own: prop31's direct AP step is ``ap_step``'s.
 """
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .rates import recursive_sequence
 from .series import (_ap_image_series, _first_degree, _psd_projection_series,
                      det_series, moment_curve_defect, w_recursion_defect)
 from .slowcurve import curve_point, perturb_gain, tube_check, valid_t_max
-from .symcore import is_integer, orthogonalize, project_psd
+from .symcore import frob_norm, is_integer, orthogonalize, project_psd
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -253,7 +252,7 @@ def suite_lemma75(seed=0):
 
 def suite_prop76(seed=0):
     """AP iterates started on/near the slowest curve stay in its tube."""
-    n2 = math.sqrt(6.0)  # ||C2|| on ex6.1's plane
+    n2 = frob_norm(_orth_plane(_SPEC_61).basis[1])    # ||C2|| on ex6.1
     cases = [
         ("on-curve start, t0=0.1", dict(t0=0.1, beta=0.0, gamma=0.0,
                                         steps=2000, eps=1.0)),

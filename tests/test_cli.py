@@ -78,6 +78,8 @@ _MUST = {"plane": "a built-in id or a plane object", "max_iter": "an integer",
 _PLANE_KEYS = "known: c, kind, mu, reflect, theta"
 _OVERFLOWS = "the start is too large: its matrix overflows"
 _NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
+_NO_FLOAT_CURVE = ("the slowest curve's constants are not finite nonzero "
+                   "floats on this plane")
 
 # (argv, exit code, message): the message of the one error line, or on
 # exit 0 the summary's first line; a new bad input is one more row
@@ -155,6 +157,11 @@ CONTRACT = [
     (("run", {"plane": {"kind": "type1", "c": [1, 0, 0, 0, 1, 0, 0, 2],
                         "mu": 0.5}, "start": "slowest-curve:0.1"}), 2,
      _NO_CURVE),
+    # c4^5 underflows to 0; ||B1||^2 = 4 c1^2 + 2 overflows, and with it the
+    # plane's basis entry -2 c1: the curve is refused before the plane
+    *[(("run", {"plane": {**_SPEC61_PLANE, "c": c},
+                "start": "slowest-curve:0.01"}), 2, _NO_FLOAT_CURVE)
+      for c in ([0.3, 0.2, 0.1, 1e-200, 0.4], [1e308, 0.2, 0.1, 1, 0.4])],
     (("run", {"plane": "ex6.1", "variant": "bogus", "max_iter": 5}), 2,
      "ex6.1 has one variant: default"),
     (("run", {"plane": _SPEC61_PLANE, "variant": "bogus", "max_iter": 5}), 2,

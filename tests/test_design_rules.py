@@ -22,6 +22,7 @@ POWERS = {"float_power", "power"}
 DENOMINATORS = {"d_inner", "d_mid", "d_q"}
 RUN_PATH = {"run_ap", "trace_csv", "_summarize"}
 RANK_CUTS = {"bisect", "bisect_left", "bisect_right", "searchsorted"}
+FLOAT_EXCEPTIONS = {"ZeroDivisionError", "OverflowError"}
 
 
 def _attr(node, names):
@@ -79,9 +80,36 @@ def _finite_number_test(node):
 
 
 def _series_t(node):
-    """A call ``TruncSeries.x(...)``: the series t."""
-    return (isinstance(node, ast.Call) and _attr(node.func, {"x"})
-            and _name(node.func.value, {"TruncSeries"}))
+    """A series t: a call ``TruncSeries.x(...)``, or its base-point form
+    ``TruncSeries.from_coeffs([t0, 1], ...)``, a two-entry list or tuple
+    whose second entry is the number 1."""
+    if not (isinstance(node, ast.Call)
+            and _attr(node.func, {"x", "from_coeffs"})
+            and _name(node.func.value, {"TruncSeries"})):
+        return False
+    if node.func.attr == "x":
+        return True
+    first = node.args[0] if node.args else None
+    return (isinstance(first, (ast.List, ast.Tuple)) and len(first.elts) == 2
+            and isinstance(first.elts[1], ast.Constant)
+            and first.elts[1].value == 1)
+
+
+def _float_exception_handler(node):
+    """An ``except`` clause naming ZeroDivisionError or OverflowError,
+    alone or in a tuple."""
+    if not (isinstance(node, ast.ExceptHandler) and node.type is not None):
+        return False
+    kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(_name(kind, FLOAT_EXCEPTIONS) for kind in kinds)
+
+
+def _assertion(node):
+    """An ``assert`` statement or a ``raise`` of AssertionError."""
+    return isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Raise) and node.exc is not None
+        and (_name(node.exc, {"AssertionError"})
+             or _calls(node.exc, {"AssertionError"})))
 
 
 # rule: (predicate on a node, the functions allowed to match it)
@@ -134,6 +162,13 @@ RULES = {
     # every series of the curve in t starts from one series t
     "series_t": (_series_t, {"series._curve_series",
                              "series.moment_curve_defect"}),
+    # the curve formulas run under np.errstate and one rejection rule
+    # decides their output, so a float exception is translated only
+    # where the slow-rate recursion's plain-float powers raise it
+    "float_exception_translation": (_float_exception_handler,
+                                    {"rates.recursive_sequence"}),
+    # a check that raises survives python -O; an assert does not
+    "no_assertion": (_assertion, set()),
 }
 
 
@@ -227,8 +262,26 @@ PLANTED = [
      "def f(v):\n    return is_number(v) or math.isfinite(v)\n", set()),
     ("series_t", "def f(cap):\n    return TruncSeries.x(cap) * 2\n",
      {"m.f"}),
-    ("series_t", "def f(cap):\n    return TruncSeries.from_coeffs([0, 1], "
-     "cap), x(cap)\n", set()),
+    ("series_t", "def f(t0):\n    return TruncSeries.from_coeffs((t0, 1.0), "
+     "1)\n", {"m.f"}),
+    ("series_t", "def f(cap):\n    return TruncSeries.from_coeffs([0, 2], "
+     "cap), from_coeffs([0, 1], cap), x(cap)\n", set()),
+    ("float_exception_translation",
+     "def f(x):\n    try:\n        return 1 / x\n"
+     "    except ZeroDivisionError:\n        return 0.0\n", {"m.f"}),
+    ("float_exception_translation",
+     "class C:\n    def g(x):\n        try:\n            return x ** 9\n"
+     "        except (ValueError, OverflowError):\n            raise\n",
+     {"m.C.g"}),
+    ("float_exception_translation",
+     "def f(x):\n    try:\n        return 1 / x\n"
+     "    except ArithmeticError:\n        raise OverflowError\n", set()),
+    ("no_assertion", "def f(x):\n    assert x > 0\n", {"m.f"}),
+    ("no_assertion",
+     "def f(x):\n    raise AssertionError(x)\nclass C:\n    def g():\n"
+     "        raise AssertionError\n", {"m.f", "m.C.g"}),
+    ("no_assertion",
+     "def f(x):\n    raise ValueError('assert x')\n", set()),
 ]
 
 

@@ -26,7 +26,8 @@ from apcone.slowcurve import (ChartError, ResidualNoiseError,
                               perturb_gain, psd_projection_formula,
                               residual_order_certified, tube_check,
                               valid_t_max)
-from apcone.symcore import AffineSubspace, EigenSolverError, orthogonalize
+from apcone.symcore import (AffineSubspace, DependentBasisError,
+                            EigenSolverError, orthogonalize)
 from apcone.verify import run_suite
 
 C61, C1 = (1, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0, 2)
@@ -39,12 +40,27 @@ NAN, INF = math.nan, math.inf
 Z3 = np.zeros(3)
 X12 = TruncSeries.x(12)
 NO_CURVE = "the slowest curve needs a type2 plane with c4 != 0"
+NO_FLOAT_CURVE = ("the slowest curve's constants are not finite nonzero "
+                  "floats on this plane")
 FINITE_T = "the curve parameter t must be finite"
+OVERFLOW = "the curve formulas overflow at this t"
 FIRST_FACTOR = "the first factor 1 - C x0^q - K x0^(q+1) must be positive"
 OFFSET = "initial transverse offset must satisfy ||beta C2 + gamma C3|| < eps"
 CHART_PLANE = "the rank-1 chart needs a 3-plane in S^3"
 LINE32, PLANE34 = (get_example(ex).plane for ex in ("ex3.2", "ex3.4"))
 CURVE_FUNCS = (curve_point, psd_projection_formula, ap_image_formula)
+E44_ORTHO = orthogonalize(get_example("ex4.4").plane)
+# type2 c whose curve constants c4^3 .. c4^6, c4^k ||B1||^2 or ||B1||^6
+# underflow to 0 or overflow, or whose c5^2 overflows
+NO_FLOAT_C = {"c4=1e-200": (0.3, 0.2, 0.1, 1e-200, 0.4),
+              "c4=1e-80": (0.3, 0.2, 0.1, 1e-80, 0.4),
+              "c4=1e77": (0.3, 0.2, 0.1, 1e77, 0.4),
+              "c4=1e300": (0.3, 0.2, 0.1, 1e300, 0.4),
+              "c1=1e150": (1e150, 0.2, 0.1, 1.0, 0.4),
+              "c1=1e308": (1e308, 0.2, 0.1, 1.0, 0.4),
+              "c5=1e160": (0.3, 0.2, 0.1, 1.0, 1e160)}
+# a c2 so large that the type2 basis loses rank in floats
+HUGE_C2 = PlaneSpec("type2", (0.3, 1e300, 0.1, 1.0, 0.4))
 # f, g for residual_order_certified: |f - g| = 1e-18 t sqrt(3)
 NOISE = (lambda t: np.eye(3), lambda t: np.eye(3) * (1.0 + 1e-18 * t))
 
@@ -98,6 +114,11 @@ LIBRARY_CONTRACT = [
     *[(f"newton_slowest_point on {name}", newton_slowest_point, (E, 0.05),
        ValueError, CHART_PLANE)
       for name, E in (("ex3.2", LINE32), ("ex3.4", PLANE34))],
+    *[(f"newton_slowest_point t={t!r}", newton_slowest_point, (E44_ORTHO, t),
+       ValueError, FINITE_T) for t in (NAN, INF, "0.1", True)],
+    # the start's psi(x) overflows
+    ("newton_slowest_point t=1e200", newton_slowest_point, (E44_ORTHO, 1e200),
+     EigenSolverError, "matrix has non-finite entries"),
     *[(f"psi {x}", psi, (x,), ValueError, message) for x, message in [
         ([0.0, 1.0, 0.0], "psi requires x1 != 0"),
         ([0.0, 0.2, -0.3], "psi requires x1 != 0"),
@@ -141,16 +162,39 @@ LIBRARY_CONTRACT = [
                          (valid_t_max, ()), (perturb_gain, ())]
       for case, spec in [("type1", TYPE1), ("c4=0", DEGREE1),
                          ("no spec", None)]],
+    # ... and its constants must be floats the formulas can divide by
+    *[(f"{func.__name__} {case}", func, (PlaneSpec("type2", c), *args),
+       ValueError, NO_FLOAT_CURVE)
+      for func, args in [*((f, (0.01,)) for f in CURVE_FUNCS),
+                         (tube_check, (0.1, 0.0, 0.0, 5, 1.0)),
+                         (slow_rate_constant, ()), (slow_step_constant, ()),
+                         (expand_curve, ()), (det_series, ()),
+                         (valid_t_max, ()), (perturb_gain, ())]
+      for case, c in NO_FLOAT_C.items()],
+    *[(f"{func.__name__} c2=1e300", func, (HUGE_C2, *args),
+       DependentBasisError, "basis matrices are linearly dependent")
+      for func, args in [(build_plane, ()), (perturb_gain, ()),
+                         (tube_check, (0.1, 0.0, 0.0, 5, 1.0))]],
+    # the basis entry 2 c2 overflows to inf
+    ("perturb_gain c2=1e308", perturb_gain,
+     (PlaneSpec("type2", (0, 1e308, 0, 1, 0)),), ValueError,
+     "matrix has non-finite entries"),
     # the curve parameter t
     *[(f"{func.__name__} t={t!r}", func, (SPEC61, t), ValueError, FINITE_T)
       for func in CURVE_FUNCS for t in (NAN, INF, -INF, "0.1", True, None)],
     *[(f"tube_check t0={t0!r}", tube_check, (SPEC61, t0, 0, 0, 5, 1.0),
        ValueError, FINITE_T) for t0 in (NAN, "0.1", False)],
     *[(f"{func.__name__} t=1e300", func, (SPEC61, 1e300), OverflowError,
-       "the curve formulas overflow at this t") for func in CURVE_FUNCS],
+       OVERFLOW) for func in CURVE_FUNCS],
+    ("curve_point c2=1e300 t=1e10", curve_point, (HUGE_C2, 1e10),
+     OverflowError, OVERFLOW),
+    # the series rule: G's coefficients overflow to NaN
+    *[(f"{func.__name__} c=(0, 1e100, 0, 1, 0)", func,
+       (PlaneSpec("type2", (0, 1e100, 0, 1, 0)),), OverflowError, OVERFLOW)
+      for func in (expand_curve, det_series)],
     # ex6.1's w = 1 - 2t: its denominators vanish at t = 0.5
     ("curve_point t=0.5", curve_point, (SPEC61, 0.5),
-     VanishingDenominatorError, "a curve denominator is zero"),
+     VanishingDenominatorError, "a curve denominator vanished"),
     ("curve_point t=0.5+1e-13", curve_point, (SPEC61, 0.5 + 1e-13),
      VanishingDenominatorError, "a curve denominator vanished"),
     ("tube_check t0=1e8", tube_check, (SPEC61, 1e8, 0, 0, 5, 1.0), ChartError,
@@ -291,14 +335,38 @@ def _spec_numbers(fields):
     return [*spec.c, spec.theta]
 
 
+def _gain(spec):
+    gain = perturb_gain(spec)
+    return [*gain.matrix.ravel(), gain.spectral_norm]
+
+
+def _expansion(spec):
+    return [s.coeffs for s in expand_curve(spec)]
+
+
+def _on_plane(func):
+    """``func`` called with the type2 plane of its first argument, a c."""
+    return lambda c, *args: func(PlaneSpec("type2", c), *args)
+
+
 _ODD_OR_NOT_NUMBER = _ODD | _NOT_NUMBERS
 _CURVE_ARGS = _one_odd(_SPECS, st.floats(-0.3, 0.3), odd=_ODD_OR_NOT_NUMBER)
+# a type2 c with one entry odd, c4 also from the values whose powers leave
+# the floats or come close
+_ODD_C = _one_odd(*[st.floats(-2.0, 2.0)] * 3, st.floats(-2.0, 2.0)
+                  | st.sampled_from([1e-200, 1e-80, 1e-9, 1e77, 1e300]),
+                  st.floats(-2.0, 2.0))
 # (function, strategy of its argument tuple); each returns the numbers
 # that must be finite
 _GENERATED = [
     (_curve_matrix, _CURVE_ARGS),
     (psd_projection_formula, _CURVE_ARGS),
     (ap_image_formula, _CURVE_ARGS),
+    *[(_on_plane(func), st.tuples(_ODD_C, st.floats(-0.3, 0.3)))
+      for func in (_curve_matrix, psd_projection_formula, ap_image_formula)],
+    *[(_on_plane(func), st.tuples(_ODD_C))
+      for func in (slow_step_constant, slow_rate_constant, valid_t_max,
+                   _gain, _expansion)],
     (tube_check, _one_odd(st.just(SPEC61), st.floats(0.0, 0.15),
                           st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
                           _COUNTS, st.floats(0.5, 2.0),

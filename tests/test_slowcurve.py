@@ -354,6 +354,13 @@ def test_perturb_gain_symmetric_and_contractive():
         assert gain.spectral_norm < 1.0
 
 
+def test_perturb_gain_returns_a_gain_that_rounds_to_one():
+    # the gain 1 - O(c4^2) rounds to 1.0 at c4 = 1e-9; lemma75's suite,
+    # not perturb_gain, checks the bound
+    gain = perturb_gain(PlaneSpec("type2", (0.3, 0.2, 0.1, 1e-9, 0.4)))
+    assert gain.spectral_norm <= 1.0
+
+
 def _perturb_gain_matrix_reference(spec):
     """The gain matrix from the basis of a second, orthogonalized subspace."""
     C = orthogonalize(build_plane(spec.canonical())[0]).basis
@@ -436,7 +443,7 @@ def _p1_of_t(spec, row, t):
     finite, so that no recovery accepts it."""
     if not math.isfinite(t):
         return math.nan, math.nan, math.nan
-    _, g13, g23, _ = _curve_scalars(spec, t)
+    _, g13, g23, _, _ = _curve_scalars(spec, t)
     return row[0] * t + row[1] * g13 + row[2] * g23, g13, g23
 
 

@@ -6,9 +6,13 @@ exactly when c4 != 0.  The constraint matrices and the type2 basis are each
 one float64 array literal, conjugated only by a rotation block that is not
 the identity.  A spec's numeric fields must pass
 ``symcore.is_finite_number``.  ``require_slowest_curve`` is the one gate
-of the slowest curve: a type2 plane with c4 != 0 whose curve constants are
-floats the formulas can divide by.  The module also computes Pluecker
-coordinates of a 3-plane inside the 6-dimensional space S^3.
+of the slowest curve and the one maker of its constants: for a type2
+plane with c4 != 0 it returns a ``CurveConstants`` record of the numbers
+the curve formulas read (||B1||^2, <B2, B1>, <B3, B1>, the step constant,
+the coefficients of g13 and g23), each formed once, and refuses a plane
+on which one of them is not a finite float or a divisor is zero.  The
+module also computes Pluecker coordinates of a 3-plane inside the
+6-dimensional space S^3.
 """
 
 import functools
@@ -135,18 +139,11 @@ def type2_basis(c):
                        [[-2 * c3, 0, 0], [0, -2 * c5, 1], [0, 1, 0]]])
 
 
-def type2_b1_products(c):
-    """(||B1||^2, <B2, B1>, <B3, B1>) of ``type2_basis(c)`` in closed form."""
-    c1, c2, c3 = c[0], c[1], c[2]
-    return 4.0 * c1 * c1 + 2.0, -4.0 * c1 * c2, 4.0 * c1 * c3
-
-
 def slow_step_constant(spec):
     """The step constant c = 1 / (4 c4^4 ||B1||^2) of the slowest curve:
     one AP step maps G(t) to G(t - c t^7 + O(t^8)), so t_k ~ (6 c k)^(-1/6)
     (1/24 on ex6.1).  ``spec`` must have a slowest curve."""
-    c4 = require_slowest_curve(spec).c[3]
-    return 1.0 / (4.0 * c4 ** 4 * type2_b1_products(spec.c)[0])
+    return require_slowest_curve(spec).step
 
 
 def _type1_basis(spec):
@@ -179,26 +176,47 @@ def singularity_degree(spec):
     return 2 if spec.kind == "type2" and spec.c[3] != 0.0 else 1
 
 
+@dataclass(frozen=True)
+class CurveConstants:
+    """The constants of a plane's slowest curve that its formulas read,
+    made and checked by ``require_slowest_curve`` alone.  They are Python
+    floats, so a ``TruncSeries`` t can be multiplied by them."""
+
+    c: tuple            # c1..c5
+    nb1: float          # ||B1||^2 = 4 c1^2 + 2
+    ip21: float         # <B2, B1> = -4 c1 c2
+    ip31: float         # <B3, B1> = 4 c1 c3
+    step: float         # c = 1 / (4 c4^4 ||B1||^2), of one AP step
+    r0: float           # of t^7 in g23, and times c5 / c4 in g13
+    d16: float          # 16 c4^6 ||B1||^2, divides g13's <B2, B1> term
+    k5: float           # 2 (2 c5^2 + 1), of g13's t^6 / den^5 term
+    nb1_cubed: float    # ||B1||^6, of the limit-law constant
+
+
 def require_slowest_curve(spec):
-    """``spec`` when its plane has a slowest curve, a ``PlaneSpec`` of
-    degree 2; anything else (None included) raises ``ValueError``.  So
-    does a plane whose curve constants do not fit in a float: the powers
-    c4^3 .. c4^6 and their products with ||B1||^2, which the curve
-    formulas and the step constant divide by, and ||B1||^6 must be finite
-    and nonzero, and c5^2 finite.  They are multiplied out in plain
-    floats, where an overflow gives inf and raises nothing."""
+    """The ``CurveConstants`` of ``spec``'s slowest curve, which only a
+    ``PlaneSpec`` of degree 2 has; anything else (None included) raises
+    ``ValueError``.  So does a plane on which a constant is not a finite
+    float or the divisor 16 c4^6 ||B1||^2 is zero (every other divisor of
+    the formulas, c4 aside, sits inside a constant that is then not
+    finite).  Each constant is written here once; its powers are taken on
+    ``np.float64`` under ``np.errstate``, with the bits of Python's float
+    power, so an overflow gives inf and raises nothing."""
     if not (isinstance(spec, PlaneSpec) and singularity_degree(spec) == 2):
         raise ValueError("the slowest curve needs a type2 plane with c4 != 0")
-    c4, c5, nb1 = spec.c[3], spec.c[4], type2_b1_products(spec.c)[0]
-    power, sizes = c4 * c4, [nb1 * nb1 * nb1]
-    for _ in range(4):
-        power *= c4
-        sizes += [abs(power), abs(power * nb1)]
-    if not (0.0 < min(sizes) and max(sizes) < math.inf
-            and c5 * c5 < math.inf):
+    c1, c2, c3, c4, c5 = map(np.float64, spec.c)
+    with np.errstate(all="ignore"):
+        nb1 = 4.0 * c1 * c1 + 2.0
+        ip21, ip31 = -4.0 * c1 * c2, 4.0 * c1 * c3
+        r0 = ((c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1)
+              + 1.0 / (8.0 * c4 ** 3))
+        d16 = 16.0 * c4 ** 6 * nb1
+        values = (nb1, ip21, ip31, 1.0 / (4.0 * c4 ** 4 * nb1), r0, d16,
+                  2.0 * (2.0 * c5 ** 2 + 1.0), nb1 ** 3)
+    if not (all(map(math.isfinite, values)) and d16 != 0.0):
         raise ValueError("the slowest curve's constants are not finite "
                          "nonzero floats on this plane")
-    return spec
+    return CurveConstants(spec.c, *map(float, values))
 
 
 # --- Pluecker coordinates -------------------------------------------------

@@ -1,7 +1,8 @@
 """Convergence-rate estimation: inverse-power and geometric least-squares
 fits on AP traces, the slow-rate recursion x <- x(1 - C x^q +/- K x^(q+1))
 with its limit products, and the constant of the k^(-1/6) limit law, built
-on the step constant ``planes.slow_step_constant``.
+on the step constant c and ||B1||^6 of the slowest curve's
+``planes.CurveConstants`` record.
 
 The recursion is a plain Python loop: each step depends on the previous x,
 so it cannot be vectorised.  After the first step, taken from the exact
@@ -27,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .planes import slow_step_constant, type2_b1_products
+from .planes import require_slowest_curve
 from .symcore import (_power, check_count, is_finite_number, is_integer,
                       is_number)
 
@@ -251,10 +252,10 @@ def recursive_sequence(C, K, q, x0, n, noise="plus"):
 def slow_rate_constant(spec):
     """The constant (6 c / ||B1||^6)^(1/6) of the limit law
     lim constant * k^(1/6) * dist_k = 1 along slowest-curve starts, with c
-    the ``planes.slow_step_constant``: t_k ~ (6 c k)^(-1/6) and
-    dist_k ~ ||B1|| t_k."""
-    c, nb1 = slow_step_constant(spec), type2_b1_products(spec.c)[0]
-    return float((6.0 * c / nb1 ** 3) ** (1.0 / 6.0))
+    the step constant (``planes.slow_step_constant``): t_k ~ (6 c k)^(-1/6)
+    and dist_k ~ ||B1|| t_k."""
+    curve = require_slowest_curve(spec)
+    return float((6.0 * curve.step / curve.nb1_cubed) ** (1.0 / 6.0))
 
 
 def _line_blocks(text):

@@ -8,10 +8,13 @@ operand stays a number: it shifts the constant term in + and -, and scales
 or divides each coefficient in * and /, with the bits of the operation with
 the constant series on finite coefficients and no 0 * inf term from its
 zeros.  Only a number divided by a series runs the degree-by-degree loop.
+A zero number is no divisor; the 1e-300 floor on the constant term is a
+series divisor's, so a tiny number divides like any other.
 
 The curve expansions run the slowest curve's own rational formulas
-(``slowcurve._curve_parts`` and ``_canonical_matrix``) on the series
-t = t0 + s instead of a float, in one place, ``_curve_series``, which
+(``slowcurve._curve_parts`` and ``_canonical_matrix``), with the constants
+of the gate's ``planes.CurveConstants`` record, on the series t = t0 + s
+instead of a float, in one place, ``_curve_series``, which
 every series of the curve reads (t0 = 0, but for the slope of the tube
 check's first coordinate) and which judges its result by the curve's one
 rejection rule, ``slowcurve._reject``.  So the series certify the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _SPEC_61
-from .planes import require_slowest_curve, slow_step_constant
+from .planes import require_slowest_curve
 from .slowcurve import (_ap_shift, _canonical_matrix, _curve_parts, _h_term,
                         _psd_correction, _reject)
 from .symcore import _eigh, check_count
@@ -112,16 +115,18 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """A number divides each coefficient.  By a series, the quotient
-        degree by degree, q_d = (a_d - sum_j b_j q_(d-j)) / b_0, the sum
-        taken in order of j on Python floats."""
-        number = not isinstance(other, TruncSeries)
-        b = [float(other)] if number else self._coerce(other).coeffs.tolist()
+        """A number divides each coefficient; it must not be zero.  By a
+        series, whose constant term must exceed 1e-300 in modulus, the
+        quotient degree by degree, q_d = (a_d - sum_j b_j q_(d-j)) / b_0,
+        the sum taken in order of j on Python floats."""
+        if not isinstance(other, TruncSeries):
+            if other == 0.0:
+                raise ZeroDivisionError("division of a series by zero")
+            return TruncSeries(self.coeffs / float(other))
+        b = self._coerce(other).coeffs.tolist()
         if abs(b[0]) <= 1e-300:
             raise ZeroConstantTermError(
                 "division by a series with zero constant term")
-        if number:
-            return TruncSeries(self.coeffs / b[0])
         q = []
         for d, acc in enumerate(self.coeffs.tolist()):
             for j in range(1, d + 1):
@@ -156,20 +161,19 @@ class TruncSeries:
         return float(self.coeffs[d])
 
 
-def _curve_series(spec, cap, base=0.0):
-    """The slowest curve on the series t = base + s in s, to degree
-    ``cap``: ``(t, w, g13, g23, den4w, G)``, the parts of
-    ``slowcurve._curve_parts`` and the rows G of
+def _curve_series(curve, cap, base=0.0):
+    """The slowest curve of the ``planes.CurveConstants`` ``curve`` on the
+    series t = base + s in s, to degree ``cap``: ``(t, w, g13, g23, den4w,
+    G)``, the parts of ``slowcurve._curve_parts`` and the rows G of
     ``slowcurve._canonical_matrix``, in the canonical frame.  Every series
     of the curve in t is read from here.  The point rule
     ``slowcurve._reject`` decides the series: the constant terms, the
     point at ``base``, for a vanished denominator, and every coefficient
     of w, den4w and G for one that is not finite."""
-    c = require_slowest_curve(spec).c
     t = TruncSeries.from_coeffs([base, 1.0], cap)
     with np.errstate(all="ignore"):
-        w, g13, g23, den4w, checked = _curve_parts(c, t)
-        G = _canonical_matrix(c, t, g13, g23)
+        w, g13, g23, den4w, checked = _curve_parts(curve, t)
+        G = _canonical_matrix(curve, t, g13, g23)
     _reject(den4w[0], [d[0] for d in checked],
             [e.coeffs for e in (w, den4w, *G[0], *G[1], *G[2])])
     return t, w, g13, g23, den4w, G
@@ -179,13 +183,7 @@ def expand_curve(spec, cap=DEFAULT_CAP):
     """Series expansions (w, g13, g23) of the slowest curve in t, from the
     same formulas that evaluate it pointwise (``slowcurve._curve_parts``)
     applied to the series t."""
-    return _curve_series(spec, cap)[1:4]
-
-
-def curve_matrix_series(spec, cap):
-    """Rows of TruncSeries giving the entries of G(t), assembled by
-    ``slowcurve._canonical_matrix`` on the series t."""
-    return _curve_series(spec, cap)[5]
+    return _curve_series(require_slowest_curve(spec), cap)[1:4]
 
 
 def _stack(rows):
@@ -237,9 +235,10 @@ def _psd_projection_series(spec, cap, tol):
     """``(P, model)`` in the canonical frame, as coefficient stacks: P_psd
     of G(t) by ``_rank_one_projection`` (with ``tol``), and the model
     G + D of ``psd_projection_formula`` run on the series t."""
-    t, w, g13, _, den4w, G = _curve_series(spec, cap)
+    curve = require_slowest_curve(spec)
+    t, w, g13, _, den4w, G = _curve_series(curve, cap)
     g = _stack(G)
-    D = _psd_correction(spec, t, w, g13, _h_term(t, den4w))
+    D = _psd_correction(curve, t, w, g13, _h_term(t, den4w))
     return _rank_one_projection(g, tol), g + _stack(D)
 
 
@@ -250,19 +249,20 @@ def _ap_image_series(E, spec, cap, tol):
     ``tol``), and the model of ``ap_image_formula`` run on the series t:
     G at s = t - c t^7, its g13 and g23 the curve's series composed with
     s.  E is the plane of the canonical ``spec``."""
-    t, _, g13, g23, _, G = _curve_series(spec, cap)
+    curve = require_slowest_curve(spec)
+    t, _, g13, g23, _, G = _curve_series(curve, cap)
     P = _rank_one_projection(_stack(G), tol)
     rows = np.hstack([P.reshape(cap + 1, 9), np.eye(cap + 1, 1)])
     W = E._project(rows.T).T.reshape(P.shape)
-    s = _ap_shift(slow_step_constant(spec), t)
-    return W, _stack(_canonical_matrix(spec.c, s, g13.compose(s),
+    s = _ap_shift(curve, t)
+    return W, _stack(_canonical_matrix(curve, s, g13.compose(s),
                                        g23.compose(s)))
 
 
 def w_recursion_defect(spec):
     """Max |coefficient| gap, degree 0..5, of w minus its own recursion
     G_11 = 1 - 2 c1 t + 2 c2 g13 - 2 c3 g23 (they agree below degree 6)."""
-    _, w, _, _, _, G = _curve_series(spec, DEFAULT_CAP)
+    _, w, _, _, _, G = _curve_series(require_slowest_curve(spec), DEFAULT_CAP)
     return float(np.max(np.abs(w.coeffs[:6] - G[0][0].coeffs[:6])))
 
 
@@ -270,7 +270,7 @@ def det_series(spec, cap=DEFAULT_CAP):
     """det G(t) as a series; degree-10 coefficient is 1/(32 c4^6)."""
     if cap < 11:
         raise ValueError("det_series needs cap >= 11")
-    g = curve_matrix_series(spec, cap)
+    g = _curve_series(require_slowest_curve(spec), cap)[5]
     return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
             - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
@@ -285,7 +285,7 @@ def moment_curve_defect():
     (3,2)=-s^3/2 + 3 s^7/16, (3,3)=0, all through degree 7.  Returns the max
     absolute coefficient gap.
     """
-    g = curve_matrix_series(_SPEC_61, 8)
+    g = _curve_series(require_slowest_curve(_SPEC_61), 8)[5]
     t = TruncSeries.x(8)
     scale, s_of_t = 1 - 2 * t, t / (1 + 2 * t)  # s = t/(1-2t), inverted
     # each entry's pattern: its coefficients in s through degree 7

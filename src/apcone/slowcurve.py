@@ -15,8 +15,11 @@ series alike: a vanished denominator raises
 ``VanishingDenominatorError``, a value that is not finite
 ``OverflowError``.  An ndarray gets the float's bits entry by entry: its
 powers go through ``symcore._power``, the one power the rate fit and the
-trace CSV's inv columns use too.  Whether the plane's constants fit in a
-float is decided before, once, by ``planes.require_slowest_curve``.
+trace CSV's inv columns use too.  The plane's constants (||B1||^2, the
+step constant, the coefficients of g13 and g23) are read from the
+``planes.CurveConstants`` record that ``planes.require_slowest_curve``
+makes and checks: each public curve function runs that gate once and
+passes the record down, and nothing here forms a constant again.
 """
 
 import math
@@ -27,8 +30,7 @@ import numpy as np
 from .apengine import (_pair_with_psi_second_partials, _psi_partials,
                        _require_chart_plane, _require_orthogonal, ap_step,
                        psi)
-from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
-                     slow_step_constant, type2_b1_products)
+from .planes import U_STAR, _rotated, build_plane, require_slowest_curve
 from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
                       check_count, frob_inner, frob_norm, is_finite_number,
                       is_number, orthogonalize, project_affine)
@@ -71,16 +73,16 @@ class CurvePoint:
     G: np.ndarray
 
 
-def _curve_parts(c, t):
+def _curve_parts(curve, t):
     """``(w, g13, g23, den4w, checked)`` of the curve point at t in the
-    canonical frame, evaluated exactly as written: the nested rational w(t),
+    canonical frame of the ``planes.CurveConstants`` ``curve``, evaluated
+    exactly as written: the nested rational w(t),
     the coefficients g13, g23, den4w = den^4 w with den = 2 c4 w + 2 c5 t
     (h = 2 t^6 / den4w is left to ``_h_term``), and the denominators
     a point is rejected for, ``checked = (d_inner, d_mid, d_q, q, den)``.
     ``t`` is a float, an ndarray or a ``TruncSeries``; nothing is checked
     here."""
-    c1, c2, c3, c4, c5 = c
-    nb1, ip21, ip31 = type2_b1_products(c)
+    c1, c2, c3, c4, c5 = curve.c
     t3, t6, t7 = _power(t, 3), _power(t, 6), _power(t, 7)
     d_inner = c4 * (1.0 - 2.0 * c1 * t) + c5 * t
     mid = 1.0 - 2.0 * c1 * t + c2 * t * t / d_inner + c3 * t3 / c4
@@ -92,10 +94,9 @@ def _curve_parts(c, t):
          + c3 * t3 / (d_q * q))
     den = 2.0 * c4 * w + 2.0 * c5 * t
     den4w = _power(den, 4) * w
-    gt13 = t * t / den - 2.0 * (2.0 * c5 ** 2 + 1.0) * t6 / _power(den, 5)
-    r0 = (c4 * ip31 + c5 * ip21) / (8.0 * c4 ** 5 * nb1) + 1.0 / (8.0 * c4 ** 3)
-    r13 = (c5 / c4) * r0 * t7 + ip21 * t7 / (16.0 * c4 ** 6 * nb1)
-    r23 = -2.0 * c5 * t6 / den4w + r0 * t7
+    gt13 = t * t / den - curve.k5 * t6 / _power(den, 5)
+    r13 = (c5 / c4) * curve.r0 * t7 + curve.ip21 * t7 / curve.d16
+    r23 = -2.0 * c5 * t6 / den4w + curve.r0 * t7
     g13 = gt13 + r13
     g23 = -(gt13 / w) * t + r23
     return w, g13, g23, den4w, (d_inner, d_mid, d_q, q, den)
@@ -137,26 +138,27 @@ def _curve_parameter(t):
     return float(t)
 
 
-def _curve_scalars(spec, t):
+def _curve_scalars(curve, t):
     """``(w, g13, g23, h, G)`` of the curve point at the float t, with G
-    the matrix in the canonical frame, after ``_reject`` on them; ``spec``
-    has passed ``require_slowest_curve``.  t runs as an ``np.float64``; a
-    non-finite t (a shift past the largest float) fails the rule as an
-    overflow."""
-    t, c = np.float64(t), spec.c
+    the matrix in the canonical frame, after ``_reject`` on them; ``curve``
+    is the plane's ``require_slowest_curve`` record.  t runs as an
+    ``np.float64``; a non-finite t (a shift past the largest float) fails
+    the rule as an overflow."""
+    t = np.float64(t)
     with np.errstate(all="ignore"):
-        w, g13, g23, den4w, checked = _curve_parts(c, t)
+        w, g13, g23, den4w, checked = _curve_parts(curve, t)
         h = _h_term(t, den4w)
-        G = np.array(_canonical_matrix(c, t, g13, g23))
+        G = np.array(_canonical_matrix(curve, t, g13, g23))
     _reject(den4w, checked, [w, h, *G.flat])
     return float(w), float(g13), float(g23), float(h), G
 
 
-def _canonical_matrix(c, t, g13, g23):
-    """Rows of G(t) = U* + t B1 + g13 B2 + g23 B3 in the canonical frame, as
-    nested lists of entries of t's type (float, ndarray or ``TruncSeries``);
-    for ndarray arguments ``np.array`` of them puts the matrix axes first."""
-    c1, c2, c3, c4, c5 = c
+def _canonical_matrix(curve, t, g13, g23):
+    """Rows of G(t) = U* + t B1 + g13 B2 + g23 B3 in the canonical frame of
+    the record ``curve``, as nested lists of entries of t's type (float,
+    ndarray or ``TruncSeries``); for ndarray arguments ``np.array`` of them
+    puts the matrix axes first."""
+    c1, c2, c3, c4, c5 = curve.c
     g11 = 1.0 - 2.0 * c1 * t + 2.0 * c2 * g13 - 2.0 * c3 * g23
     g22 = 2.0 * c4 * g13 - 2.0 * c5 * g23
     return [[g11, t, -g13],
@@ -167,67 +169,70 @@ def _canonical_matrix(c, t, g13, g23):
 def curve_point(spec, t):
     """Assemble G(t) = U* + t B1 + g13 B2 + g23 B3 from the rational
     formulas."""
-    require_slowest_curve(spec)
+    curve = require_slowest_curve(spec)
     t = _curve_parameter(t)
-    w, g13, g23, h, G = _curve_scalars(spec, t)
+    w, g13, g23, h, G = _curve_scalars(curve, t)
     return CurvePoint(t=t, w=w, g13=g13, g23=g23, h=h, G=_rotated(spec, G))
 
 
-def _psd_correction(spec, t, w, g13, h):
+def _psd_correction(curve, t, w, g13, h):
     """Rows of D = P_psd(G(t)) - G(t) to O(t^8) in the canonical frame, from
-    the curve point's t, w, g13 and h: floats or ``TruncSeries``."""
-    c4, c5 = spec.c[3:]
-    nb1, ip21, ip31 = type2_b1_products(spec.c)
-    half = 0.5 * slow_step_constant(spec) * _power(t, 7)    # c t^7 / 2
-    m21 = -nb1 * half
-    m22 = h - ip21 * half / c4
-    m32 = c5 * m22 - ip31 * half
+    the curve's constants and the curve point's t, w, g13 and h: floats or
+    ``TruncSeries``."""
+    c4, c5 = curve.c[3:]
+    half = 0.5 * curve.step * _power(t, 7)    # c t^7 / 2
+    m21 = -curve.nb1 * half
+    m22 = h - curve.ip21 * half / c4
+    m32 = c5 * m22 - curve.ip31 * half
     return [[0.0 * t, m21, c4 * h], [m21, m22, m32],
             [c4 * h, m32, g13 * g13 / w]]
 
 
 def psd_projection_formula(spec, t):
     """Rational model G(t) + D of P_psd(G(t)), accurate to O(t^8)."""
-    cp = curve_point(require_slowest_curve(spec).canonical(), t)
-    D = _psd_correction(spec, cp.t, cp.w, cp.g13, cp.h)
+    curve = require_slowest_curve(spec)
+    t = _curve_parameter(t)
+    w, g13, _, h, G = _curve_scalars(curve, t)
+    D = _psd_correction(curve, t, w, g13, h)
     with np.errstate(all="ignore"):
-        model = cp.G + np.array(D)
+        model = G + np.array(D)
     _reject(1.0, (), model)     # D divides by no curve denominator of its own
     return _rotated(spec, model)
 
 
-def _ap_shift(c, t):
+def _ap_shift(curve, t):
     """Curve parameter of one AP step from G(t), to O(t^8): t - c t^7, with
-    c the ``planes.slow_step_constant``.  ``t`` is a float or an ndarray."""
-    return t - c * _power(t, 7)
+    c the step constant of the record ``curve``.  ``t`` is a float, an
+    ndarray or a ``TruncSeries``."""
+    return t - curve.step * _power(t, 7)
 
 
 def ap_image_formula(spec, t):
     """Rational model of one AP step applied to G(t): the curve point at
     ``_ap_shift``'s t - c t^7, accurate to O(t^8)."""
+    curve = require_slowest_curve(spec)
     with np.errstate(all="ignore"):
-        shifted = _ap_shift(slow_step_constant(spec),
-                            np.float64(_curve_parameter(t)))
-    return _rotated(spec, _curve_scalars(spec, shifted)[4])
+        shifted = _ap_shift(curve, np.float64(_curve_parameter(t)))
+    return _rotated(spec, _curve_scalars(curve, shifted)[4])
 
 
 # --- curve domain ------------------------------------------------------------
 
-def _domain_ok(c, t):
+def _domain_ok(curve, t):
     """Whether the curve denominators d_inner, d_mid, d_q, q, w and
     2 c4 w + 2 c5 t all exceed DENOM_FLOOR in modulus and det G(t) > 0, in
-    the canonical frame of coefficients ``c``.
+    the canonical frame of the curve's constants ``curve``.
 
     ``t`` is a NumPy float or an ndarray (elementwise answer).  A vanishing
     denominator yields inf or nan, which fails the floor test.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w, g13, g23, _, checked = _curve_parts(c, t)
+        w, g13, g23, _, checked = _curve_parts(curve, t)
         ok = np.abs(w) > DENOM_FLOOR
         for d in checked:
             ok &= np.abs(d) > DENOM_FLOOR
         # G is symmetric, so .T only moves the matrix axes last
-        det = np.linalg.det(np.array(_canonical_matrix(c, t, g13, g23)).T)
+        det = np.linalg.det(np.array(_canonical_matrix(curve, t, g13, g23)).T)
     return ok & (det > 0.0)
 
 
@@ -240,9 +245,9 @@ def valid_t_max(spec):
     bisection steps between it and the last passing grid point (0 if none)
     refine the answer, each testing one point with the same predicate.
     """
-    c = require_slowest_curve(spec).c
+    curve = require_slowest_curve(spec)
     ts = np.linspace(T_CAP / DOMAIN_GRID, T_CAP, DOMAIN_GRID)
-    ok = _domain_ok(c, ts)
+    ok = _domain_ok(curve, ts)
     if ok.all():
         return float(ts[-1])
     first_bad = int(np.argmin(ok))
@@ -250,7 +255,7 @@ def valid_t_max(spec):
     hi = ts[first_bad]
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _domain_ok(c, mid):
+        if _domain_ok(curve, mid):
             lo = mid
         else:
             hi = mid
@@ -373,7 +378,8 @@ def perturb_gain(spec):
     suite checks.  The norm is 1 - O(c4^2), so in floats it rounds to 1.0
     once c4 is below about 1e-8.
     """
-    C = _gram_schmidt(build_plane(require_slowest_curve(spec).canonical())[0])
+    require_slowest_curve(spec)
+    C = _gram_schmidt(build_plane(spec.canonical())[0])
     tilde = []
     for M in C[1:]:
         T = np.array(M)
@@ -396,7 +402,7 @@ def _coordinate(row, t, g13, g23):
     return row[0] * t + row[1] * g13 + row[2] * g23
 
 
-def _recover_block(c, p1_row, slope, t_last, p1_last, pobs):
+def _recover_block(curve, p1_row, slope, t_last, p1_last, pobs):
     """Curve parameters of a block of first coefficients ``pobs`` by
     quasi-Newton on p1(t) = ``_coordinate(p1_row, t, g13, g23)`` with the
     fixed ``slope``, every entry started from the last recovered t (where
@@ -412,7 +418,7 @@ def _recover_block(c, p1_row, slope, t_last, p1_last, pobs):
     t = t_last - (p1_last - pobs) / slope
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(60):
-            _, g13, g23, den4w, checked = _curve_parts(c, t)
+            _, g13, g23, den4w, checked = _curve_parts(curve, t)
             p1 = _coordinate(p1_row, t, g13, g23)
             vanished = _vanished(den4w, checked)
             r = p1 - pobs
@@ -465,10 +471,10 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     """
     from .series import _curve_series  # series imports this module
 
-    spec = require_slowest_curve(spec).canonical()
+    curve = require_slowest_curve(spec)
+    spec = spec.canonical()
     steps = check_count("steps", steps)
     t0 = _curve_parameter(t0)
-    c, c_step = spec.c, slow_step_constant(spec)
     E, _ = build_plane(spec)
     Eo = orthogonalize(E)
     C = Eo.basis
@@ -484,8 +490,9 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
         return all(np.array_equal(ap_step(Eo, U_STAR)[0], U_STAR)
                    for _ in range(steps))
 
-    U = curve_point(spec, t0).G + beta * t0 ** 7 * C[1] + gamma * t0 ** 7 * C[2]
-    ts, _, g13, g23, _, _ = _curve_series(spec, 1, t0)
+    U = (_curve_scalars(curve, t0)[4] + beta * t0 ** 7 * C[1]
+         + gamma * t0 ** 7 * C[2])
+    ts, _, g13, g23, _, _ = _curve_series(curve, 1, t0)
     p1_series = _coordinate(T[0], ts, g13, g23)
     t, p1_last, slope = t0, p1_series[0], p1_series[1]
     if slope == 0.0:
@@ -504,7 +511,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
         n = len(rows)
         pobs, p2, p3 = np.array(rows).reshape(n, Eo.dim).T
         tn, p1, g13, g23, vanished, unresolved = _recover_block(
-            c, T[0], slope, t, p1_last, pobs)
+            curve, T[0], slope, t, p1_last, pobs)
         tprev = np.concatenate(([t], tn))[:-1]
         bad = vanished | unresolved | ~((0.0 < tn) & (tn < tprev))
         if bad.any():
@@ -521,7 +528,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
             dev = np.hypot((p2 - _coordinate(T[1], tn, g13, g23)) * n2,
                            (p3 - _coordinate(T[2], tn, g13, g23)) * n3)
             transverse_ok &= not np.any(dev / _power(tn, 7) >= eps)
-            ratios = np.abs(tn - _ap_shift(c_step, tprev)) / _power(tprev, 8)
+            ratios = np.abs(tn - _ap_shift(curve, tprev)) / _power(tprev, 8)
         split = min(max(half - first, 0), n)
         k_fit = max(k_fit, np.max(ratios[:split], initial=0.0))
         r_late = max(r_late, np.max(ratios[split:], initial=0.0))

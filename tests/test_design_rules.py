@@ -51,16 +51,21 @@ def _numpy_random(node):
             or _imports_from(node, {"random"}, "numpy"))
 
 
+def _coefficient(node, k):
+    """The type2 coefficient c_k: a name ``ck``, or ``c[k - 1]`` of a name
+    or an attribute ``c``."""
+    return _name(node, {f"c{k}"}) or (
+        isinstance(node, ast.Subscript)
+        and (_name(node.value, {"c"}) or _attr(node.value, {"c"}))
+        and isinstance(node.slice, ast.Constant) and node.slice.value == k - 1)
+
+
 def _c4_zero_test(node):
-    """A comparison of c4 (a name ``c4``, or ``c[3]`` of a name or an
-    attribute ``c``) with the number 0."""
+    """A comparison of c4 (``_coefficient``) with the number 0."""
     if not isinstance(node, ast.Compare):
         return False
     operands = [node.left, *node.comparators]
-    return any(_name(o, {"c4"}) or isinstance(o, ast.Subscript)
-               and (_name(o.value, {"c"}) or _attr(o.value, {"c"}))
-               and isinstance(o.slice, ast.Constant) and o.slice.value == 3
-               for o in operands) and any(
+    return any(_coefficient(o, 4) for o in operands) and any(
         isinstance(o, ast.Constant) and type(o.value) in (int, float)
         and o.value == 0 for o in operands)
 
@@ -69,6 +74,31 @@ def _calls(node, names):
     """A call of one of ``names``, as a bare name or an attribute."""
     return isinstance(node, ast.Call) and (_name(node.func, names)
                                            or _attr(node.func, names))
+
+
+def _factors(node):
+    """The operands of a chain of multiplications."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _curve_constant(node):
+    """A constant of the slowest curve formed: a ``**`` of c4, c5 or
+    ||B1||^2 (a name or attribute ``nb1``), a product of two of c4 and c5,
+    or a closed-form product with B1, c1 times c1, c2 or c3."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base = node.left
+        return (_coefficient(base, 4) or _coefficient(base, 5)
+                or _name(base, {"nb1"}) or _attr(base, {"nb1"}))
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    factors = _factors(node)
+
+    def count(ks):
+        return sum(any(_coefficient(f, k) for k in ks) for f in factors)
+
+    return count((4, 5)) >= 2 or (count((1,)) >= 1 and count((1, 2, 3)) >= 2)
 
 
 def _finite_number_test(node):
@@ -157,6 +187,11 @@ RULES = {
     "outer_product": (
         lambda n: _attr(n, {"outer"}) or _imports_from(n, {"outer"}, "numpy"),
         {"apengine.psi", "apengine._psi_partials"}),
+    # the slowest curve's constants are formed once, in the record its
+    # gate makes; verify's det-series lead 1 / (32 c4^6) is the paper's
+    # value, formed on its own to check the series against
+    "curve_constants": (_curve_constant, {"planes.require_slowest_curve",
+                                          "verify._det_lead"}),
     # a finite number is one test, next to is_number
     "finite_number_test": (_finite_number_test, {"symcore.is_finite_number"}),
     # every series of the curve in t starts from one series t
@@ -248,6 +283,17 @@ PLANTED = [
     ("c4_zero_test",
      "def f(c, c4):\n    return c[3] > 1.0 or c[2] == 0 or c4 < c[3]\n",
      set()),
+    ("curve_constants",
+     "def f(c4, nb1):\n    return 1.0 / (4.0 * c4 ** 4 * nb1)\n", {"m.f"}),
+    ("curve_constants",
+     "class C:\n    def g(spec, curve):\n        return spec.c[4] ** 2, "
+     "curve.nb1 ** 3\n", {"m.C.g"}),
+    ("curve_constants",
+     "def f(c):\n    c1, c2 = c[0], c[1]\n    return -4.0 * c1 * c2\n"
+     "def g(c4):\n    return c4 * 2.0 * c4\n", {"m.f", "m.g"}),
+    ("curve_constants",
+     "def f(c1, c4, c, t, curve):\n    return (2.0 * c1 * t + (c4 / c4) "
+     "* curve.r0 + t ** 7 + c[2] ** 2 + 2.0 * c[3] * t)\n", set()),
     ("outer_product", "def f(y):\n    return np.outer(y, y).ravel()\n",
      {"m.f"}),
     ("outer_product", "from numpy import outer\n", {"m.<module>"}),

@@ -50,15 +50,21 @@ CHART_PLANE = "the rank-1 chart needs a 3-plane in S^3"
 LINE32, PLANE34 = (get_example(ex).plane for ex in ("ex3.2", "ex3.4"))
 CURVE_FUNCS = (curve_point, psd_projection_formula, ap_image_formula)
 E44_ORTHO = orthogonalize(get_example("ex4.4").plane)
-# type2 c whose curve constants c4^3 .. c4^6, c4^k ||B1||^2 or ||B1||^6
-# underflow to 0 or overflow, or whose c5^2 overflows
+# type2 c on which a constant of the curve's record is not a finite float
+# (a power of c4, ||B1||^2 or c5 overflows, or a divisor underflows to 0)
 NO_FLOAT_C = {"c4=1e-200": (0.3, 0.2, 0.1, 1e-200, 0.4),
               "c4=1e-80": (0.3, 0.2, 0.1, 1e-80, 0.4),
               "c4=1e77": (0.3, 0.2, 0.1, 1e77, 0.4),
               "c4=1e300": (0.3, 0.2, 0.1, 1e300, 0.4),
               "c1=1e150": (1e150, 0.2, 0.1, 1.0, 0.4),
               "c1=1e308": (1e308, 0.2, 0.1, 1.0, 0.4),
-              "c5=1e160": (0.3, 0.2, 0.1, 1.0, 1e160)}
+              "c5=1e160": (0.3, 0.2, 0.1, 1.0, 1e160),
+              # c4^6 ||B1||^2 is a float, 16 c4^6 ||B1||^2 overflows
+              "c4=10^51.2": (0.5, 0.5, 0.0, 10 ** 51.2, 0.0)}
+# type2 c with 16 c4^6 ||B1||^2 below 1e-300, which the curve divides a
+# series by, and 2 c4 w + 2 c5 t vanishing at t = 0
+TINY_C4 = ((0.0, -0.596, 7.8e-52, 7.8e-52, 1.9e36),
+           (5e-324, -0.88, -0.19, -2.8e-51, -2.8e-51))
 # a c2 so large that the type2 basis loses rank in floats
 HUGE_C2 = PlaneSpec("type2", (0.3, 1e300, 0.1, 1.0, 0.4))
 # f, g for residual_order_certified: |f - g| = 1e-18 t sqrt(3)
@@ -192,6 +198,10 @@ LIBRARY_CONTRACT = [
     *[(f"{func.__name__} c=(0, 1e100, 0, 1, 0)", func,
        (PlaneSpec("type2", (0, 1e100, 0, 1, 0)),), OverflowError, OVERFLOW)
       for func in (expand_curve, det_series)],
+    # a series divided by a tiny number: the denominator rule decides
+    *[(f"{func.__name__} c={c}", func, (PlaneSpec("type2", c),),
+       VanishingDenominatorError, "a curve denominator vanished")
+      for func in (expand_curve, det_series) for c in TINY_C4],
     # ex6.1's w = 1 - 2t: its denominators vanish at t = 0.5
     ("curve_point t=0.5", curve_point, (SPEC61, 0.5),
      VanishingDenominatorError, "a curve denominator vanished"),
@@ -222,6 +232,8 @@ LIBRARY_CONTRACT = [
      "det_series needs cap >= 11"),
     ("TruncSeries division by t", (1.0 + 0 * X12).__truediv__, (X12,),
      ZeroConstantTermError, "division by a series with zero constant term"),
+    ("TruncSeries division by 0.0", X12.__truediv__, (0.0,),
+     ZeroDivisionError, "division of a series by zero"),
     ("TruncSeries compose 0.5 + t", (1.0 + X12).compose, (0.5 + X12,),
      ValueError, "composition needs zero inner constant term"),
     ("TruncSeries sum of caps 12 and 8", X12.__add__, (TruncSeries.x(8),),

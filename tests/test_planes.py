@@ -8,9 +8,9 @@ import pytest
 from apcone.planes import (PLUCKER_INDEX_TRIPLES, PlaneSpec, U_STAR,
                            build_plane, conjugate, constraint_matrices,
                            coords_to_sym, plucker_coords,
-                           plucker_relation_defect, rotation_matrix,
-                           singularity_degree, sym_to_coords,
-                           type2_b1_products, type2_basis)
+                           plucker_relation_defect, require_slowest_curve,
+                           rotation_matrix, singularity_degree,
+                           sym_to_coords, type2_basis)
 from apcone.symcore import (AffineSubspace, _standard_sym_basis, eig_sym,
                             frob_inner, frob_norm, sym_matrix)
 from apcone.verify import random_type2_spec
@@ -25,14 +25,16 @@ def test_type2_basis_matches_template():
         assert np.array_equal(B, W)
 
 
-def test_type2_b1_products_closed_form():
+def test_curve_constants_b1_products_closed_form():
+    # the record's ||B1||^2, <B2, B1> and <B3, B1> against the basis
     rng = np.random.RandomState(41)
     for _ in range(20):
         c = tuple(rng.uniform(-2.0, 2.0, 5))
         B = type2_basis(c)
         want = [frob_inner(B[0], B[0]), frob_inner(B[1], B[0]),
                 frob_inner(B[2], B[0])]
-        got = type2_b1_products(c)
+        curve = require_slowest_curve(PlaneSpec("type2", c))
+        got = [curve.nb1, curve.ip21, curve.ip31]
         assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 

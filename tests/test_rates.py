@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcone.catalog import get_example
-from apcone.planes import PlaneSpec, slow_step_constant, type2_b1_products
+from apcone.planes import PlaneSpec, slow_step_constant
 from apcone.rates import (fit_geometric, fit_inverse_power, parse_trace_csv,
                           recursive_sequence, slow_rate_constant)
 from apcone.verify import _Draws, random_type2_spec
@@ -296,7 +296,7 @@ _LAW_SPECS = st.sampled_from([SPEC61, get_example("ex4.4").spec]) | st.builds(
 def test_the_pieces_of_the_slow_rate_law_agree(spec, start, K, n):
     # the step constant c, the limit-law constant and the recursion's
     # products are one law: t_k ~ (6 c k)^(-1/6) and dist_k ~ ||B1|| t_k
-    c, nb1 = slow_step_constant(spec), type2_b1_products(spec.c)[0]
+    c, nb1 = slow_step_constant(spec), 4.0 * spec.c[0] ** 2 + 2.0
     assert slow_rate_constant(spec) ** 6 * nb1 ** 3 == pytest.approx(
         6.0 * c, rel=1e-14, abs=0.0)
     # a start with c x0^6 = start^6 < 1 and a K small enough for the

@@ -133,7 +133,8 @@ def test_number_operands_match_the_constant_series():
     """A number shifts the constant term in + and - and divides each
     coefficient in /: the bits of the operation with the constant series
     when every coefficient is finite, without its 0 * inf terms when one is
-    not, and a number at most 1e-300 in modulus is still no divisor."""
+    not.  Only a zero number is no divisor; the 1e-300 floor on the
+    constant term is a series divisor's."""
     rng = np.random.RandomState(5)
     for _ in range(200):
         s = TruncSeries(_random_coeffs(rng, 8))
@@ -147,9 +148,15 @@ def test_number_operands_match_the_constant_series():
                           [np.inf, 0.5, 0.0])
     assert np.array_equal((ts([1.0, np.inf], 2) - 2.0).coeffs,
                           [-1.0, np.inf, 0.0])
-    for k in (0.0, -0.0, 1e-300, -1e-300):
-        with pytest.raises(ZeroConstantTermError):
+    for k in (0.0, -0.0):
+        with pytest.raises(ZeroDivisionError,
+                           match="^division of a series by zero$"):
             ts([1.0, 2.0], 2) / k
+    for k in (1e-300, -1e-300):
+        assert np.array_equal((ts([1.0, 2.0], 2) / k).coeffs,
+                              [1.0 / k, 2.0 / k, 0.0])
+        with pytest.raises(ZeroConstantTermError):
+            ts([1.0, 2.0], 2) / TruncSeries.constant(k, 2)
 
 
 def _loop_quotient(a, b):
@@ -285,9 +292,10 @@ def test_moment_curve_pattern():
 
 def test_moment_curve_entries():
     # spot-check the certified entries via the same substitution
-    from apcone.series import curve_matrix_series
+    from apcone.planes import require_slowest_curve
+    from apcone.series import _curve_series
     cap = 8
-    g = curve_matrix_series(SPEC61, cap)
+    g = _curve_series(require_slowest_curve(SPEC61), cap)[5]
     t = TruncSeries.x(cap)
     inner = t / (1 + 2 * t)
     e11 = (g[0][0] / (1 - 2 * t)).compose(inner)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from apcone.apengine import ap_step
 from apcone.planes import (PlaneSpec, U_STAR, build_plane, conjugate,
-                           rotation_matrix, slow_step_constant, type2_basis)
+                           require_slowest_curve, rotation_matrix,
+                           type2_basis)
 import apcone.slowcurve as slowcurve
 import apcone.series as series
 from apcone.catalog import get_example
@@ -240,12 +242,13 @@ def test_formula_residuals_start_at_degree_8():
 
 
 def test_wrong_step_constant_shows_at_degree_7(monkeypatch):
-    # 1.1 c puts a wrong t^7 term in both formulas: m21 and m22 of the
-    # projection's correction, and the shift t - c t^7 of the AP image
-    c = slow_step_constant(SPEC61)
-    for module in (slowcurve, series):
-        monkeypatch.setattr(module, "slow_step_constant",
-                            lambda spec: 1.1 * c)
+    # 1.1 c in the curve's record puts a wrong t^7 term in both formulas:
+    # m21 and m22 of the projection's correction, and the shift t - c t^7
+    # of the AP image
+    curve = require_slowest_curve(SPEC61)
+    monkeypatch.setattr(series, "require_slowest_curve",
+                        lambda spec: dataclasses.replace(
+                            curve, step=1.1 * curve.step))
     assert _first_degrees(SPEC61) == [7, 7]
 
 
@@ -443,7 +446,7 @@ def _p1_of_t(spec, row, t):
     finite, so that no recovery accepts it."""
     if not math.isfinite(t):
         return math.nan, math.nan, math.nan
-    _, g13, g23, _, _ = _curve_scalars(spec, t)
+    _, g13, g23, _, _ = _curve_scalars(require_slowest_curve(spec), t)
     return row[0] * t + row[1] * g13 + row[2] * g23, g13, g23
 
 
@@ -519,7 +522,8 @@ def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
     ts = np.concatenate([np.linspace(-0.4, 0.6, 201),
                          np.geomspace(1e-6, 0.3, 97), [0.5]])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, g13, g23, den4w, checked = _curve_parts(spec.c, ts)
+        _, g13, g23, den4w, checked = _curve_parts(
+            require_slowest_curve(spec), ts)
         p1 = _coordinate(row, ts, g13, g23)
         vanished = _vanished(den4w, checked)
     raised = 0
@@ -539,7 +543,8 @@ def test_p1_block_is_the_scalar_map_bit_for_bit(draw):
 
 def _series_p1(spec, row, t):
     ts = TruncSeries.from_coeffs([t, 1.0], 1)
-    return _coordinate(row, ts, *_curve_parts(spec.c, ts)[1:3])
+    curve = require_slowest_curve(spec)
+    return _coordinate(row, ts, *_curve_parts(curve, ts)[1:3])
 
 
 def test_tube_slope_is_the_exact_derivative_of_p1():

@@ -30,10 +30,12 @@ import numpy as np
 from .apengine import (_pair_with_psi_second_partials, _psi_partials,
                        _require_chart_plane, _require_orthogonal, ap_step,
                        psi)
-from .planes import U_STAR, _rotated, build_plane, require_slowest_curve
-from .symcore import (EigenSolverError, _eigh, _gram_schmidt, _power,
-                      check_count, frob_inner, frob_norm, is_finite_number,
-                      is_number, orthogonalize, project_affine)
+from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
+                     type2_basis)
+from .symcore import (EigenSolverError, _check_basis, _eigh, _factor,
+                      _gram_schmidt, _power, check_count, frob_inner,
+                      frob_norm, is_finite_number, is_number, orthogonalize,
+                      project_affine)
 
 T_CAP = 0.2
 DOMAIN_GRID = 200
@@ -376,10 +378,13 @@ def perturb_gain(spec):
     zeroed first row and column; its spectral norm is strictly below one for
     every type2 plane with c4 != 0 (Lemma 7.5), which verify's lemma75
     suite checks.  The norm is 1 - O(c4^2), so in floats it rounds to 1.0
-    once c4 is below about 1e-8.
+    once c4 is below about 1e-8.  C is read off the one factorization of
+    the canonical basis ``type2_basis(spec.c)``, checked as ``build_plane``
+    checks it, with no plane built: the gain reads nothing else of one.
     """
     require_slowest_curve(spec)
-    C = _gram_schmidt(build_plane(spec.canonical())[0])
+    basis = _check_basis(type2_basis(spec.c), 3)
+    C = _gram_schmidt(basis, *_factor(basis)[1:])    # its Q and R^-1
     tilde = []
     for M in C[1:]:
         T = np.array(M)

@@ -16,6 +16,15 @@ matrix-vector product each, for ``coefficients``, ``project_affine`` and
 the AP step in ``apengine``; ``_gram_schmidt`` reads the Gram-Schmidt
 basis off Q and R.
 
+Every factorization goes through the private ``_factor``: the gufuncs
+``qr_r_raw``, ``qr_reduced`` and ``inv`` of ``numpy.linalg._umath_linalg``
+that ``numpy.linalg.qr`` and ``numpy.linalg.inv`` call, with their
+arguments and their ``np.errstate``, so Q and R^-1 are the same bits
+without the wrappers' copies, checks and ``np.triu``.  ``from_basis``
+builds a plane's maps from it into arrays it allocates once and freezes
+in place, and the transverse gain in ``slowcurve`` reads the Gram-Schmidt
+basis off it with no plane built.
+
 Every eigendecomposition in the package goes through the private
 ``_eigh``: one call of the gufunc ``numpy.linalg._umath_linalg.eigh_lo``
 that ``numpy.linalg.eigh`` itself calls (LAPACK's symmetric eigensolver),
@@ -40,18 +49,21 @@ Input is checked once, where it enters a public function.  A matrix
 (finite, square, exactly symmetric) is checked by ``check_finite_sym`` or
 ``check_sym``, which differ only in the error a non-finite entry raises:
 ``EigenSolverError`` for an eigensolver's input, ``ValueError`` for an
-affine subspace's anchor and basis and a distance target.  A point of an
-affine subspace is checked the same way, size included, by the private
-``AffineSubspace._check_point``.  Of several faults the first in the
-order non-finite, square, symmetric, size decides the error.  A step or
-iteration count is checked by ``check_count``; whether a scalar argument
-is an integer or a real number at all is decided by ``is_integer`` and
-``is_number``, for which a bool is neither, and whether it is a finite
-number by ``is_finite_number``.
+affine subspace's anchor and basis and a distance target.  A basis must
+be a stack (m, n, n), m >= 1 (``_check_basis``), and after the
+dependency test its Gram matrix must be finite with normal diagonal
+entries (``_factor``).  A point of an affine subspace is checked the same
+way, size included, by the private ``AffineSubspace._check_point``.  Of
+several faults the first in the order non-finite, square, symmetric, size
+decides the error.  A step or iteration count is checked by
+``check_count``; whether a scalar argument is an integer or a real number
+at all is decided by ``is_integer`` and ``is_number``, for which a bool is
+neither, and whether it is a finite number by ``is_finite_number``.
 """
 
 import functools
 import math
+import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -60,6 +72,8 @@ from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import (_raise_linalgerror_qr,
+                                  _raise_linalgerror_singular)
 
 DEPENDENT_BASIS_TOL = 1e-10
 
@@ -317,10 +331,89 @@ def _standard_sym_basis(n):
     return out
 
 
-def _freeze(a):
-    a = np.array(a, dtype=float)  # private copy
-    a.setflags(write=False)
-    return a
+@functools.cache
+def _layout(n, m):
+    """Index tables of a plane of m n x n basis matrices: the row order
+    that swaps each row (i, j) of a flat n*n-row array with row (j, i),
+    and the flat positions of the entries below the diagonal of an m x m
+    matrix.  Built on first use, and read-only, since every caller gets
+    the same arrays."""
+    swap = np.array([j * n + i for i in range(n) for j in range(n)])
+    below = np.array([i * m + j for i in range(m) for j in range(i)],
+                     dtype=np.intp)
+    for table in (swap, below):
+        table.setflags(write=False)
+    return swap, below
+
+
+def _check_basis(basis, n):
+    """``basis`` as a new C-ordered float stack (m, n, n) with m >= 1, each
+    matrix checked by ``check_sym`` in turn, then its size: a non-finite
+    entry, a shape that is not square and an entry that differs from its
+    mirror image each raise ``ValueError``, the first fault in that order
+    deciding the error, as does anything that is not such a stack.  A
+    ragged list is not refused up front: its matrices are checked first,
+    and NumPy then refuses to stack it."""
+    try:
+        shape = np.shape(basis)
+    except ValueError:      # ragged
+        shape = None
+    if shape is not None and (len(shape) != 3 or not shape[0]):
+        raise ValueError(f"basis must be a stack of shape (m, {n}, {n}) "
+                         f"with m >= 1, got shape {shape}")
+    for B in basis:
+        check_sym(B)
+    basis = np.array(basis, dtype=float, order="C")
+    if basis.shape[1:] != (n, n):
+        raise ValueError("basis dimension does not match anchor")
+    return basis
+
+
+def _factor(basis):
+    """The one factorization of a checked stack ``basis`` (m, n, n): the
+    thin QR ``basis.reshape(m, n*n).T = Q R``.
+
+    Returns ``(gram, Q, R_inv)``, new C-ordered arrays: the Gram matrix
+    ``flat flat^T`` of the raveled basis, Q with each column mirrored
+    (rows (i, j) and (j, i) replaced by their mean), so that as an n x n
+    matrix it is exactly symmetric, and R^-1.  LAPACK runs through the
+    gufuncs that ``numpy.linalg.qr`` and ``numpy.linalg.inv`` call, with
+    their arguments and their ``np.errstate``, so the factors have their
+    bits and a LAPACK failure raises their ``LinAlgError``.  A basis whose
+    R has a diagonal entry at most ``DEPENDENT_BASIS_TOL`` times its
+    largest, or that has more than n*n matrices, raises
+    ``DependentBasisError``; then a Gram matrix with an entry that is not
+    finite, or a diagonal entry below the smallest normal float, raises
+    ``ValueError``: the basis is too large or too small for its squared
+    norms to be floats.
+    """
+    m = len(basis)
+    flat = basis.reshape(m, -1)
+    swap, below = _layout(basis.shape[1], m)
+    a = flat.T.copy()       # LAPACK overwrites it with R and its reflectors
+    with np.errstate(call=_raise_linalgerror_qr, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        Q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    R = a[:m]
+    diag = [abs(r) for r in R.diagonal().tolist()]
+    # an operation that makes a NaN raises in the errstate above, so min
+    # and max see none; R has fewer than m rows when m > n*n
+    if not (len(diag) == m and min(diag) > DEPENDENT_BASIS_TOL * max(diag)):
+        raise DependentBasisError("basis matrices are linearly dependent")
+    R.reshape(-1)[below] = 0.0     # LAPACK's reflectors, below R
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = flat @ flat.T
+    entries = gram.ravel().tolist()
+    if not (math.isfinite(sum(entries)) or np.isfinite(gram).all()):
+        raise ValueError("the basis is too large: its Gram matrix overflows")
+    if min(entries[::m + 1]) < sys.float_info.min:
+        raise ValueError("the basis is too small: its Gram matrix "
+                         "underflows")
+    with np.errstate(call=_raise_linalgerror_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        R_inv = _umath_linalg.inv(R, signature="d->d")
+    return gram, 0.5 * (Q + Q[swap]), R_inv
 
 
 @dataclass(frozen=True)
@@ -328,13 +421,12 @@ class AffineSubspace:
     """Affine subspace anchor + span{basis} of S^n with projection data.
 
     ``Q`` (n*n, m) and ``R_inv`` (m, m) come from the thin QR factorization
-    ``basis.reshape(m, n*n).T = Q R``; each column of Q, as an n x n
-    matrix, is exactly symmetric.  A flat v projects to ``aug [v | 1]``
-    with ``aug = [Q Q^T | offset]`` (rows (i, j) and (j, i) equal), with
-    basis coefficients ``coef_aug [v | 1]``, where
-    ``coef_aug = [R^-1 Q^T | -R^-1 Q^T vec(anchor)]``.  A basis whose R has
-    a diagonal entry at most ``DEPENDENT_BASIS_TOL`` times its largest is
-    rejected as dependent.
+    ``basis.reshape(m, n*n).T = Q R`` (``_factor``); each column of Q, as
+    an n x n matrix, is exactly symmetric.  A flat v projects to
+    ``aug [v | 1]`` with ``aug = [Q Q^T | offset]`` (rows (i, j) and (j, i)
+    equal), with basis coefficients ``coef_aug [v | 1]``, where
+    ``coef_aug = [R^-1 Q^T | -R^-1 Q^T vec(anchor)]`` (Fortran-ordered).
+    Every field is read-only.
     """
 
     anchor: np.ndarray
@@ -355,30 +447,35 @@ class AffineSubspace:
 
     @classmethod
     def from_basis(cls, anchor, basis):
-        anchor = check_sym(anchor)
-        basis = np.array([check_sym(B) for B in basis], dtype=float)
-        m, n = basis.shape[0], anchor.shape[0]
-        if basis.shape[1:] != (n, n):
-            raise ValueError("basis dimension does not match anchor")
-        flat = basis.reshape(m, n * n)
-        Q, R = np.linalg.qr(flat.T)
-        diag = np.abs(np.diag(R))
-        if not diag.min() > DEPENDENT_BASIS_TOL * diag.max():
-            raise DependentBasisError("basis matrices are linearly dependent")
-
-        def mirror(A):   # rows (i, j) and (j, i) replaced by their mean
-            A = A.reshape(n, n, -1)
-            return (0.5 * (A + A.transpose(1, 0, 2))).reshape(n * n, -1)
-
-        # columns of Q are symmetric only up to rounding; make them exactly
-        # symmetric, and rows (i, j) and (j, i) of aug equal, so that every
-        # projection aug [v | 1] is exactly symmetric
-        Q, R_inv, a = mirror(Q), np.linalg.inv(R), anchor.ravel()
-        proj, coef_map = mirror(Q @ Q.T), Q @ R_inv.T
-        aug = np.hstack([proj, mirror(a - proj @ a)])
-        coef_aug = np.hstack([coef_map.T, -(a @ coef_map)[:, None]])
-        return cls(*map(_freeze, (anchor, basis, flat @ flat.T, Q, R_inv, aug,
-                                  coef_aug)))
+        """The plane through ``anchor`` spanned by ``basis``, a stack of m
+        n x n matrices, both checked (``check_sym``, ``_check_basis``) and
+        copied; the basis is factored once (``_factor``)."""
+        anchor = np.array(check_sym(anchor))
+        n = len(anchor)
+        basis = _check_basis(basis, n)
+        gram, Q, R_inv = _factor(basis)
+        m, nn = len(basis), n * n
+        swap, _ = _layout(n, m)
+        a = anchor.ravel()
+        # rows (i, j) and (j, i) of aug replaced by their mean, so that
+        # every projection aug [v | 1] is exactly symmetric
+        P = Q @ Q.T
+        proj = 0.5 * (P + P[swap])
+        offset = a - proj @ a
+        aug = np.empty((nn, nn + 1))
+        aug[:, :nn] = proj
+        aug[:, nn] = 0.5 * (offset + offset[swap])
+        # coef_aug is Fortran-ordered, a layout the rounding of the
+        # read-out coef_aug.dot(r) depends on; its transpose's rows are
+        # those of Q R^-T, then the anchor's coefficients, negated
+        coef_aug = np.empty((m, nn + 1), order="F")
+        coef_map = coef_aug.T[:nn]
+        np.matmul(Q, R_inv.T, out=coef_map)
+        np.negative(a @ coef_map, out=coef_aug[:, nn])
+        fields = (anchor, basis, gram, Q, R_inv, aug, coef_aug)
+        for array in fields:
+            array.setflags(write=False)
+        return cls(*fields)
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -425,19 +522,21 @@ def project_affine(E, X):
     return E._project(r).reshape(X.shape), E._coefficients(r)
 
 
-def _gram_schmidt(E):
-    """E's basis Gram-Schmidted in order (first element kept verbatim), as a
-    new C-ordered (m, n, n) array, laid out as ``from_basis`` stores a basis
-    so that sums over its entries run in the same order.
+def _gram_schmidt(basis, Q, R_inv):
+    """The checked stack ``basis`` Gram-Schmidted in order (first element
+    kept verbatim), from its ``_factor`` Q and R^-1, as a new C-ordered
+    (m, n, n) array, laid out as ``from_basis`` stores a basis so that sums
+    over its entries run in the same order.
 
     Element i is B_i less its projection onto span{B_0, ..., B_{i-1}}, read
-    off the stored QR factors as R_ii mat(Q_i), with R_ii = 1 / (R^-1)_ii.
+    off the QR factors as R_ii mat(Q_i), with R_ii = 1 / (R^-1)_ii.
     """
-    C = (E.Q / np.diag(E.R_inv)).T.reshape(E.dim, E.n, E.n).copy()
-    C[0] = E.basis[0]
+    C = (Q / np.diag(R_inv)).T.reshape(basis.shape).copy()
+    C[0] = basis[0]
     return C
 
 
 def orthogonalize(E):
     """E with its basis Gram-Schmidted in order (``_gram_schmidt``)."""
-    return AffineSubspace.from_basis(E.anchor, _gram_schmidt(E))
+    return AffineSubspace.from_basis(E.anchor,
+                                     _gram_schmidt(E.basis, E.Q, E.R_inv))

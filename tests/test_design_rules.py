@@ -22,6 +22,7 @@ POWERS = {"float_power", "power"}
 DENOMINATORS = {"d_inner", "d_mid", "d_q"}
 RUN_PATH = {"run_ap", "trace_csv", "_summarize"}
 RANK_CUTS = {"bisect", "bisect_left", "bisect_right", "searchsorted"}
+FACTORIZATIONS = {"qr", "qr_r_raw", "qr_reduced", "inv"}
 FLOAT_EXCEPTIONS = {"ZeroDivisionError", "OverflowError"}
 
 
@@ -169,10 +170,19 @@ RULES = {
     "coefficient_map": (
         lambda n: _attr(n, {"coef_aug"}),
         {"symcore.AffineSubspace._coefficients"}),
-    # R^-1 is made by from_basis and read back by the one Gram-Schmidt
+    # every plane's QR factorization and R^-1: one function, which calls
+    # the gufuncs behind numpy.linalg.qr and inv, named as an attribute, a
+    # bare name or an import
+    "one_factorization": (
+        lambda n: (_attr(n, FACTORIZATIONS) or _name(n, FACTORIZATIONS)
+                   or _imports_from(n, FACTORIZATIONS)),
+        {"symcore._factor"}),
+    # R^-1 is made by the one factorization, stored by from_basis and read
+    # back by the one Gram-Schmidt, to which orthogonalize passes a plane's
     "inverse_r_factor": (
         lambda n: _attr(n, {"R_inv"}) or _name(n, {"R_inv"}, ast.Load),
-        {"symcore.AffineSubspace.from_basis", "symcore._gram_schmidt"}),
+        {"symcore._factor", "symcore.AffineSubspace.from_basis",
+         "symcore._gram_schmidt", "symcore.orthogonalize"}),
     # the verify suites draw through verify._Draws
     "numpy_random": (_numpy_random, set()),
     # a plane has a slowest curve exactly when c4 != 0: one test of that,
@@ -256,6 +266,14 @@ PLANTED = [
     ("curve_denominators", "def f(t):\n    return d_q + d_mid\n", set()),
     ("projector", "def f(E, v):\n    return E.aug @ v\n", {"m.f"}),
     ("coefficient_map", "def f(E, r):\n    return E.coef_aug @ r\n", {"m.f"}),
+    ("one_factorization", "def f(a):\n    return np.linalg.qr(a)\n", {"m.f"}),
+    ("one_factorization",
+     "class C:\n    def g(a, tau):\n        return "
+     "_umath_linalg.qr_reduced(a, tau), inv(a)\n", {"m.C.g"}),
+    ("one_factorization", "from numpy.linalg import inv, solve\n",
+     {"m.<module>"}),
+    ("one_factorization",
+     "def f(R, qr_tau):\n    return R.invert(), qr_tau, 'qr'\n", set()),
     ("inverse_r_factor", "R_inv = 1\ndef f(E):\n    return E.R_inv\n",
      {"m.f"}),
     ("inverse_r_factor", "def f(R_inv):\n    return R_inv\n", {"m.f"}),

@@ -159,6 +159,22 @@ LIBRARY_CONTRACT = [
     ("AffineSubspace 2x2 basis at a 3x3 anchor", AffineSubspace.from_basis,
      (U_STAR, [np.eye(2)]), ValueError, "basis dimension does not match "
      "anchor"),
+    # a basis that is not a stack of matrices, or whose squared norms
+    # leave the normal floats
+    *[(f"AffineSubspace basis {name}", AffineSubspace.from_basis,
+       (U_STAR, basis), ValueError, message) for name, basis, message in [
+           ("one 3x3 matrix", E61.basis[0], "basis must be a stack of shape "
+            "(m, 3, 3) with m >= 1, got shape (3, 3)"),
+           ("1.0", 1.0, "basis must be a stack of shape (m, 3, 3) with "
+            "m >= 1, got shape ()"),
+           ("1e200 x ex6.1's", 1e200 * E61.basis,
+            "the basis is too large: its Gram matrix overflows"),
+           ("1e-170 x ex6.1's", 1e-170 * E61.basis,
+            "the basis is too small: its Gram matrix underflows")]],
+    # R is 1 x 2, so its diagonal alone does not show the dependence
+    ("AffineSubspace two 1x1 matrices", AffineSubspace.from_basis,
+     ([[1.0]], [[[1.0]], [[2.0]]]), DependentBasisError,
+     "basis matrices are linearly dependent"),
     # the slowest curve exists on type2 planes with c4 != 0 only
     *[(f"{func.__name__} {case}", func, (spec, *args), ValueError, NO_CURVE)
       for func, args in [*((f, (0.01,)) for f in CURVE_FUNCS),

@@ -323,6 +323,33 @@ def test_dependent_basis_rejected():
         AffineSubspace.from_basis(np.zeros((3, 3)), np.array([B, 2 * B]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_from_basis_at_every_size(n):
+    # the row swap that mirrors Q and aug and the triangle R is read from
+    # depend on n and m: every m from 1 to n(n+1)/2, on seeded bases
+    rng = np.random.RandomState(60 + n)
+    swap = [j * n + i for i in range(n) for j in range(n)]
+    for m in range(1, n * (n + 1) // 2 + 1):
+        basis = np.array([random_sym(n, rng) for _ in range(m)])
+        E = AffineSubspace.from_basis(random_sym(n, rng), basis)
+        columns = E.Q.T.reshape(m, n, n)
+        assert np.array_equal(columns, columns.transpose(0, 2, 1))
+        assert np.abs(E.Q.T @ E.Q - np.eye(m)).max() <= 1e-14
+        assert np.array_equal(E.aug, E.aug[swap])
+        p = rng.uniform(-1.0, 1.0, m)
+        got = E._coefficients(np.append(E.point(p), 1.0))
+        assert np.abs(got - p).max() <= 1e-12 * np.abs(p).max()
+        # the factors are numpy.linalg's, bit for bit
+        Q, R = np.linalg.qr(basis.reshape(m, -1).T)
+        assert np.abs(E.R_inv @ R - np.eye(m)).max() <= 1e-14
+        assert E.R_inv.tobytes() == np.linalg.inv(R).tobytes()
+        assert E.Q.tobytes() == (0.5 * (Q + Q[swap])).tobytes()
+        # the last matrix replaced by the sum of the others (0 when m = 1)
+        dependent = np.array([*basis[:-1], basis[:-1].sum(axis=0)])
+        with pytest.raises(DependentBasisError):
+            AffineSubspace.from_basis(E.anchor, dependent)
+
+
 def _dist2(E, X):
     """Squared distance ||X - P_E(X)||^2, from project_affine's residual."""
     R = X - project_affine(E, X)[0]

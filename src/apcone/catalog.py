@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .planes import PlaneSpec, U_STAR, build_plane, singularity_degree
+from .planes import PlaneSpec, U_STAR, _planes, singularity_degree
 from .slowcurve import curve_point
 from .symcore import AffineSubspace, sym_matrix
 
@@ -67,7 +67,7 @@ def plane_instance(spec):
     targets the plane's anchor U* and has no default start or iteration
     count.  At singularity degree 2 the fit is dist^-6 against k (the
     k^(-1/6) law from the slowest curve), otherwise geometric."""
-    E, _ = build_plane(spec)
+    E, = _planes([spec])
     power = 6 if singularity_degree(spec) == 2 else None
     return ExampleInstance("plane", spec.kind, E, None, None, power, spec)
 

@@ -2,9 +2,12 @@
 
 Two parametric templates cover every such plane (up to the rotation block
 P~): "type1" planes have singularity degree 1; "type2" planes have degree 2
-exactly when c4 != 0.  The constraint matrices and the type2 basis are each
-one float64 array literal, conjugated only by a rotation block that is not
-the identity.  A spec's numeric fields must pass
+exactly when c4 != 0.  The constraint matrices are one float64 array
+literal and the type2 basis one fixed array with its five c entries set,
+for one c or a stack of them; each is conjugated only by a rotation block
+that is not the identity.  ``_planes`` builds the planes of many specs in
+one stacked ``from_basis`` call, and ``build_plane`` is its stack of one
+with the constraint matrices added.  A spec's numeric fields must pass
 ``symcore.is_finite_number``.  ``require_slowest_curve`` is the one gate
 of the slowest curve and the one maker of its constants: for a type2
 plane with c4 != 0 it returns a ``CurveConstants`` record of the numbers
@@ -131,12 +134,34 @@ def constraint_matrices(spec):
     return tuple(_rotated(spec, A))
 
 
+# the type2 basis at c = 0, raveled, and its entries that hold c:
+# (B1)_11 = -2 c1, (B2)_11 = 2 c2, (B3)_11 = -2 c3, (B2)_22 = 2 c4 and
+# (B3)_22 = -2 c5
+_TYPE2_AT_ZERO = _sym_stack([[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                             [[0, 0, -1], [0, 0, 0], [-1, 0, 0]],
+                             [[0, 0, 0], [0, 0, 1], [0, 1, 0]]]).ravel()
+_TYPE2_AT_ZERO.setflags(write=False)
+_TYPE2_C_ENTRIES = [0, 9, 18, 13, 22]
+_TYPE2_C_SCALES = np.array([-2.0, 2.0, -2.0, 2.0, -2.0])
+
+
 def type2_basis(c):
-    """Direction basis of a canonical type2 plane (not orthogonal in general)."""
-    c1, c2, c3, c4, c5 = c
-    return _sym_stack([[[-2 * c1, 1, 0], [1, 0, 0], [0, 0, 0]],
-                       [[2 * c2, 0, -1], [0, 2 * c4, 0], [-1, 0, 0]],
-                       [[-2 * c3, 0, 0], [0, -2 * c5, 1], [0, 1, 0]]])
+    """Direction basis of a canonical type2 plane (not orthogonal in
+    general), or, for a (B, 5) array of c, the (B, 3, 3, 3) stack of the B
+    bases:
+
+        [[-2 c1, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[2 c2, 0, -1], [0, 2 c4, 0], [-1, 0, 0]],
+        [[-2 c3, 0, 0], [0, -2 c5, 1], [0, 1, 0]].
+
+    An entry 2 c_i past the largest float is inf, with no warning, as it is
+    in Python floats."""
+    c = np.asarray(c, dtype=float)
+    B = np.empty((*c.shape[:-1], 27))
+    B[...] = _TYPE2_AT_ZERO
+    with np.errstate(over="ignore"):
+        B[..., _TYPE2_C_ENTRIES] = _TYPE2_C_SCALES * c
+    return B.reshape(*c.shape[:-1], 3, 3, 3) + 0.0   # -0.0 becomes +0.0
 
 
 def slow_step_constant(spec):
@@ -156,19 +181,30 @@ def _type1_basis(spec):
     return np.array([coords_to_sym(v) for v in vt[3:]])
 
 
+def _planes(specs):
+    """The planes of ``specs``, the ``AffineSubspace``s anchored at U* that
+    ``build_plane`` returns, as a tuple made by one ``from_basis`` call on
+    the stack of their bases (the type2 ones from one ``type2_basis``
+    call).  A spec whose basis cannot be made raises first; then the first
+    bad basis raises as it does alone."""
+    c = [spec.c for spec in specs if spec.kind == "type2"]
+    # a c so large that the basis or its rotation overflows gives inf or
+    # NaN entries, which from_basis rejects: no warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        type2 = iter(type2_basis(c) if c else ())
+        bases = [_rotated(spec, next(type2) if spec.kind == "type2"
+                          else _type1_basis(spec)) for spec in specs]
+    return AffineSubspace.from_basis(U_STAR, bases)
+
+
 def build_plane(spec):
     """Construct the plane as (AffineSubspace anchored at U*, constraints).
 
     For theta != 0 the canonical basis and constraints are conjugated by the
-    rotation, so conjugation equivariance holds by construction.
+    rotation, so conjugation equivariance holds by construction.  Callers
+    that need only the plane take it from ``_planes``.
     """
-    # a c so large that the basis or its rotation overflows gives inf or
-    # NaN entries, which from_basis rejects: no warning on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = _rotated(spec, type2_basis(spec.c) if spec.kind == "type2"
-                         else _type1_basis(spec))
-    E = AffineSubspace.from_basis(U_STAR, basis)
-    return E, constraint_matrices(spec)
+    return _planes([spec])[0], constraint_matrices(spec)
 
 
 def singularity_degree(spec):
@@ -180,7 +216,9 @@ def singularity_degree(spec):
 class CurveConstants:
     """The constants of a plane's slowest curve that its formulas read,
     made and checked by ``require_slowest_curve`` alone.  They are Python
-    floats, so a ``TruncSeries`` t can be multiplied by them."""
+    floats, so a ``TruncSeries`` t can be multiplied by them;
+    ``slowcurve._columns`` stacks the records of B planes into one whose
+    fields are (B, 1) columns of them."""
 
     c: tuple            # c1..c5
     nb1: float          # ||B1||^2 = 4 c1^2 + 2
@@ -237,6 +275,8 @@ def coords_to_sym(v):
 
 
 PLUCKER_INDEX_TRIPLES = tuple(combinations(range(6), 3))
+_TRIPLES = np.array(PLUCKER_INDEX_TRIPLES)
+_TRIPLES.setflags(write=False)
 
 
 def plucker_coords(E):
@@ -245,7 +285,8 @@ def plucker_coords(E):
     if E.n != 3 or E.dim != 3:
         raise ValueError("Pluecker coordinates need a 3-plane in S^3")
     M = np.array([sym_to_coords(B) for B in E.basis])  # 3 x 6
-    return np.array([np.linalg.det(M[:, cols]) for cols in PLUCKER_INDEX_TRIPLES])
+    # the 20 3 x 3 minors M[:, cols] as one stack, one det call
+    return np.linalg.det(M[:, _TRIPLES].swapaxes(0, 1))
 
 
 @functools.cache

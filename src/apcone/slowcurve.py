@@ -20,18 +20,22 @@ step constant, the coefficients of g13 and g23) are read from the
 ``planes.CurveConstants`` record that ``planes.require_slowest_curve``
 makes and checks: each public curve function runs that gate once and
 passes the record down, and nothing here forms a constant again.
+``valid_t_max`` and ``perturb_gain`` also take a list or tuple of specs
+and return a tuple: the domain grids of all the planes run as one array
+over the records stacked as columns (``_columns``), and the gains from
+one factorization of the stack of their bases.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .apengine import (_pair_with_psi_second_partials, _psi_partials,
                        _require_chart_plane, _require_orthogonal, ap_step,
                        psi)
-from .planes import (U_STAR, _rotated, build_plane, require_slowest_curve,
-                     type2_basis)
+from .planes import (U_STAR, CurveConstants, _planes, _rotated,
+                     require_slowest_curve, type2_basis)
 from .symcore import (EigenSolverError, _check_basis, _eigh, _factor,
                       _gram_schmidt, _power, check_count, frob_inner,
                       frob_norm, is_finite_number, is_number, orthogonalize,
@@ -44,6 +48,10 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 TUBE_K_SLACK = 1.5
 TUBE_BLOCK = 256
+
+
+# the fields of a planes.CurveConstants record after c, in order
+_NUMBERS = tuple(f.name for f in fields(CurveConstants)[1:])
 
 
 class VanishingDenominatorError(ZeroDivisionError):
@@ -225,17 +233,36 @@ def _domain_ok(curve, t):
     2 c4 w + 2 c5 t all exceed DENOM_FLOOR in modulus and det G(t) > 0, in
     the canonical frame of the curve's constants ``curve``.
 
-    ``t`` is a NumPy float or an ndarray (elementwise answer).  A vanishing
-    denominator yields inf or nan, which fails the floor test.
+    ``t`` is a NumPy float or an ndarray (elementwise answer); ``curve`` is
+    one record, or a stack of them (``_columns``) whose (B, 1) columns
+    broadcast against a (B, k) ``t``.  A vanishing denominator yields inf
+    or nan, which fails the floor test.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, g13, g23, _, checked = _curve_parts(curve, t)
         ok = np.abs(w) > DENOM_FLOOR
         for d in checked:
             ok &= np.abs(d) > DENOM_FLOOR
-        # G is symmetric, so .T only moves the matrix axes last
-        det = np.linalg.det(np.array(_canonical_matrix(curve, t, g13, g23)).T)
+        # G is symmetric, so .T only moves the matrix axes last, and the
+        # second .T puts t's axes back in order
+        det = np.linalg.det(
+            np.array(_canonical_matrix(curve, t, g13, g23)).T).T
     return ok & (det > 0.0)
+
+
+def _columns(curves):
+    """The ``planes.CurveConstants`` records ``curves`` as one record of
+    (B, 1) columns, B = len(curves): each number of each record, stacked
+    as it is, so the formulas run on B planes at once and form no
+    constant of their own.  One record is its own stack: its floats
+    broadcast against a (1, k) t as (1, 1) columns do, with the same
+    bits."""
+    if len(curves) == 1:
+        return curves[0]
+    table = np.array([(*curve.c, *map(curve.__getattribute__, _NUMBERS))
+                      for curve in curves])
+    columns = tuple(table.T[:, :, None])
+    return CurveConstants(columns[:5], *columns[5:])
 
 
 def valid_t_max(spec):
@@ -246,12 +273,26 @@ def valid_t_max(spec):
     call of the domain predicate (one stacked determinant); if one fails, 50
     bisection steps between it and the last passing grid point (0 if none)
     refine the answer, each testing one point with the same predicate.
+
+    Given a list or tuple of specs instead, it returns the tuple of their
+    values: the predicate runs once on the (B, DOMAIN_GRID) grid of all B
+    planes, from their gate records stacked as columns (``_columns``), and
+    only the planes whose grid fails are bisected, each on its own.
     """
-    curve = require_slowest_curve(spec)
+    one = not isinstance(spec, (list, tuple))
+    curves = [require_slowest_curve(s) for s in ([spec] if one else spec)]
     ts = np.linspace(T_CAP / DOMAIN_GRID, T_CAP, DOMAIN_GRID)
-    ok = _domain_ok(curve, ts)
-    if ok.all():
-        return float(ts[-1])
+    grid = _domain_ok(_columns(curves),
+                      np.broadcast_to(ts, (len(curves), DOMAIN_GRID)))
+    values = tuple(float(ts[-1]) if ok.all() else _bisect(curve, ts, ok)
+                   for curve, ok in zip(curves, grid))
+    return values[0] if one else values
+
+
+def _bisect(curve, ts, ok):
+    """50 bisection steps of the domain predicate on the record ``curve``,
+    between the first grid point of ``ts`` that fails (``ok`` False) and
+    the last passing one before it (0 if none); the last passing t."""
     first_bad = int(np.argmin(ok))
     lo = ts[first_bad - 1] if first_bad else np.float64(0.0)
     hi = ts[first_bad]
@@ -381,23 +422,43 @@ def perturb_gain(spec):
     once c4 is below about 1e-8.  C is read off the one factorization of
     the canonical basis ``type2_basis(spec.c)``, checked as ``build_plane``
     checks it, with no plane built: the gain reads nothing else of one.
+
+    Given a list or tuple of specs instead, it returns the tuple of their
+    gains, each spec gated first: one ``type2_basis``, ``_factor`` and
+    ``_gram_schmidt`` call on the stack of their bases, and every inner
+    product <X, Y> as the stacked ``np.matmul`` of vec X as a row and vec Y
+    as a column, which NumPy computes with the dot kernel ``np.vdot``
+    uses, so each gain has the bits of its own call.  Only the 2 x 2
+    eigensolve runs once per plane.
     """
-    require_slowest_curve(spec)
-    basis = _check_basis(type2_basis(spec.c), 3)
+    one = not isinstance(spec, (list, tuple))
+    specs = [spec] if one else spec
+    for s in specs:
+        require_slowest_curve(s)
+    basis, _ = _check_basis(type2_basis([s.c for s in specs]), 3)
     C = _gram_schmidt(basis, *_factor(basis)[1:])    # its Q and R^-1
-    tilde = []
-    for M in C[1:]:
-        T = np.array(M)
-        T[0, :] = 0.0
-        T[:, 0] = 0.0
-        tilde.append(T)
-    n2sq, n3sq = frob_inner(C[1], C[1]), frob_inner(C[2], C[2])
-    cross = frob_inner(tilde[0], tilde[1]) / np.sqrt(n2sq * n3sq)
-    R = np.array([
-        [1.0 - frob_inner(tilde[0], tilde[0]) / n2sq, -cross],
-        [-cross, 1.0 - frob_inner(tilde[1], tilde[1]) / n3sq]])
-    norm = float(np.max(np.abs(_eigh(R)[0])))
-    return PerturbGain(matrix=R, spectral_norm=norm)
+    tilde = C[:, 1:].copy()
+    tilde[..., 0, :] = 0.0
+    tilde[..., :, 0] = 0.0
+    c_rows, t_rows = (X.reshape(-1, 2, 1, 9) for X in (C[:, 1:], tilde))
+
+    def inner(x, y):
+        return np.matmul(x, y.swapaxes(-1, -2))[..., 0, 0]
+
+    # a product of two squared norms past the largest float is inf, as it
+    # is in Python floats
+    with np.errstate(over="ignore"):
+        n2sq, n3sq = inner(c_rows, c_rows).T
+        t2sq, t3sq = inner(t_rows, t_rows).T
+        cross = inner(t_rows[:, 0], t_rows[:, 1]) / np.sqrt(n2sq * n3sq)
+    R = np.empty((len(specs), 2, 2))
+    R[:, 0, 0] = 1.0 - t2sq / n2sq
+    R[:, 0, 1] = R[:, 1, 0] = -cross
+    R[:, 1, 1] = 1.0 - t3sq / n3sq
+    gains = tuple(PerturbGain(matrix=M,
+                              spectral_norm=float(np.max(np.abs(_eigh(M)[0]))))
+                  for M in R)
+    return gains[0] if one else gains
 
 
 def _coordinate(row, t, g13, g23):
@@ -480,7 +541,7 @@ def tube_check(spec, t0, beta, gamma, steps, eps):
     spec = spec.canonical()
     steps = check_count("steps", steps)
     t0 = _curve_parameter(t0)
-    E, _ = build_plane(spec)
+    E, = _planes([spec])
     Eo = orthogonalize(E)
     C = Eo.basis
     T = [[frob_inner(B, Ci) / frob_inner(Ci, Ci) for B in E.basis]

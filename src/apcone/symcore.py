@@ -23,7 +23,13 @@ arguments and their ``np.errstate``, so Q and R^-1 are the same bits
 without the wrappers' copies, checks and ``np.triu``.  ``from_basis``
 builds a plane's maps from it into arrays it allocates once and freezes
 in place, and the transverse gain in ``slowcurve`` reads the Gram-Schmidt
-basis off it with no plane built.
+basis off it with no plane built.  The per-plane operations are stacked:
+``_factor`` and ``_gram_schmidt`` take a stack of B bases (B, m, n, n)
+and call each gufunc once on all of it, ``from_basis`` given such a stack
+and ``orthogonalize`` given a list of planes return tuples of planes, and
+a single plane is the stack of one.  Each plane of a stack has the bits
+it has alone, and a stack with a bad basis raises the error of its first
+bad basis.
 
 Every eigendecomposition in the package goes through the private
 ``_eigh``: one call of the gufunc ``numpy.linalg._umath_linalg.eigh_lo``
@@ -50,18 +56,20 @@ Input is checked once, where it enters a public function.  A matrix
 ``check_sym``, which differ only in the error a non-finite entry raises:
 ``EigenSolverError`` for an eigensolver's input, ``ValueError`` for an
 affine subspace's anchor and basis and a distance target.  A basis must
-be a stack (m, n, n), m >= 1 (``_check_basis``), and after the
-dependency test its Gram matrix must be finite with normal diagonal
-entries (``_factor``).  A point of an affine subspace is checked the same
-way, size included, by the private ``AffineSubspace._check_point``.  Of
-several faults the first in the order non-finite, square, symmetric, size
-decides the error.  A step or iteration count is checked by
-``check_count``; whether a scalar argument is an integer or a real number
-at all is decided by ``is_integer`` and ``is_number``, for which a bool is
-neither, and whether it is a finite number by ``is_finite_number``.
+be a stack (m, n, n), m >= 1, or a stack of B >= 1 such bases
+(``_check_basis``), and after the dependency test its Gram matrix must be
+finite with normal diagonal entries (``_factor``).  A point of an affine
+subspace is checked the same way, size included, by the private
+``AffineSubspace._check_point``.  Of several faults the first in the
+order non-finite, square, symmetric, size decides the error.  A step or
+iteration count is checked by ``check_count``; whether a scalar argument
+is an integer or a real number at all is decided by ``is_integer`` and
+``is_number``, for which a bool is neither, and whether it is a finite
+number by ``is_finite_number``.
 """
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -71,7 +79,7 @@ from numbers import Integral, Real
 from operator import itemgetter
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.linalg._linalg import (_raise_linalgerror_qr,
                                   _raise_linalgerror_singular)
 
@@ -347,73 +355,107 @@ def _layout(n, m):
 
 
 def _check_basis(basis, n):
-    """``basis`` as a new C-ordered float stack (m, n, n) with m >= 1, each
-    matrix checked by ``check_sym`` in turn, then its size: a non-finite
-    entry, a shape that is not square and an entry that differs from its
-    mirror image each raise ``ValueError``, the first fault in that order
-    deciding the error, as does anything that is not such a stack.  A
-    ragged list is not refused up front: its matrices are checked first,
-    and NumPy then refuses to stack it."""
+    """``(stack, one)``: ``basis`` as a new C-ordered float stack of bases
+    (B, m, n, n), and whether it came as one basis (m, n, n), which is the
+    stack of one.  B >= 1 and m >= 1, and each matrix is checked as
+    ``check_sym`` checks it, in order, then its size: a non-finite entry,
+    a shape that is not square and an entry that differs from its mirror
+    image each raise ``ValueError``, the first fault in that order
+    deciding the error, as does anything that is not such a stack.  The
+    stack is checked in one pass first; only a stack that fails it is
+    checked matrix by matrix, for the first fault's error.  A ragged list
+    is not refused up front: its matrices are checked first, and NumPy then
+    refuses to stack it."""
     try:
         shape = np.shape(basis)
     except ValueError:      # ragged
         shape = None
-    if shape is not None and (len(shape) != 3 or not shape[0]):
+    if shape is not None and (len(shape) not in (3, 4)
+                              or not all(shape[:-2])):
         raise ValueError(f"basis must be a stack of shape (m, {n}, {n}) "
                          f"with m >= 1, got shape {shape}")
-    for B in basis:
-        check_sym(B)
-    basis = np.array(basis, dtype=float, order="C")
-    if basis.shape[1:] != (n, n):
+    one = shape is None or len(shape) == 3
+    try:
+        stack = np.array(basis, dtype=float, order="C")
+        fine = (stack.shape[-1] == stack.shape[-2]
+                and np.isfinite(stack).all()
+                and (stack == stack.swapaxes(-1, -2)).all())
+    except (ValueError, TypeError):
+        fine = False
+    if not fine:
+        for B in (basis if one else itertools.chain.from_iterable(basis)):
+            check_sym(B)
+        stack = np.array(basis, dtype=float, order="C")
+    if stack.shape[-2:] != (n, n):
         raise ValueError("basis dimension does not match anchor")
-    return basis
+    return (stack[None] if one else stack), one
 
 
 def _factor(basis):
-    """The one factorization of a checked stack ``basis`` (m, n, n): the
-    thin QR ``basis.reshape(m, n*n).T = Q R``.
+    """The one factorization of each basis of a checked stack ``basis``
+    (B, m, n, n): the thin QR ``basis[b].reshape(m, n*n).T = Q R``, each
+    gufunc called once on the whole stack.
 
-    Returns ``(gram, Q, R_inv)``, new C-ordered arrays: the Gram matrix
-    ``flat flat^T`` of the raveled basis, Q with each column mirrored
-    (rows (i, j) and (j, i) replaced by their mean), so that as an n x n
-    matrix it is exactly symmetric, and R^-1.  LAPACK runs through the
-    gufuncs that ``numpy.linalg.qr`` and ``numpy.linalg.inv`` call, with
-    their arguments and their ``np.errstate``, so the factors have their
-    bits and a LAPACK failure raises their ``LinAlgError``.  A basis whose
-    R has a diagonal entry at most ``DEPENDENT_BASIS_TOL`` times its
-    largest, or that has more than n*n matrices, raises
-    ``DependentBasisError``; then a Gram matrix with an entry that is not
-    finite, or a diagonal entry below the smallest normal float, raises
-    ``ValueError``: the basis is too large or too small for its squared
-    norms to be floats.
+    Returns ``(gram, Q, R_inv)``, new C-ordered stacks (B, m, m),
+    (B, n*n, m) and (B, m, m): the Gram matrix ``flat flat^T`` of each
+    raveled basis, Q with each column mirrored (rows (i, j) and (j, i)
+    replaced by their mean), so that as an n x n matrix it is exactly
+    symmetric, and R^-1.  LAPACK runs through the gufuncs that
+    ``numpy.linalg.qr`` and ``numpy.linalg.inv`` call, with their arguments
+    and their ``np.errstate``, so the factors have their bits and a LAPACK
+    failure raises their ``LinAlgError``.  A basis whose R has a diagonal
+    entry at most ``DEPENDENT_BASIS_TOL`` times its largest, or that has
+    more than n*n matrices, raises ``DependentBasisError``; then a Gram
+    matrix with an entry that is not finite, or a diagonal entry below the
+    smallest normal float, raises ``ValueError``: the basis is too large or
+    too small for its squared norms to be floats.  The checks are made per
+    basis, and a stack raises the error of its first bad basis, the one
+    that basis raises alone.  The floating-point flags that ``np.errstate``
+    turns into ``LinAlgError`` are those of the whole stack, so after one
+    the bases are factored one at a time, and the first that fails alone
+    raises.
     """
-    m = len(basis)
-    flat = basis.reshape(m, -1)
-    swap, below = _layout(basis.shape[1], m)
-    a = flat.T.copy()       # LAPACK overwrites it with R and its reflectors
-    with np.errstate(call=_raise_linalgerror_qr, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-        Q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    R = a[:m]
-    diag = [abs(r) for r in R.diagonal().tolist()]
-    # an operation that makes a NaN raises in the errstate above, so min
-    # and max see none; R has fewer than m rows when m > n*n
-    if not (len(diag) == m and min(diag) > DEPENDENT_BASIS_TOL * max(diag)):
-        raise DependentBasisError("basis matrices are linearly dependent")
-    R.reshape(-1)[below] = 0.0     # LAPACK's reflectors, below R
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = flat @ flat.T
-    entries = gram.ravel().tolist()
-    if not (math.isfinite(sum(entries)) or np.isfinite(gram).all()):
-        raise ValueError("the basis is too large: its Gram matrix overflows")
-    if min(entries[::m + 1]) < sys.float_info.min:
-        raise ValueError("the basis is too small: its Gram matrix "
-                         "underflows")
-    with np.errstate(call=_raise_linalgerror_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        R_inv = _umath_linalg.inv(R, signature="d->d")
-    return gram, 0.5 * (Q + Q[swap]), R_inv
+    (B, m), n = basis.shape[:2], basis.shape[2]
+    flat = basis.reshape(B, m, -1)
+    swap, below = _layout(n, m)
+    # LAPACK overwrites a with R and its reflectors
+    a = flat.swapaxes(1, 2).copy()
+    try:
+        with np.errstate(call=_raise_linalgerror_qr, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+            Q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+        R = a[:, :m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = flat @ flat.swapaxes(1, 2)
+        for diag, entries in zip(np.abs(np.diagonal(R, 0, 1, 2)).tolist(),
+                                 gram.reshape(B, -1).tolist()):
+            # an operation that makes a NaN raises in the errstate above,
+            # so min and max see none; R has fewer than m rows when
+            # m > n*n
+            if not (len(diag) == m
+                    and min(diag) > DEPENDENT_BASIS_TOL * max(diag)):
+                raise DependentBasisError(
+                    "basis matrices are linearly dependent")
+            # a finite sum has finite terms; a sum that overflows is
+            # decided entry by entry
+            if not (math.isfinite(sum(entries))
+                    or all(map(math.isfinite, entries))):
+                raise ValueError("the basis is too large: its Gram matrix "
+                                 "overflows")
+            if min(entries[::m + 1]) < sys.float_info.min:
+                raise ValueError("the basis is too small: its Gram matrix "
+                                 "underflows")
+        a.reshape(B, -1)[:, below] = 0.0     # LAPACK's reflectors, below R
+        with np.errstate(call=_raise_linalgerror_singular, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            R_inv = _umath_linalg.inv(R, signature="d->d")
+    except LinAlgError:
+        if B > 1:       # the first basis that fails alone raises
+            for j in range(B):
+                _factor(basis[j:j + 1])
+        raise
+    return gram, 0.5 * (Q + Q[:, swap]), R_inv
 
 
 @dataclass(frozen=True)
@@ -449,33 +491,42 @@ class AffineSubspace:
     def from_basis(cls, anchor, basis):
         """The plane through ``anchor`` spanned by ``basis``, a stack of m
         n x n matrices, both checked (``check_sym``, ``_check_basis``) and
-        copied; the basis is factored once (``_factor``)."""
+        copied; the basis is factored once (``_factor``).
+
+        Given a stack of B such bases (B, m, n, n) instead, it returns the
+        tuple of the B planes through ``anchor``, made by one call of each
+        operation on the whole stack, with the bits each basis gives alone;
+        their fields are views of the stacked arrays, and they share one
+        copy of the anchor.  A stack with a bad basis raises the error its
+        first bad basis raises alone."""
         anchor = np.array(check_sym(anchor))
         n = len(anchor)
-        basis = _check_basis(basis, n)
+        basis, one = _check_basis(basis, n)
         gram, Q, R_inv = _factor(basis)
-        m, nn = len(basis), n * n
+        (B, m), nn = basis.shape[:2], n * n
         swap, _ = _layout(n, m)
         a = anchor.ravel()
         # rows (i, j) and (j, i) of aug replaced by their mean, so that
         # every projection aug [v | 1] is exactly symmetric
-        P = Q @ Q.T
-        proj = 0.5 * (P + P[swap])
+        P = Q @ Q.swapaxes(1, 2)
+        proj = 0.5 * (P + P[:, swap])
         offset = a - proj @ a
-        aug = np.empty((nn, nn + 1))
-        aug[:, :nn] = proj
-        aug[:, nn] = 0.5 * (offset + offset[swap])
-        # coef_aug is Fortran-ordered, a layout the rounding of the
+        aug = np.empty((B, nn, nn + 1))
+        aug[:, :, :nn] = proj
+        aug[:, :, nn] = 0.5 * (offset + offset[:, swap])
+        # each coef_aug is Fortran-ordered, a layout the rounding of the
         # read-out coef_aug.dot(r) depends on; its transpose's rows are
         # those of Q R^-T, then the anchor's coefficients, negated
-        coef_aug = np.empty((m, nn + 1), order="F")
-        coef_map = coef_aug.T[:nn]
-        np.matmul(Q, R_inv.T, out=coef_map)
-        np.negative(a @ coef_map, out=coef_aug[:, nn])
-        fields = (anchor, basis, gram, Q, R_inv, aug, coef_aug)
-        for array in fields:
+        coef_aug_T = np.empty((B, nn + 1, m))
+        coef_map = coef_aug_T[:, :nn]
+        np.matmul(Q, R_inv.swapaxes(1, 2), out=coef_map)
+        np.negative(a @ coef_map, out=coef_aug_T[:, nn])
+        fields = (basis, gram, Q, R_inv, aug, coef_aug_T.swapaxes(1, 2))
+        for array in (anchor, *fields):
             array.setflags(write=False)
-        return cls(*fields)
+        planes = tuple(cls(anchor, *(array[b] for array in fields))
+                       for b in range(B))
+        return planes[0] if one else planes
 
     def point(self, coeffs):
         """phi(p) = anchor + sum_i p_i B_i, exactly symmetric."""
@@ -523,20 +574,36 @@ def project_affine(E, X):
 
 
 def _gram_schmidt(basis, Q, R_inv):
-    """The checked stack ``basis`` Gram-Schmidted in order (first element
-    kept verbatim), from its ``_factor`` Q and R^-1, as a new C-ordered
-    (m, n, n) array, laid out as ``from_basis`` stores a basis so that sums
-    over its entries run in the same order.
+    """The bases of the checked stack ``basis`` (B, m, n, n) Gram-Schmidted
+    in order (first element kept verbatim), from their ``_factor`` Q and
+    R^-1, as a new C-ordered (B, m, n, n) array, laid out as
+    ``from_basis`` stores a basis so that sums over its entries run in the
+    same order.
 
     Element i is B_i less its projection onto span{B_0, ..., B_{i-1}}, read
     off the QR factors as R_ii mat(Q_i), with R_ii = 1 / (R^-1)_ii.
     """
-    C = (Q / np.diag(R_inv)).T.reshape(basis.shape).copy()
-    C[0] = basis[0]
+    C = (Q / np.diagonal(R_inv, 0, 1, 2)[:, None]).swapaxes(1, 2)
+    C = C.reshape(basis.shape).copy()
+    C[:, 0] = basis[:, 0]
     return C
 
 
 def orthogonalize(E):
-    """E with its basis Gram-Schmidted in order (``_gram_schmidt``)."""
-    return AffineSubspace.from_basis(E.anchor,
-                                     _gram_schmidt(E.basis, E.Q, E.R_inv))
+    """E with its basis Gram-Schmidted in order (``_gram_schmidt``).
+
+    Given a list or tuple of planes through one anchor instead, it returns
+    the tuple of theirs, made by one call of each operation on the stack
+    of their bases; planes through different anchors raise ``ValueError``.
+    """
+    one = isinstance(E, AffineSubspace)
+    planes = (E,) if one else tuple(E)
+    anchor = planes[0].anchor
+    if not all(P.anchor is anchor or np.array_equal(P.anchor, anchor)
+               for P in planes):
+        raise ValueError("the planes of a stack must share one anchor")
+    C = _gram_schmidt(np.array([P.basis for P in planes]),
+                      np.array([P.Q for P in planes]),
+                      np.array([P.R_inv for P in planes]))
+    Eo = AffineSubspace.from_basis(anchor, C)
+    return Eo[0] if one else Eo

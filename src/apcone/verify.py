@@ -11,7 +11,13 @@ standard library's Mersenne Twister, so the suites never load
 ``RandomState`` takes, and rejects any other before a suite runs.
 ``random_type2_spec`` takes any rng with ``uniform`` and ``choice``, a
 ``RandomState`` included.  A suite composes the package's operations and
-writes none of its own: prop31's direct AP step is ``ap_step``'s.
+writes none of its own: prop31's direct AP step is ``ap_step``'s.  A
+suite that checks many planes draws all its specs first, in the order a
+one-at-a-time loop draws them, and then makes one stacked call per
+per-plane operation: ``planes._planes`` builds the planes,
+``orthogonalize`` orthogonalizes them, ``valid_t_max`` probes their curve
+domains and ``perturb_gain`` computes their gains (lemma75, thm41,
+prop31, thm63, plucker).
 """
 
 import random
@@ -21,7 +27,7 @@ import numpy as np
 
 from .apengine import ap_step, eigenvalue_formula_step, rank_one_step_residual
 from .catalog import _SPEC_61, get_example
-from .planes import (PlaneSpec, build_plane, plucker_coords,
+from .planes import (PlaneSpec, _planes, plucker_coords,
                      plucker_relation_defect, slow_step_constant)
 from .rates import recursive_sequence
 from .series import (_ap_image_series, _first_degree, _psd_projection_series,
@@ -105,9 +111,10 @@ def random_type2_spec(rng, mild=True):
     return PlaneSpec("type2", tuple(c))
 
 
-def _orth_plane(spec):
-    E, _ = build_plane(spec)
-    return orthogonalize(E)
+def _orth_planes(specs):
+    """The orthogonalized planes of ``specs``: one stacked build, one
+    stacked Gram-Schmidt."""
+    return orthogonalize(_planes(specs))
 
 
 def formula_vs_direct_gap(E, p):
@@ -122,13 +129,14 @@ def suite_prop31(seed=0):
     """Eigenvalue-formula steps match direct AP steps on 20 planes: the two
     catalog probes and one random probe on each of 18 random type2 planes."""
     rng = _Draws(seed)
+    draws = [(random_type2_spec(rng), rng.uniform(-0.05, 0.05, 3))
+             for _ in range(18)]
+    probes = [(get_example("ex3.2").plane, np.array([0.06])),
+              (get_example("ex3.4").plane, np.array([0.07, 0.03])),
+              *zip(_orth_planes([spec for spec, _ in draws]),
+                   (p for _, p in draws))]
     worst = 0.0
-    for E, p in ((get_example("ex3.2").plane, np.array([0.06])),
-                 (get_example("ex3.4").plane, np.array([0.07, 0.03]))):
-        worst = max(worst, formula_vs_direct_gap(E, p))
-    for _ in range(18):
-        E = _orth_plane(random_type2_spec(rng))
-        p = rng.uniform(-0.05, 0.05, 3)
+    for E, p in probes:
         worst = max(worst, formula_vs_direct_gap(E, p))
     return [CheckResult(
         "formula-vs-direct gap on 20 planes", worst < 1e-12,
@@ -140,61 +148,69 @@ def curve_probe_t(spec, frac=0.5, cap=0.1):
 
 
 def suite_thm41(seed=0):
-    """Rank-1 chart relation has rounding-level residual on 20 planes."""
+    """Rank-1 chart relation has rounding-level residual on 20 planes.
+
+    Specs are drawn in order until 20 have a probe t = min(0.05, 0.45
+    valid_t_max) of at least 5e-3: each round draws as many as are still
+    missing and probes them in one stacked ``valid_t_max`` call, so the
+    draws are those of a one-at-a-time loop."""
     rng = _Draws(seed)
+    kept = []
+    while len(kept) < 20:
+        specs = [random_type2_spec(rng) for _ in range(20 - len(kept))]
+        for spec, t_max in zip(specs, valid_t_max(specs)):
+            t = min(0.05, 0.45 * t_max)     # curve_probe_t(spec, 0.45, 0.05)
+            if t >= 5e-3:
+                kept.append((spec, t))
     worst = 0.0
-    done = 0
-    while done < 20:
-        spec = random_type2_spec(rng)
-        t = curve_probe_t(spec, 0.45, 0.05)
-        if t < 5e-3:
-            continue
-        E = _orth_plane(spec)
+    for E, (spec, t) in zip(_orth_planes([spec for spec, _ in kept]), kept):
         p = E.coefficients(curve_point(spec, t).G)
         res = rank_one_step_residual(E, p)
         worst = max(worst, res / (1.0 + float(np.linalg.norm(p))))
-        done += 1
     return [CheckResult("rank-1 step relation on 20 planes", worst < 1e-9,
                         f"max residual {worst:.3e} (tol 1e-9)")]
 
 
 def _series_suite(label, check, seed):
-    """One row per plane, on ex6.1 and ten random planes.  ``check(spec,
-    cap, tol, G)`` returns the kernel's series and the formula's, as
-    coefficient stacks through degree ``cap`` = 8 (the kernel's rank test
-    at ``tol`` = 1e-8), and the float matrix the kernel's series, truncated,
-    must give at t = 1e-2 from G = G(1e-2).  A row passes when the
-    difference of the series is first above 1e-8 at degree 8 and the
-    truncated series is within 1e-13 of the float matrix."""
+    """One row per plane, on ex6.1 and ten random planes.  ``check(specs,
+    cap, tol, Gs)`` returns, for each spec, the kernel's series and the
+    formula's, as coefficient stacks through degree ``cap`` = 8 (the
+    kernel's rank test at ``tol`` = 1e-8), and the float matrix the
+    kernel's series, truncated, must give at t = 1e-2 from its
+    G = G(1e-2) in ``Gs``.  A row passes when the difference of the series
+    is first above 1e-8 at degree 8 and the truncated series is within
+    1e-13 of the float matrix."""
     rng = _Draws(seed)
-
-    def row(name, spec):
-        kernel, model, want = check(spec, 8, 1e-8, curve_point(spec, 1e-2).G)
+    names = ["ex6.1"] + [f"random #{i}" for i in range(1, 11)]
+    specs = [_SPEC_61] + [random_type2_spec(rng) for _ in range(10)]
+    Gs = [curve_point(spec, 1e-2).G for spec in specs]
+    rows = []
+    for name, (kernel, model, want) in zip(names,
+                                           check(specs, 8, 1e-8, Gs)):
         degree, below, at = _first_degree(kernel - model, 1e-8)
         at_tie = np.einsum("d,dij->ij", 1e-2 ** np.arange(9), kernel)
         tie = float(np.max(np.abs(at_tie - want)))
-        return CheckResult(
+        rows.append(CheckResult(
             f"{label} order, {name}", degree == 8 and tie <= 1e-13,
             f"order {degree} (tol 1e-8): max coefficient {below:.1e} below "
-            f"it, {at:.3g} at it; float tie {tie:.1e} at t=1e-2")
-
-    return [row("ex6.1", _SPEC_61)] + [
-        row(f"random #{i}", random_type2_spec(rng)) for i in range(1, 11)]
+            f"it, {at:.3g} at it; float tie {tie:.1e} at t=1e-2"))
+    return rows
 
 
 def suite_thm62(seed=0):
     """P_psd(G(t)) minus the PSD-projection formula starts at t^8."""
-    def check(spec, cap, tol, G):
-        return (*_psd_projection_series(spec, cap, tol), project_psd(G)[0])
+    def check(specs, cap, tol, Gs):
+        return [(*_psd_projection_series(spec, cap, tol), project_psd(G)[0])
+                for spec, G in zip(specs, Gs)]
 
     return _series_suite("psd-projection formula", check, seed)
 
 
 def suite_thm63(seed=0):
     """One AP step from G(t) minus the AP-image formula starts at t^8."""
-    def check(spec, cap, tol, G):
-        E = build_plane(spec)[0]
-        return (*_ap_image_series(E, spec, cap, tol), ap_step(E, G)[0])
+    def check(specs, cap, tol, Gs):
+        return [(*_ap_image_series(E, spec, cap, tol), ap_step(E, G)[0])
+                for E, spec, G in zip(_planes(specs), specs, Gs)]
 
     return _series_suite("ap-image formula", check, seed)
 
@@ -242,17 +258,18 @@ def suite_lemma67(seed=0):
 def suite_lemma75(seed=0):
     """Transverse gain norm < 1 on 100 wide-random c4 != 0 specs."""
     rng = _Draws(seed)
+    specs = [random_type2_spec(rng, mild=False) for _ in range(100)]
     worst = 0.0
-    for _ in range(100):
-        spec = random_type2_spec(rng, mild=False)
-        worst = max(worst, perturb_gain(spec).spectral_norm)
+    for gain in perturb_gain(specs):
+        worst = max(worst, gain.spectral_norm)
     return [CheckResult("||R||_2 < 1 on 100 specs", worst < 1.0,
                         f"max spectral norm 1 - {1.0 - worst:.3e}")]
 
 
 def suite_prop76(seed=0):
     """AP iterates started on/near the slowest curve stay in its tube."""
-    n2 = frob_norm(_orth_plane(_SPEC_61).basis[1])    # ||C2|| on ex6.1
+    # ||C2|| on ex6.1
+    n2 = frob_norm(_orth_planes([_SPEC_61])[0].basis[1])
     cases = [
         ("on-curve start, t0=0.1", dict(t0=0.1, beta=0.0, gamma=0.0,
                                         steps=2000, eps=1.0)),
@@ -291,17 +308,18 @@ def suite_lemma77(seed=0):
 def suite_plucker(seed=0):
     """Grassmann quadratic relations vanish on random planes."""
     rng = _Draws(seed)
-    worst = 0.0
+    specs = []
     for i in range(10):
         if i % 2 == 0:
             spec = random_type2_spec(rng)
         else:
             c = tuple(rng.uniform(-1.0, 1.0, 8))
             spec = PlaneSpec("type1", c, mu=float(rng.uniform(0.2, 2.0)))
-        spec = PlaneSpec(spec.kind, spec.c,
-                         theta=float(rng.uniform(0, 2 * np.pi)),
-                         reflect=bool(rng.randint(2)), mu=spec.mu)
-        E, _ = build_plane(spec)
+        specs.append(PlaneSpec(spec.kind, spec.c,
+                               theta=float(rng.uniform(0, 2 * np.pi)),
+                               reflect=bool(rng.randint(2)), mu=spec.mu))
+    worst = 0.0
+    for E in _planes(specs):
         coords = plucker_coords(E)
         scale = float(np.max(np.abs(coords))) ** 2
         worst = max(worst, plucker_relation_defect(coords) / max(1.0, scale))
